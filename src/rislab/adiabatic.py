@@ -15,7 +15,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .linalg import SuperOperator, unvec, vec
-from .model import RISModel, deformed_map, kraus_family
+from .model import RISModel, deformed_map
 from .spectral import PeripheralDecomposition, peripheral_decomposition
 
 DERIV_STEP = 1e-5
@@ -43,8 +43,7 @@ class AdiabaticFamily:
     def map(self, s: float) -> SuperOperator:
         s = float(s)
         if s not in self._maps:
-            fam = kraus_family(self.model, s, self.Y)
-            self._maps[s] = deformed_map(self.model, s, self.alpha, fam=fam)
+            self._maps[s] = deformed_map(self.model, s, self.alpha, self.Y)
         return self._maps[s]
 
     def decomposition(self, s: float) -> PeripheralDecomposition:

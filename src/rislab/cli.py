@@ -25,7 +25,7 @@ import os
 import numpy as np
 
 from . import adiabatic, fullstats, mgfldp, model, spectral
-from .config import RunConfig, load_config, write_manifest
+from .config import RunConfig, load_config, parse_seed, write_manifest
 
 TASKS = ("spectrum", "lambda", "ldp", "simulate", "adiabatic", "balance", "x0")
 
@@ -191,7 +191,7 @@ def main(argv=None) -> int:
 
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg.seed = parse_seed(args.seed, "--seed")
     if args.out is not None:
         cfg.out_dir = args.out
     os.makedirs(cfg.out_dir, exist_ok=True)

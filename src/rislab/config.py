@@ -72,8 +72,23 @@ def parse_matrix(value, path: str) -> np.ndarray:
     return np.asarray(rows, dtype=complex)
 
 
-def encode_matrix(M: np.ndarray) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(M, dtype=complex)]
+def _finite_reals(values, path: str) -> tuple[float, ...]:
+    if not isinstance(values, list) or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) and np.isfinite(x)
+        for x in values
+    ):
+        raise ConfigError(f"{path}: expected a list of finite numbers, got {values!r}")
+    return tuple(float(x) for x in values)
+
+
+def parse_seed(value, path: str) -> int:
+    """An integer seed in [0, 2**64), the key range of the sampler streams."""
+    integral = isinstance(value, int) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if isinstance(value, bool) or not integral or not 0 <= value < 2**64:
+        raise ConfigError(f"{path}: expected an integer in [0, 2**64), got {value!r}")
+    return int(value)
 
 
 def parse_schedule(value, path: str):
@@ -97,13 +112,16 @@ def parse_schedule(value, path: str):
         poly = tuple(float(p) for p in value.get("poly", []))
         return TanhPolySchedule(tanh_terms=terms, poly=poly)
     if kind == "tabulated":
-        nodes = value.get("nodes")
-        vals = value.get("values")
-        if not nodes or not vals or len(nodes) != len(vals):
+        nodes = _finite_reals(value.get("nodes"), f"{path}.nodes")
+        vals = _finite_reals(value.get("values"), f"{path}.values")
+        if len(nodes) < 2 or len(nodes) != len(vals):
             raise ConfigError(
-                f"{path}: tabulated schedules need equal-length 'nodes' and 'values'"
+                f"{path}: tabulated schedules need equal-length 'nodes' and "
+                "'values' with at least 2 entries"
             )
-        return TabulatedSchedule(tuple(map(float, nodes)), tuple(map(float, vals)))
+        if any(b <= a for a, b in zip(nodes, nodes[1:])):
+            raise ConfigError(f"{path}.nodes: must be strictly increasing")
+        return TabulatedSchedule(nodes, vals)
     raise ConfigError(f"{path}.kind: unknown schedule kind {kind!r}")
 
 
@@ -200,7 +218,9 @@ def load_config(path_or_dict) -> RunConfig:
         s_nodes=int(_get(nsec, "s_nodes", "numeric", defaults_used)),
         alpha_grid=(float(ag[0]), float(ag[1]), int(ag[2])),
         T_list=[int(t) for t in _get(nsec, "T_list", "numeric", defaults_used)],
-        seed=int(_get(nsec, "seed", "numeric", defaults_used)),
+        seed=parse_seed(
+            _get(nsec, "seed", "numeric", defaults_used), "numeric.seed"
+        ),
         n=int(_get(nsec, "n", "numeric", defaults_used)),
         T=int(_get(nsec, "T", "numeric", defaults_used)),
         alpha=float(_get(nsec, "alpha", "numeric", defaults_used)),

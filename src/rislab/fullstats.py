@@ -18,9 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    GROUP_TOL,
     assert_hermitian,
     herm_log,
     hermitian_eig,
+    outcome_groups,
     partial_trace_env,
     partial_trace_sys,
     tensor_product,
@@ -29,13 +31,12 @@ from .linalg import (
 )
 from .model import (
     RISModel,
-    default_counting_observable,
     joint_unitary,
+    kraus_family,
     probe_state,
     reduced_map,
 )
 
-GROUP_TOL = 1e-9
 ENUMERATION_GUARD = 10_000_000
 
 
@@ -60,23 +61,11 @@ class SpectralObservable:
     def from_matrix(cls, A: np.ndarray, tol: float = GROUP_TOL) -> "SpectralObservable":
         A = assert_hermitian(A)
         w, V = hermitian_eig(A)
-        scale = tol * (1.0 + np.abs(w).max())
-        values: list[float] = []
-        projectors: list[np.ndarray] = []
-        current = [0]
-        for i in range(1, w.size):
-            if w[i] - w[current[-1]] <= scale:
-                current.append(i)
-            else:
-                values.append(float(np.mean(w[current])))
-                projectors.append(V[:, current] @ V[:, current].conj().T)
-                current = [i]
-        values.append(float(np.mean(w[current])))
-        projectors.append(V[:, current] @ V[:, current].conj().T)
+        members = outcome_groups(w, tol)
         return cls(
             matrix=A,
-            values=np.asarray(values),
-            projectors=tuple(projectors),
+            values=np.asarray([np.mean(w[m]) for m in members]),
+            projectors=tuple(V[:, m] @ V[:, m].conj().T for m in members),
         )
 
     @property
@@ -160,49 +149,29 @@ class StepOperators:
 def step_operators(
     model: RISModel, s: float, Y: np.ndarray | None = None
 ) -> StepOperators:
-    dS, dE = model.dim_sys, model.dim_env
-    if Y is None:
-        Y = default_counting_observable(model, s)
-    obs = SpectralObservable.from_matrix(Y)
-    xi = probe_state(model, s)
-    U = joint_unitary(model, s)
+    """The conditioned step maps as sums over the node's transition blocks.
+
+    With A = fam.transitions and xi_y the probe state in the Y basis,
+    forward[I, J] = sum_{b in J; a, c in I} xi_y[a, c] conj(A[b, c]) kron A[b, a]
+    and backward[I, J] = sum_{a in I; b, c in J} xi_y[b, c] A[c, a]^T kron A[b, a]*.
+    """
+    fam = kraus_family(model, s, Y)
+    G, A, psi = fam.groups, fam.transitions, fam.basis
+    n, d2 = G.shape[0], model.dim_sys**2
+    # Pi_I xi Pi_I for every outcome I, in the Y basis
+    blocks = np.einsum("Ia,Ic,ac->Iac", G, G, fam.xi_y)
+    fwd = np.einsum("Jb,Iac,bcij,bakl->IJikjl", G, blocks, A.conj(), A)
+    bwd = np.einsum("Ia,Jbc,caji,balk->IJikjl", G, blocks, A, A.conj())
     hE = assert_hermitian(model.h_env(s))
-    n = obs.n_outcomes
-    d2 = dS * dS
-    fwd = np.zeros((n, n, d2, d2), dtype=complex)
-    bwd = np.zeros((n, n, d2, d2), dtype=complex)
-    eye = np.eye(dS)
-    units = []
-    for l in range(dS):
-        for k in range(dS):
-            E = np.zeros((dS, dS), dtype=complex)
-            E[k, l] = 1.0
-            units.append((k + dS * l, E))
-    for i, Pi in enumerate(obs.projectors):
-        xi_i = Pi @ xi @ Pi
-        for j, Pj in enumerate(obs.projectors):
-            IPj = tensor_product(eye, Pj)
-            xi_j = Pj @ xi @ Pj
-            IPi = tensor_product(eye, Pi)
-            for col, E in units:
-                out_f = partial_trace_env(
-                    IPj @ U @ tensor_product(E, xi_i) @ U.conj().T @ IPj, dS, dE
-                )
-                fwd[i, j, :, col] = vec(out_f)
-                out_b = partial_trace_env(
-                    U.conj().T @ tensor_product(E, xi_j) @ U @ IPi, dS, dE
-                )
-                bwd[i, j, :, col] = vec(out_b)
-    energies = np.array(
-        [np.trace(hE @ P).real / np.trace(P).real for P in obs.projectors]
-    )
+    level_energies = np.real(np.einsum("ea,ef,fa->a", psi.conj(), hE, psi))
+    dims = G.sum(axis=1)
     return StepOperators(
-        y_values=obs.values,
-        y_dims=obs.dims(),
-        energies=energies,
+        y_values=G @ fam.y_eigenvalues / dims,
+        y_dims=dims,
+        energies=G @ level_energies / dims,
         beta=float(model.beta(s)),
-        forward=fwd,
-        backward=bwd,
+        forward=fwd.reshape(n, n, d2, d2),
+        backward=bwd.reshape(n, n, d2, d2),
     )
 
 
@@ -213,10 +182,6 @@ def _all_steps(model: RISModel, T: int, Y=None) -> list[StepOperators]:
 # ---------------------------------------------------------------------------
 # exact forward / backward probabilities
 # ---------------------------------------------------------------------------
-
-
-def _trace_from_vec(x: np.ndarray, d: int) -> float:
-    return float(np.real(x[:: d + 1].sum()))
 
 
 def forward_prob(
@@ -391,14 +356,11 @@ def _commutes_with_projectors(rho: np.ndarray, obs: SpectralObservable) -> bool:
 def _probe_state_is_function_of_Y(
     model: RISModel, s: float, Y: np.ndarray | None
 ) -> bool:
-    if Y is None:
-        Y = default_counting_observable(model, s)
-    obs = SpectralObservable.from_matrix(Y)
-    xi = probe_state(model, s)
-    for P in obs.projectors:
-        dim = np.trace(P).real
-        c = np.trace(P @ xi).real / dim
-        if np.abs(P @ xi @ P - c * P).max() > 1e-10:
+    fam = kraus_family(model, s, Y)
+    for g in fam.groups.astype(bool):
+        block = fam.xi_y[np.ix_(g, g)]
+        c = np.trace(block).real / g.sum()
+        if np.abs(block - c * np.eye(g.sum())).max() > 1e-10:
             return False
     return True
 

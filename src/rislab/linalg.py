@@ -11,16 +11,15 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 HERM_TOL = 1e-12
-EIG_RESIDUAL_TOL = 1e-8
 KRAUS_MATRIX_TOL = 1e-10
-EIG_CLUSTER_TOL = 1e-8
 EIGENVALUE_FLOOR = 1e-14
+GROUP_TOL = 1e-9
 
 
 class LinalgError(ValueError):
@@ -89,13 +88,16 @@ def hermitian_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, V
 
 
-def matrix_function_hermitian(H: np.ndarray, f) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its spectrum."""
-    w, V = hermitian_eig(H)
-    fw = np.asarray([f(x) for x in w], dtype=complex)
-    if not np.all(np.isfinite(fw)):
-        raise LinalgError("function not finite on the spectrum")
-    return (V * fw) @ V.conj().T
+def outcome_groups(w: np.ndarray, tol: float = GROUP_TOL) -> np.ndarray:
+    """Membership (n_outcomes, w.size) of an ascending spectrum in its outcomes.
+
+    Neighbours closer than tol * (1 + max|w|) belong to one outcome, a
+    distinct value of the measured observable.
+    """
+    w = np.asarray(w, dtype=float)
+    gaps = np.diff(w) > tol * (1.0 + np.abs(w).max())
+    labels = np.concatenate(([0], np.cumsum(gaps)))
+    return labels == np.arange(labels[-1] + 1)[:, None]
 
 
 def herm_exp(H: np.ndarray, scale: complex = 1.0) -> np.ndarray:
@@ -163,26 +165,6 @@ def trace_norm(M: np.ndarray) -> float:
     return float(np.linalg.svd(M, compute_uv=False).sum())
 
 
-def cluster_eigenvalues(w: np.ndarray, tol: float | None = None) -> list[list[int]]:
-    """Group eigenvalues that coincide within the clustering tolerance.
-
-    Two eigenvalues are considered equal when |w_i - w_j| <= tol with the
-    default tol = EIG_CLUSTER_TOL * (1 + max|w|).
-    """
-    w = np.asarray(w)
-    if tol is None:
-        tol = EIG_CLUSTER_TOL * (1.0 + (np.abs(w).max() if w.size else 0.0))
-    groups: list[list[int]] = []
-    for i in np.argsort(-np.abs(w)):
-        for g in groups:
-            if abs(w[g[0]] - w[i]) <= tol:
-                g.append(int(i))
-                break
-        else:
-            groups.append([int(i)])
-    return groups
-
-
 @dataclass(frozen=True)
 class SuperOperator:
     """A linear map on d x d matrices.
@@ -224,17 +206,17 @@ class SuperOperator:
     ) -> "SuperOperator":
         kraus = tuple(as_complex(K) for K in kraus)
         d = kraus[0].shape[0]
-        mat = kraus_to_matrix(kraus)
-        if trace_preserving is None:
-            acc = sum(K.conj().T @ K for K in kraus)
-            trace_preserving = np.abs(acc - np.eye(d)).max() <= KRAUS_MATRIX_TOL
-        return cls(
-            dim=d,
-            matrix=mat,
-            kraus=kraus,
-            completely_positive=True,
-            trace_preserving=trace_preserving,
-        )
+        if trace_preserving is None or trace_preserving:
+            defect = np.abs(sum(K.conj().T @ K for K in kraus) - np.eye(d)).max()
+            if trace_preserving and defect > KRAUS_MATRIX_TOL:
+                raise LinalgError("trace-preserving flag violated")
+            trace_preserving = defect <= KRAUS_MATRIX_TOL
+        # The matrix is built from this very family, so the pair check and
+        # the completeness sum of __post_init__ would only repeat the work.
+        op = cls(dim=d, matrix=kraus_to_matrix(kraus), completely_positive=True)
+        object.__setattr__(op, "kraus", kraus)
+        object.__setattr__(op, "trace_preserving", bool(trace_preserving))
+        return op
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "SuperOperator":
@@ -269,9 +251,14 @@ class SuperOperator:
         return self.compose(other)
 
 
+def kron_stack(kraus) -> np.ndarray:
+    """The matrices conj(K_n) kron K_n of each Kraus map, stacked along n."""
+    K = np.asarray(kraus, dtype=complex)
+    n, d = K.shape[:2]
+    pairs = K.conj()[:, :, None, :, None] * K[:, None, :, None, :]
+    return pairs.reshape(n, d * d, d * d)
+
+
 def kraus_to_matrix(kraus) -> np.ndarray:
-    d = kraus[0].shape[0]
-    mat = np.zeros((d * d, d * d), dtype=complex)
-    for K in kraus:
-        mat += np.kron(K.conj(), K)
-    return mat
+    """sum_n conj(K_n) kron K_n."""
+    return kron_stack(kraus).sum(axis=0)

@@ -17,7 +17,6 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .linalg import (
-    SuperOperator,
     hermitian_eig,
     herm_exp,
     unvec,
@@ -37,15 +36,11 @@ SAFEGUARD_INTERVAL = (-50.0, 50.0)
 # ---------------------------------------------------------------------------
 
 
-def _decohered_initial(setup: MeasurementSetup) -> np.ndarray:
-    return sum(P @ setup.rho_i @ P for P in setup.obs_i.projectors)
-
-
 def mgf_delta_y(
     model: RISModel, setup: MeasurementSetup, T: int, alpha: complex, Y=None
 ) -> complex:
     """E e^{alpha Delta_y} = Tr( L^(a)(T/T)...L^(a)(1/T) sum_i pi_i rho_i pi_i )."""
-    x = vec(_decohered_initial(setup))
+    x = vec(sum(P @ setup.rho_i @ P for P in setup.obs_i.projectors))
     for k in range(1, T + 1):
         x = deformed_map(model, k / T, alpha, Y=Y).matrix @ x
     d = model.dim_sys
@@ -94,9 +89,9 @@ def mgf_varsigma(
 class LambdaEvaluator:
     """Cached evaluator of Lambda(alpha) = int_0^1 log lambda^(alpha)(s) ds.
 
-    Per protocol node the Kraus kron-stacks and counting increments are
-    precomputed once; each alpha then costs one batched eigenvalue sweep.
-    Quadrature is composite Simpson on an odd uniform grid.
+    The node kernels are built once; each alpha then costs one batched
+    eigenvalue sweep over their kron-stacks. Quadrature is composite Simpson
+    on an odd uniform grid.
     """
 
     def __init__(self, model: RISModel, n_nodes: int = DEFAULT_S_NODES, Y=None):
@@ -104,16 +99,9 @@ class LambdaEvaluator:
             n_nodes += 1
         self.model = model
         self.s_grid = np.linspace(0.0, 1.0, n_nodes)
-        d = model.dim_sys
-        mats, dys = [], []
-        for s in self.s_grid:
-            fam = kraus_family(model, float(s), Y)
-            mats.append(np.stack([np.kron(K.conj(), K) for K in fam.kraus]))
-            dys.append(fam.dy)
-        self._mats = np.stack(mats)  # (S, nK, d^2, d^2)
-        self._dys = np.stack(dys)  # (S, nK)
-        self._fams = None
-        self._Y = Y
+        self._fams = [kraus_family(model, float(s), Y) for s in self.s_grid]
+        self._mats = np.stack([f.kron for f in self._fams])  # (S, nK, d^2, d^2)
+        self._dys = np.stack([f.dy for f in self._fams])  # (S, nK)
         self._cache: dict[float, float] = {}
 
     def lambda_nodes(self, alpha: float) -> np.ndarray:
@@ -136,11 +124,7 @@ class LambdaEvaluator:
 
     def support_window(self) -> tuple[float, float]:
         """(nu_minus, nu_plus) = integrated extreme counting increments."""
-        lo = np.empty(self.s_grid.size)
-        hi = np.empty(self.s_grid.size)
-        for i, s in enumerate(self.s_grid):
-            fam = kraus_family(self.model, float(s), self._Y)
-            lo[i], hi[i] = growth_rates(fam.kraus, fam.dy)
+        lo, hi = np.array([growth_rates(f.kraus, f.dy) for f in self._fams]).T
         return (
             float(simpson(lo, x=self.s_grid)),
             float(simpson(hi, x=self.s_grid)),
@@ -163,35 +147,27 @@ def lambda_derivatives_at_zero(
         n_nodes += 1
     s_grid = np.linspace(0.0, 1.0, n_nodes)
     d = model.dim_sys
+    diag = slice(None, None, d + 1)  # the trace of a column-stacked operator
     l1s = np.empty(n_nodes)
     l2s = np.empty(n_nodes)
     for i, s in enumerate(s_grid):
         fam = kraus_family(model, float(s), Y)
-        L = SuperOperator.from_kraus(fam.kraus, trace_preserving=True)
+        L = deformed_map(model, float(s), 0.0, fam=fam)
         rho = invariant_state(L)
-        first = sum(
-            dy * np.real(np.trace(K @ rho @ K.conj().T))
-            for dy, K in zip(fam.dy, fam.kraus)
-        )
-        rhs = sum(
-            dy * (K @ rho @ K.conj().T) for dy, K in zip(fam.dy, fam.kraus)
-        ) - first * rho
+        jumps = fam.kron @ vec(rho)  # vec(K_n rho K_n*) for every n
+        weights = np.real(jumps[:, diag].sum(axis=1))
+        first = fam.dy @ weights
+        rhs = fam.dy @ jumps - first * vec(rho)
         A = np.eye(d * d, dtype=complex) - L.matrix
-        eta0, *_ = np.linalg.lstsq(A, vec(rhs), rcond=None)
+        eta0, *_ = np.linalg.lstsq(A, rhs, rcond=None)
         eta = unvec(eta0, d)
         eta = eta - np.trace(eta) * rho  # fix the kernel component: traceless
-        resid = np.abs(A @ vec(eta) - vec(rhs)).max()
+        resid = np.abs(A @ vec(eta) - rhs).max()
         if resid > 1e-10:
             raise ValueError(f"perturbation solve residual {resid:.3e} at s={s}")
-        second = sum(
-            dy * dy * np.real(np.trace(K @ rho @ K.conj().T))
-            for dy, K in zip(fam.dy, fam.kraus)
-        ) + 2 * sum(
-            dy * np.real(np.trace(K @ eta @ K.conj().T))
-            for dy, K in zip(fam.dy, fam.kraus)
-        )
+        eta_weights = np.real((fam.kron @ vec(eta))[:, diag].sum(axis=1))
         l1s[i] = first
-        l2s[i] = second
+        l2s[i] = fam.dy**2 @ weights + 2 * fam.dy @ eta_weights
     d1 = float(simpson(l1s, x=s_grid))
     d2 = float(simpson(l2s - l1s**2, x=s_grid))
     return d1, d2

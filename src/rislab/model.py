@@ -11,7 +11,7 @@ L^(alpha)(s) through an exponentially weighted Kraus family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -19,14 +19,14 @@ import numpy as np
 from .linalg import (
     LinalgError,
     SuperOperator,
-    as_complex,
     assert_hermitian,
     herm_exp,
     herm_power,
     hermitian_eig,
-    partial_trace_env,
+    kron_stack,
+    outcome_groups,
+    spectral_radius,
     tensor_product,
-    vec,
 )
 from .spectral import invariant_state
 
@@ -66,12 +66,16 @@ class TabulatedSchedule:
 
     nodes: tuple[float, ...]
     values: tuple[float, ...]
+    _spline: Callable = field(init=False, repr=False, compare=False)
 
-    def __call__(self, s):
+    def __post_init__(self):
         from scipy.interpolate import CubicSpline
 
         spline = CubicSpline(self.nodes, self.values, bc_type="natural")
-        return spline(np.asarray(s, dtype=float))
+        object.__setattr__(self, "_spline", spline)
+
+    def __call__(self, s):
+        return self._spline(np.asarray(s, dtype=float))
 
 
 Schedule = ConstantSchedule | TanhPolySchedule | TabulatedSchedule
@@ -156,13 +160,16 @@ def joint_unitary(model: RISModel, s: float, tau: float | None = None) -> np.nda
 
 @dataclass(frozen=True)
 class KrausFamily:
-    """Kraus decomposition of the reduced map indexed by probe transitions.
+    """The kernel of one protocol node: every map of the node is a sum over it.
 
-    ``kraus[n]`` maps the system for the probe transition
-    psi_in[n] -> psi_out[n] in the eigenbasis of the counting observable Y;
-    ``dy[n] = y_out[n] - y_in[n]`` is the counted increment and
-    ``xi_probs[n]`` the probability of the initial probe eigenvector under
-    the probe state.
+    psi (``basis``) diagonalises the counting observable Y with eigenvalues
+    ``y_eigenvalues`` ascending; ``groups`` (n_outcomes, dim_env) marks with
+    1 the eigenvectors of each distinct outcome of Y. ``transitions[b, a]``
+    is the system block (Id x <psi_b|) U (Id x |psi_a>) of the joint unitary
+    and ``xi_y = psi* xi psi`` the probe state. ``kraus[n]`` is
+    K_ab = sum_c (xi_y^{1/2})_{ca} transitions[b, c] for the probe transition
+    a = in_index[n] -> b = out_index[n] (n = a*dim_env + b), ``kron[n]`` is
+    conj(K_n) kron K_n, ``dy[n] = y_b - y_a`` and ``xi_probs[n] = (xi_y)_aa``.
     """
 
     kraus: tuple[np.ndarray, ...]
@@ -172,6 +179,10 @@ class KrausFamily:
     y_eigenvalues: np.ndarray
     basis: np.ndarray
     xi_probs: np.ndarray
+    transitions: np.ndarray
+    xi_y: np.ndarray
+    groups: np.ndarray
+    kron: np.ndarray
 
 
 def default_counting_observable(model: RISModel, s: float) -> np.ndarray:
@@ -192,34 +203,30 @@ def kraus_family(
         Y = default_counting_observable(model, s)
     y, psi = hermitian_eig(Y)
     xi = probe_state(model, s)
-    xi_half = herm_power(xi, 0.5)
+    xi_y = psi.conj().T @ xi @ psi
+    xi_y_half = psi.conj().T @ herm_power(xi, 0.5) @ psi
     U4 = joint_unitary(model, s).reshape(dS, dE, dS, dE)
-    phi = xi_half @ psi  # columns: xi^{1/2} psi_i
-    ops, dys, iin, iout, probs = [], [], [], [], []
-    for i in range(dE):
-        p_i = float(np.real(psi[:, i].conj() @ xi @ psi[:, i]))
-        for j in range(dE):
-            K = np.einsum("e,menf,f->mn", psi[:, j].conj(), U4, phi[:, i])
-            ops.append(K)
-            dys.append(y[j] - y[i])
-            iin.append(i)
-            iout.append(j)
-            probs.append(p_i)
+    A = np.einsum("eb,menf,fa->bamn", psi.conj(), U4, psi)
+    K = np.einsum("ca,bcmn->abmn", xi_y_half, A).reshape(dE * dE, dS, dS)
+    in_index, out_index = np.divmod(np.arange(dE * dE), dE)
     return KrausFamily(
-        kraus=tuple(ops),
-        dy=np.asarray(dys, dtype=float),
-        in_index=np.asarray(iin, dtype=int),
-        out_index=np.asarray(iout, dtype=int),
-        y_eigenvalues=np.asarray(y, dtype=float),
+        kraus=tuple(K),
+        dy=y[out_index] - y[in_index],
+        in_index=in_index,
+        out_index=out_index,
+        y_eigenvalues=y,
         basis=psi,
-        xi_probs=np.asarray(probs, dtype=float),
+        xi_probs=np.real(np.diag(xi_y))[in_index],
+        transitions=A,
+        xi_y=xi_y,
+        groups=outcome_groups(y).astype(float),
+        kron=kron_stack(K),
     )
 
 
 def reduced_map(model: RISModel, s: float) -> SuperOperator:
-    """The trace-preserving reduced map L(s)."""
-    fam = kraus_family(model, s)
-    return SuperOperator.from_kraus(fam.kraus, trace_preserving=True)
+    """The trace-preserving reduced map L(s) = L^(0)(s)."""
+    return deformed_map(model, s, 0.0)
 
 
 def deformed_map(
@@ -237,79 +244,17 @@ def deformed_map(
     if fam is None:
         fam = kraus_family(model, s, Y)
     alpha = complex(alpha)
-    if alpha.imag == 0.0:
-        weighted = [
-            np.exp(alpha.real * dy / 2.0) * K for dy, K in zip(fam.dy, fam.kraus)
-        ]
-        return SuperOperator.from_kraus(
-            weighted, trace_preserving=bool(alpha == 0)
-        )
-    d = model.dim_sys
-    mat = np.zeros((d * d, d * d), dtype=complex)
-    for dy, K in zip(fam.dy, fam.kraus):
-        mat += np.exp(alpha * dy) * np.kron(K.conj(), K)
-    return SuperOperator(dim=d, matrix=mat)
-
-
-def deformed_map_bare(
-    model: RISModel, s: float, alpha: complex, Y: np.ndarray | None = None
-) -> SuperOperator:
-    """The deformed map from its defining expression (cross-check route).
-
-    X -> Tr_env( e^{alpha Y} U (X x xi) e^{-alpha Y} U* ), evaluated by
-    applying the map to the matrix units. Coincides with the weighted-Kraus
-    route whenever Y commutes with the probe state.
-    """
-    dS, dE = model.dim_sys, model.dim_env
-    if Y is None:
-        Y = default_counting_observable(model, s)
-    U = joint_unitary(model, s)
-    xi = probe_state(model, s)
-    ep = herm_exp(Y, complex(alpha))
-    em = herm_exp(Y, -complex(alpha))
-    A = tensor_product(np.eye(dS), ep) @ U
-    B = tensor_product(np.eye(dS), em) @ U.conj().T
-    mat = np.zeros((dS * dS, dS * dS), dtype=complex)
-    for k in range(dS):
-        for l in range(dS):
-            E = np.zeros((dS, dS), dtype=complex)
-            E[k, l] = 1.0
-            out = partial_trace_env(A @ tensor_product(E, xi) @ B, dS, dE)
-            mat[:, k + dS * l] = vec(out)
-    return SuperOperator(dim=dS, matrix=mat)
-
-
-def deformed_adjoint_map(
-    model: RISModel, s: float, alpha: complex, Y: np.ndarray | None = None
-) -> SuperOperator:
-    """Adjoint of the deformed map from its closed-form expression.
-
-    X -> Tr_env( e^{-(conj(alpha) Y + beta h_env)} U* (X x xi)
-                 e^{conj(alpha) Y + beta h_env} U ).
-    """
-    dS, dE = model.dim_sys, model.dim_env
-    if Y is None:
-        Y = default_counting_observable(model, s)
-    U = joint_unitary(model, s)
-    xi = probe_state(model, s)
-    G = np.conjugate(complex(alpha)) * as_complex(Y) + float(model.beta(s)) * as_complex(
-        model.h_env(s)
+    matrix = np.einsum("n,nab->ab", np.exp(alpha * fam.dy), fam.kron)
+    if alpha.imag != 0.0:
+        return SuperOperator(dim=model.dim_sys, matrix=matrix)
+    half = np.exp(alpha.real * fam.dy / 2.0)
+    return SuperOperator(
+        dim=model.dim_sys,
+        matrix=matrix,
+        kraus=tuple(h * K for h, K in zip(half, fam.kraus)),
+        completely_positive=True,
+        trace_preserving=alpha == 0,
     )
-    # G is Hermitian only for real alpha; use the general exponential
-    from scipy.linalg import expm
-
-    ep = expm(G)
-    em = expm(-G)
-    A = tensor_product(np.eye(dS), em) @ U.conj().T
-    B = tensor_product(np.eye(dS), ep) @ U
-    mat = np.zeros((dS * dS, dS * dS), dtype=complex)
-    for k in range(dS):
-        for l in range(dS):
-            E = np.zeros((dS, dS), dtype=complex)
-            E[k, l] = 1.0
-            out = partial_trace_env(A @ tensor_product(E, xi) @ B, dS, dE)
-            mat[:, k + dS * l] = vec(out)
-    return SuperOperator(dim=dS, matrix=mat)
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +302,10 @@ def tri_symmetry_defect(model: RISModel, s: float, alphas) -> float:
     fam = kraus_family(model, s)
     worst = 0.0
     for a in np.atleast_1d(alphas):
-        la = _spr(deformed_map(model, s, float(a), fam=fam))
-        lb = _spr(deformed_map(model, s, -1.0 - float(a), fam=fam))
+        la = spectral_radius(deformed_map(model, s, float(a), fam=fam))
+        lb = spectral_radius(deformed_map(model, s, -1.0 - float(a), fam=fam))
         worst = max(worst, abs(la - lb))
     return worst
-
-
-def _spr(L: SuperOperator) -> float:
-    return float(np.abs(np.linalg.eigvals(L.matrix)).max())
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,163 @@
+"""Independent cross-check routes for the per-node maps.
+
+The library derives every map of a protocol node from one kernel
+(``rislab.model.kraus_family``). The routes here build the same maps from
+their defining expressions instead: a per-transition Kraus contraction and
+partial traces of the joint evolution applied to the matrix units. They
+are slow and used only as oracles by the tests.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from rislab.fullstats import SpectralObservable, StepOperators
+from rislab.linalg import (
+    SuperOperator,
+    as_complex,
+    assert_hermitian,
+    herm_exp,
+    herm_power,
+    hermitian_eig,
+    partial_trace_env,
+    tensor_product,
+    vec,
+)
+from rislab.model import (
+    RISModel,
+    default_counting_observable,
+    joint_unitary,
+    probe_state,
+)
+
+
+def kraus_operators(
+    model: RISModel, s: float, Y: np.ndarray | None = None
+) -> list[np.ndarray]:
+    """K_ij = (Id x <psi_j|) U (Id x xi^{1/2} |psi_i>), one contraction each.
+
+    Ordered as the kernel's stack: input index i outer, output index j inner.
+    """
+    dS, dE = model.dim_sys, model.dim_env
+    if Y is None:
+        Y = default_counting_observable(model, s)
+    _, psi = hermitian_eig(Y)
+    xi_half = herm_power(probe_state(model, s), 0.5)
+    U4 = joint_unitary(model, s).reshape(dS, dE, dS, dE)
+    phi = xi_half @ psi  # columns: xi^{1/2} psi_i
+    return [
+        np.einsum("e,menf,f->mn", psi[:, j].conj(), U4, phi[:, i])
+        for i in range(dE)
+        for j in range(dE)
+    ]
+
+
+def deformed_map_bare(
+    model: RISModel, s: float, alpha: complex, Y: np.ndarray | None = None
+) -> SuperOperator:
+    """The deformed map from its defining expression (cross-check route).
+
+    X -> Tr_env( e^{alpha Y} U (X x xi) e^{-alpha Y} U* ), evaluated by
+    applying the map to the matrix units. Coincides with the weighted-Kraus
+    route whenever Y commutes with the probe state.
+    """
+    dS, dE = model.dim_sys, model.dim_env
+    if Y is None:
+        Y = default_counting_observable(model, s)
+    U = joint_unitary(model, s)
+    xi = probe_state(model, s)
+    ep = herm_exp(Y, complex(alpha))
+    em = herm_exp(Y, -complex(alpha))
+    A = tensor_product(np.eye(dS), ep) @ U
+    B = tensor_product(np.eye(dS), em) @ U.conj().T
+    mat = np.zeros((dS * dS, dS * dS), dtype=complex)
+    for k in range(dS):
+        for l in range(dS):
+            E = np.zeros((dS, dS), dtype=complex)
+            E[k, l] = 1.0
+            out = partial_trace_env(A @ tensor_product(E, xi) @ B, dS, dE)
+            mat[:, k + dS * l] = vec(out)
+    return SuperOperator(dim=dS, matrix=mat)
+
+
+def deformed_adjoint_map(
+    model: RISModel, s: float, alpha: complex, Y: np.ndarray | None = None
+) -> SuperOperator:
+    """Adjoint of the deformed map from its closed-form expression.
+
+    X -> Tr_env( e^{-(conj(alpha) Y + beta h_env)} U* (X x xi)
+                 e^{conj(alpha) Y + beta h_env} U ).
+    """
+    dS, dE = model.dim_sys, model.dim_env
+    if Y is None:
+        Y = default_counting_observable(model, s)
+    U = joint_unitary(model, s)
+    xi = probe_state(model, s)
+    G = np.conjugate(complex(alpha)) * as_complex(Y) + float(model.beta(s)) * as_complex(
+        model.h_env(s)
+    )
+    # G is Hermitian only for real alpha; use the general exponential
+    from scipy.linalg import expm
+
+    ep = expm(G)
+    em = expm(-G)
+    A = tensor_product(np.eye(dS), em) @ U.conj().T
+    B = tensor_product(np.eye(dS), ep) @ U
+    mat = np.zeros((dS * dS, dS * dS), dtype=complex)
+    for k in range(dS):
+        for l in range(dS):
+            E = np.zeros((dS, dS), dtype=complex)
+            E[k, l] = 1.0
+            out = partial_trace_env(A @ tensor_product(E, xi) @ B, dS, dE)
+            mat[:, k + dS * l] = vec(out)
+    return SuperOperator(dim=dS, matrix=mat)
+
+
+def step_operators(
+    model: RISModel, s: float, Y: np.ndarray | None = None
+) -> StepOperators:
+    dS, dE = model.dim_sys, model.dim_env
+    if Y is None:
+        Y = default_counting_observable(model, s)
+    obs = SpectralObservable.from_matrix(Y)
+    xi = probe_state(model, s)
+    U = joint_unitary(model, s)
+    hE = assert_hermitian(model.h_env(s))
+    n = obs.n_outcomes
+    d2 = dS * dS
+    fwd = np.zeros((n, n, d2, d2), dtype=complex)
+    bwd = np.zeros((n, n, d2, d2), dtype=complex)
+    eye = np.eye(dS)
+    units = []
+    for l in range(dS):
+        for k in range(dS):
+            E = np.zeros((dS, dS), dtype=complex)
+            E[k, l] = 1.0
+            units.append((k + dS * l, E))
+    for i, Pi in enumerate(obs.projectors):
+        xi_i = Pi @ xi @ Pi
+        for j, Pj in enumerate(obs.projectors):
+            IPj = tensor_product(eye, Pj)
+            xi_j = Pj @ xi @ Pj
+            IPi = tensor_product(eye, Pi)
+            for col, E in units:
+                out_f = partial_trace_env(
+                    IPj @ U @ tensor_product(E, xi_i) @ U.conj().T @ IPj, dS, dE
+                )
+                fwd[i, j, :, col] = vec(out_f)
+                out_b = partial_trace_env(
+                    U.conj().T @ tensor_product(E, xi_j) @ U @ IPi, dS, dE
+                )
+                bwd[i, j, :, col] = vec(out_b)
+    energies = np.array(
+        [np.trace(hE @ P).real / np.trace(P).real for P in obs.projectors]
+    )
+    return StepOperators(
+        y_values=obs.values,
+        y_dims=obs.dims(),
+        energies=energies,
+        beta=float(model.beta(s)),
+        forward=fwd,
+        backward=bwd,
+    )
+

@@ -182,3 +182,33 @@ def test_schedule_parsing_kinds():
     assert abs(t(0.5) - 2.0) < 1e-12
     with pytest.raises(cfg.ConfigError):
         cfg.parse_schedule({"kind": "tabulated", "nodes": [0], "values": []}, "p")
+
+
+@pytest.mark.parametrize(
+    "nodes,values",
+    [
+        ([0, 0.5, 0.5, 1], [1, 2, 2, 1]),
+        ([0, 1, 0.5], [1, 2, 1]),
+        ([0, float("inf")], [1, 2]),
+        ([0, 1], [1, float("nan")]),
+        ([0.5], [1]),
+    ],
+    ids=["repeated-node", "decreasing", "inf-node", "nan-value", "one-node"],
+)
+def test_tabulated_schedule_rejected(nodes, values):
+    doc = {"kind": "tabulated", "nodes": nodes, "values": values}
+    with pytest.raises(cfg.ConfigError, match=r"model\.schedule"):
+        cfg.parse_schedule(doc, "model.schedule")
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
+def test_seed_rejected(seed):
+    doc = {"model": {"preset": "fd"}, "numeric": {"seed": seed}}
+    with pytest.raises(cfg.ConfigError, match=r"numeric\.seed"):
+        cfg.load_config(doc)
+
+
+def test_seed_override_rejected(tmp_path):
+    with pytest.raises(cfg.ConfigError, match="--seed"):
+        main(["simulate", "--config", _write(tmp_path, BASE), "--seed", "-1",
+              "--out", str(tmp_path / "out")])

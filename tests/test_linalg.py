@@ -112,13 +112,6 @@ def test_spectral_radius_and_trace_norm():
     assert np.isclose(la.trace_norm(H), 4.0)
 
 
-def test_cluster_eigenvalues():
-    w = np.array([1.0, 1.0 + 1e-12, 0.5, -1.0])
-    groups = la.cluster_eigenvalues(w)
-    sizes = sorted(len(g) for g in groups)
-    assert sizes == [1, 1, 2]
-
-
 def test_superoperator_from_kraus(rng):
     K1 = _rand_c(rng, (2, 2))
     K2 = _rand_c(rng, (2, 2))
