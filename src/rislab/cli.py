@@ -26,6 +26,7 @@ import numpy as np
 
 from . import adiabatic, fullstats, mgfldp, model, spectral
 from .config import RunConfig, load_config, parse_seed, write_manifest
+from .linalg import trace_norm
 
 TASKS = ("spectrum", "lambda", "ldp", "simulate", "adiabatic", "balance", "x0")
 
@@ -98,9 +99,10 @@ def task_ldp(cfg: RunConfig, out: str) -> None:
 def task_simulate(cfg: RunConfig, out: str) -> None:
     setup = fullstats.entropic_setup(_initial_state(cfg))
     d1, d2 = mgfldp.lambda_derivatives_at_zero(cfg.model, cfg.s_nodes)
+    nodes = fullstats.ProtocolNodes(cfg.model)
     for T in cfg.T_list:
         samp = fullstats.sample_trajectories(
-            cfg.model, setup, T, cfg.n, seed=cfg.seed
+            cfg.model, setup, T, cfg.n, seed=cfg.seed, nodes=nodes
         )
         if cfg.write_csv:
             fullstats.write_trajectories_csv(
@@ -134,28 +136,25 @@ def task_adiabatic(cfg: RunConfig, out: str) -> None:
         for T in cfg.T_list:
             exact = adiabatic.exact_deformed_chain(fam, rho_i, T)
             approx = adiabatic.deformed_adiabatic_state(fam, rho_i, T)
-            from .linalg import trace_norm
-
             w.writerow([T, _f(cfg.alpha), _f(trace_norm(exact - approx))])
 
 
 def task_balance(cfg: RunConfig, out: str) -> None:
     setup = fullstats.entropic_setup(_initial_state(cfg))
-    meas = fullstats.enumerate_measure(cfg.model, setup, cfg.T)
+    nodes = fullstats.ProtocolNodes(cfg.model)
+    meas = fullstats.enumerate_measure(cfg.model, setup, cfg.T, nodes=nodes)
     if cfg.write_csv:
         fullstats.write_measure_csv(os.path.join(out, "measure.csv"), meas)
-    applicable = fullstats.balance_applicable(cfg.model, setup, cfg.T)
+    rhs = fullstats.balance_rhs(cfg.model, setup, meas, cfg.T, nodes=nodes)
+    applicable = rhs is not None
     fh, w = _writer(os.path.join(out, "balance.csv"))
     with fh:
         w.writerow(["applicable", "sigma_tot", "max_balance_defect"])
         worst = float("nan")
         if applicable:
-            worst = 0.0
-            for rec, pf, pb in zip(meas.records, meas.p_forward, meas.p_backward):
-                if pf <= 0:
-                    continue
-                rhs = fullstats.balance_rhs(cfg.model, setup, rec, cfg.T)
-                worst = max(worst, abs(float(np.log(pf / pb)) - rhs))
+            seen = meas.p_forward > 0
+            log_ratio = np.log(meas.p_forward[seen] / meas.p_backward[seen])
+            worst = float(np.max(np.abs(log_ratio - rhs[seen]), initial=0.0))
         w.writerow(
             [str(applicable), _f(meas.entropy_production()), _f(worst)]
         )
@@ -168,12 +167,13 @@ def task_x0(cfg: RunConfig, out: str) -> None:
     rho0 = spectral.invariant_state(model.reduced_map(m, 0.0))
     rho1 = spectral.invariant_state(model.reduced_map(m, 1.0))
     grid = [(-0.5, -0.5), (-0.5, 0.5), (0.0, 0.3), (0.5, -0.5), (0.5, 0.5)]
+    nodes = fullstats.ProtocolNodes(m)
     fh, w = _writer(os.path.join(out, "x0.csv"))
     with fh:
         w.writerow(["T", "alpha1", "alpha2", "finite_T", "limit", "abs_error"])
         for T in cfg.T_list:
             for a1, a2 in grid:
-                fin = mgfldp.mgf_pair(m, setup, T, a1, a2).real
+                fin = mgfldp.mgf_pair(m, setup, T, a1, a2, nodes=nodes).real
                 lim = mgfldp.stationary_pair_mgf_limit(rho0, rho1, rho_i, a1, a2).real
                 w.writerow([T, _f(a1), _f(a2), _f(fin), _f(lim), _f(abs(fin - lim))])
 

@@ -19,8 +19,10 @@ import numpy as np
 
 from .linalg import (
     GROUP_TOL,
+    SuperOperator,
     assert_hermitian,
     herm_log,
+    herm_power,
     hermitian_eig,
     outcome_groups,
     partial_trace_env,
@@ -30,11 +32,12 @@ from .linalg import (
     vec,
 )
 from .model import (
+    KrausFamily,
     RISModel,
+    deformed_map,
     joint_unitary,
     kraus_family,
     probe_state,
-    reduced_map,
 )
 
 ENUMERATION_GUARD = 10_000_000
@@ -102,19 +105,30 @@ def entropic_setup(rho_i: np.ndarray) -> MeasurementSetup:
     )
 
 
-def evolved_state(model: RISModel, rho_i: np.ndarray, T: int) -> np.ndarray:
+def evolved_state(
+    model: RISModel,
+    rho_i: np.ndarray,
+    T: int,
+    *,
+    nodes: ProtocolNodes | None = None,
+) -> np.ndarray:
     """rho_f = L(T/T) ... L(1/T) rho_i (exact reduced chain)."""
+    nodes = node_table(model, nodes, match_Y=False)
     rho = np.asarray(rho_i, dtype=complex)
     for k in range(1, T + 1):
-        rho = reduced_map(model, k / T).apply(rho)
+        rho = nodes.reduced(k / T).apply(rho)
     return rho
 
 
 def resolve_final_observable(
-    model: RISModel, setup: MeasurementSetup, T: int
+    model: RISModel,
+    setup: MeasurementSetup,
+    T: int,
+    *,
+    nodes: ProtocolNodes | None = None,
 ) -> tuple[SpectralObservable, np.ndarray]:
     """The final observable and evolved state for a protocol of length T."""
-    rho_f = evolved_state(model, setup.rho_i, T)
+    rho_f = evolved_state(model, setup.rho_i, T, nodes=nodes)
     if isinstance(setup.obs_f, str):
         if setup.obs_f != "log_rho_f":
             raise FullStatsError(f"unknown final observable {setup.obs_f!r}")
@@ -147,7 +161,10 @@ class StepOperators:
 
 
 def step_operators(
-    model: RISModel, s: float, Y: np.ndarray | None = None
+    model: RISModel,
+    s: float,
+    Y: np.ndarray | None = None,
+    fam: KrausFamily | None = None,
 ) -> StepOperators:
     """The conditioned step maps as sums over the node's transition blocks.
 
@@ -155,7 +172,8 @@ def step_operators(
     forward[I, J] = sum_{b in J; a, c in I} xi_y[a, c] conj(A[b, c]) kron A[b, a]
     and backward[I, J] = sum_{a in I; b, c in J} xi_y[b, c] A[c, a]^T kron A[b, a]*.
     """
-    fam = kraus_family(model, s, Y)
+    if fam is None:
+        fam = kraus_family(model, s, Y)
     G, A, psi = fam.groups, fam.transitions, fam.basis
     n, d2 = G.shape[0], model.dim_sys**2
     # Pi_I xi Pi_I for every outcome I, in the Y basis
@@ -175,13 +193,87 @@ def step_operators(
     )
 
 
-def _all_steps(model: RISModel, T: int, Y=None) -> list[StepOperators]:
-    return [step_operators(model, k / T, Y) for k in range(1, T + 1)]
+# ---------------------------------------------------------------------------
+# per-task node table
+# ---------------------------------------------------------------------------
+
+
+class ProtocolNodes:
+    """The nodes of one task's finite-T chains, each built on first use.
+
+    A chain of length T walks the nodes s = k/T. Lookups are keyed by the
+    exact double float(s), so the chains of a nested T list share their
+    nodes: k/T and (m*k)/(m*T) round to the same double. Per node the table
+    holds the kernel, the reduced map L(s) (validated once) and the
+    conditioned step maps; deformed maps at alpha != 0 are built per call
+    from the kernel. L(s) always comes from the default-Y kernel, as
+    ``model.reduced_map`` does, so the reduced chain is the same for every Y.
+    A table lives as long as the task that made it.
+    """
+
+    def __init__(self, model: RISModel, Y: np.ndarray | None = None):
+        self.model = model
+        self.Y = Y
+        self._families: dict[float, KrausFamily] = {}
+        self._reduced: dict[float, SuperOperator] = {}
+        self._steps: dict[float, StepOperators] = {}
+
+    def family(self, s: float) -> KrausFamily:
+        s = float(s)
+        if s not in self._families:
+            self._families[s] = kraus_family(self.model, s, self.Y)
+        return self._families[s]
+
+    def reduced(self, s: float) -> SuperOperator:
+        s = float(s)
+        if s not in self._reduced:
+            fam = self.family(s) if self.Y is None else kraus_family(self.model, s)
+            self._reduced[s] = deformed_map(self.model, s, 0.0, fam=fam)
+        return self._reduced[s]
+
+    def steps(self, s: float) -> StepOperators:
+        s = float(s)
+        if s not in self._steps:
+            self._steps[s] = step_operators(self.model, s, self.Y, fam=self.family(s))
+        return self._steps[s]
+
+
+def node_table(
+    model: RISModel,
+    nodes: ProtocolNodes | None = None,
+    Y: np.ndarray | None = None,
+    *,
+    match_Y: bool = True,
+) -> ProtocolNodes:
+    """The table a chain walker reads: ``nodes``, or a fresh one if None.
+
+    A table built for another model object, or (when ``match_Y``) for
+    another counting observable Y, raises ValueError. Walkers of the
+    reduced chain alone pass match_Y=False, since L(s) does not depend on
+    the table's Y.
+    """
+    if nodes is None:
+        return ProtocolNodes(model, Y)
+    if nodes.model is not model:
+        raise ValueError("the node table was built for another model")
+    if match_Y and not (
+        nodes.Y is Y
+        or (nodes.Y is not None and Y is not None and np.array_equal(nodes.Y, Y))
+    ):
+        raise ValueError("the node table was built for another counting observable Y")
+    return nodes
 
 
 # ---------------------------------------------------------------------------
 # exact forward / backward probabilities
 # ---------------------------------------------------------------------------
+
+
+def _all_steps(
+    model: RISModel, T: int, Y=None, *, nodes: ProtocolNodes | None = None
+) -> list[StepOperators]:
+    nodes = node_table(model, nodes, Y)
+    return [nodes.steps(k / T) for k in range(1, T + 1)]
 
 
 def forward_prob(
@@ -264,15 +356,21 @@ class TrajectoryMeasure:
 
 
 def enumerate_measure(
-    model: RISModel, setup: MeasurementSetup, T: int, Y=None
+    model: RISModel,
+    setup: MeasurementSetup,
+    T: int,
+    Y=None,
+    *,
+    nodes: ProtocolNodes | None = None,
 ) -> TrajectoryMeasure:
     """Exact enumeration of the trajectory measure over all records.
 
     Prefix-shared recursion keeps the cost linear in the number of records.
     Guarded: n_i * n_f * n_outcomes^(2T) must not exceed 10^7.
     """
-    obs_f, rho_f = resolve_final_observable(model, setup, T)
-    steps = _all_steps(model, T, Y)
+    nodes = node_table(model, nodes, Y)
+    obs_f, rho_f = resolve_final_observable(model, setup, T, nodes=nodes)
+    steps = _all_steps(model, T, Y, nodes=nodes)
     n_out = steps[0].y_values.size
     count = setup.obs_i.n_outcomes * obs_f.n_outcomes * n_out ** (2 * T)
     if count > ENUMERATION_GUARD:
@@ -353,10 +451,7 @@ def _commutes_with_projectors(rho: np.ndarray, obs: SpectralObservable) -> bool:
     )
 
 
-def _probe_state_is_function_of_Y(
-    model: RISModel, s: float, Y: np.ndarray | None
-) -> bool:
-    fam = kraus_family(model, s, Y)
+def _probe_state_is_function_of_Y(fam: KrausFamily) -> bool:
     for g in fam.groups.astype(bool):
         block = fam.xi_y[np.ix_(g, g)]
         c = np.trace(block).real / g.sum()
@@ -366,7 +461,12 @@ def _probe_state_is_function_of_Y(
 
 
 def balance_applicable(
-    model: RISModel, setup: MeasurementSetup, T: int, Y=None
+    model: RISModel,
+    setup: MeasurementSetup,
+    T: int,
+    Y=None,
+    *,
+    nodes: ProtocolNodes | None = None,
 ) -> bool:
     """Check the hypotheses under which the balance identity holds.
 
@@ -374,42 +474,49 @@ def balance_applicable(
     commutes with the final observable, (iii) each probe state is a
     function of its counting observable.
     """
-    obs_f, rho_f = resolve_final_observable(model, setup, T)
+    nodes = node_table(model, nodes, Y)
+    obs_f, rho_f = resolve_final_observable(model, setup, T, nodes=nodes)
     if not _commutes_with_projectors(setup.rho_i, setup.obs_i):
         return False
     if not _commutes_with_projectors(rho_f, obs_f):
         return False
     return all(
-        _probe_state_is_function_of_Y(model, k / T, Y) for k in range(1, T + 1)
+        _probe_state_is_function_of_Y(nodes.family(k / T)) for k in range(1, T + 1)
     )
 
 
 def balance_rhs(
-    model: RISModel, setup: MeasurementSetup, record, T: int
-) -> float | None:
-    """Closed form of log(pF/pB) for one record, or None when not applicable.
+    model: RISModel,
+    setup: MeasurementSetup,
+    measure: TrajectoryMeasure,
+    T: int,
+    *,
+    nodes: ProtocolNodes | None = None,
+) -> np.ndarray | None:
+    """Closed form of log(pF/pB) for every record of ``measure``, or None
+    when the identity does not apply.
 
     log[ Tr(pi_i rho_i) dim(pi_f) / (Tr(pi_f rho_f) dim(pi_i)) ]
     + sum_k beta_k (E_{j_k} - E_{i_k}), with E_i the mean probe energy on
-    the i-th outcome eigenspace.
+    the i-th outcome eigenspace. ``measure`` is the enumeration of the same
+    (model, setup, T); a record whose initial or final outcome has zero
+    weight gets NaN.
     """
-    if not balance_applicable(model, setup, T):
+    nodes = node_table(model, nodes)
+    if not balance_applicable(model, setup, T, nodes=nodes):
         return None
-    ai, probes, af = record
-    obs_f, rho_f = resolve_final_observable(model, setup, T)
-    pi_i = setup.obs_i.projectors[ai]
-    pi_f = obs_f.projectors[af]
-    wi = np.trace(pi_i @ setup.rho_i).real
-    wf = np.trace(pi_f @ rho_f).real
-    if wi <= 0 or wf <= 0:
-        return None
-    out = np.log(wi / wf) + np.log(
-        np.trace(pi_f).real / np.trace(pi_i).real
-    )
-    steps = _all_steps(model, T)
-    for step, (i, j) in zip(steps, probes):
+    obs_f, rho_f = resolve_final_observable(model, setup, T, nodes=nodes)
+    # (n,), (n, T, 2) and (n,) outcome indices of the records
+    ai, probes, af = (np.array(col) for col in zip(*measure.records))
+    wi = np.array([np.trace(P @ setup.rho_i).real for P in setup.obs_i.projectors])
+    wf = np.array([np.trace(P @ rho_f).real for P in obs_f.projectors])
+    wi, wf = wi[ai], wf[af]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log(wi / wf) + np.log(obs_f.dims()[af] / setup.obs_i.dims()[ai])
+    for k, step in enumerate(_all_steps(model, T, nodes=nodes)):
+        i, j = probes[:, k, 0], probes[:, k, 1]
         out += step.beta * (step.energies[j] - step.energies[i])
-    return float(out)
+    return np.where((wi > 0) & (wf > 0), out, np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +543,6 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 def renyi_relative_entropy(alpha: float, rho: np.ndarray, sigma: np.ndarray) -> float:
     """S_alpha(rho | sigma) = log Tr(rho^alpha sigma^(1-alpha))."""
-    from .linalg import herm_power
-
     A = herm_power(assert_hermitian(rho), float(alpha))
     B = herm_power(assert_hermitian(sigma), 1.0 - float(alpha))
     return float(np.log(np.real(np.trace(A @ B))))
@@ -470,19 +575,26 @@ def step_balance(model: RISModel, rho: np.ndarray, s: float) -> dict:
     }
 
 
-def total_entropy_production(model: RISModel, rho_i: np.ndarray, T: int) -> float:
+def total_entropy_production(
+    model: RISModel,
+    rho_i: np.ndarray,
+    T: int,
+    *,
+    nodes: ProtocolNodes | None = None,
+) -> float:
     """sigma_tot for the entropic setup, as the sum of per-step productions.
 
     Along the exact reduced chain, E(varsigma) = sum_k sigma_k with sigma_k
     the relative entropy of the interacting pair to the product of its
     marginals' targets; this avoids enumerating trajectories at large T.
     """
+    nodes = node_table(model, nodes, match_Y=False)
     rho = np.asarray(rho_i, dtype=complex)
     total = 0.0
     for k in range(1, T + 1):
         bal = step_balance(model, rho, k / T)
         total += bal["sigma"]
-        rho = reduced_map(model, k / T).apply(rho)
+        rho = nodes.reduced(k / T).apply(rho)
     return total
 
 
@@ -508,6 +620,8 @@ def sample_trajectories(
     n: int,
     seed: int,
     Y=None,
+    *,
+    nodes: ProtocolNodes | None = None,
 ) -> SampledTrajectories:
     """Draw n independent trajectories from the exact forward measure.
 
@@ -517,8 +631,9 @@ def sample_trajectories(
     filled through the identity varsigma = -delta_a + delta_y; otherwise
     it is NaN (exact log-ratios are available through enumeration).
     """
-    obs_f, _ = resolve_final_observable(model, setup, T)
-    steps = _all_steps(model, T, Y)
+    nodes = node_table(model, nodes, Y)
+    obs_f, _ = resolve_final_observable(model, setup, T, nodes=nodes)
+    steps = _all_steps(model, T, Y, nodes=nodes)
     n_out = steps[0].y_values.size
     d = model.dim_sys
 

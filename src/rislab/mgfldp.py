@@ -23,7 +23,7 @@ from .linalg import (
     vec,
 )
 from .model import RISModel, deformed_map, kraus_family
-from .fullstats import MeasurementSetup, resolve_final_observable
+from .fullstats import MeasurementSetup, ProtocolNodes, node_table, resolve_final_observable
 from .spectral import growth_rates, invariant_state
 
 DEFAULT_S_NODES = 201
@@ -37,12 +37,19 @@ SAFEGUARD_INTERVAL = (-50.0, 50.0)
 
 
 def mgf_delta_y(
-    model: RISModel, setup: MeasurementSetup, T: int, alpha: complex, Y=None
+    model: RISModel,
+    setup: MeasurementSetup,
+    T: int,
+    alpha: complex,
+    Y=None,
+    *,
+    nodes: ProtocolNodes | None = None,
 ) -> complex:
     """E e^{alpha Delta_y} = Tr( L^(a)(T/T)...L^(a)(1/T) sum_i pi_i rho_i pi_i )."""
+    nodes = node_table(model, nodes, Y)
     x = vec(sum(P @ setup.rho_i @ P for P in setup.obs_i.projectors))
     for k in range(1, T + 1):
-        x = deformed_map(model, k / T, alpha, Y=Y).matrix @ x
+        x = deformed_map(model, k / T, alpha, fam=nodes.family(k / T)).matrix @ x
     d = model.dim_sys
     return complex(np.trace(unvec(x, d)))
 
@@ -54,19 +61,22 @@ def mgf_pair(
     alpha1: complex,
     alpha2: complex,
     Y=None,
+    *,
+    nodes: ProtocolNodes | None = None,
 ) -> complex:
     """Joint E e^{alpha1 Delta_y + alpha2 Delta_a}, Delta_a = a_i - a_f.
 
     Tr( e^{-alpha2 A_f} L^(a1)-chain( sum_i e^{alpha2 a_i} pi_i rho_i pi_i ) ).
     """
-    obs_f, _ = resolve_final_observable(model, setup, T)
+    nodes = node_table(model, nodes, Y)
+    obs_f, _ = resolve_final_observable(model, setup, T, nodes=nodes)
     init = sum(
         np.exp(alpha2 * a) * (P @ setup.rho_i @ P)
         for a, P in zip(setup.obs_i.values, setup.obs_i.projectors)
     )
     x = vec(init)
     for k in range(1, T + 1):
-        x = deformed_map(model, k / T, alpha1, Y=Y).matrix @ x
+        x = deformed_map(model, k / T, alpha1, fam=nodes.family(k / T)).matrix @ x
     final = sum(
         np.exp(-alpha2 * a) * P for a, P in zip(obs_f.values, obs_f.projectors)
     )

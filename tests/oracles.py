@@ -4,14 +4,22 @@ The library derives every map of a protocol node from one kernel
 (``rislab.model.kraus_family``). The routes here build the same maps from
 their defining expressions instead: a per-transition Kraus contraction and
 partial traces of the joint evolution applied to the matrix units. They
-are slow and used only as oracles by the tests.
+are slow and used only as oracles by the tests. ``balance_rhs`` is the
+closed form of the balance identity evaluated one record at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from rislab.fullstats import SpectralObservable, StepOperators
+from rislab.fullstats import (
+    MeasurementSetup,
+    SpectralObservable,
+    StepOperators,
+    _all_steps,
+    balance_applicable,
+    resolve_final_observable,
+)
 from rislab.linalg import (
     SuperOperator,
     as_complex,
@@ -161,3 +169,30 @@ def step_operators(
         backward=bwd,
     )
 
+
+def balance_rhs(
+    model: RISModel, setup: MeasurementSetup, record, T: int
+) -> float | None:
+    """Closed form of log(pF/pB) for one record, or None when not applicable.
+
+    log[ Tr(pi_i rho_i) dim(pi_f) / (Tr(pi_f rho_f) dim(pi_i)) ]
+    + sum_k beta_k (E_{j_k} - E_{i_k}), with E_i the mean probe energy on
+    the i-th outcome eigenspace.
+    """
+    if not balance_applicable(model, setup, T):
+        return None
+    ai, probes, af = record
+    obs_f, rho_f = resolve_final_observable(model, setup, T)
+    pi_i = setup.obs_i.projectors[ai]
+    pi_f = obs_f.projectors[af]
+    wi = np.trace(pi_i @ setup.rho_i).real
+    wf = np.trace(pi_f @ rho_f).real
+    if wi <= 0 or wf <= 0:
+        return None
+    out = np.log(wi / wf) + np.log(
+        np.trace(pi_f).real / np.trace(pi_i).real
+    )
+    steps = _all_steps(model, T)
+    for step, (i, j) in zip(steps, probes):
+        out += step.beta * (step.energies[j] - step.energies[i])
+    return float(out)

@@ -69,11 +69,11 @@ def test_balance_identity_and_mean():
     T = 3
     meas = fs.enumerate_measure(m, setup, T)
     assert fs.balance_applicable(m, setup, T)
-    for rec, pf, pb in zip(meas.records, meas.p_forward, meas.p_backward):
-        if pf <= 1e-14:
-            continue
-        rhs = fs.balance_rhs(m, setup, rec, T)
-        assert abs(np.log(pf / pb) - rhs) < 1e-10
+    rhs = fs.balance_rhs(m, setup, meas, T)
+    seen = meas.p_forward > 1e-14
+    assert np.all(
+        np.abs(np.log(meas.p_forward[seen] / meas.p_backward[seen]) - rhs[seen]) < 1e-10
+    )
     assert abs(meas.entropy_production() - fs.total_entropy_production(m, setup.rho_i, T)) < 1e-8
 
 
@@ -89,11 +89,12 @@ def test_stationary_limits_converge():
     rho1 = sp.invariant_state(mod.reduced_map(m, 1.0))
     grid = [(-0.5, -0.5), (-0.5, 0.5), (0.0, 0.3), (0.5, -0.5), (0.5, 0.5)]
     Ts = (100, 200, 400)
+    nodes = fs.ProtocolNodes(m)
     prev = None
     for T in Ts:
         worst = 0.0
         for a1, a2 in grid:
-            fin = mg.mgf_pair(m, setup, T, a1, a2).real
+            fin = mg.mgf_pair(m, setup, T, a1, a2, nodes=nodes).real
             lim = mg.stationary_pair_mgf_limit(rho0, rho1, rho_i, a1, a2).real
             worst = max(worst, abs(fin - lim))
         assert worst <= 5.0 / T
@@ -104,7 +105,7 @@ def test_stationary_limits_converge():
     target = fs.relative_entropy(rho_i, rho0)
     prev = None
     for T in Ts:
-        err = abs(fs.total_entropy_production(m, rho_i, T) - target)
+        err = abs(fs.total_entropy_production(m, rho_i, T, nodes=nodes) - target)
         assert err <= 5.0 / T
         if prev is not None:
             assert err < prev

@@ -5,6 +5,7 @@ from rislab import fullstats as fs
 from rislab import model as mod
 from rislab.linalg import tensor_product
 
+import oracles
 from conftest import random_faithful_state, random_small_model
 
 
@@ -52,13 +53,18 @@ def test_varsigma_identity(fd3):
 def test_balance_identity(fd3):
     m, setup, meas = fd3
     assert fs.balance_applicable(m, setup, 3)
-    worst = 0.0
-    for rec, pf, pb in zip(meas.records, meas.p_forward, meas.p_backward):
-        if pf <= 1e-12:
-            continue
-        rhs = fs.balance_rhs(m, setup, rec, 3)
-        worst = max(worst, abs(np.log(pf / pb) - rhs))
+    rhs = fs.balance_rhs(m, setup, meas, 3)
+    seen = meas.p_forward > 1e-12
+    worst = np.abs(np.log(meas.p_forward[seen] / meas.p_backward[seen]) - rhs[seen]).max()
     assert worst < 1e-10
+
+
+def test_balance_rhs_matches_per_record_oracle(fd3):
+    m, setup, meas = fd3
+    rhs = fs.balance_rhs(m, setup, meas, 3)
+    want = np.array([oracles.balance_rhs(m, setup, rec, 3) for rec in meas.records])
+    assert rhs.shape == want.shape
+    assert np.abs(rhs - want).max() < 1e-12
 
 
 def test_balance_not_applicable(rng):
@@ -69,8 +75,8 @@ def test_balance_not_applicable(rng):
     setup = fs.MeasurementSetup(rho_i=rho_i, obs_i=obs, obs_f=obs)
     assert not fs.balance_applicable(m, setup, 2)
     meas = fs.enumerate_measure(m, setup, 2)
-    rec = meas.records[0]
-    assert fs.balance_rhs(m, setup, rec, 2) is None
+    assert fs.balance_rhs(m, setup, meas, 2) is None
+    assert oracles.balance_rhs(m, setup, meas.records[0], 2) is None
 
 
 def test_forward_prob_matches_enumeration(fd3):

@@ -155,8 +155,10 @@ def test_finite_T_mgf_converges_to_limit(rng):
     rho1 = invariant_state(mod.reduced_map(m, 1.0))
     a1, a2 = 0.5, -0.5
     lim = mg.stationary_pair_mgf_limit(rho0, rho1, rho_i, a1, a2).real
+    nodes = fs.ProtocolNodes(m)
     errs = [
-        abs(mg.mgf_pair(m, setup, T, a1, a2).real - lim) for T in (50, 100, 200)
+        abs(mg.mgf_pair(m, setup, T, a1, a2, nodes=nodes).real - lim)
+        for T in (50, 100, 200)
     ]
     assert errs[0] > errs[1] > errs[2]
     assert errs[-1] < 0.05
