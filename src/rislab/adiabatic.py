@@ -82,10 +82,10 @@ class AdiabaticFamily:
         return worst
 
 
-def _projector_derivative(family: AdiabaticFamily, s: float, h: float) -> list:
+def _projector_derivative(family: AdiabaticFamily, s: float) -> list:
     """Centered-difference derivatives of the spectral projectors at s."""
-    lo = max(s - h, 0.0)
-    hi = min(s + h, 1.0)
+    lo = max(s - DERIV_STEP, 0.0)
+    hi = min(s + DERIV_STEP, 1.0)
     dec_lo = family.decomposition(lo)
     dec_hi = family.decomposition(hi)
     return [
@@ -94,19 +94,17 @@ def _projector_derivative(family: AdiabaticFamily, s: float, h: float) -> list:
     ]
 
 
-def _generator(family: AdiabaticFamily, s: float, h: float) -> np.ndarray:
+def _generator(family: AdiabaticFamily, s: float) -> np.ndarray:
     """A(s) = sum_m dP^m/ds @ P^m, the intertwiner generator."""
     dec = family.decomposition(s)
-    dPs = _projector_derivative(family, s, h)
+    dPs = _projector_derivative(family, s)
     A = np.zeros((family.dim**2,) * 2, dtype=complex)
     for dP, P in zip(dPs, dec.spectral_projectors):
         A += dP @ P
     return A
 
 
-def intertwiner(
-    family: AdiabaticFamily, s_nodes, *, deriv_step: float = DERIV_STEP
-) -> np.ndarray:
+def intertwiner(family: AdiabaticFamily, s_nodes) -> np.ndarray:
     """Solve W' = A(s) W, W(0) = Id, with classical RK4 on the given nodes.
 
     Returns the stack of W(s) at the nodes. The intertwiner transports the
@@ -118,9 +116,9 @@ def intertwiner(
     out = [W.copy()]
     for a, b in zip(s_nodes[:-1], s_nodes[1:]):
         h = b - a
-        A1 = _generator(family, a, deriv_step)
-        A2 = _generator(family, a + h / 2, deriv_step)
-        A4 = _generator(family, b, deriv_step)
+        A1 = _generator(family, a)
+        A2 = _generator(family, a + h / 2)
+        A4 = _generator(family, b)
         k1 = A1 @ W
         k2 = A2 @ (W + h / 2 * k1)
         k3 = A2 @ (W + h / 2 * k2)
@@ -167,7 +165,6 @@ def theta_integral(
     upper: float,
     *,
     n_nodes: int | None = None,
-    deriv_step: float = DERIV_STEP,
 ) -> complex:
     """theta^(alpha)(upper) = int_0^upper Tr(iota(s) d rho(s)/ds) ds.
 
@@ -183,8 +180,8 @@ def theta_integral(
     s_grid = np.linspace(0.0, upper, n_nodes)
     vals = np.empty(n_nodes, dtype=complex)
     for i, s in enumerate(s_grid):
-        lo = max(s - deriv_step, 0.0)
-        hi = min(s + deriv_step, 1.0)
+        lo = max(s - DERIV_STEP, 0.0)
+        hi = min(s + DERIV_STEP, 1.0)
         drho = (family.decomposition(hi).rho - family.decomposition(lo).rho) / (
             hi - lo
         )
@@ -209,8 +206,6 @@ def deformed_adiabatic_state(
     rho_i: np.ndarray,
     T: int,
     k: int | None = None,
-    *,
-    theta_nodes: int | None = None,
 ) -> np.ndarray:
     """Leading adiabatic approximation of the normalized deformed chain.
 
@@ -224,9 +219,7 @@ def deformed_adiabatic_state(
     dec0 = family.decomposition(0.0)
     decs = family.decomposition(float(s))
     z = dec0.period
-    if theta_nodes is None:
-        theta_nodes = max(201, T + 1)
-    phase = np.exp(-theta_integral(family, s, n_nodes=theta_nodes))
+    phase = np.exp(-theta_integral(family, s, n_nodes=max(201, T + 1)))
     out = np.zeros((family.dim,) * 2, dtype=complex)
     for m in range(z):
         weight = np.trace(dec0.iota @ dec0.cycle_projectors[m] @ rho_i)

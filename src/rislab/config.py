@@ -15,10 +15,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
+from .linalg import LinalgError, assert_hermitian
 from .model import (
     ConstantSchedule,
     RISModel,
@@ -41,6 +41,8 @@ DEFAULTS = {
     "output.directory": "out",
     "output.write_csv": True,
 }
+# How far numeric.rho_i may be from PSD and from unit trace.
+STATE_TOL = 1e-10
 
 
 class ConfigError(ValueError):
@@ -73,22 +75,53 @@ def parse_matrix(value, path: str) -> np.ndarray:
 
 
 def _finite_reals(values, path: str) -> tuple[float, ...]:
-    if not isinstance(values, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) and np.isfinite(x)
-        for x in values
-    ):
+    if not isinstance(values, list):
         raise ConfigError(f"{path}: expected a list of finite numbers, got {values!r}")
-    return tuple(float(x) for x in values)
+    return tuple(_finite_real(x, f"{path}[{i}]") for i, x in enumerate(values))
+
+
+def _finite_real(value, path: str) -> float:
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not np.isfinite(value)
+    ):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, path: str, minimum: int) -> int:
+    """An integer (or integral float) no smaller than ``minimum``."""
+    integral = isinstance(value, int) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if isinstance(value, bool) or not integral or value < minimum:
+        raise ConfigError(f"{path}: expected an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def parse_state(value, path: str, dim: int) -> np.ndarray:
+    """A dim x dim density matrix: Hermitian, PSD and of unit trace."""
+    rho = parse_matrix(value, path)
+    if rho.shape != (dim, dim):
+        raise ConfigError(f"{path}: expected a {dim}x{dim} matrix, got {rho.shape}")
+    try:
+        w = np.linalg.eigvalsh(assert_hermitian(rho))
+    except LinalgError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    if w.min() < -STATE_TOL:
+        raise ConfigError(f"{path}: not positive semidefinite (eigenvalue {w.min():.3e})")
+    if abs(np.trace(rho) - 1.0) > STATE_TOL:
+        raise ConfigError(f"{path}: trace {np.trace(rho).real!r} is not 1")
+    return rho
 
 
 def parse_seed(value, path: str) -> int:
     """An integer seed in [0, 2**64), the key range of the sampler streams."""
-    integral = isinstance(value, int) or (
-        isinstance(value, float) and value.is_integer()
-    )
-    if isinstance(value, bool) or not integral or not 0 <= value < 2**64:
+    seed = _integer(value, path, 0)
+    if seed >= 2**64:
         raise ConfigError(f"{path}: expected an integer in [0, 2**64), got {value!r}")
-    return int(value)
+    return seed
 
 
 def parse_schedule(value, path: str):
@@ -165,14 +198,18 @@ def load_config(path_or_dict) -> RunConfig:
         raise ConfigError("model: required section missing or not an object")
     schedule = parse_schedule(msec.get("schedule", "beta1"), "model.schedule")
     preset = msec.get("preset")
-    if preset == "fd":
-        model = fd_model(schedule, tau=float(msec.get("tau", 0.5)))
-    elif preset == "rwa":
-        model = rwa_model(schedule, tau=float(msec.get("tau", 0.5)))
-    elif preset is None:
+    if preset is None:
         for key in ("h_sys", "h_env", "coupling", "tau"):
             if key not in msec:
                 raise ConfigError(f"model.{key}: required without a preset")
+    tau = _finite_real(msec.get("tau", 0.5), "model.tau")
+    if tau <= 0:
+        raise ConfigError(f"model.tau: expected a positive number, got {tau!r}")
+    if preset == "fd":
+        model = fd_model(schedule, tau=tau)
+    elif preset == "rwa":
+        model = rwa_model(schedule, tau=tau)
+    elif preset is None:
         h_sys = parse_matrix(msec["h_sys"], "model.h_sys")
         h_env = parse_matrix(msec["h_env"], "model.h_env")
         v = parse_matrix(msec["coupling"], "model.coupling")
@@ -189,7 +226,7 @@ def load_config(path_or_dict) -> RunConfig:
             h_env=lambda s, _m=h_env: _m,
             coupling=lambda s, _m=v: _m,
             beta=schedule,
-            tau=float(msec["tau"]),
+            tau=tau,
         )
     else:
         raise ConfigError(f"model.preset: unknown preset {preset!r}")
@@ -208,22 +245,32 @@ def load_config(path_or_dict) -> RunConfig:
     ag = _get(nsec, "alpha_grid", "numeric", defaults_used)
     if not (isinstance(ag, list) and len(ag) == 3):
         raise ConfigError("numeric.alpha_grid: expected [lo, hi, count]")
+    T_list = _get(nsec, "T_list", "numeric", defaults_used)
+    if not (isinstance(T_list, list) and T_list):
+        raise ConfigError(f"numeric.T_list: expected a non-empty list, got {T_list!r}")
     rho_i = None
     if "rho_i" in nsec:
-        rho_i = parse_matrix(nsec["rho_i"], "numeric.rho_i")
+        rho_i = parse_state(nsec["rho_i"], "numeric.rho_i", model.dim_sys)
+
+    def numeric(key):
+        return _get(nsec, key, "numeric", defaults_used)
 
     return RunConfig(
         model=model,
         raw=raw,
-        s_nodes=int(_get(nsec, "s_nodes", "numeric", defaults_used)),
-        alpha_grid=(float(ag[0]), float(ag[1]), int(ag[2])),
-        T_list=[int(t) for t in _get(nsec, "T_list", "numeric", defaults_used)],
-        seed=parse_seed(
-            _get(nsec, "seed", "numeric", defaults_used), "numeric.seed"
+        s_nodes=_integer(numeric("s_nodes"), "numeric.s_nodes", 2),
+        alpha_grid=(
+            _finite_real(ag[0], "numeric.alpha_grid[0]"),
+            _finite_real(ag[1], "numeric.alpha_grid[1]"),
+            _integer(ag[2], "numeric.alpha_grid[2]", 1),
         ),
-        n=int(_get(nsec, "n", "numeric", defaults_used)),
-        T=int(_get(nsec, "T", "numeric", defaults_used)),
-        alpha=float(_get(nsec, "alpha", "numeric", defaults_used)),
+        T_list=[
+            _integer(t, f"numeric.T_list[{i}]", 1) for i, t in enumerate(T_list)
+        ],
+        seed=parse_seed(numeric("seed"), "numeric.seed"),
+        n=_integer(numeric("n"), "numeric.n", 1),
+        T=_integer(numeric("T"), "numeric.T", 1),
+        alpha=_finite_real(numeric("alpha"), "numeric.alpha"),
         rho_i=rho_i,
         out_dir=str(_get(osec, "directory", "output", defaults_used)),
         write_csv=bool(_get(osec, "write_csv", "output", defaults_used)),
@@ -236,7 +283,7 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def write_manifest(path, cfg: RunConfig, task: str, extra: dict[str, Any] | None = None):
+def write_manifest(path, cfg: RunConfig, task: str):
     manifest = {
         "task": task,
         "config_hash": config_hash(cfg.raw),
@@ -244,8 +291,6 @@ def write_manifest(path, cfg: RunConfig, task: str, extra: dict[str, Any] | None
         "defaults_used": sorted(cfg.defaults_used),
         "defaults": {k: DEFAULTS[k] for k in sorted(DEFAULTS)},
     }
-    if extra:
-        manifest.update(extra)
     with open(path, "w", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    GROUP_TOL,
     SuperOperator,
     assert_hermitian,
     herm_log,
@@ -61,10 +60,10 @@ class SpectralObservable:
     projectors: tuple[np.ndarray, ...]
 
     @classmethod
-    def from_matrix(cls, A: np.ndarray, tol: float = GROUP_TOL) -> "SpectralObservable":
+    def from_matrix(cls, A: np.ndarray) -> "SpectralObservable":
         A = assert_hermitian(A)
         w, V = hermitian_eig(A)
-        members = outcome_groups(w, tol)
+        members = outcome_groups(w)
         return cls(
             matrix=A,
             values=np.asarray([np.mean(w[m]) for m in members]),
@@ -113,7 +112,7 @@ def evolved_state(
     nodes: ProtocolNodes | None = None,
 ) -> np.ndarray:
     """rho_f = L(T/T) ... L(1/T) rho_i (exact reduced chain)."""
-    nodes = node_table(model, nodes, match_Y=False)
+    nodes = node_table(model, nodes)
     rho = np.asarray(rho_i, dtype=complex)
     for k in range(1, T + 1):
         rho = nodes.reduced(k / T).apply(rho)
@@ -205,10 +204,11 @@ class ProtocolNodes:
     exact double float(s), so the chains of a nested T list share their
     nodes: k/T and (m*k)/(m*T) round to the same double. Per node the table
     holds the kernel, the reduced map L(s) (validated once) and the
-    conditioned step maps; deformed maps at alpha != 0 are built per call
-    from the kernel. L(s) always comes from the default-Y kernel, as
-    ``model.reduced_map`` does, so the reduced chain is the same for every Y.
-    A table lives as long as the task that made it.
+    conditioned step maps; a chain at alpha != 0 reads the kernel's
+    ``deformed_matrix``. The kernel and the step maps count with the table's
+    Y; L(s) always comes from the default-Y kernel, as ``model.reduced_map``
+    does, so the reduced chain is the same for every Y. A table lives as
+    long as the task that made it.
     """
 
     def __init__(self, model: RISModel, Y: np.ndarray | None = None):
@@ -238,29 +238,16 @@ class ProtocolNodes:
         return self._steps[s]
 
 
-def node_table(
-    model: RISModel,
-    nodes: ProtocolNodes | None = None,
-    Y: np.ndarray | None = None,
-    *,
-    match_Y: bool = True,
-) -> ProtocolNodes:
-    """The table a chain walker reads: ``nodes``, or a fresh one if None.
+def node_table(model: RISModel, nodes: ProtocolNodes | None = None) -> ProtocolNodes:
+    """The table a chain walker reads: ``nodes``, or a fresh default-Y one if None.
 
-    A table built for another model object, or (when ``match_Y``) for
-    another counting observable Y, raises ValueError. Walkers of the
-    reduced chain alone pass match_Y=False, since L(s) does not depend on
-    the table's Y.
+    The table is the walker's only source of the counting observable Y. A
+    table built for another model object raises ValueError.
     """
     if nodes is None:
-        return ProtocolNodes(model, Y)
+        return ProtocolNodes(model)
     if nodes.model is not model:
         raise ValueError("the node table was built for another model")
-    if match_Y and not (
-        nodes.Y is Y
-        or (nodes.Y is not None and Y is not None and np.array_equal(nodes.Y, Y))
-    ):
-        raise ValueError("the node table was built for another counting observable Y")
     return nodes
 
 
@@ -270,57 +257,10 @@ def node_table(
 
 
 def _all_steps(
-    model: RISModel, T: int, Y=None, *, nodes: ProtocolNodes | None = None
+    model: RISModel, T: int, *, nodes: ProtocolNodes | None = None
 ) -> list[StepOperators]:
-    nodes = node_table(model, nodes, Y)
+    nodes = node_table(model, nodes)
     return [nodes.steps(k / T) for k in range(1, T + 1)]
-
-
-def forward_prob(
-    model: RISModel,
-    setup: MeasurementSetup,
-    record,
-    T: int,
-    *,
-    steps: list[StepOperators] | None = None,
-    obs_f: SpectralObservable | None = None,
-) -> float:
-    """Probability of one full forward record (ai_idx, [(i_k, j_k)], af_idx)."""
-    ai, probes, af = record
-    if obs_f is None:
-        obs_f, _ = resolve_final_observable(model, setup, T)
-    if steps is None:
-        steps = _all_steps(model, T)
-    pi_i = setup.obs_i.projectors[ai]
-    x = vec(pi_i @ setup.rho_i @ pi_i)
-    for step, (i, j) in zip(steps, probes):
-        x = step.forward[i, j] @ x
-    d = model.dim_sys
-    return float(np.real(np.trace(obs_f.projectors[af] @ unvec(x, d))))
-
-
-def backward_prob(
-    model: RISModel,
-    setup: MeasurementSetup,
-    record,
-    T: int,
-    *,
-    steps: list[StepOperators] | None = None,
-    obs_f: SpectralObservable | None = None,
-    rho_f: np.ndarray | None = None,
-) -> float:
-    """Probability of one record under the time-reversed protocol."""
-    ai, probes, af = record
-    if obs_f is None or rho_f is None:
-        obs_f, rho_f = resolve_final_observable(model, setup, T)
-    if steps is None:
-        steps = _all_steps(model, T)
-    pi_f = obs_f.projectors[af]
-    x = vec(pi_f @ rho_f @ pi_f)
-    for step, (i, j) in zip(reversed(steps), reversed(probes)):
-        x = step.backward[i, j] @ x
-    d = model.dim_sys
-    return float(np.real(np.trace(setup.obs_i.projectors[ai] @ unvec(x, d))))
 
 
 @dataclass
@@ -345,9 +285,9 @@ class TrajectoryMeasure:
         mask = self.p_forward > 0
         return float(np.sum(self.p_forward[mask] * self.varsigma[mask]))
 
-    def mgf(self, alpha: complex, variable: str = "delta_y") -> complex:
-        x = {"delta_y": self.delta_y, "delta_a": self.delta_a}[variable]
-        return complex(np.sum(self.p_forward * np.exp(alpha * x)))
+    def mgf(self, alpha: complex) -> complex:
+        """E e^{alpha Delta_y}; the MGF of Delta_a is ``pair_mgf(0, alpha)``."""
+        return complex(np.sum(self.p_forward * np.exp(alpha * self.delta_y)))
 
     def pair_mgf(self, alpha1: complex, alpha2: complex) -> complex:
         return complex(
@@ -359,7 +299,6 @@ def enumerate_measure(
     model: RISModel,
     setup: MeasurementSetup,
     T: int,
-    Y=None,
     *,
     nodes: ProtocolNodes | None = None,
 ) -> TrajectoryMeasure:
@@ -368,9 +307,9 @@ def enumerate_measure(
     Prefix-shared recursion keeps the cost linear in the number of records.
     Guarded: n_i * n_f * n_outcomes^(2T) must not exceed 10^7.
     """
-    nodes = node_table(model, nodes, Y)
+    nodes = node_table(model, nodes)
     obs_f, rho_f = resolve_final_observable(model, setup, T, nodes=nodes)
-    steps = _all_steps(model, T, Y, nodes=nodes)
+    steps = _all_steps(model, T, nodes=nodes)
     n_out = steps[0].y_values.size
     count = setup.obs_i.n_outcomes * obs_f.n_outcomes * n_out ** (2 * T)
     if count > ENUMERATION_GUARD:
@@ -464,7 +403,6 @@ def balance_applicable(
     model: RISModel,
     setup: MeasurementSetup,
     T: int,
-    Y=None,
     *,
     nodes: ProtocolNodes | None = None,
 ) -> bool:
@@ -474,7 +412,7 @@ def balance_applicable(
     commutes with the final observable, (iii) each probe state is a
     function of its counting observable.
     """
-    nodes = node_table(model, nodes, Y)
+    nodes = node_table(model, nodes)
     obs_f, rho_f = resolve_final_observable(model, setup, T, nodes=nodes)
     if not _commutes_with_projectors(setup.rho_i, setup.obs_i):
         return False
@@ -588,7 +526,7 @@ def total_entropy_production(
     the relative entropy of the interacting pair to the product of its
     marginals' targets; this avoids enumerating trajectories at large T.
     """
-    nodes = node_table(model, nodes, match_Y=False)
+    nodes = node_table(model, nodes)
     rho = np.asarray(rho_i, dtype=complex)
     total = 0.0
     for k in range(1, T + 1):
@@ -619,7 +557,6 @@ def sample_trajectories(
     T: int,
     n: int,
     seed: int,
-    Y=None,
     *,
     nodes: ProtocolNodes | None = None,
 ) -> SampledTrajectories:
@@ -631,9 +568,9 @@ def sample_trajectories(
     filled through the identity varsigma = -delta_a + delta_y; otherwise
     it is NaN (exact log-ratios are available through enumeration).
     """
-    nodes = node_table(model, nodes, Y)
+    nodes = node_table(model, nodes)
     obs_f, _ = resolve_final_observable(model, setup, T, nodes=nodes)
-    steps = _all_steps(model, T, Y, nodes=nodes)
+    steps = _all_steps(model, T, nodes=nodes)
     n_out = steps[0].y_values.size
     d = model.dim_sys
 

@@ -88,14 +88,14 @@ def hermitian_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, V
 
 
-def outcome_groups(w: np.ndarray, tol: float = GROUP_TOL) -> np.ndarray:
+def outcome_groups(w: np.ndarray) -> np.ndarray:
     """Membership (n_outcomes, w.size) of an ascending spectrum in its outcomes.
 
-    Neighbours closer than tol * (1 + max|w|) belong to one outcome, a
+    Neighbours closer than GROUP_TOL * (1 + max|w|) belong to one outcome, a
     distinct value of the measured observable.
     """
     w = np.asarray(w, dtype=float)
-    gaps = np.diff(w) > tol * (1.0 + np.abs(w).max())
+    gaps = np.diff(w) > GROUP_TOL * (1.0 + np.abs(w).max())
     labels = np.concatenate(([0], np.cumsum(gaps)))
     return labels == np.arange(labels[-1] + 1)[:, None]
 
@@ -106,22 +106,22 @@ def herm_exp(H: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     return (V * np.exp(scale * w)) @ V.conj().T
 
 
-def herm_power(H: np.ndarray, p: float, floor: float = EIGENVALUE_FLOOR) -> np.ndarray:
+def herm_power(H: np.ndarray, p: float) -> np.ndarray:
     """H**p for positive-semidefinite Hermitian H.
 
-    Negative or fractional powers require eigenvalues above ``floor``;
+    Negative or fractional powers require eigenvalues above EIGENVALUE_FLOOR;
     smaller eigenvalues raise rather than being clipped.
     """
     w, V = hermitian_eig(H)
     needs_positive = (p < 0) or (p != int(p))
-    if needs_positive and w.min() < floor:
+    if needs_positive and w.min() < EIGENVALUE_FLOOR:
         raise LinalgError(f"eigenvalue {w.min():.3e} below floor for power {p}")
     return (V * np.power(w.astype(complex), p)) @ V.conj().T
 
 
-def herm_log(H: np.ndarray, floor: float = EIGENVALUE_FLOOR) -> np.ndarray:
+def herm_log(H: np.ndarray) -> np.ndarray:
     w, V = hermitian_eig(H)
-    if w.min() < floor:
+    if w.min() < EIGENVALUE_FLOOR:
         raise LinalgError(f"eigenvalue {w.min():.3e} below floor for log")
     return (V * np.log(w)) @ V.conj().T
 
@@ -217,12 +217,6 @@ class SuperOperator:
         object.__setattr__(op, "kraus", kraus)
         object.__setattr__(op, "trace_preserving", bool(trace_preserving))
         return op
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "SuperOperator":
-        matrix = as_complex(matrix)
-        d = round(np.sqrt(matrix.shape[0]))
-        return cls(dim=d, matrix=matrix)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         return unvec(self.matrix @ vec(X), self.dim)

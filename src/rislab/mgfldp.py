@@ -36,39 +36,22 @@ SAFEGUARD_INTERVAL = (-50.0, 50.0)
 # ---------------------------------------------------------------------------
 
 
-def mgf_delta_y(
-    model: RISModel,
-    setup: MeasurementSetup,
-    T: int,
-    alpha: complex,
-    Y=None,
-    *,
-    nodes: ProtocolNodes | None = None,
-) -> complex:
-    """E e^{alpha Delta_y} = Tr( L^(a)(T/T)...L^(a)(1/T) sum_i pi_i rho_i pi_i )."""
-    nodes = node_table(model, nodes, Y)
-    x = vec(sum(P @ setup.rho_i @ P for P in setup.obs_i.projectors))
-    for k in range(1, T + 1):
-        x = deformed_map(model, k / T, alpha, fam=nodes.family(k / T)).matrix @ x
-    d = model.dim_sys
-    return complex(np.trace(unvec(x, d)))
-
-
 def mgf_pair(
     model: RISModel,
     setup: MeasurementSetup,
     T: int,
     alpha1: complex,
     alpha2: complex,
-    Y=None,
     *,
     nodes: ProtocolNodes | None = None,
 ) -> complex:
     """Joint E e^{alpha1 Delta_y + alpha2 Delta_a}, Delta_a = a_i - a_f.
 
-    Tr( e^{-alpha2 A_f} L^(a1)-chain( sum_i e^{alpha2 a_i} pi_i rho_i pi_i ) ).
+    Tr( e^{-alpha2 A_f} L^(a1)-chain( sum_i e^{alpha2 a_i} pi_i rho_i pi_i ) ),
+    with Y the counting observable of ``nodes``; alpha2 = 0 gives
+    E e^{alpha1 Delta_y}.
     """
-    nodes = node_table(model, nodes, Y)
+    nodes = node_table(model, nodes)
     obs_f, _ = resolve_final_observable(model, setup, T, nodes=nodes)
     init = sum(
         np.exp(alpha2 * a) * (P @ setup.rho_i @ P)
@@ -76,7 +59,7 @@ def mgf_pair(
     )
     x = vec(init)
     for k in range(1, T + 1):
-        x = deformed_map(model, k / T, alpha1, fam=nodes.family(k / T)).matrix @ x
+        x = nodes.family(k / T).deformed_matrix(alpha1) @ x
     final = sum(
         np.exp(-alpha2 * a) * P for a, P in zip(obs_f.values, obs_f.projectors)
     )
@@ -85,10 +68,15 @@ def mgf_pair(
 
 
 def mgf_varsigma(
-    model: RISModel, setup: MeasurementSetup, T: int, alpha: complex, Y=None
+    model: RISModel,
+    setup: MeasurementSetup,
+    T: int,
+    alpha: complex,
+    *,
+    nodes: ProtocolNodes | None = None,
 ) -> complex:
     """E e^{alpha varsigma} with varsigma = Delta_y - Delta_a."""
-    return mgf_pair(model, setup, T, alpha, -alpha, Y=Y)
+    return mgf_pair(model, setup, T, alpha, -alpha, nodes=nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +117,8 @@ class LambdaEvaluator:
             )
         return self._cache[alpha]
 
-    def derivative(self, alpha: float, h: float = 1e-5) -> float:
+    def derivative(self, alpha: float) -> float:
+        h = 1e-5
         return (self(alpha + h) - self(alpha - h)) / (2 * h)
 
     def support_window(self) -> tuple[float, float]:
@@ -193,8 +182,6 @@ def legendre_transform(
     x: float,
     *,
     window: tuple[float, float] | None = None,
-    interval: tuple[float, float] = SAFEGUARD_INTERVAL,
-    tol: float = 1e-10,
 ) -> float:
     """Lambda*(x) = sup_alpha (alpha x - Lambda(alpha)).
 
@@ -209,12 +196,12 @@ def legendre_transform(
     edge = 1e-12 * (1.0 + abs(nu_lo) + abs(nu_hi))
     if x < nu_lo - edge or x > nu_hi + edge:
         return np.inf
-    a_lo, a_hi = interval
+    a_lo, a_hi = SAFEGUARD_INTERVAL
     d_lo = ev.derivative(a_lo)
     d_hi = ev.derivative(a_hi)
     if not (d_lo <= x <= d_hi):
         return max(a_lo * x - ev(a_lo), a_hi * x - ev(a_hi))
-    while a_hi - a_lo > tol * (1.0 + abs(a_lo) + abs(a_hi)):
+    while a_hi - a_lo > 1e-10 * (1.0 + abs(a_lo) + abs(a_hi)):
         mid = 0.5 * (a_lo + a_hi)
         if ev.derivative(mid) < x:
             a_lo = mid
@@ -224,11 +211,10 @@ def legendre_transform(
     return float(a * x - ev(a))
 
 
-def gc_symmetry_defect(ev: LambdaEvaluator, alpha_grid=None) -> float:
-    """max over the grid of |Lambda(alpha) - Lambda(-1-alpha)|."""
-    if alpha_grid is None:
-        lo, hi, n = DEFAULT_ALPHA_GRID
-        alpha_grid = np.linspace(lo, hi, int(n))
+def gc_symmetry_defect(ev: LambdaEvaluator) -> float:
+    """max over DEFAULT_ALPHA_GRID of |Lambda(alpha) - Lambda(-1-alpha)|."""
+    lo, hi, n = DEFAULT_ALPHA_GRID
+    alpha_grid = np.linspace(lo, hi, int(n))
     vals = np.array([ev(a) for a in alpha_grid])
     refl = np.array([ev(-1.0 - a) for a in alpha_grid])
     return float(np.abs(vals - refl).max())
@@ -254,12 +240,9 @@ def rate_function_symmetry_defect(
     return worst
 
 
-def lln_mean(ev_or_model, **kwargs) -> float:
+def lln_mean(ev: LambdaEvaluator) -> float:
     """The law-of-large-numbers limit of Delta_y / T, i.e. Lambda'(0)."""
-    if isinstance(ev_or_model, LambdaEvaluator):
-        return ev_or_model.derivative(0.0)
-    d1, _ = lambda_derivatives_at_zero(ev_or_model, **kwargs)
-    return d1
+    return ev.derivative(0.0)
 
 
 def clt_check(delta_y: np.ndarray, T: int, d1: float, d2: float) -> dict:

@@ -146,11 +146,9 @@ def total_hamiltonian(model: RISModel, s: float) -> np.ndarray:
     )
 
 
-def joint_unitary(model: RISModel, s: float, tau: float | None = None) -> np.ndarray:
+def joint_unitary(model: RISModel, s: float) -> np.ndarray:
     """exp(-i*tau*(h_sys + h_env(s) + v(s))) on the system-probe pair."""
-    if tau is None:
-        tau = model.tau
-    return herm_exp(total_hamiltonian(model, s), -1j * tau)
+    return herm_exp(total_hamiltonian(model, s), -1j * model.tau)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +181,10 @@ class KrausFamily:
     xi_y: np.ndarray
     groups: np.ndarray
     kron: np.ndarray
+
+    def deformed_matrix(self, alpha: complex) -> np.ndarray:
+        """The matrix sum_n e^{alpha*dy_n} conj(K_n) kron K_n of L^(alpha)(s)."""
+        return np.einsum("n,nab->ab", np.exp(complex(alpha) * self.dy), self.kron)
 
 
 def default_counting_observable(model: RISModel, s: float) -> np.ndarray:
@@ -238,22 +240,20 @@ def deformed_map(
 ) -> SuperOperator:
     """The deformed map L^(alpha)(s): X -> sum_n e^{alpha*dy_n} K_n X K_n*.
 
-    For real alpha this is completely positive with Kraus operators
-    e^{alpha*dy_n/2} K_n; for complex alpha only the matrix is meaningful.
+    At alpha = 0 this is the reduced map, returned with its Kraus family and
+    certified trace preserving; at any other alpha only the matrix is kept.
     """
     if fam is None:
         fam = kraus_family(model, s, Y)
-    alpha = complex(alpha)
-    matrix = np.einsum("n,nab->ab", np.exp(alpha * fam.dy), fam.kron)
-    if alpha.imag != 0.0:
+    matrix = fam.deformed_matrix(alpha)
+    if alpha != 0:
         return SuperOperator(dim=model.dim_sys, matrix=matrix)
-    half = np.exp(alpha.real * fam.dy / 2.0)
     return SuperOperator(
         dim=model.dim_sys,
         matrix=matrix,
-        kraus=tuple(h * K for h, K in zip(half, fam.kraus)),
+        kraus=fam.kraus,
         completely_positive=True,
-        trace_preserving=alpha == 0,
+        trace_preserving=True,
     )
 
 
@@ -302,8 +302,8 @@ def tri_symmetry_defect(model: RISModel, s: float, alphas) -> float:
     fam = kraus_family(model, s)
     worst = 0.0
     for a in np.atleast_1d(alphas):
-        la = spectral_radius(deformed_map(model, s, float(a), fam=fam))
-        lb = spectral_radius(deformed_map(model, s, -1.0 - float(a), fam=fam))
+        la = spectral_radius(fam.deformed_matrix(float(a)))
+        lb = spectral_radius(fam.deformed_matrix(-1.0 - float(a)))
         worst = max(worst, abs(la - lb))
     return worst
 

@@ -160,7 +160,7 @@ class PeripheralDecomposition:
     spectral_projectors: tuple[np.ndarray, ...]
 
 
-def _phase_fixed_psd(X: np.ndarray, *, clip: float = 1e-9) -> np.ndarray:
+def _phase_fixed_psd(X: np.ndarray) -> np.ndarray:
     """Rotate a near-PSD eigenvector to Hermitian PSD (trace real positive)."""
     tr = np.trace(X)
     if abs(tr) < 1e-12 * max(np.abs(X).max(), 1e-300):
@@ -168,7 +168,7 @@ def _phase_fixed_psd(X: np.ndarray, *, clip: float = 1e-9) -> np.ndarray:
     X = X * (tr.conjugate() / abs(tr))
     X = 0.5 * (X + X.conj().T)
     w, V = hermitian_eig(X)
-    if w.min() < -clip * max(abs(w).max(), 1.0):
+    if w.min() < -1e-9 * max(abs(w).max(), 1.0):
         raise SpectralError(f"eigenvector not PSD: min eigenvalue {w.min():.3e}")
     return (V * np.clip(w, 0.0, None)) @ V.conj().T
 
@@ -183,9 +183,7 @@ def invariant_state(L: SuperOperator) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def peripheral_decomposition(
-    L: SuperOperator, *, rel_tol: float = PERIPHERAL_REL_TOL
-) -> PeripheralDecomposition:
+def peripheral_decomposition(L: SuperOperator) -> PeripheralDecomposition:
     """Full peripheral decomposition of an irreducible CP map.
 
     Raises SpectralError when the peripheral eigenvalues do not form a
@@ -198,7 +196,9 @@ def peripheral_decomposition(
     lam = float(np.abs(w).max())
     if lam <= 0:
         raise SpectralError("zero spectral radius")
-    idx = [int(i) for i in range(w.size) if abs(w[i]) >= lam * (1.0 - rel_tol)]
+    idx = [
+        int(i) for i in range(w.size) if abs(w[i]) >= lam * (1.0 - PERIPHERAL_REL_TOL)
+    ]
     z = len(idx)
     # the peripheral phases must be exactly the z-th roots of unity
     phases = np.angle(w[idx])
@@ -209,7 +209,7 @@ def peripheral_decomposition(
         )
     theta = np.exp(2j * np.pi / z)
     for i, m in zip(idx, ms):
-        if abs(w[i] - lam * theta**m) > rel_tol * lam * 10:
+        if abs(w[i] - lam * theta**m) > PERIPHERAL_REL_TOL * lam * 10:
             raise SpectralError("peripheral eigenvalue off its root of unity")
 
     k0 = idx[list(ms).index(0)]
@@ -354,11 +354,11 @@ def conditioned_map(
     return SuperOperator.from_kraus(cond, trace_preserving=True)
 
 
-def growth_rates(kraus, dy, *, zero_tol: float = 1e-12) -> tuple[float, float]:
+def growth_rates(kraus, dy) -> tuple[float, float]:
     """(nu_minus, nu_plus): min/max weight exponent over nonvanishing Kraus."""
     norms = np.array([np.abs(K).max() for K in kraus])
     scale = max(norms.max(), 1.0)
-    active = np.asarray(dy, dtype=float)[norms > zero_tol * scale]
+    active = np.asarray(dy, dtype=float)[norms > 1e-12 * scale]
     if active.size == 0:
         raise SpectralError("all Kraus operators vanish")
     return float(active.min()), float(active.max())

@@ -4,8 +4,9 @@ The library derives every map of a protocol node from one kernel
 (``rislab.model.kraus_family``). The routes here build the same maps from
 their defining expressions instead: a per-transition Kraus contraction and
 partial traces of the joint evolution applied to the matrix units. They
-are slow and used only as oracles by the tests. ``balance_rhs`` is the
-closed form of the balance identity evaluated one record at a time.
+are slow and used only as oracles by the tests. ``forward_prob``,
+``backward_prob`` and ``balance_rhs`` evaluate one record at a time what
+the library computes for a whole enumerated measure.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from rislab.linalg import (
     hermitian_eig,
     partial_trace_env,
     tensor_product,
+    unvec,
     vec,
 )
 from rislab.model import (
@@ -196,3 +198,39 @@ def balance_rhs(
     for step, (i, j) in zip(steps, probes):
         out += step.beta * (step.energies[j] - step.energies[i])
     return float(out)
+
+
+def forward_prob(
+    model: RISModel,
+    setup: MeasurementSetup,
+    record,
+    T: int,
+) -> float:
+    """Probability of one full forward record (ai_idx, [(i_k, j_k)], af_idx)."""
+    ai, probes, af = record
+    obs_f, _ = resolve_final_observable(model, setup, T)
+    steps = _all_steps(model, T)
+    pi_i = setup.obs_i.projectors[ai]
+    x = vec(pi_i @ setup.rho_i @ pi_i)
+    for step, (i, j) in zip(steps, probes):
+        x = step.forward[i, j] @ x
+    d = model.dim_sys
+    return float(np.real(np.trace(obs_f.projectors[af] @ unvec(x, d))))
+
+
+def backward_prob(
+    model: RISModel,
+    setup: MeasurementSetup,
+    record,
+    T: int,
+) -> float:
+    """Probability of one record under the time-reversed protocol."""
+    ai, probes, af = record
+    obs_f, rho_f = resolve_final_observable(model, setup, T)
+    steps = _all_steps(model, T)
+    pi_f = obs_f.projectors[af]
+    x = vec(pi_f @ rho_f @ pi_f)
+    for step, (i, j) in zip(reversed(steps), reversed(probes)):
+        x = step.backward[i, j] @ x
+    d = model.dim_sys
+    return float(np.real(np.trace(setup.obs_i.projectors[ai] @ unvec(x, d))))

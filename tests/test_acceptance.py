@@ -57,7 +57,7 @@ def test_mgf_product_vs_enumeration():
     setup = fs.entropic_setup(mod.gibbs_state(m.h_sys, m.beta(0.0)))
     meas = fs.enumerate_measure(m, setup, 3)
     for alpha in (-1.0, -0.5, 0.3, 1.0):
-        assert abs(mg.mgf_delta_y(m, setup, 3, alpha) - meas.mgf(alpha)) < 1e-9
+        assert abs(mg.mgf_pair(m, setup, 3, alpha, 0.0) - meas.mgf(alpha)) < 1e-9
 
 
 # -- 3: trajectory-level balance identity ------------------------------------

@@ -212,3 +212,52 @@ def test_seed_override_rejected(tmp_path):
     with pytest.raises(cfg.ConfigError, match="--seed"):
         main(["simulate", "--config", _write(tmp_path, BASE), "--seed", "-1",
               "--out", str(tmp_path / "out")])
+
+
+NOT_A_STATE = [[0.5, 0.6], [0.6, 0.5]]  # eigenvalues 1.1 and -0.1
+
+
+@pytest.mark.parametrize(
+    "section,key,value,path",
+    [
+        ("numeric", "T", 0, r"numeric\.T:"),
+        ("numeric", "T", 2.5, r"numeric\.T:"),
+        ("numeric", "T_list", [0], r"numeric\.T_list\[0\]"),
+        ("numeric", "T_list", [10, -20], r"numeric\.T_list\[1\]"),
+        ("numeric", "T_list", 10, r"numeric\.T_list:"),
+        ("numeric", "T_list", [], r"numeric\.T_list:"),
+        ("numeric", "n", 0, r"numeric\.n:"),
+        ("numeric", "n", True, r"numeric\.n:"),
+        ("numeric", "s_nodes", 1, r"numeric\.s_nodes"),
+        ("numeric", "alpha", float("inf"), r"numeric\.alpha:"),
+        ("numeric", "alpha", "x", r"numeric\.alpha:"),
+        ("numeric", "alpha_grid", [-1.0, float("nan"), 5], r"numeric\.alpha_grid\[1\]"),
+        ("numeric", "alpha_grid", [-1.0, 1.0, 0], r"numeric\.alpha_grid\[2\]"),
+        ("model", "tau", "x", r"model\.tau"),
+        ("model", "tau", 0, r"model\.tau"),
+        ("model", "tau", float("inf"), r"model\.tau"),
+        ("numeric", "rho_i", [[1.0]], r"numeric\.rho_i"),
+        ("numeric", "rho_i", [[0.5, 0.1], [0.0, 0.5]], r"numeric\.rho_i"),
+        ("numeric", "rho_i", NOT_A_STATE, r"numeric\.rho_i"),
+        ("numeric", "rho_i", [[0.5, 0.0], [0.0, 0.6]], r"numeric\.rho_i"),
+    ],
+    ids=[
+        "T-zero", "T-fractional", "T_list-zero", "T_list-negative", "T_list-scalar",
+        "T_list-empty", "n-zero", "n-bool", "s_nodes-one", "alpha-inf", "alpha-str",
+        "alpha_grid-nan", "alpha_grid-count-zero", "tau-str", "tau-zero", "tau-inf",
+        "rho_i-shape", "rho_i-not-hermitian", "rho_i-not-psd", "rho_i-trace",
+    ],
+)
+def test_numeric_rejected(section, key, value, path):
+    doc = json.loads(json.dumps(BASE))
+    doc[section][key] = value
+    with pytest.raises(cfg.ConfigError, match=path):
+        cfg.load_config(doc)
+
+
+def test_numeric_accepted():
+    doc = json.loads(json.dumps(BASE))
+    doc["numeric"].update(T=3.0, rho_i=[[0.7, [0.1, 0.2]], [[0.1, -0.2], 0.3]])
+    run = cfg.load_config(doc)
+    assert run.T == 3 and isinstance(run.T, int)
+    assert np.array_equal(run.rho_i, [[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])

@@ -83,8 +83,8 @@ def test_forward_prob_matches_enumeration(fd3):
     m, setup, meas = fd3
     for idx in (0, 17, len(meas.records) - 1):
         rec = meas.records[idx]
-        assert abs(fs.forward_prob(m, setup, rec, 3) - meas.p_forward[idx]) < 1e-13
-        assert abs(fs.backward_prob(m, setup, rec, 3) - meas.p_backward[idx]) < 1e-13
+        assert abs(oracles.forward_prob(m, setup, rec, 3) - meas.p_forward[idx]) < 1e-13
+        assert abs(oracles.backward_prob(m, setup, rec, 3) - meas.p_backward[idx]) < 1e-13
 
 
 def test_entropy_production_equals_step_sum(fd3):

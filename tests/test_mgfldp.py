@@ -82,7 +82,7 @@ def test_mgf_product_matches_enumeration():
     setup = fs.entropic_setup(mod.gibbs_state(m.h_sys, m.beta(0.0)))
     meas = fs.enumerate_measure(m, setup, 3)
     for alpha in (-1.0, 0.4, 1.0):
-        prod = mg.mgf_delta_y(m, setup, 3, alpha)
+        prod = mg.mgf_pair(m, setup, 3, alpha, 0.0)
         enum = meas.mgf(alpha)
         assert abs(prod - enum) < 1e-12
     for a1, a2 in ((0.5, -0.5), (-0.3, 0.7)):

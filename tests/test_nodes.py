@@ -82,21 +82,30 @@ def test_table_for_another_model_is_refused():
         fs.enumerate_measure(m, setup, 2, nodes=other)
 
 
-def test_table_for_another_Y_is_refused():
+def test_balance_rhs_reads_Y_from_the_table():
+    """With Y = I the fd probe state is not a function of Y: no balance."""
     m = mod.fd_model()
     setup = fs.entropic_setup(mod.gibbs_state(m.h_sys, m.beta(0.0)))
-    Y = np.diag([0.0, 1.0])
-    with pytest.raises(ValueError, match="another counting observable"):
-        fs.enumerate_measure(m, setup, 2, nodes=fs.ProtocolNodes(m, Y))
-    with pytest.raises(ValueError, match="another counting observable"):
-        mg.mgf_delta_y(m, setup, 2, 0.5, Y=Y, nodes=fs.ProtocolNodes(m))
-    with pytest.raises(ValueError, match="another counting observable"):
-        mg.mgf_pair(m, setup, 2, 0.5, 0.5, Y=2 * Y, nodes=fs.ProtocolNodes(m, Y))
-    # an equal matrix is the same observable
+    nodes = fs.ProtocolNodes(m, np.eye(2))
+    meas = fs.enumerate_measure(m, setup, 2, nodes=nodes)
+    assert not fs.balance_applicable(m, setup, 2, nodes=nodes)
+    assert fs.balance_rhs(m, setup, meas, 2, nodes=nodes) is None
+
+
+def test_Y_table_serves_every_chain():
+    m = mod.fd_model()
+    setup = fs.entropic_setup(mod.gibbs_state(m.h_sys, m.beta(0.0)))
+    # twice the probe's diagonal: commutes with every probe state, and is
+    # not the default beta(s) * h_env(s)
+    Y = 2 * np.diag(np.diag(m.h_env(0.0)))
     nodes = fs.ProtocolNodes(m, Y)
-    assert mg.mgf_delta_y(m, setup, 2, 0.5, Y=Y.copy(), nodes=nodes) == (
-        mg.mgf_delta_y(m, setup, 2, 0.5, Y=Y)
-    )
+    for T in (2, 3):
+        meas = fs.enumerate_measure(m, setup, T, nodes=nodes)
+        counts = meas.delta_y / 1.6
+        assert np.abs(counts - np.round(counts)).max() < 1e-12
+        for a1, a2 in ((0.5, -0.5), (-0.3, 0.7), (1.0, 0.0)):
+            prod = mg.mgf_pair(m, setup, T, a1, a2, nodes=nodes)
+            assert abs(prod - meas.pair_mgf(a1, a2)) < 1e-12
     # L(s) comes from the default-Y kernel, so any table of the model serves
     assert np.array_equal(
         fs.evolved_state(m, setup.rho_i, 4, nodes=nodes),
