@@ -137,13 +137,20 @@ def parse_schedule(value, path: str):
     if kind == "constant":
         if "value" not in value:
             raise ConfigError(f"{path}.value: required for constant schedules")
-        return ConstantSchedule(float(value["value"]))
+        return ConstantSchedule(_finite_real(value["value"], f"{path}.value"))
     if kind == "tanh_poly":
-        terms = tuple(
-            (float(c), float(r)) for c, r in value.get("tanh_terms", [])
-        )
-        poly = tuple(float(p) for p in value.get("poly", []))
-        return TanhPolySchedule(tanh_terms=terms, poly=poly)
+        terms = value.get("tanh_terms", [])
+        if not isinstance(terms, list):
+            raise ConfigError(f"{path}.tanh_terms: expected a list of [c, r] pairs")
+        pairs = []
+        for i, term in enumerate(terms):
+            if not (isinstance(term, list) and len(term) == 2):
+                raise ConfigError(
+                    f"{path}.tanh_terms[{i}]: expected a [c, r] pair, got {term!r}"
+                )
+            pairs.append(_finite_reals(term, f"{path}.tanh_terms[{i}]"))
+        poly = _finite_reals(value.get("poly", []), f"{path}.poly")
+        return TanhPolySchedule(tanh_terms=tuple(pairs), poly=poly)
     if kind == "tabulated":
         nodes = _finite_reals(value.get("nodes"), f"{path}.nodes")
         vals = _finite_reals(value.get("values"), f"{path}.values")
@@ -213,12 +220,14 @@ def load_config(path_or_dict) -> RunConfig:
         h_sys = parse_matrix(msec["h_sys"], "model.h_sys")
         h_env = parse_matrix(msec["h_env"], "model.h_env")
         v = parse_matrix(msec["coupling"], "model.coupling")
-        dS = int(msec.get("dim_sys", h_sys.shape[0]))
-        dE = int(msec.get("dim_env", h_env.shape[0]))
-        if v.shape != (dS * dE, dS * dE):
-            raise ConfigError(
-                f"model.coupling: expected shape {(dS * dE, dS * dE)}, got {v.shape}"
-            )
+        dS = _integer(msec.get("dim_sys", h_sys.shape[0]), "model.dim_sys", 1)
+        dE = _integer(msec.get("dim_env", h_env.shape[0]), "model.dim_env", 1)
+        shapes = {"h_sys": (h_sys, dS), "h_env": (h_env, dE), "coupling": (v, dS * dE)}
+        for key, (mat, dim) in shapes.items():
+            if mat.shape != (dim, dim):
+                raise ConfigError(
+                    f"model.{key}: expected shape {(dim, dim)}, got {mat.shape}"
+                )
         model = RISModel(
             dim_sys=dS,
             dim_env=dE,
@@ -251,6 +260,12 @@ def load_config(path_or_dict) -> RunConfig:
     rho_i = None
     if "rho_i" in nsec:
         rho_i = parse_state(nsec["rho_i"], "numeric.rho_i", model.dim_sys)
+    out_dir = _get(osec, "directory", "output", defaults_used)
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ConfigError(f"output.directory: expected a non-empty string, got {out_dir!r}")
+    write_csv = _get(osec, "write_csv", "output", defaults_used)
+    if not isinstance(write_csv, bool):
+        raise ConfigError(f"output.write_csv: expected true or false, got {write_csv!r}")
 
     def numeric(key):
         return _get(nsec, key, "numeric", defaults_used)
@@ -272,8 +287,8 @@ def load_config(path_or_dict) -> RunConfig:
         T=_integer(numeric("T"), "numeric.T", 1),
         alpha=_finite_real(numeric("alpha"), "numeric.alpha"),
         rho_i=rho_i,
-        out_dir=str(_get(osec, "directory", "output", defaults_used)),
-        write_csv=bool(_get(osec, "write_csv", "output", defaults_used)),
+        out_dir=out_dir,
+        write_csv=write_csv,
         defaults_used=defaults_used,
     )
 

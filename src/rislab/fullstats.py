@@ -4,10 +4,10 @@ A trajectory consists of an initial projective measurement of A_i on the
 system, per-step projective measurements of the counting observable Y on
 each probe before and after its interaction, and a final measurement of
 A_f on the system. This module evaluates forward and backward trajectory
-probabilities exactly (with prefix/suffix sharing over the full record
-tree), checks the trajectory-level balance identity, samples the forward
-measure with reproducible counter-based randomness, and provides the
-entropy functionals entering the Landauer-type step balance.
+probabilities exactly (one batched pass per step over all record prefixes
+and suffixes), checks the trajectory-level balance identity, samples the
+forward measure with reproducible counter-based randomness, and provides
+the entropy functionals entering the Landauer-type step balance.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .linalg import (
     partial_trace_env,
     partial_trace_sys,
     tensor_product,
-    unvec,
     vec,
 )
 from .model import (
@@ -265,9 +264,18 @@ def _all_steps(
 
 @dataclass
 class TrajectoryMeasure:
-    """The full forward/backward measure over complete measurement records."""
+    """The full forward/backward measure over complete measurement records.
 
-    records: list
+    Record r has the outcome indices ``i_index[r]`` of A_i, ``f_index[r]``
+    of A_f and, per step k, the probe outcome pair (i_k, j_k) as
+    ``probe_records[r, k] = i_k * n_outcomes + j_k``, as in
+    ``SampledTrajectories``. Records are in lexicographic order of
+    (i_index, probe_records, f_index).
+    """
+
+    i_index: np.ndarray
+    probe_records: np.ndarray
+    f_index: np.ndarray
     a_i: np.ndarray
     a_f: np.ndarray
     delta_a: np.ndarray
@@ -295,6 +303,13 @@ class TrajectoryMeasure:
         )
 
 
+def _traces(P: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Re Tr(P @ unvec(x)) for stacks P (..., d, d) and x (..., d^2) that broadcast."""
+    d = P.shape[-1]
+    X = x.reshape(x.shape[:-1] + (d, d)).swapaxes(-1, -2)
+    return np.real(np.trace(P @ X, axis1=-2, axis2=-1))
+
+
 def enumerate_measure(
     model: RISModel,
     setup: MeasurementSetup,
@@ -304,77 +319,59 @@ def enumerate_measure(
 ) -> TrajectoryMeasure:
     """Exact enumeration of the trajectory measure over all records.
 
-    Prefix-shared recursion keeps the cost linear in the number of records.
-    Guarded: n_i * n_f * n_outcomes^(2T) must not exceed 10^7.
+    One batched pass per step carries the states of all prefixes forward
+    (the new outcome pair is the minor index) and one carries the states of
+    all suffixes backward (the new pair is the major index), so the cost is
+    linear in the number of records. Guarded: n_i * n_f * n_outcomes^(2T)
+    must not exceed 10^7.
     """
     nodes = node_table(model, nodes)
     obs_f, rho_f = resolve_final_observable(model, setup, T, nodes=nodes)
     steps = _all_steps(model, T, nodes=nodes)
     n_out = steps[0].y_values.size
-    count = setup.obs_i.n_outcomes * obs_f.n_outcomes * n_out ** (2 * T)
+    n_i, n_f = setup.obs_i.n_outcomes, obs_f.n_outcomes
+    count = n_i * n_f * n_out ** (2 * T)
     if count > ENUMERATION_GUARD:
         raise FullStatsError(
             f"enumeration would produce {count} records (guard {ENUMERATION_GUARD})"
         )
-    d = model.dim_sys
+    d2 = model.dim_sys**2
+    pi_i, pi_f = np.stack(setup.obs_i.projectors), np.stack(obs_f.projectors)
 
-    # forward pass: DFS over prefixes
-    fwd_leaves: dict[tuple, np.ndarray] = {}
+    # Every product is a (d^2, d^2) @ (d^2, 1) matrix-vector product, which
+    # rounds as a walk along one record does; a matrix-matrix product over
+    # the stack of states would round differently.
+    # prefixes (ai, pair_1..pair_k): (n_i * n_pair^k, d^2)
+    fwd = np.stack([vec(P @ setup.rho_i @ P) for P in pi_i])
+    for step in steps:
+        maps = step.forward.reshape(-1, d2, d2)
+        fwd = (maps @ fwd[:, None, :, None]).reshape(-1, d2)
+    # suffixes (pair_k..pair_T) for every af: (n_pair^(T-k+1), n_f, d^2)
+    bwd = np.stack([vec(P @ rho_f @ P) for P in pi_f])[None]
+    for step in reversed(steps):
+        maps = step.backward.reshape(-1, 1, 1, d2, d2)
+        bwd = (maps @ bwd[None, ..., None]).reshape(-1, n_f, d2)
 
-    def fwd(k: int, prefix: tuple, x: np.ndarray):
-        if k == T:
-            fwd_leaves[prefix] = x
-            return
-        for i in range(n_out):
-            for j in range(n_out):
-                fwd(k + 1, prefix + ((i, j),), steps[k].forward[i, j] @ x)
-
-    for ai, pi in enumerate(setup.obs_i.projectors):
-        fwd(0, (ai,), vec(pi @ setup.rho_i @ pi))
-
-    # backward pass: DFS over suffixes, keyed by (probe record, af index)
-    bwd_leaves: dict[tuple, np.ndarray] = {}
-
-    def bwd(k: int, suffix: tuple, af: int, x: np.ndarray):
-        if k == 0:
-            bwd_leaves[(suffix, af)] = x
-            return
-        for i in range(n_out):
-            for j in range(n_out):
-                bwd(k - 1, ((i, j),) + suffix, af, steps[k - 1].backward[i, j] @ x)
-
-    for af, pf in enumerate(obs_f.projectors):
-        bwd(T, (), af, vec(pf @ rho_f @ pf))
-
-    records, ais, afs, dys, pfs, pbs = [], [], [], [], [], []
-    y_vals = [st.y_values for st in steps]
-    for prefix, xf in fwd_leaves.items():
-        ai, probes = prefix[0], prefix[1:]
-        dy = sum(y_vals[k][j] - y_vals[k][i] for k, (i, j) in enumerate(probes))
-        for af in range(obs_f.n_outcomes):
-            xb = bwd_leaves[(probes, af)]
-            pf = float(
-                np.real(np.trace(obs_f.projectors[af] @ unvec(xf, d)))
-            )
-            pb = float(
-                np.real(np.trace(setup.obs_i.projectors[ai] @ unvec(xb, d)))
-            )
-            records.append((ai, probes, af))
-            ais.append(setup.obs_i.values[ai])
-            afs.append(obs_f.values[af])
-            dys.append(dy)
-            pfs.append(max(pf, 0.0))
-            pbs.append(max(pb, 0.0))
-    a_i = np.asarray(ais)
-    a_f = np.asarray(afs)
+    p_forward = _traces(pi_f, fwd[:, None]).reshape(-1)
+    p_backward = _traces(pi_i[:, None, None], bwd).reshape(-1)
+    index = np.indices((n_i,) + (n_out * n_out,) * T + (n_f,)).reshape(T + 2, -1)
+    i_index, probe_records, f_index = index[0], index[1:-1].T, index[-1]
+    delta_y = np.zeros(count)
+    for step, pairs in zip(steps, index[1:-1]):
+        i, j = np.divmod(pairs, n_out)
+        delta_y += step.y_values[j] - step.y_values[i]
+    a_i = setup.obs_i.values[i_index]
+    a_f = obs_f.values[f_index]
     return TrajectoryMeasure(
-        records=records,
+        i_index=i_index,
+        probe_records=probe_records,
+        f_index=f_index,
         a_i=a_i,
         a_f=a_f,
         delta_a=a_i - a_f,
-        delta_y=np.asarray(dys),
-        p_forward=np.asarray(pfs),
-        p_backward=np.asarray(pbs),
+        delta_y=delta_y,
+        p_forward=np.maximum(p_forward, 0.0),
+        p_backward=np.maximum(p_backward, 0.0),
     )
 
 
@@ -444,15 +441,14 @@ def balance_rhs(
     if not balance_applicable(model, setup, T, nodes=nodes):
         return None
     obs_f, rho_f = resolve_final_observable(model, setup, T, nodes=nodes)
-    # (n,), (n, T, 2) and (n,) outcome indices of the records
-    ai, probes, af = (np.array(col) for col in zip(*measure.records))
+    ai, af = measure.i_index, measure.f_index
     wi = np.array([np.trace(P @ setup.rho_i).real for P in setup.obs_i.projectors])
     wf = np.array([np.trace(P @ rho_f).real for P in obs_f.projectors])
     wi, wf = wi[ai], wf[af]
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(wi / wf) + np.log(obs_f.dims()[af] / setup.obs_i.dims()[ai])
-    for k, step in enumerate(_all_steps(model, T, nodes=nodes)):
-        i, j = probes[:, k, 0], probes[:, k, 1]
+    for step, pairs in zip(_all_steps(model, T, nodes=nodes), measure.probe_records.T):
+        i, j = np.divmod(pairs, step.y_values.size)
         out += step.beta * (step.energies[j] - step.energies[i])
     return np.where((wi > 0) & (wf > 0), out, np.nan)
 
@@ -642,52 +638,24 @@ def sample_trajectories(
 # ---------------------------------------------------------------------------
 
 
-def write_trajectories_csv(path, sampled: SampledTrajectories) -> None:
-    """Write sampled trajectories with shortest round-trip float formatting."""
+def _write_rows(path, data, fields: tuple[str, ...]) -> None:
+    """One row per trajectory: its id, then each field with shortest round-trip repr."""
+    columns = [getattr(data, f).tolist() for f in fields]
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["trajectory_id", "a_i", "a_f", "delta_a", "delta_y", "varsigma"]
-        )
-        for t in range(sampled.a_i.size):
-            writer.writerow(
-                [
-                    t,
-                    repr(float(sampled.a_i[t])),
-                    repr(float(sampled.a_f[t])),
-                    repr(float(sampled.delta_a[t])),
-                    repr(float(sampled.delta_y[t])),
-                    repr(float(sampled.varsigma[t])),
-                ]
-            )
+        writer.writerow(["trajectory_id", *fields])
+        for t, row in enumerate(zip(*columns)):
+            writer.writerow([t, *map(repr, row)])
+
+
+_TRAJECTORY_FIELDS = ("a_i", "a_f", "delta_a", "delta_y", "varsigma")
+
+
+def write_trajectories_csv(path, sampled: SampledTrajectories) -> None:
+    """Write sampled trajectories with shortest round-trip float formatting."""
+    _write_rows(path, sampled, _TRAJECTORY_FIELDS)
 
 
 def write_measure_csv(path, measure: TrajectoryMeasure) -> None:
     """Write the exact enumerated measure (forward/backward probabilities)."""
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "trajectory_id",
-                "a_i",
-                "a_f",
-                "delta_a",
-                "delta_y",
-                "varsigma",
-                "p_forward",
-                "p_backward",
-            ]
-        )
-        for t in range(measure.a_i.size):
-            writer.writerow(
-                [
-                    t,
-                    repr(float(measure.a_i[t])),
-                    repr(float(measure.a_f[t])),
-                    repr(float(measure.delta_a[t])),
-                    repr(float(measure.delta_y[t])),
-                    repr(float(measure.varsigma[t])),
-                    repr(float(measure.p_forward[t])),
-                    repr(float(measure.p_backward[t])),
-                ]
-            )
+    _write_rows(path, measure, _TRAJECTORY_FIELDS + ("p_forward", "p_backward"))

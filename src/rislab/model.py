@@ -166,17 +166,14 @@ class KrausFamily:
     is the system block (Id x <psi_b|) U (Id x |psi_a>) of the joint unitary
     and ``xi_y = psi* xi psi`` the probe state. ``kraus[n]`` is
     K_ab = sum_c (xi_y^{1/2})_{ca} transitions[b, c] for the probe transition
-    a = in_index[n] -> b = out_index[n] (n = a*dim_env + b), ``kron[n]`` is
-    conj(K_n) kron K_n, ``dy[n] = y_b - y_a`` and ``xi_probs[n] = (xi_y)_aa``.
+    a -> b (n = a*dim_env + b), ``kron[n]`` is conj(K_n) kron K_n and
+    ``dy[n] = y_b - y_a``.
     """
 
     kraus: tuple[np.ndarray, ...]
     dy: np.ndarray
-    in_index: np.ndarray
-    out_index: np.ndarray
     y_eigenvalues: np.ndarray
     basis: np.ndarray
-    xi_probs: np.ndarray
     transitions: np.ndarray
     xi_y: np.ndarray
     groups: np.ndarray
@@ -210,15 +207,11 @@ def kraus_family(
     U4 = joint_unitary(model, s).reshape(dS, dE, dS, dE)
     A = np.einsum("eb,menf,fa->bamn", psi.conj(), U4, psi)
     K = np.einsum("ca,bcmn->abmn", xi_y_half, A).reshape(dE * dE, dS, dS)
-    in_index, out_index = np.divmod(np.arange(dE * dE), dE)
     return KrausFamily(
         kraus=tuple(K),
-        dy=y[out_index] - y[in_index],
-        in_index=in_index,
-        out_index=out_index,
+        dy=(y[None, :] - y[:, None]).reshape(-1),
         y_eigenvalues=y,
         basis=psi,
-        xi_probs=np.real(np.diag(xi_y))[in_index],
         transitions=A,
         xi_y=xi_y,
         groups=outcome_groups(y).astype(float),
@@ -313,20 +306,14 @@ def tri_symmetry_defect(model: RISModel, s: float, alphas) -> float:
 # ---------------------------------------------------------------------------
 
 _LOWERING = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+# level spacings of the system and the probes, and the coupling constant
+_E_SYS, _E_ENV, _LAMBDA = 0.9, 0.8, 2.0
 
 
-def _preset(
-    beta: Schedule,
-    coupling_matrix: np.ndarray,
-    *,
-    e_sys: float = 0.9,
-    e_env: float = 0.8,
-    lam: float = 2.0,
-    tau: float = 0.5,
-) -> RISModel:
-    h_sys = e_sys * (_LOWERING.conj().T @ _LOWERING)
-    h_env_mat = e_env * (_LOWERING.conj().T @ _LOWERING)
-    v = lam * coupling_matrix
+def _preset(beta: Schedule, coupling_matrix: np.ndarray, tau: float) -> RISModel:
+    h_sys = _E_SYS * (_LOWERING.conj().T @ _LOWERING)
+    h_env_mat = _E_ENV * (_LOWERING.conj().T @ _LOWERING)
+    v = _LAMBDA * coupling_matrix
     return RISModel(
         dim_sys=2,
         dim_env=2,
@@ -338,7 +325,7 @@ def _preset(
     )
 
 
-def rwa_model(beta: Schedule | None = None, **kwargs) -> RISModel:
+def rwa_model(beta: Schedule | None = None, tau: float = 0.5) -> RISModel:
     """Two-level system and probes with rotating-wave (exchange) coupling.
 
     v = (1/2)(a* x b + a x b*), scaled by the coupling constant.
@@ -349,10 +336,10 @@ def rwa_model(beta: Schedule | None = None, **kwargs) -> RISModel:
     v = 0.5 * (
         tensor_product(a.conj().T, a) + tensor_product(a, a.conj().T)
     )
-    return _preset(beta, v, **kwargs)
+    return _preset(beta, v, tau)
 
 
-def fd_model(beta: Schedule | None = None, **kwargs) -> RISModel:
+def fd_model(beta: Schedule | None = None, tau: float = 0.5) -> RISModel:
     """Two-level system and probes with full dipole coupling.
 
     v = (1/2)(a + a*) x (b + b*), scaled by the coupling constant.
@@ -361,7 +348,7 @@ def fd_model(beta: Schedule | None = None, **kwargs) -> RISModel:
         beta = beta_schedule_1()
     x = _LOWERING + _LOWERING.conj().T
     v = 0.5 * tensor_product(x, x)
-    return _preset(beta, v, **kwargs)
+    return _preset(beta, v, tau)
 
 
 def rwa_k_sys(model: RISModel) -> np.ndarray:

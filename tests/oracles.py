@@ -6,7 +6,8 @@ their defining expressions instead: a per-transition Kraus contraction and
 partial traces of the joint evolution applied to the matrix units. They
 are slow and used only as oracles by the tests. ``forward_prob``,
 ``backward_prob`` and ``balance_rhs`` evaluate one record at a time what
-the library computes for a whole enumerated measure.
+the library computes for a whole enumerated measure; ``records`` lists
+the measure's records in their tuple form.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from rislab.fullstats import (
     MeasurementSetup,
     SpectralObservable,
     StepOperators,
+    TrajectoryMeasure,
     _all_steps,
     balance_applicable,
     resolve_final_observable,
@@ -170,6 +172,16 @@ def step_operators(
         forward=fwd,
         backward=bwd,
     )
+
+
+def records(measure: TrajectoryMeasure, n_out: int) -> list[tuple]:
+    """The records (ai, ((i_1, j_1), ..., (i_T, j_T)), af) of ``measure``, in order."""
+    return [
+        (int(ai), tuple(divmod(int(c), n_out) for c in probes), int(af))
+        for ai, probes, af in zip(
+            measure.i_index, measure.probe_records, measure.f_index
+        )
+    ]
 
 
 def balance_rhs(

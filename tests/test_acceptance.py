@@ -171,7 +171,7 @@ def test_sampler_total_variation():
         key = (int(ai_idx[t]), probes, int(af_idx[t]))
         counts[key] = counts.get(key, 0) + 1
     tv = 0.0
-    for rec, p in zip(meas.records, meas.p_forward):
+    for rec, p in zip(oracles.records(meas, n_out), meas.p_forward):
         emp = counts.pop(rec, 0) / n
         tv += abs(emp - p)
     assert not counts  # no sampled record outside the exact support

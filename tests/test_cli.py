@@ -77,6 +77,17 @@ def test_simulate_task(tmp_path):
         assert counts <= 50
 
 
+def test_simulate_task_stationary_preset(tmp_path):
+    """On rwa Lambda''(0) is round-off; the CLT bins follow the samples' own range."""
+    doc = dict(BASE, model={"preset": "rwa", "schedule": "beta1"})
+    out = _run("simulate", tmp_path, doc)
+    for T in (10, 20):
+        hist = (out / f"clt_hist_T{T}.csv").read_text().strip().split("\n")
+        cells = np.array([[float(x) for x in r.split(",")] for r in hist[1:]])
+        assert np.all(np.isfinite(cells))
+        assert cells[:, 2].sum() == BASE["numeric"]["n"]
+
+
 def test_adiabatic_task(tmp_path):
     out = _run("adiabatic", tmp_path)
     rows = (out / "adiabatic.csv").read_text().strip().split("\n")
@@ -132,18 +143,17 @@ def test_config_defaults_and_hash():
     assert h1 == h2 and len(h1) == 64
 
 
+EXPLICIT_MODEL = {
+    "h_sys": [[0, 0], [0, [0.9, 0]]],
+    "h_env": [[0, 0], [0, 0.8]],
+    "coupling": [[0, 0, 0, 0], [0, 0, [0.5, 0], 0], [0, [0.5, 0], 0, 0], [0, 0, 0, 0]],
+    "tau": 0.5,
+}
+
+
 def test_config_explicit_model():
-    doc = {
-        "model": {
-            "h_sys": [[0, 0], [0, [0.9, 0]]],
-            "h_env": [[0, 0], [0, 0.8]],
-            "coupling": [[0, 0, 0, 0], [0, 0, [0.5, 0], 0],
-                         [0, [0.5, 0], 0, 0], [0, 0, 0, 0]],
-            "tau": 0.5,
-            "schedule": {"kind": "constant", "value": 1.0},
-        }
-    }
-    run = cfg.load_config(doc)
+    schedule = {"kind": "constant", "value": 1.0}
+    run = cfg.load_config({"model": dict(EXPLICIT_MODEL, schedule=schedule)})
     assert run.model.dim_sys == 2
     assert abs(run.model.beta(0.7) - 1.0) < 1e-15
     assert abs(run.model.h_sys[1, 1] - 0.9) < 1e-15
@@ -240,17 +250,50 @@ NOT_A_STATE = [[0.5, 0.6], [0.6, 0.5]]  # eigenvalues 1.1 and -0.1
         ("numeric", "rho_i", [[0.5, 0.1], [0.0, 0.5]], r"numeric\.rho_i"),
         ("numeric", "rho_i", NOT_A_STATE, r"numeric\.rho_i"),
         ("numeric", "rho_i", [[0.5, 0.0], [0.0, 0.6]], r"numeric\.rho_i"),
+        ("model", "schedule", {"kind": "constant", "value": "x"},
+         r"model\.schedule\.value"),
+        ("model", "schedule", {"kind": "constant", "value": float("nan")},
+         r"model\.schedule\.value"),
+        ("model", "schedule", {"kind": "tanh_poly", "tanh_terms": [[1]]},
+         r"model\.schedule\.tanh_terms\[0\]"),
+        ("model", "schedule", {"kind": "tanh_poly", "tanh_terms": [[1, float("inf")]]},
+         r"model\.schedule\.tanh_terms\[0\]\[1\]"),
+        ("model", "schedule", {"kind": "tanh_poly", "poly": [0.5, "x"]},
+         r"model\.schedule\.poly\[1\]"),
+        ("output", "write_csv", "false", r"output\.write_csv"),
+        ("output", "directory", None, r"output\.directory"),
+        ("output", "directory", "", r"output\.directory"),
     ],
     ids=[
         "T-zero", "T-fractional", "T_list-zero", "T_list-negative", "T_list-scalar",
         "T_list-empty", "n-zero", "n-bool", "s_nodes-one", "alpha-inf", "alpha-str",
         "alpha_grid-nan", "alpha_grid-count-zero", "tau-str", "tau-zero", "tau-inf",
         "rho_i-shape", "rho_i-not-hermitian", "rho_i-not-psd", "rho_i-trace",
+        "constant-str", "constant-nan", "tanh_terms-short", "tanh_terms-inf",
+        "poly-str", "write_csv-str", "directory-null", "directory-empty",
     ],
 )
 def test_numeric_rejected(section, key, value, path):
     doc = json.loads(json.dumps(BASE))
     doc[section][key] = value
+    with pytest.raises(cfg.ConfigError, match=path):
+        cfg.load_config(doc)
+
+
+@pytest.mark.parametrize(
+    "key,value,path",
+    [
+        ("dim_sys", "a", r"model\.dim_sys"),
+        ("dim_env", 1.5, r"model\.dim_env"),
+        ("dim_sys", 0, r"model\.dim_sys"),
+        ("dim_sys", 1, r"model\.h_sys"),
+        ("h_env", [[0, 0, 0], [0, 0.8, 0], [0, 0, 1.6]], r"model\.coupling"),
+    ],
+    ids=["dim_sys-str", "dim_env-fractional", "dim_sys-zero", "dim_sys-mismatch",
+         "h_env-mismatch"],
+)
+def test_explicit_model_rejected(key, value, path):
+    doc = {"model": dict(EXPLICIT_MODEL, **{key: value})}
     with pytest.raises(cfg.ConfigError, match=path):
         cfg.load_config(doc)
 

@@ -6,7 +6,9 @@ from rislab import model as mod
 from rislab.linalg import tensor_product
 
 import oracles
-from conftest import random_faithful_state, random_small_model
+from conftest import random_faithful_state, random_hermitian, random_small_model
+
+FD_OUTCOMES = 2  # distinct outcomes of Y = beta * h_env on the preset probes
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +64,8 @@ def test_balance_identity(fd3):
 def test_balance_rhs_matches_per_record_oracle(fd3):
     m, setup, meas = fd3
     rhs = fs.balance_rhs(m, setup, meas, 3)
-    want = np.array([oracles.balance_rhs(m, setup, rec, 3) for rec in meas.records])
+    records = oracles.records(meas, FD_OUTCOMES)
+    want = np.array([oracles.balance_rhs(m, setup, rec, 3) for rec in records])
     assert rhs.shape == want.shape
     assert np.abs(rhs - want).max() < 1e-12
 
@@ -76,15 +79,53 @@ def test_balance_not_applicable(rng):
     assert not fs.balance_applicable(m, setup, 2)
     meas = fs.enumerate_measure(m, setup, 2)
     assert fs.balance_rhs(m, setup, meas, 2) is None
-    assert oracles.balance_rhs(m, setup, meas.records[0], 2) is None
+    assert oracles.balance_rhs(m, setup, oracles.records(meas, FD_OUTCOMES)[0], 2) is None
 
 
 def test_forward_prob_matches_enumeration(fd3):
     m, setup, meas = fd3
-    for idx in (0, 17, len(meas.records) - 1):
-        rec = meas.records[idx]
+    records = oracles.records(meas, FD_OUTCOMES)
+    for idx in (0, 17, len(records) - 1):
+        rec = records[idx]
         assert abs(oracles.forward_prob(m, setup, rec, 3) - meas.p_forward[idx]) < 1e-13
         assert abs(oracles.backward_prob(m, setup, rec, 3) - meas.p_backward[idx]) < 1e-13
+
+
+def test_enumeration_beyond_two_levels(rng):
+    """3-level system and probes, a degenerate Y and unequal outcome counts.
+
+    Y = beta * h_env has 2 outcomes on the 3-level probes, A_i 3 and A_f 2,
+    so a swapped index axis of the enumeration shows against the oracles.
+    """
+    V = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    h_env = V @ np.diag([0.2, 0.2, 1.1]).astype(complex) @ V.conj().T
+    v = random_hermitian(rng, 9)
+    m = mod.RISModel(
+        dim_sys=3,
+        dim_env=3,
+        h_sys=random_hermitian(rng, 3),
+        h_env=lambda s: h_env,
+        coupling=lambda s: v,
+        beta=lambda s: 0.7 + 0.5 * s,
+        tau=0.6,
+    )
+    W = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    setup = fs.MeasurementSetup(
+        rho_i=random_faithful_state(rng, d=3),
+        obs_i=fs.SpectralObservable.from_matrix(random_hermitian(rng, 3)),
+        obs_f=fs.SpectralObservable.from_matrix(W @ np.diag([0.0, 0.0, 1.0]) @ W.conj().T),
+    )
+    assert (setup.obs_i.n_outcomes, setup.obs_f.n_outcomes) == (3, 2)
+    n_out = fs.step_operators(m, 1.0).y_values.size
+    assert n_out == 2
+    for T in (1, 2, 3):
+        meas = fs.enumerate_measure(m, setup, T)
+        assert meas.i_index.size == 3 * 2 * n_out ** (2 * T)
+        assert abs(meas.p_forward.sum() - 1.0) < 1e-12
+        assert abs(meas.p_backward.sum() - 1.0) < 1e-12
+        for idx, rec in enumerate(oracles.records(meas, n_out)):
+            assert abs(oracles.forward_prob(m, setup, rec, T) - meas.p_forward[idx]) < 1e-13
+            assert abs(oracles.backward_prob(m, setup, rec, T) - meas.p_backward[idx]) < 1e-13
 
 
 def test_entropy_production_equals_step_sum(fd3):
@@ -160,7 +201,7 @@ def test_csv_roundtrip(tmp_path, fd3):
     p1 = tmp_path / "measure.csv"
     fs.write_measure_csv(p1, meas)
     rows = p1.read_text().strip().split("\n")
-    assert len(rows) == len(meas.records) + 1
+    assert len(rows) == meas.i_index.size + 1
     first = rows[1].split(",")
     assert float(first[6]) == meas.p_forward[0]
 

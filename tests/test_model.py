@@ -65,7 +65,7 @@ def test_kraus_family_completeness(rng):
     fam = mod.kraus_family(m, 0.7)
     total = sum(K.conj().T @ K for K in fam.kraus)
     assert np.abs(total - np.eye(2)).max() < 1e-12
-    assert np.isclose(fam.xi_probs.reshape(2, 2)[:, 0].sum(), 1.0)
+    assert np.isclose(np.trace(fam.xi_y), 1.0)
 
 
 def test_reduced_map_is_tp_cp(rng):
