@@ -15,10 +15,13 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .linalg import SuperOperator, unvec, vec
-from .model import RISModel, deformed_map
+from .model import RISModel, deformed_map, kraus_families
 from .spectral import PeripheralDecomposition, peripheral_decomposition
 
 DERIV_STEP = 1e-5
+# Kernels built per kraus_families call in prepare: bounds the memory of the
+# kernels alive at once (about 17 kB per node for 2x2 system and probe).
+PREPARE_BLOCK = 256
 
 
 class AdiabaticFamily:
@@ -40,10 +43,21 @@ class AdiabaticFamily:
     def dim(self) -> int:
         return self.model.dim_sys
 
+    def prepare(self, s_values) -> None:
+        """Build the maps of every uncached s in s_values from stacked kernels.
+
+        Only the maps are kept; each kernel is dropped once its map is built.
+        """
+        todo = [s for s in dict.fromkeys(map(float, s_values)) if s not in self._maps]
+        for start in range(0, len(todo), PREPARE_BLOCK):
+            block = todo[start : start + PREPARE_BLOCK]
+            for s, fam in zip(block, kraus_families(self.model, block, self.Y)):
+                self._maps[s] = deformed_map(self.model, s, self.alpha, fam=fam)
+
     def map(self, s: float) -> SuperOperator:
         s = float(s)
         if s not in self._maps:
-            self._maps[s] = deformed_map(self.model, s, self.alpha, self.Y)
+            self.prepare([s])
         return self._maps[s]
 
     def decomposition(self, s: float) -> PeripheralDecomposition:
@@ -82,10 +96,19 @@ class AdiabaticFamily:
         return worst
 
 
+def _neighbours(s: float) -> tuple[float, float]:
+    """The nodes s -+ DERIV_STEP of a centred difference, clamped to [0, 1]."""
+    return max(s - DERIV_STEP, 0.0), min(s + DERIV_STEP, 1.0)
+
+
+def _with_neighbours(centres) -> list[float]:
+    """Every node a centred difference at each of ``centres`` reads."""
+    return [t for s in centres for t in (s, *_neighbours(s))]
+
+
 def _projector_derivative(family: AdiabaticFamily, s: float) -> list:
     """Centered-difference derivatives of the spectral projectors at s."""
-    lo = max(s - DERIV_STEP, 0.0)
-    hi = min(s + DERIV_STEP, 1.0)
+    lo, hi = _neighbours(s)
     dec_lo = family.decomposition(lo)
     dec_hi = family.decomposition(hi)
     return [
@@ -111,10 +134,13 @@ def intertwiner(family: AdiabaticFamily, s_nodes) -> np.ndarray:
     spectral projectors: W(s) P^m(0) W(s)^{-1} = P^m(s).
     """
     s_nodes = np.asarray(s_nodes, dtype=float)
+    steps = list(zip(s_nodes[:-1], s_nodes[1:]))
+    rk4_nodes = [t for a, b in steps for t in (a, a + (b - a) / 2, b)]
+    family.prepare(_with_neighbours(rk4_nodes))
     d2 = family.dim**2
     W = np.eye(d2, dtype=complex)
     out = [W.copy()]
-    for a, b in zip(s_nodes[:-1], s_nodes[1:]):
+    for a, b in steps:
         h = b - a
         A1 = _generator(family, a)
         A2 = _generator(family, a + h / 2)
@@ -139,11 +165,11 @@ def product_decomposition_residual(
     """
     if k is None:
         k = T
+    nodes = np.array([j / T for j in range(k + 1)])
+    W = intertwiner(family, nodes)[-1]  # prepares every node read below
     dec0 = family.decomposition(0.0)
     z = dec0.period
     theta = np.exp(2j * np.pi / z)
-    nodes = np.array([j / T for j in range(k + 1)])
-    W = intertwiner(family, nodes)[-1]
 
     d2 = family.dim**2
     chain = np.eye(d2, dtype=complex)
@@ -178,10 +204,10 @@ def theta_integral(
     if n_nodes % 2 == 0:
         n_nodes += 1
     s_grid = np.linspace(0.0, upper, n_nodes)
+    family.prepare(_with_neighbours(s_grid))
     vals = np.empty(n_nodes, dtype=complex)
     for i, s in enumerate(s_grid):
-        lo = max(s - DERIV_STEP, 0.0)
-        hi = min(s + DERIV_STEP, 1.0)
+        lo, hi = _neighbours(s)
         drho = (family.decomposition(hi).rho - family.decomposition(lo).rho) / (
             hi - lo
         )
@@ -195,6 +221,7 @@ def exact_deformed_chain(
     """Apply the normalized deformed chain F(k/T)...F(1/T) to a state."""
     if k is None:
         k = T
+    family.prepare([j / T for j in range(1, k + 1)])
     x = vec(rho_i)
     for j in range(1, k + 1):
         x = family.normalized(j / T) @ x

@@ -52,11 +52,13 @@ def _initial_state(cfg: RunConfig) -> np.ndarray:
 
 def task_spectrum(cfg: RunConfig, out: str) -> None:
     s_grid = np.linspace(0.0, 1.0, cfg.s_nodes)
+    families = model.kraus_families(cfg.model, s_grid)
     fh, w = _writer(os.path.join(out, "spectrum.csv"))
     with fh:
         w.writerow(["s", "beta", "spectral_radius", "period", "rho_00", "rho_11"])
-        for s in s_grid:
-            dec = spectral.peripheral_decomposition(model.reduced_map(cfg.model, float(s)))
+        for s, fam in zip(s_grid, families):
+            L = model.deformed_map(cfg.model, float(s), 0.0, fam=fam)
+            dec = spectral.peripheral_decomposition(L)
             w.writerow(
                 [
                     _f(s),
@@ -82,7 +84,7 @@ def task_lambda(cfg: RunConfig, out: str) -> None:
         w.writerow(["alpha", "Lambda"])
         for a in np.linspace(lo, hi, n):
             w.writerow([_f(a), _f(ev(float(a)))])
-    d1, d2 = mgfldp.lambda_derivatives_at_zero(cfg.model, cfg.s_nodes)
+    d1, d2 = ev.derivatives_at_zero()
     fh2, w2 = _writer(os.path.join(out, "lambda_derivatives.csv"))
     with fh2:
         w2.writerow(["d1_at_0", "d2_at_0"])
@@ -91,13 +93,11 @@ def task_lambda(cfg: RunConfig, out: str) -> None:
 
 def task_ldp(cfg: RunConfig, out: str) -> None:
     ev = mgfldp.LambdaEvaluator(cfg.model, cfg.s_nodes)
-    window = ev.support_window()
     fh, w = _writer(os.path.join(out, "lambda_star.csv"))
     with fh:
         w.writerow(["x", "Lambda_star"])
         for a in np.linspace(-2.0, 1.0, 31):
-            x = ev.derivative(float(a))
-            w.writerow([_f(x), _f(mgfldp.legendre_transform(ev, x, window=window))])
+            w.writerow([_f(v) for v in mgfldp.legendre_point(ev, float(a))])
 
 
 def task_simulate(cfg: RunConfig, out: str) -> None:

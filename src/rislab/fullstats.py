@@ -34,6 +34,7 @@ from .model import (
     RISModel,
     deformed_map,
     joint_unitary,
+    kraus_families,
     kraus_family,
     probe_state,
 )
@@ -113,8 +114,8 @@ def evolved_state(
     """rho_f = L(T/T) ... L(1/T) rho_i (exact reduced chain)."""
     nodes = node_table(model, nodes)
     rho = np.asarray(rho_i, dtype=complex)
-    for k in range(1, T + 1):
-        rho = nodes.reduced(k / T).apply(rho)
+    for s in nodes.chain(T):
+        rho = nodes.reduced(s).apply(rho)
     return rho
 
 
@@ -199,7 +200,9 @@ def step_operators(
 class ProtocolNodes:
     """The nodes of one task's finite-T chains, each built on first use.
 
-    A chain of length T walks the nodes s = k/T. Lookups are keyed by the
+    A chain of length T walks the nodes s = k/T of ``chain(T)``, which
+    builds the kernels of all its missing nodes in one stacked call. Lookups
+    are keyed by the
     exact double float(s), so the chains of a nested T list share their
     nodes: k/T and (m*k)/(m*T) round to the same double. Per node the table
     holds the kernel, the reduced map L(s) (validated once) and the
@@ -216,6 +219,17 @@ class ProtocolNodes:
         self._families: dict[float, KrausFamily] = {}
         self._reduced: dict[float, SuperOperator] = {}
         self._steps: dict[float, StepOperators] = {}
+
+    def chain(self, T: int) -> list[float]:
+        """The nodes k/T (k = 1..T) of a length-T chain.
+
+        The kernels of the nodes not yet in the table are built in one
+        ``kraus_families`` call.
+        """
+        s_values = [k / T for k in range(1, T + 1)]
+        todo = [s for s in s_values if s not in self._families]
+        self._families.update(zip(todo, kraus_families(self.model, todo, self.Y)))
+        return s_values
 
     def family(self, s: float) -> KrausFamily:
         s = float(s)
@@ -259,7 +273,7 @@ def _all_steps(
     model: RISModel, T: int, *, nodes: ProtocolNodes | None = None
 ) -> list[StepOperators]:
     nodes = node_table(model, nodes)
-    return [nodes.steps(k / T) for k in range(1, T + 1)]
+    return [nodes.steps(s) for s in nodes.chain(T)]
 
 
 @dataclass
@@ -415,9 +429,7 @@ def balance_applicable(
         return False
     if not _commutes_with_projectors(rho_f, obs_f):
         return False
-    return all(
-        _probe_state_is_function_of_Y(nodes.family(k / T)) for k in range(1, T + 1)
-    )
+    return all(_probe_state_is_function_of_Y(nodes.family(s)) for s in nodes.chain(T))
 
 
 def balance_rhs(
@@ -525,10 +537,10 @@ def total_entropy_production(
     nodes = node_table(model, nodes)
     rho = np.asarray(rho_i, dtype=complex)
     total = 0.0
-    for k in range(1, T + 1):
-        bal = step_balance(model, rho, k / T)
+    for s in nodes.chain(T):
+        bal = step_balance(model, rho, s)
         total += bal["sigma"]
-        rho = nodes.reduced(k / T).apply(rho)
+        rho = nodes.reduced(s).apply(rho)
     return total
 
 

@@ -33,12 +33,27 @@ def as_complex(M) -> np.ndarray:
     return M
 
 
+def _adjoint(M: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of each matrix of a stack (..., n, n)."""
+    return np.swapaxes(M.conj(), -1, -2)
+
+
+def _matrix_max(M: np.ndarray) -> np.ndarray:
+    """The largest entry of each matrix of a stack (..., n, m)."""
+    return M.max(axis=(-2, -1))
+
+
 def assert_hermitian(M: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
+    """The Hermitian part of M, checked against each matrix's own scale.
+
+    M may carry leading stack axes; each matrix is checked on its own, so a
+    large matrix in the stack does not loosen the check of a small one.
+    """
     M = as_complex(M)
-    scale = max(np.abs(M).max(), 1.0)
-    if np.abs(M - M.conj().T).max() > tol * scale:
+    scale = np.maximum(_matrix_max(np.abs(M)), 1.0)
+    if np.any(_matrix_max(np.abs(M - _adjoint(M))) > tol * scale):
         raise LinalgError("matrix is not Hermitian within tolerance")
-    return 0.5 * (M + M.conj().T)
+    return 0.5 * (M + _adjoint(M))
 
 
 def tensor_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -75,15 +90,17 @@ def unvec(x: np.ndarray, d: int | None = None) -> np.ndarray:
 
 
 def hermitian_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each of a stack.
 
     Returns (eigenvalues ascending, unitary eigenvector matrix V) with
-    H V = V diag(w); the residual is verified.
+    H V = V diag(w); the residual of each matrix is verified at its own
+    scale. A stack (..., n, n) gives w (..., n) and V (..., n, n), each
+    bitwise equal to the decomposition of that matrix alone.
     """
     H = assert_hermitian(H)
     w, V = np.linalg.eigh(H)
-    scale = max(np.abs(H).max(), 1.0)
-    if np.abs(H @ V - V @ np.diag(w)).max() > 1e-10 * scale:
+    scale = np.maximum(_matrix_max(np.abs(H)), 1.0)
+    if np.any(_matrix_max(np.abs(H @ V - V * w[..., None, :])) > 1e-10 * scale):
         raise LinalgError("hermitian_eig residual exceeds tolerance")
     return w, V
 
@@ -101,13 +118,16 @@ def outcome_groups(w: np.ndarray) -> np.ndarray:
 
 
 def herm_exp(H: np.ndarray, scale: complex = 1.0) -> np.ndarray:
-    """exp(scale * H) for Hermitian H (exact through the eigendecomposition)."""
+    """exp(scale * H) for Hermitian H (exact through the eigendecomposition).
+
+    For a stack H (..., n, n), ``scale`` may be one value per matrix.
+    """
     w, V = hermitian_eig(H)
-    return (V * np.exp(scale * w)) @ V.conj().T
+    return (V * np.exp(np.asarray(scale)[..., None] * w)[..., None, :]) @ _adjoint(V)
 
 
 def herm_power(H: np.ndarray, p: float) -> np.ndarray:
-    """H**p for positive-semidefinite Hermitian H.
+    """H**p for positive-semidefinite Hermitian H, or for each of a stack.
 
     Negative or fractional powers require eigenvalues above EIGENVALUE_FLOOR;
     smaller eigenvalues raise rather than being clipped.
@@ -116,7 +136,7 @@ def herm_power(H: np.ndarray, p: float) -> np.ndarray:
     needs_positive = (p < 0) or (p != int(p))
     if needs_positive and w.min() < EIGENVALUE_FLOOR:
         raise LinalgError(f"eigenvalue {w.min():.3e} below floor for power {p}")
-    return (V * np.power(w.astype(complex), p)) @ V.conj().T
+    return (V * np.power(w.astype(complex), p)[..., None, :]) @ _adjoint(V)
 
 
 def herm_log(H: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from .linalg import (
     unvec,
     vec,
 )
-from .model import RISModel, deformed_map, kraus_family
+from .model import RISModel, deformed_map, kraus_families
 from .fullstats import MeasurementSetup, ProtocolNodes, node_table, resolve_final_observable
 from .spectral import growth_rates, invariant_state
 
@@ -58,8 +58,8 @@ def mgf_pair(
         for a, P in zip(setup.obs_i.values, setup.obs_i.projectors)
     )
     x = vec(init)
-    for k in range(1, T + 1):
-        x = nodes.family(k / T).deformed_matrix(alpha1) @ x
+    for s in nodes.chain(T):
+        x = nodes.family(s).deformed_matrix(alpha1) @ x
     final = sum(
         np.exp(-alpha2 * a) * P for a, P in zip(obs_f.values, obs_f.projectors)
     )
@@ -97,7 +97,7 @@ class LambdaEvaluator:
             n_nodes += 1
         self.model = model
         self.s_grid = np.linspace(0.0, 1.0, n_nodes)
-        self._fams = [kraus_family(model, float(s), Y) for s in self.s_grid]
+        self._fams = kraus_families(model, self.s_grid, Y)
         self._mats = np.stack([f.kron for f in self._fams])  # (S, nK, d^2, d^2)
         self._dys = np.stack([f.dy for f in self._fams])  # (S, nK)
         self._cache: dict[float, float] = {}
@@ -121,6 +121,41 @@ class LambdaEvaluator:
         h = 1e-5
         return (self(alpha + h) - self(alpha - h)) / (2 * h)
 
+    def derivatives_at_zero(self) -> tuple[float, float]:
+        """(Lambda'(0), Lambda''(0)) via the closed-form node derivatives.
+
+        At each node, with invariant state rho of L(s):
+        l1 = sum_n dy_n Tr(K_n rho K_n*), and
+        l2 = sum_n dy_n^2 Tr(K_n rho K_n*) + 2 sum_n dy_n Tr(K_n eta K_n*)
+        with eta the unique traceless solution of
+        (Id - L) eta = sum_n dy_n K_n rho K_n* - l1 rho. Then
+        Lambda'(0) = int l1 and Lambda''(0) = int (l2 - l1^2).
+        """
+        d = self.model.dim_sys
+        diag = slice(None, None, d + 1)  # the trace of a column-stacked operator
+        l1s = np.empty(self.s_grid.size)
+        l2s = np.empty(self.s_grid.size)
+        for i, (s, fam) in enumerate(zip(self.s_grid, self._fams)):
+            L = deformed_map(self.model, float(s), 0.0, fam=fam)
+            rho = invariant_state(L)
+            jumps = fam.kron @ vec(rho)  # vec(K_n rho K_n*) for every n
+            weights = np.real(jumps[:, diag].sum(axis=1))
+            first = fam.dy @ weights
+            rhs = fam.dy @ jumps - first * vec(rho)
+            A = np.eye(d * d, dtype=complex) - L.matrix
+            eta0, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+            eta = unvec(eta0, d)
+            eta = eta - np.trace(eta) * rho  # fix the kernel component: traceless
+            resid = np.abs(A @ vec(eta) - rhs).max()
+            if resid > 1e-10:
+                raise ValueError(f"perturbation solve residual {resid:.3e} at s={s}")
+            eta_weights = np.real((fam.kron @ vec(eta))[:, diag].sum(axis=1))
+            l1s[i] = first
+            l2s[i] = fam.dy**2 @ weights + 2 * fam.dy @ eta_weights
+        d1 = float(simpson(l1s, x=self.s_grid))
+        d2 = float(simpson(l2s - l1s**2, x=self.s_grid))
+        return d1, d2
+
     def support_window(self) -> tuple[float, float]:
         """(nu_minus, nu_plus) = integrated extreme counting increments."""
         lo, hi = np.array([growth_rates(f.kraus, f.dy) for f in self._fams]).T
@@ -133,43 +168,12 @@ class LambdaEvaluator:
 def lambda_derivatives_at_zero(
     model: RISModel, n_nodes: int = DEFAULT_S_NODES, Y=None
 ) -> tuple[float, float]:
-    """(Lambda'(0), Lambda''(0)) via the closed-form node derivatives.
+    """(Lambda'(0), Lambda''(0)) on n_nodes nodes.
 
-    At each node, with invariant state rho of L(s):
-    l1 = sum_n dy_n Tr(K_n rho K_n*), and
-    l2 = sum_n dy_n^2 Tr(K_n rho K_n*) + 2 sum_n dy_n Tr(K_n eta K_n*)
-    with eta the unique traceless solution of
-    (Id - L) eta = sum_n dy_n K_n rho K_n* - l1 rho. Then
-    Lambda'(0) = int l1 and Lambda''(0) = int (l2 - l1^2).
+    See ``LambdaEvaluator.derivatives_at_zero``; an evaluator already built
+    for the same grid gives them from its own kernels.
     """
-    if n_nodes % 2 == 0:
-        n_nodes += 1
-    s_grid = np.linspace(0.0, 1.0, n_nodes)
-    d = model.dim_sys
-    diag = slice(None, None, d + 1)  # the trace of a column-stacked operator
-    l1s = np.empty(n_nodes)
-    l2s = np.empty(n_nodes)
-    for i, s in enumerate(s_grid):
-        fam = kraus_family(model, float(s), Y)
-        L = deformed_map(model, float(s), 0.0, fam=fam)
-        rho = invariant_state(L)
-        jumps = fam.kron @ vec(rho)  # vec(K_n rho K_n*) for every n
-        weights = np.real(jumps[:, diag].sum(axis=1))
-        first = fam.dy @ weights
-        rhs = fam.dy @ jumps - first * vec(rho)
-        A = np.eye(d * d, dtype=complex) - L.matrix
-        eta0, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-        eta = unvec(eta0, d)
-        eta = eta - np.trace(eta) * rho  # fix the kernel component: traceless
-        resid = np.abs(A @ vec(eta) - rhs).max()
-        if resid > 1e-10:
-            raise ValueError(f"perturbation solve residual {resid:.3e} at s={s}")
-        eta_weights = np.real((fam.kron @ vec(eta))[:, diag].sum(axis=1))
-        l1s[i] = first
-        l2s[i] = fam.dy**2 @ weights + 2 * fam.dy @ eta_weights
-    d1 = float(simpson(l1s, x=s_grid))
-    d2 = float(simpson(l2s - l1s**2, x=s_grid))
-    return d1, d2
+    return LambdaEvaluator(model, n_nodes, Y).derivatives_at_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +215,17 @@ def legendre_transform(
     return float(a * x - ev(a))
 
 
+def legendre_point(ev: LambdaEvaluator, alpha: float) -> tuple[float, float]:
+    """(x, Lambda*(x)) at the slope x = Lambda'(alpha).
+
+    Lambda is convex, so alpha itself maximises a*x - Lambda(a) and
+    Lambda*(x) = alpha*x - Lambda(alpha): the parametric form of the
+    Legendre transform, with no search for the maximiser.
+    """
+    x = ev.derivative(alpha)
+    return x, float(alpha * x - ev(alpha))
+
+
 def gc_symmetry_defect(ev: LambdaEvaluator) -> float:
     """max over DEFAULT_ALPHA_GRID of |Lambda(alpha) - Lambda(-1-alpha)|."""
     lo, hi, n = DEFAULT_ALPHA_GRID
@@ -228,13 +243,14 @@ def rate_function_symmetry_defect(
     This is the rate-function form of the Lambda(alpha) = Lambda(-1-alpha)
     symmetry: Lambda*(x) = -x + Lambda*(-x). The grid is x = Lambda'(alpha)
     for alpha uniform in [-2, 1], so both x and -x are reached by
-    stationary points inside the safeguard interval.
+    stationary points inside the safeguard interval. Lambda*(x) is read off
+    its own maximiser alpha; Lambda*(-x) is searched for, because taking its
+    maximiser -1 - alpha from the symmetry would assume what is tested.
     """
     window = ev.support_window()
     worst = 0.0
     for a in np.linspace(-2.0, 1.0, n_points):
-        x = ev.derivative(a)
-        lhs = legendre_transform(ev, x, window=window)
+        x, lhs = legendre_point(ev, a)
         rhs = -x + legendre_transform(ev, -x, window=window)
         worst = max(worst, abs(lhs - rhs))
     return worst

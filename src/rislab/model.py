@@ -126,19 +126,32 @@ class RISModel:
 
 
 def gibbs_state(h: np.ndarray, beta: float) -> np.ndarray:
-    """exp(-beta*h) / Tr exp(-beta*h)."""
-    g = herm_exp(h, -float(beta))
-    return g / np.trace(g).real
+    """exp(-beta*h) / Tr exp(-beta*h); h and beta may carry a node axis."""
+    g = herm_exp(h, -np.asarray(beta, dtype=float))
+    return g / np.trace(g, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def _at_nodes(f: Callable, s) -> np.ndarray:
+    """f(s), or f at each node of a 1-d array s stacked along a leading axis."""
+    s = np.asarray(s, dtype=float)
+    if s.ndim == 0:
+        return np.asarray(f(float(s)))
+    return np.stack([np.asarray(f(float(x))) for x in s])
 
 
 def probe_state(model: RISModel, s: float) -> np.ndarray:
     return gibbs_state(model.h_env(s), model.beta(s))
 
 
-def total_hamiltonian(model: RISModel, s: float) -> np.ndarray:
+# total_hamiltonian and joint_unitary take one node or a 1-d array of nodes;
+# for an array they return the stack of the per-node results, each bitwise
+# equal to the result for that node alone.
+
+
+def total_hamiltonian(model: RISModel, s) -> np.ndarray:
     dS, dE = model.dim_sys, model.dim_env
-    hE = assert_hermitian(model.h_env(s))
-    V = assert_hermitian(model.coupling(s))
+    hE = assert_hermitian(_at_nodes(model.h_env, s))
+    V = assert_hermitian(_at_nodes(model.coupling, s))
     return (
         tensor_product(model.h_sys, np.eye(dE))
         + tensor_product(np.eye(dS), hE)
@@ -146,7 +159,7 @@ def total_hamiltonian(model: RISModel, s: float) -> np.ndarray:
     )
 
 
-def joint_unitary(model: RISModel, s: float) -> np.ndarray:
+def joint_unitary(model: RISModel, s) -> np.ndarray:
     """exp(-i*tau*(h_sys + h_env(s) + v(s))) on the system-probe pair."""
     return herm_exp(total_hamiltonian(model, s), -1j * model.tau)
 
@@ -189,34 +202,63 @@ def default_counting_observable(model: RISModel, s: float) -> np.ndarray:
     return float(model.beta(s)) * assert_hermitian(model.h_env(s))
 
 
+def kraus_families(
+    model: RISModel, s_values, Y: np.ndarray | None = None
+) -> list[KrausFamily]:
+    """The kernels of a set of protocol nodes, built in one pass.
+
+    Kraus operators K_ij = (Id x <psi_j|) U (Id x xi^{1/2} |psi_i>), with
+    psi the eigenbasis of Y and xi the probe Gibbs state; the reduced map
+    is X -> sum_ij K_ij X K_ij*. Y, h_env, xi and the total Hamiltonian are
+    each decomposed in one stacked eigh, and every kernel is bitwise equal
+    to the one built for its node alone. A caller-supplied Y is used at
+    every node.
+    """
+    dS, dE = model.dim_sys, model.dim_env
+    s_values = np.asarray(s_values, dtype=float).reshape(-1)
+    n = s_values.size
+    if n == 0:
+        return []
+    # default_counting_observable and probe_state of every node, from one
+    # reading of beta(s) and h_env(s) per node
+    beta = _at_nodes(model.beta, s_values).astype(float)
+    h_env = assert_hermitian(_at_nodes(model.h_env, s_values))
+    if Y is None:
+        Y = beta[:, None, None] * h_env
+    else:
+        Y = np.broadcast_to(Y, (n,) + np.shape(Y))
+    y, psi = hermitian_eig(Y)
+    xi = gibbs_state(h_env, beta)
+    psi_h = np.swapaxes(psi.conj(), -1, -2)
+    xi_y = psi_h @ xi @ psi
+    xi_y_half = psi_h @ herm_power(xi, 0.5) @ psi
+    U4 = joint_unitary(model, s_values).reshape(n, dS, dE, dS, dE)
+    # per node, the very calls of a one-node build, so they round alike on any numpy
+    A = [np.einsum("eb,menf,fa->bamn", p.conj(), u, p) for p, u in zip(psi, U4)]
+    K = np.stack([np.einsum("ca,bcmn->abmn", h, a) for h, a in zip(xi_y_half, A)])
+    K = K.reshape(n, dE * dE, dS, dS)
+    kron = kron_stack(K.reshape(-1, dS, dS)).reshape(n, dE * dE, dS**2, dS**2)
+    dy = (y[:, None, :] - y[:, :, None]).reshape(n, -1)
+    return [
+        KrausFamily(
+            kraus=tuple(K[i]),
+            dy=dy[i],
+            y_eigenvalues=y[i],
+            basis=psi[i],
+            transitions=A[i],
+            xi_y=xi_y[i],
+            groups=outcome_groups(y[i]).astype(float),
+            kron=kron[i],
+        )
+        for i in range(n)
+    ]
+
+
 def kraus_family(
     model: RISModel, s: float, Y: np.ndarray | None = None
 ) -> KrausFamily:
-    """Kraus operators K_ij = (Id x <psi_j|) U (Id x xi^{1/2} |psi_i>).
-
-    psi is the eigenbasis of Y and xi the probe Gibbs state; the reduced
-    map is X -> sum_ij K_ij X K_ij*.
-    """
-    dS, dE = model.dim_sys, model.dim_env
-    if Y is None:
-        Y = default_counting_observable(model, s)
-    y, psi = hermitian_eig(Y)
-    xi = probe_state(model, s)
-    xi_y = psi.conj().T @ xi @ psi
-    xi_y_half = psi.conj().T @ herm_power(xi, 0.5) @ psi
-    U4 = joint_unitary(model, s).reshape(dS, dE, dS, dE)
-    A = np.einsum("eb,menf,fa->bamn", psi.conj(), U4, psi)
-    K = np.einsum("ca,bcmn->abmn", xi_y_half, A).reshape(dE * dE, dS, dS)
-    return KrausFamily(
-        kraus=tuple(K),
-        dy=(y[None, :] - y[:, None]).reshape(-1),
-        y_eigenvalues=y,
-        basis=psi,
-        transitions=A,
-        xi_y=xi_y,
-        groups=outcome_groups(y).astype(float),
-        kron=kron_stack(K),
-    )
+    """The kernel of one protocol node: the one-node view of kraus_families."""
+    return kraus_families(model, [s], Y)[0]
 
 
 def reduced_map(model: RISModel, s: float) -> SuperOperator:

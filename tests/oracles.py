@@ -1,13 +1,16 @@
 """Independent cross-check routes for the per-node maps.
 
-The library derives every map of a protocol node from one kernel
-(``rislab.model.kraus_family``). The routes here build the same maps from
-their defining expressions instead: a per-transition Kraus contraction and
-partial traces of the joint evolution applied to the matrix units. They
-are slow and used only as oracles by the tests. ``forward_prob``,
-``backward_prob`` and ``balance_rhs`` evaluate one record at a time what
-the library computes for a whole enumerated measure; ``records`` lists
-the measure's records in their tuple form.
+The library derives every map of a protocol node from one kernel, built
+for a whole node set at once by ``rislab.model.kraus_families``.
+``kraus_family`` here builds one node's kernel alone, as the library did
+before the stacked build, and must agree with it bitwise. The other routes
+build the same maps from their defining expressions instead: a
+per-transition Kraus contraction and partial traces of the joint evolution
+applied to the matrix units. They are slow and used only as oracles by the
+tests. ``forward_prob``, ``backward_prob`` and ``balance_rhs`` evaluate one
+record at a time what the library computes for a whole enumerated measure,
+reading the chain of each (model, setup, T) from a cache filled on its
+first record; ``records`` lists the measure's records in their tuple form.
 """
 
 from __future__ import annotations
@@ -30,17 +33,50 @@ from rislab.linalg import (
     herm_exp,
     herm_power,
     hermitian_eig,
+    kron_stack,
+    outcome_groups,
     partial_trace_env,
     tensor_product,
     unvec,
     vec,
 )
 from rislab.model import (
+    KrausFamily,
     RISModel,
     default_counting_observable,
     joint_unitary,
     probe_state,
 )
+
+
+def kraus_family(
+    model: RISModel, s: float, Y: np.ndarray | None = None
+) -> KrausFamily:
+    """Kraus operators K_ij = (Id x <psi_j|) U (Id x xi^{1/2} |psi_i>).
+
+    psi is the eigenbasis of Y and xi the probe Gibbs state; the reduced
+    map is X -> sum_ij K_ij X K_ij*.
+    """
+    dS, dE = model.dim_sys, model.dim_env
+    if Y is None:
+        Y = default_counting_observable(model, s)
+    y, psi = hermitian_eig(Y)
+    xi = probe_state(model, s)
+    xi_y = psi.conj().T @ xi @ psi
+    xi_y_half = psi.conj().T @ herm_power(xi, 0.5) @ psi
+    U4 = joint_unitary(model, s).reshape(dS, dE, dS, dE)
+    A = np.einsum("eb,menf,fa->bamn", psi.conj(), U4, psi)
+    K = np.einsum("ca,bcmn->abmn", xi_y_half, A).reshape(dE * dE, dS, dS)
+    return KrausFamily(
+        kraus=tuple(K),
+        dy=(y[None, :] - y[:, None]).reshape(-1),
+        y_eigenvalues=y,
+        basis=psi,
+        transitions=A,
+        xi_y=xi_y,
+        groups=outcome_groups(y).astype(float),
+        kron=kron_stack(K),
+    )
 
 
 def kraus_operators(
@@ -184,6 +220,26 @@ def records(measure: TrajectoryMeasure, n_out: int) -> list[tuple]:
     ]
 
 
+# (id(model), id(setup), T) -> (model, setup, chain data). The entry holds
+# the model and the setup, so neither id can be reused while it is cached.
+_CHAINS: dict = {}
+
+
+def _chain(model: RISModel, setup: MeasurementSetup, T: int) -> tuple:
+    """(obs_f, rho_f, steps, applicable) of one protocol, built once.
+
+    The per-record oracles below read the same final observable, evolved
+    state and step maps for every record of a (model, setup, T); models and
+    setups are frozen, so the chain is built on the first record only.
+    """
+    key = (id(model), id(setup), T)
+    if key not in _CHAINS:
+        obs_f, rho_f = resolve_final_observable(model, setup, T)
+        data = (obs_f, rho_f, _all_steps(model, T), balance_applicable(model, setup, T))
+        _CHAINS[key] = (model, setup, data)
+    return _CHAINS[key][2]
+
+
 def balance_rhs(
     model: RISModel, setup: MeasurementSetup, record, T: int
 ) -> float | None:
@@ -193,10 +249,10 @@ def balance_rhs(
     + sum_k beta_k (E_{j_k} - E_{i_k}), with E_i the mean probe energy on
     the i-th outcome eigenspace.
     """
-    if not balance_applicable(model, setup, T):
+    obs_f, rho_f, steps, applicable = _chain(model, setup, T)
+    if not applicable:
         return None
     ai, probes, af = record
-    obs_f, rho_f = resolve_final_observable(model, setup, T)
     pi_i = setup.obs_i.projectors[ai]
     pi_f = obs_f.projectors[af]
     wi = np.trace(pi_i @ setup.rho_i).real
@@ -206,7 +262,6 @@ def balance_rhs(
     out = np.log(wi / wf) + np.log(
         np.trace(pi_f).real / np.trace(pi_i).real
     )
-    steps = _all_steps(model, T)
     for step, (i, j) in zip(steps, probes):
         out += step.beta * (step.energies[j] - step.energies[i])
     return float(out)
@@ -220,8 +275,7 @@ def forward_prob(
 ) -> float:
     """Probability of one full forward record (ai_idx, [(i_k, j_k)], af_idx)."""
     ai, probes, af = record
-    obs_f, _ = resolve_final_observable(model, setup, T)
-    steps = _all_steps(model, T)
+    obs_f, _, steps, _ = _chain(model, setup, T)
     pi_i = setup.obs_i.projectors[ai]
     x = vec(pi_i @ setup.rho_i @ pi_i)
     for step, (i, j) in zip(steps, probes):
@@ -238,8 +292,7 @@ def backward_prob(
 ) -> float:
     """Probability of one record under the time-reversed protocol."""
     ai, probes, af = record
-    obs_f, rho_f = resolve_final_observable(model, setup, T)
-    steps = _all_steps(model, T)
+    obs_f, rho_f, steps, _ = _chain(model, setup, T)
     pi_f = obs_f.projectors[af]
     x = vec(pi_f @ rho_f @ pi_f)
     for step, (i, j) in zip(reversed(steps), reversed(probes)):

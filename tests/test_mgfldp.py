@@ -77,6 +77,16 @@ def test_legendre_basics(fd_ev):
         assert abs(val - (a * x - fd_ev(a))) < 1e-7
 
 
+def test_legendre_point_matches_the_search(fd_ev):
+    """The parametric form alpha*x - Lambda(alpha) at x = Lambda'(alpha)
+    agrees with the transform whose maximiser is searched for."""
+    window = fd_ev.support_window()
+    for a in (-2.0, -1.3, -0.5, 0.0, 0.4, 1.0):
+        x, rate = mg.legendre_point(fd_ev, a)
+        assert x == fd_ev.derivative(a)
+        assert abs(rate - mg.legendre_transform(fd_ev, x, window=window)) < 1e-12
+
+
 def test_mgf_product_matches_enumeration():
     m = mod.fd_model()
     setup = fs.entropic_setup(mod.gibbs_state(m.h_sys, m.beta(0.0)))

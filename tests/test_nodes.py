@@ -17,13 +17,14 @@ def _distinct_nodes(Ts) -> int:
 
 @pytest.fixture
 def kraus_builds(monkeypatch):
-    """Count kraus_family calls, wrapped in every rislab namespace that binds it."""
-    original = mod.kraus_family
+    """The nodes built through kraus_families, wrapped in every rislab namespace
+    that binds it (kraus_family builds through it too)."""
+    original = mod.kraus_families
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
+    def counted(model, s_values, *args, **kwargs):
+        calls.extend(np.asarray(s_values, dtype=float).reshape(-1).tolist())
+        return original(model, s_values, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if module is None or not (name == "rislab" or name.startswith("rislab.")):
@@ -37,7 +38,7 @@ def kraus_builds(monkeypatch):
 def test_cli_builds_each_node_once(tmp_path, kraus_builds):
     num = BASE["numeric"]
     chain = _distinct_nodes(num["T_list"])
-    s_nodes = num["s_nodes"] | 1  # lambda_derivatives_at_zero makes the grid odd
+    s_nodes = num["s_nodes"] | 1  # the Lambda evaluator makes the grid odd
     # x0 adds its two direct reduced_map(m, 0.0) and reduced_map(m, 1.0) calls
     # and simulate the s grid of lambda_derivatives_at_zero.
     bounds = {
@@ -48,6 +49,25 @@ def test_cli_builds_each_node_once(tmp_path, kraus_builds):
     for task, bound in bounds.items():
         kraus_builds.clear()
         _run(task, tmp_path, sub=task)
+        assert 0 < len(kraus_builds) <= bound, (task, len(kraus_builds), bound)
+
+
+def test_protocol_tasks_build_each_s_once(tmp_path, kraus_builds):
+    num = BASE["numeric"]
+    s_nodes = num["s_nodes"] | 1
+    # adiabatic: the exact chains' k/T, s = 0 and the theta grid of at least
+    # 201 nodes with its centred-difference neighbours
+    theta = max(201, max(num["T_list"]) + 1) | 1
+    bounds = {
+        "spectrum": num["s_nodes"],
+        "lambda": s_nodes,
+        "ldp": s_nodes,
+        "adiabatic": _distinct_nodes(num["T_list"]) + 1 + 3 * theta,
+    }
+    for task, bound in bounds.items():
+        kraus_builds.clear()
+        _run(task, tmp_path, sub=task)
+        assert len(set(kraus_builds)) == len(kraus_builds), task
         assert 0 < len(kraus_builds) <= bound, (task, len(kraus_builds), bound)
 
 
