@@ -31,10 +31,9 @@ class AdiabaticFamily:
     must be constant along the protocol (checked lazily).
     """
 
-    def __init__(self, model: RISModel, alpha: float, Y=None):
+    def __init__(self, model: RISModel, alpha: float):
         self.model = model
         self.alpha = float(alpha)
-        self.Y = Y
         self._maps: dict[float, SuperOperator] = {}
         self._decs: dict[float, PeripheralDecomposition] = {}
         self._period: int | None = None
@@ -51,7 +50,7 @@ class AdiabaticFamily:
         todo = [s for s in dict.fromkeys(map(float, s_values)) if s not in self._maps]
         for start in range(0, len(todo), PREPARE_BLOCK):
             block = todo[start : start + PREPARE_BLOCK]
-            for s, fam in zip(block, kraus_families(self.model, block, self.Y)):
+            for s, fam in zip(block, kraus_families(self.model, block)):
                 self._maps[s] = deformed_map(self.model, s, self.alpha, fam=fam)
 
     def map(self, s: float) -> SuperOperator:
@@ -154,18 +153,14 @@ def intertwiner(family: AdiabaticFamily, s_nodes) -> np.ndarray:
     return np.stack(out)
 
 
-def product_decomposition_residual(
-    family: AdiabaticFamily, T: int, k: int | None = None
-) -> float:
+def product_decomposition_residual(family: AdiabaticFamily, T: int) -> float:
     """Operator-norm residual of the adiabatic product decomposition.
 
-    Compares the exact normalized chain F(k/T)...F(1/T) against
-    sum_m theta^{m k} W(k/T) P^m(0) plus the peripheral-complement chain
-    (F Q)(k/T)...(F Q)(1/T) Q(0); the residual decays like 1/T.
+    Compares the exact normalized chain F(T/T)...F(1/T) against
+    sum_m theta^{m T} W(1) P^m(0) plus the peripheral-complement chain
+    (F Q)(T/T)...(F Q)(1/T) Q(0); the residual decays like 1/T.
     """
-    if k is None:
-        k = T
-    nodes = np.array([j / T for j in range(k + 1)])
+    nodes = np.array([j / T for j in range(T + 1)])
     W = intertwiner(family, nodes)[-1]  # prepares every node read below
     dec0 = family.decomposition(0.0)
     z = dec0.period
@@ -174,36 +169,27 @@ def product_decomposition_residual(
     d2 = family.dim**2
     chain = np.eye(d2, dtype=complex)
     qchain = np.eye(d2, dtype=complex)
-    for j in range(1, k + 1):
+    for j in range(1, T + 1):
         s = j / T
         F = family.normalized(s)
         chain = F @ chain
         qchain = (F @ family.complement(s)) @ qchain
     approx = sum(
-        theta ** (m * k) * (W @ dec0.spectral_projectors[m]) for m in range(z)
+        theta ** (m * T) * (W @ dec0.spectral_projectors[m]) for m in range(z)
     )
     approx = approx + qchain @ family.complement(0.0)
     return float(np.linalg.norm(chain - approx, 2))
 
 
-def theta_integral(
-    family: AdiabaticFamily,
-    upper: float,
-    *,
-    n_nodes: int | None = None,
-) -> complex:
-    """theta^(alpha)(upper) = int_0^upper Tr(iota(s) d rho(s)/ds) ds.
+def theta_integral(family: AdiabaticFamily, *, n_nodes: int = 201) -> complex:
+    """theta^(alpha)(1) = int_0^1 Tr(iota(s) d rho(s)/ds) ds.
 
-    Composite Simpson quadrature on an odd uniform grid (at least 201
-    nodes by default).
+    Composite Simpson quadrature on an odd uniform grid of at least n_nodes
+    nodes.
     """
-    if upper == 0.0:
-        return 0.0
-    if n_nodes is None:
-        n_nodes = 201
     if n_nodes % 2 == 0:
         n_nodes += 1
-    s_grid = np.linspace(0.0, upper, n_nodes)
+    s_grid = np.linspace(0.0, 1.0, n_nodes)
     family.prepare(_with_neighbours(s_grid))
     vals = np.empty(n_nodes, dtype=complex)
     for i, s in enumerate(s_grid):
@@ -216,41 +202,33 @@ def theta_integral(
 
 
 def exact_deformed_chain(
-    family: AdiabaticFamily, rho_i: np.ndarray, T: int, k: int | None = None
+    family: AdiabaticFamily, rho_i: np.ndarray, T: int
 ) -> np.ndarray:
-    """Apply the normalized deformed chain F(k/T)...F(1/T) to a state."""
-    if k is None:
-        k = T
-    family.prepare([j / T for j in range(1, k + 1)])
+    """Apply the normalized deformed chain F(T/T)...F(1/T) to a state."""
+    family.prepare([j / T for j in range(1, T + 1)])
     x = vec(rho_i)
-    for j in range(1, k + 1):
+    for j in range(1, T + 1):
         x = family.normalized(j / T) @ x
     return unvec(x, family.dim)
 
 
 def deformed_adiabatic_state(
-    family: AdiabaticFamily,
-    rho_i: np.ndarray,
-    T: int,
-    k: int | None = None,
+    family: AdiabaticFamily, rho_i: np.ndarray, T: int
 ) -> np.ndarray:
     """Leading adiabatic approximation of the normalized deformed chain.
 
-    z * e^{-theta^(alpha)(k/T)} * sum_m Tr(iota(0) p_m(0) rho_i)
-    rho^(alpha)(k/T) p_{m-k mod z}(k/T); the exact chain differs from this
-    by O(1/T) uniformly in k.
+    z * e^{-theta^(alpha)(1)} * sum_m Tr(iota(0) p_m(0) rho_i)
+    rho^(alpha)(1) p_{m-T mod z}(1); the exact chain F(T/T)...F(1/T)
+    differs from this by O(1/T).
     """
-    if k is None:
-        k = T
-    s = k / T
     dec0 = family.decomposition(0.0)
-    decs = family.decomposition(float(s))
+    decs = family.decomposition(1.0)
     z = dec0.period
-    phase = np.exp(-theta_integral(family, s, n_nodes=max(201, T + 1)))
+    phase = np.exp(-theta_integral(family, n_nodes=max(201, T + 1)))
     out = np.zeros((family.dim,) * 2, dtype=complex)
     for m in range(z):
         weight = np.trace(dec0.iota @ dec0.cycle_projectors[m] @ rho_i)
-        out += weight * decs.rho @ decs.cycle_projectors[(m - k) % z]
+        out += weight * decs.rho @ decs.cycle_projectors[(m - T) % z]
     return z * phase * out
 
 

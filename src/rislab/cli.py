@@ -170,10 +170,10 @@ def task_x0(cfg: RunConfig, out: str) -> None:
     m = cfg.model
     rho_i = _initial_state(cfg)
     setup = fullstats.entropic_setup(rho_i)
-    rho0 = spectral.invariant_state(model.reduced_map(m, 0.0))
-    rho1 = spectral.invariant_state(model.reduced_map(m, 1.0))
-    grid = [(-0.5, -0.5), (-0.5, 0.5), (0.0, 0.3), (0.5, -0.5), (0.5, 0.5)]
     nodes = fullstats.ProtocolNodes(m)
+    rho0 = spectral.invariant_state(nodes.reduced(0.0))
+    rho1 = spectral.invariant_state(nodes.reduced(1.0))
+    grid = [(-0.5, -0.5), (-0.5, 0.5), (0.0, 0.3), (0.5, -0.5), (0.5, 0.5)]
     fh, w = _writer(os.path.join(out, "x0.csv"))
     with fh:
         w.writerow(["T", "alpha1", "alpha2", "finite_T", "limit", "abs_error"])

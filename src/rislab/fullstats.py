@@ -160,10 +160,7 @@ class StepOperators:
 
 
 def step_operators(
-    model: RISModel,
-    s: float,
-    Y: np.ndarray | None = None,
-    fam: KrausFamily | None = None,
+    model: RISModel, s: float, fam: KrausFamily | None = None
 ) -> StepOperators:
     """The conditioned step maps as sums over the node's transition blocks.
 
@@ -172,7 +169,7 @@ def step_operators(
     and backward[I, J] = sum_{a in I; b, c in J} xi_y[b, c] A[c, a]^T kron A[b, a]*.
     """
     if fam is None:
-        fam = kraus_family(model, s, Y)
+        fam = kraus_family(model, s)
     G, A, psi = fam.groups, fam.transitions, fam.basis
     n, d2 = G.shape[0], model.dim_sys**2
     # Pi_I xi Pi_I for every outcome I, in the Y basis
@@ -205,17 +202,14 @@ class ProtocolNodes:
     are keyed by the
     exact double float(s), so the chains of a nested T list share their
     nodes: k/T and (m*k)/(m*T) round to the same double. Per node the table
-    holds the kernel, the reduced map L(s) (validated once) and the
-    conditioned step maps; a chain at alpha != 0 reads the kernel's
-    ``deformed_matrix``. The kernel and the step maps count with the table's
-    Y; L(s) always comes from the default-Y kernel, as ``model.reduced_map``
-    does, so the reduced chain is the same for every Y. A table lives as
-    long as the task that made it.
+    holds one kernel, counting the model's Y, and the reduced map L(s)
+    (validated once) and the conditioned step maps built from it; a chain at
+    alpha != 0 reads the kernel's ``deformed_matrix``. A table lives as long
+    as the task that made it.
     """
 
-    def __init__(self, model: RISModel, Y: np.ndarray | None = None):
+    def __init__(self, model: RISModel):
         self.model = model
-        self.Y = Y
         self._families: dict[float, KrausFamily] = {}
         self._reduced: dict[float, SuperOperator] = {}
         self._steps: dict[float, StepOperators] = {}
@@ -228,34 +222,33 @@ class ProtocolNodes:
         """
         s_values = [k / T for k in range(1, T + 1)]
         todo = [s for s in s_values if s not in self._families]
-        self._families.update(zip(todo, kraus_families(self.model, todo, self.Y)))
+        self._families.update(zip(todo, kraus_families(self.model, todo)))
         return s_values
 
     def family(self, s: float) -> KrausFamily:
         s = float(s)
         if s not in self._families:
-            self._families[s] = kraus_family(self.model, s, self.Y)
+            self._families[s] = kraus_family(self.model, s)
         return self._families[s]
 
     def reduced(self, s: float) -> SuperOperator:
         s = float(s)
         if s not in self._reduced:
-            fam = self.family(s) if self.Y is None else kraus_family(self.model, s)
-            self._reduced[s] = deformed_map(self.model, s, 0.0, fam=fam)
+            self._reduced[s] = deformed_map(self.model, s, 0.0, fam=self.family(s))
         return self._reduced[s]
 
     def steps(self, s: float) -> StepOperators:
         s = float(s)
         if s not in self._steps:
-            self._steps[s] = step_operators(self.model, s, self.Y, fam=self.family(s))
+            self._steps[s] = step_operators(self.model, s, fam=self.family(s))
         return self._steps[s]
 
 
 def node_table(model: RISModel, nodes: ProtocolNodes | None = None) -> ProtocolNodes:
-    """The table a chain walker reads: ``nodes``, or a fresh default-Y one if None.
+    """The table a chain walker reads: ``nodes``, or a fresh one if None.
 
-    The table is the walker's only source of the counting observable Y. A
-    table built for another model object raises ValueError.
+    A table built for another model object raises ValueError, so every
+    layer of a task counts the same Y, the model's.
     """
     if nodes is None:
         return ProtocolNodes(model)

@@ -48,7 +48,7 @@ def mgf_pair(
     """Joint E e^{alpha1 Delta_y + alpha2 Delta_a}, Delta_a = a_i - a_f.
 
     Tr( e^{-alpha2 A_f} L^(a1)-chain( sum_i e^{alpha2 a_i} pi_i rho_i pi_i ) ),
-    with Y the counting observable of ``nodes``; alpha2 = 0 gives
+    with Y the model's counting observable; alpha2 = 0 gives
     E e^{alpha1 Delta_y}.
     """
     nodes = node_table(model, nodes)
@@ -92,12 +92,12 @@ class LambdaEvaluator:
     on an odd uniform grid.
     """
 
-    def __init__(self, model: RISModel, n_nodes: int = DEFAULT_S_NODES, Y=None):
+    def __init__(self, model: RISModel, n_nodes: int = DEFAULT_S_NODES):
         if n_nodes % 2 == 0:
             n_nodes += 1
         self.model = model
         self.s_grid = np.linspace(0.0, 1.0, n_nodes)
-        self._fams = kraus_families(model, self.s_grid, Y)
+        self._fams = kraus_families(model, self.s_grid)
         self._mats = np.stack([f.kron for f in self._fams])  # (S, nK, d^2, d^2)
         self._dys = np.stack([f.dy for f in self._fams])  # (S, nK)
         self._cache: dict[float, float] = {}
@@ -166,14 +166,14 @@ class LambdaEvaluator:
 
 
 def lambda_derivatives_at_zero(
-    model: RISModel, n_nodes: int = DEFAULT_S_NODES, Y=None
+    model: RISModel, n_nodes: int = DEFAULT_S_NODES
 ) -> tuple[float, float]:
     """(Lambda'(0), Lambda''(0)) on n_nodes nodes.
 
     See ``LambdaEvaluator.derivatives_at_zero``; an evaluator already built
     for the same grid gives them from its own kernels.
     """
-    return LambdaEvaluator(model, n_nodes, Y).derivatives_at_zero()
+    return LambdaEvaluator(model, n_nodes).derivatives_at_zero()
 
 
 # ---------------------------------------------------------------------------

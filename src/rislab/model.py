@@ -109,6 +109,8 @@ class RISModel:
     ``h_env`` and ``coupling`` are functions of s returning Hermitian
     matrices (dim_env x dim_env and the full dim_sys*dim_env square,
     respectively); ``beta`` is the inverse-temperature schedule.
+    ``counting`` returns the Hermitian probe observable Y(s) that the
+    two-time protocol measures; None means beta(s) * h_env(s).
     """
 
     dim_sys: int
@@ -118,6 +120,7 @@ class RISModel:
     coupling: Callable[[float], np.ndarray]
     beta: Callable[[float], float]
     tau: float
+    counting: Callable[[float], np.ndarray] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "h_sys", assert_hermitian(self.h_sys))
@@ -197,37 +200,37 @@ class KrausFamily:
         return np.einsum("n,nab->ab", np.exp(complex(alpha) * self.dy), self.kron)
 
 
-def default_counting_observable(model: RISModel, s: float) -> np.ndarray:
-    """Y = beta(s) * h_env(s), the entropic counting observable."""
-    return float(model.beta(s)) * assert_hermitian(model.h_env(s))
+def counting_observable(model: RISModel, s, beta, h_env) -> np.ndarray:
+    """Y(s), the probe observable counted at one node or at a 1-d array of nodes.
+
+    ``beta`` and ``h_env`` are the schedule and the probe Hamiltonian already
+    read at those nodes. Y is ``model.counting`` when it is set, and the
+    entropic beta(s) * h_env(s) when it is None.
+    """
+    if model.counting is not None:
+        return _at_nodes(model.counting, s)
+    return np.asarray(beta, dtype=float)[..., None, None] * h_env
 
 
-def kraus_families(
-    model: RISModel, s_values, Y: np.ndarray | None = None
-) -> list[KrausFamily]:
+def kraus_families(model: RISModel, s_values) -> list[KrausFamily]:
     """The kernels of a set of protocol nodes, built in one pass.
 
     Kraus operators K_ij = (Id x <psi_j|) U (Id x xi^{1/2} |psi_i>), with
-    psi the eigenbasis of Y and xi the probe Gibbs state; the reduced map
-    is X -> sum_ij K_ij X K_ij*. Y, h_env, xi and the total Hamiltonian are
-    each decomposed in one stacked eigh, and every kernel is bitwise equal
-    to the one built for its node alone. A caller-supplied Y is used at
-    every node.
+    psi the eigenbasis of the model's counting observable Y and xi the probe
+    Gibbs state; the reduced map is X -> sum_ij K_ij X K_ij*. Y, h_env, xi
+    and the total Hamiltonian are each decomposed in one stacked eigh, and
+    every kernel is bitwise equal to the one built for its node alone.
     """
     dS, dE = model.dim_sys, model.dim_env
     s_values = np.asarray(s_values, dtype=float).reshape(-1)
     n = s_values.size
     if n == 0:
         return []
-    # default_counting_observable and probe_state of every node, from one
-    # reading of beta(s) and h_env(s) per node
+    # Y and the probe state of every node, from one reading of beta(s) and
+    # h_env(s) per node
     beta = _at_nodes(model.beta, s_values).astype(float)
     h_env = assert_hermitian(_at_nodes(model.h_env, s_values))
-    if Y is None:
-        Y = beta[:, None, None] * h_env
-    else:
-        Y = np.broadcast_to(Y, (n,) + np.shape(Y))
-    y, psi = hermitian_eig(Y)
+    y, psi = hermitian_eig(counting_observable(model, s_values, beta, h_env))
     xi = gibbs_state(h_env, beta)
     psi_h = np.swapaxes(psi.conj(), -1, -2)
     xi_y = psi_h @ xi @ psi
@@ -254,11 +257,9 @@ def kraus_families(
     ]
 
 
-def kraus_family(
-    model: RISModel, s: float, Y: np.ndarray | None = None
-) -> KrausFamily:
+def kraus_family(model: RISModel, s: float) -> KrausFamily:
     """The kernel of one protocol node: the one-node view of kraus_families."""
-    return kraus_families(model, [s], Y)[0]
+    return kraus_families(model, [s])[0]
 
 
 def reduced_map(model: RISModel, s: float) -> SuperOperator:
@@ -270,7 +271,6 @@ def deformed_map(
     model: RISModel,
     s: float,
     alpha: complex,
-    Y: np.ndarray | None = None,
     fam: KrausFamily | None = None,
 ) -> SuperOperator:
     """The deformed map L^(alpha)(s): X -> sum_n e^{alpha*dy_n} K_n X K_n*.
@@ -279,7 +279,7 @@ def deformed_map(
     certified trace preserving; at any other alpha only the matrix is kept.
     """
     if fam is None:
-        fam = kraus_family(model, s, Y)
+        fam = kraus_family(model, s)
     matrix = fam.deformed_matrix(alpha)
     if alpha != 0:
         return SuperOperator(dim=model.dim_sys, matrix=matrix)

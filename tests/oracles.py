@@ -43,23 +43,26 @@ from rislab.linalg import (
 from rislab.model import (
     KrausFamily,
     RISModel,
-    default_counting_observable,
+    counting_observable,
     joint_unitary,
     probe_state,
 )
 
 
-def kraus_family(
-    model: RISModel, s: float, Y: np.ndarray | None = None
-) -> KrausFamily:
+def _counting(model: RISModel, s: float) -> np.ndarray:
+    """Y(s) through the library's one definition of the counting observable."""
+    beta = float(model.beta(s))
+    return counting_observable(model, s, beta, assert_hermitian(model.h_env(s)))
+
+
+def kraus_family(model: RISModel, s: float) -> KrausFamily:
     """Kraus operators K_ij = (Id x <psi_j|) U (Id x xi^{1/2} |psi_i>).
 
     psi is the eigenbasis of Y and xi the probe Gibbs state; the reduced
     map is X -> sum_ij K_ij X K_ij*.
     """
     dS, dE = model.dim_sys, model.dim_env
-    if Y is None:
-        Y = default_counting_observable(model, s)
+    Y = _counting(model, s)
     y, psi = hermitian_eig(Y)
     xi = probe_state(model, s)
     xi_y = psi.conj().T @ xi @ psi
@@ -79,16 +82,13 @@ def kraus_family(
     )
 
 
-def kraus_operators(
-    model: RISModel, s: float, Y: np.ndarray | None = None
-) -> list[np.ndarray]:
+def kraus_operators(model: RISModel, s: float) -> list[np.ndarray]:
     """K_ij = (Id x <psi_j|) U (Id x xi^{1/2} |psi_i>), one contraction each.
 
     Ordered as the kernel's stack: input index i outer, output index j inner.
     """
     dS, dE = model.dim_sys, model.dim_env
-    if Y is None:
-        Y = default_counting_observable(model, s)
+    Y = _counting(model, s)
     _, psi = hermitian_eig(Y)
     xi_half = herm_power(probe_state(model, s), 0.5)
     U4 = joint_unitary(model, s).reshape(dS, dE, dS, dE)
@@ -100,9 +100,7 @@ def kraus_operators(
     ]
 
 
-def deformed_map_bare(
-    model: RISModel, s: float, alpha: complex, Y: np.ndarray | None = None
-) -> SuperOperator:
+def deformed_map_bare(model: RISModel, s: float, alpha: complex) -> SuperOperator:
     """The deformed map from its defining expression (cross-check route).
 
     X -> Tr_env( e^{alpha Y} U (X x xi) e^{-alpha Y} U* ), evaluated by
@@ -110,8 +108,7 @@ def deformed_map_bare(
     route whenever Y commutes with the probe state.
     """
     dS, dE = model.dim_sys, model.dim_env
-    if Y is None:
-        Y = default_counting_observable(model, s)
+    Y = _counting(model, s)
     U = joint_unitary(model, s)
     xi = probe_state(model, s)
     ep = herm_exp(Y, complex(alpha))
@@ -128,17 +125,14 @@ def deformed_map_bare(
     return SuperOperator(dim=dS, matrix=mat)
 
 
-def deformed_adjoint_map(
-    model: RISModel, s: float, alpha: complex, Y: np.ndarray | None = None
-) -> SuperOperator:
+def deformed_adjoint_map(model: RISModel, s: float, alpha: complex) -> SuperOperator:
     """Adjoint of the deformed map from its closed-form expression.
 
     X -> Tr_env( e^{-(conj(alpha) Y + beta h_env)} U* (X x xi)
                  e^{conj(alpha) Y + beta h_env} U ).
     """
     dS, dE = model.dim_sys, model.dim_env
-    if Y is None:
-        Y = default_counting_observable(model, s)
+    Y = _counting(model, s)
     U = joint_unitary(model, s)
     xi = probe_state(model, s)
     G = np.conjugate(complex(alpha)) * as_complex(Y) + float(model.beta(s)) * as_complex(
@@ -161,12 +155,9 @@ def deformed_adjoint_map(
     return SuperOperator(dim=dS, matrix=mat)
 
 
-def step_operators(
-    model: RISModel, s: float, Y: np.ndarray | None = None
-) -> StepOperators:
+def step_operators(model: RISModel, s: float) -> StepOperators:
     dS, dE = model.dim_sys, model.dim_env
-    if Y is None:
-        Y = default_counting_observable(model, s)
+    Y = _counting(model, s)
     obs = SpectralObservable.from_matrix(Y)
     xi = probe_state(model, s)
     U = joint_unitary(model, s)

@@ -61,7 +61,7 @@ def test_theta_vanishes_for_alpha_zero():
     fam = ad.AdiabaticFamily(mod.fd_model(), 0.0)
     # at alpha = 0 the left eigenvector is the identity, so
     # Tr(iota drho/ds) = d Tr(rho)/ds = 0
-    assert abs(ad.theta_integral(fam, 1.0, n_nodes=51)) < 1e-10
+    assert abs(ad.theta_integral(fam, n_nodes=51)) < 1e-10
 
 
 def test_theta_matches_stationary_closed_form():
@@ -71,7 +71,7 @@ def test_theta_matches_stationary_closed_form():
     b0, b1 = float(m.beta(0.0)), float(m.beta(1.0))
     for alpha in (0.4, -0.7):
         fam = ad.AdiabaticFamily(m, alpha)
-        theta = ad.theta_integral(fam, 1.0, n_nodes=401)
+        theta = ad.theta_integral(fam, n_nodes=401)
         assert abs(theta.imag) < 1e-9
         closed = stationary_log_mgf_theta(k, b0, b1, alpha)
         assert abs(-theta.real - closed) < 1e-7

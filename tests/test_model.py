@@ -207,7 +207,7 @@ def test_fd_deformed_map_closed_form():
 
 def test_default_counting_observable_commutes_with_probe(rng):
     m = random_small_model(rng)
-    Y = mod.default_counting_observable(m, 0.5)
+    Y = mod.counting_observable(m, 0.5, m.beta(0.5), m.h_env(0.5))
     xi = mod.probe_state(m, 0.5)
     assert np.abs(Y @ xi - xi @ Y).max() < 1e-12
 

@@ -1,6 +1,7 @@
 """The per-task node table: each node built once, same results, wrong tables refused."""
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,9 +23,9 @@ def kraus_builds(monkeypatch):
     original = mod.kraus_families
     calls = []
 
-    def counted(model, s_values, *args, **kwargs):
+    def counted(model, s_values):
         calls.extend(np.asarray(s_values, dtype=float).reshape(-1).tolist())
-        return original(model, s_values, *args, **kwargs)
+        return original(model, s_values)
 
     for name, module in list(sys.modules.items()):
         if module is None or not (name == "rislab" or name.startswith("rislab.")):
@@ -39,10 +40,10 @@ def test_cli_builds_each_node_once(tmp_path, kraus_builds):
     num = BASE["numeric"]
     chain = _distinct_nodes(num["T_list"])
     s_nodes = num["s_nodes"] | 1  # the Lambda evaluator makes the grid odd
-    # x0 adds its two direct reduced_map(m, 0.0) and reduced_map(m, 1.0) calls
-    # and simulate the s grid of lambda_derivatives_at_zero.
+    # x0 adds the node s = 0 of its rho_inv(0), read from its table (s = 1
+    # is a chain node), and simulate the s grid of lambda_derivatives_at_zero.
     bounds = {
-        "x0": chain + 2,
+        "x0": chain + 1,
         "simulate": chain + s_nodes,
         "balance": _distinct_nodes([num["T"]]),
     }
@@ -102,23 +103,31 @@ def test_table_for_another_model_is_refused():
         fs.enumerate_measure(m, setup, 2, nodes=other)
 
 
+def test_custom_Y_table_builds_one_kernel_per_node(kraus_builds):
+    """The reduced chain of a table counting another Y reads the table's kernels."""
+    m = replace(mod.fd_model(), counting=lambda s: np.eye(2))
+    fs.evolved_state(m, mod.gibbs_state(m.h_sys, m.beta(0.0)), 10)
+    assert sorted(kraus_builds) == [k / 10 for k in range(1, 11)]
+
+
 def test_balance_rhs_reads_Y_from_the_table():
     """With Y = I the fd probe state is not a function of Y: no balance."""
-    m = mod.fd_model()
+    m = replace(mod.fd_model(), counting=lambda s: np.eye(2))
     setup = fs.entropic_setup(mod.gibbs_state(m.h_sys, m.beta(0.0)))
-    nodes = fs.ProtocolNodes(m, np.eye(2))
+    nodes = fs.ProtocolNodes(m)
     meas = fs.enumerate_measure(m, setup, 2, nodes=nodes)
     assert not fs.balance_applicable(m, setup, 2, nodes=nodes)
     assert fs.balance_rhs(m, setup, meas, 2, nodes=nodes) is None
 
 
 def test_Y_table_serves_every_chain():
-    m = mod.fd_model()
-    setup = fs.entropic_setup(mod.gibbs_state(m.h_sys, m.beta(0.0)))
+    default = mod.fd_model()
     # twice the probe's diagonal: commutes with every probe state, and is
     # not the default beta(s) * h_env(s)
-    Y = 2 * np.diag(np.diag(m.h_env(0.0)))
-    nodes = fs.ProtocolNodes(m, Y)
+    Y = 2 * np.diag(np.diag(default.h_env(0.0)))
+    m = replace(default, counting=lambda s: Y)
+    setup = fs.entropic_setup(mod.gibbs_state(m.h_sys, m.beta(0.0)))
+    nodes = fs.ProtocolNodes(m)
     for T in (2, 3):
         meas = fs.enumerate_measure(m, setup, T, nodes=nodes)
         counts = meas.delta_y / 1.6
@@ -126,8 +135,7 @@ def test_Y_table_serves_every_chain():
         for a1, a2 in ((0.5, -0.5), (-0.3, 0.7), (1.0, 0.0)):
             prod = mg.mgf_pair(m, setup, T, a1, a2, nodes=nodes)
             assert abs(prod - meas.pair_mgf(a1, a2)) < 1e-12
-    # L(s) comes from the default-Y kernel, so any table of the model serves
-    assert np.array_equal(
-        fs.evolved_state(m, setup.rho_i, 4, nodes=nodes),
-        fs.evolved_state(m, setup.rho_i, 4),
-    )
+    # L(s) does not depend on Y: the Y kernel gives the default one's up to round-off
+    got = fs.evolved_state(m, setup.rho_i, 4, nodes=nodes)
+    want = fs.evolved_state(default, setup.rho_i, 4)
+    assert np.abs(got - want).max() <= 1e-13

@@ -6,7 +6,7 @@ of every kernel must be equal to it, not merely close, so that every map,
 chain and CLI output built on the kernels stays byte-identical.
 """
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -60,15 +60,16 @@ def _cases():
         beta=mod.beta_schedule_1(),
         tau=0.7,
     )
+    caller_Y = random_hermitian(rng, 2)
     return [
-        ("fd", mod.fd_model(), None),
-        ("rwa", mod.rwa_model(), None),
-        ("fd-schedule2", mod.fd_model(mod.beta_schedule_2()), None),
-        ("fd-tabulated", mod.fd_model(tabulated), None),
-        ("explicit-3x3", explicit, None),
-        ("moving-probe", moving, None),
-        ("degenerate-Y", degenerate, None),
-        ("caller-Y", mod.fd_model(), random_hermitian(rng, 2)),
+        ("fd", mod.fd_model()),
+        ("rwa", mod.rwa_model()),
+        ("fd-schedule2", mod.fd_model(mod.beta_schedule_2())),
+        ("fd-tabulated", mod.fd_model(tabulated)),
+        ("explicit-3x3", explicit),
+        ("moving-probe", moving),
+        ("degenerate-Y", degenerate),
+        ("caller-Y", replace(mod.fd_model(), counting=lambda s: caller_Y)),
     ]
 
 
@@ -81,24 +82,24 @@ def _field_equal(a, b) -> bool:
     return np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("name,m,Y", CASES, ids=[c[0] for c in CASES])
-def test_stacked_build_matches_one_node_oracle(name, m, Y):
-    families = mod.kraus_families(m, S_GRID, Y)
+@pytest.mark.parametrize("name,m", CASES, ids=[c[0] for c in CASES])
+def test_stacked_build_matches_one_node_oracle(name, m):
+    families = mod.kraus_families(m, S_GRID)
     assert len(families) == S_GRID.size
     for s, fam in zip(S_GRID, families):
-        want = oracles.kraus_family(m, float(s), Y)
+        want = oracles.kraus_family(m, float(s))
         for f in fields(fam):
             assert _field_equal(getattr(fam, f.name), getattr(want, f.name)), (s, f.name)
-    one = mod.kraus_family(m, 0.35, Y)
-    want = oracles.kraus_family(m, 0.35, Y)
+    one = mod.kraus_family(m, 0.35)
+    want = oracles.kraus_family(m, 0.35)
     assert all(_field_equal(getattr(one, f.name), getattr(want, f.name)) for f in fields(one))
 
 
 def test_cases_cover_their_claims():
-    by_name = {name: (m, Y) for name, m, Y in CASES}
-    assert mod.kraus_family(by_name["degenerate-Y"][0], 0.5).groups.shape == (2, 3)
-    assert by_name["explicit-3x3"][0].dim_sys == 3
-    m = by_name["moving-probe"][0]
+    by_name = dict(CASES)
+    assert mod.kraus_family(by_name["degenerate-Y"], 0.5).groups.shape == (2, 3)
+    assert by_name["explicit-3x3"].dim_sys == 3
+    m = by_name["moving-probe"]
     assert not np.array_equal(m.h_env(0.0), m.h_env(1.0))
     assert mod.kraus_families(m, []) == []
 
