@@ -16,7 +16,7 @@ from scipy.integrate import simpson
 
 from .linalg import SuperOperator, unvec, vec
 from .model import RISModel, deformed_map, kraus_families
-from .spectral import PeripheralDecomposition, peripheral_decomposition
+from .spectral import PeripheralDecomposition, peripheral_decompositions
 
 DERIV_STEP = 1e-5
 # Kernels built per kraus_families call in prepare: bounds the memory of the
@@ -27,8 +27,9 @@ PREPARE_BLOCK = 256
 class AdiabaticFamily:
     """A protocol of deformed maps with cached peripheral data.
 
-    Evaluations at repeated s values are cached; the peripheral period z
-    must be constant along the protocol (checked lazily).
+    Each map is built and decomposed together with the other nodes of its
+    block and cached by s; the peripheral period z must be constant along
+    the protocol (checked as each block is decomposed).
     """
 
     def __init__(self, model: RISModel, alpha: float):
@@ -37,21 +38,36 @@ class AdiabaticFamily:
         self._maps: dict[float, SuperOperator] = {}
         self._decs: dict[float, PeripheralDecomposition] = {}
         self._period: int | None = None
+        self._identity = np.eye(model.dim_sys**2, dtype=complex)
 
     @property
     def dim(self) -> int:
         return self.model.dim_sys
 
     def prepare(self, s_values) -> None:
-        """Build the maps of every uncached s in s_values from stacked kernels.
+        """Build and decompose the map of every uncached s in s_values.
 
-        Only the maps are kept; each kernel is dropped once its map is built.
+        Each block of at most PREPARE_BLOCK nodes is built from stacked
+        kernels and decomposed in one stacked pass. Only the maps and their
+        decompositions are kept; each kernel is dropped once its map is built.
         """
-        todo = [s for s in dict.fromkeys(map(float, s_values)) if s not in self._maps]
+        todo = [s for s in dict.fromkeys(map(float, s_values)) if s not in self._decs]
         for start in range(0, len(todo), PREPARE_BLOCK):
             block = todo[start : start + PREPARE_BLOCK]
-            for s, fam in zip(block, kraus_families(self.model, block)):
-                self._maps[s] = deformed_map(self.model, s, self.alpha, fam=fam)
+            maps = [
+                deformed_map(self.model, s, self.alpha, fam=fam)
+                for s, fam in zip(block, kraus_families(self.model, block))
+            ]
+            decs = peripheral_decompositions(np.stack([L.matrix for L in maps]))
+            if self._period is None:
+                self._period = decs[0].period
+            for s, dec in zip(block, decs):
+                if dec.period != self._period:
+                    raise ValueError(
+                        f"peripheral period changed along the protocol at s={s}"
+                    )
+            self._maps.update(zip(block, maps))
+            self._decs.update(zip(block, decs))
 
     def map(self, s: float) -> SuperOperator:
         s = float(s)
@@ -62,14 +78,7 @@ class AdiabaticFamily:
     def decomposition(self, s: float) -> PeripheralDecomposition:
         s = float(s)
         if s not in self._decs:
-            dec = peripheral_decomposition(self.map(s))
-            if self._period is None:
-                self._period = dec.period
-            elif dec.period != self._period:
-                raise ValueError(
-                    f"peripheral period changed along the protocol at s={s}"
-                )
-            self._decs[s] = dec
+            self.prepare([s])
         return self._decs[s]
 
     def lam(self, s: float) -> float:
@@ -80,19 +89,18 @@ class AdiabaticFamily:
         return self.map(s).matrix / self.lam(s)
 
     def peripheral_projector(self, s: float) -> np.ndarray:
-        return sum(self.decomposition(s).spectral_projectors)
+        return self.decomposition(s).peripheral_projector
 
     def complement(self, s: float) -> np.ndarray:
-        d2 = self.dim**2
-        return np.eye(d2, dtype=complex) - self.peripheral_projector(s)
+        """Q(s) = Id - sum_m P^m(s), the projector onto the rest of the spectrum."""
+        return self._identity - self.peripheral_projector(s)
 
     def gap_bound(self, s_grid) -> float:
         """ell = sup over the grid of spr(F(s) Q(s)); must be < 1."""
-        worst = 0.0
-        for s in np.atleast_1d(s_grid):
-            FQ = self.normalized(s) @ self.complement(s)
-            worst = max(worst, float(np.abs(np.linalg.eigvals(FQ)).max()))
-        return worst
+        s_grid = np.atleast_1d(s_grid).astype(float)
+        self.prepare(s_grid)
+        FQ = np.stack([self.normalized(s) @ self.complement(s) for s in s_grid])
+        return float(np.abs(np.linalg.eigvals(FQ)).max())
 
 
 def _neighbours(s: float) -> tuple[float, float]:

@@ -78,15 +78,17 @@ def partial_trace_sys(M: np.ndarray, dS: int, dE: int) -> np.ndarray:
 
 
 def vec(X: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(X, dtype=complex).reshape(-1, order="F")
+    """Column-stacking vectorization of a matrix, or of each of a stack."""
+    X = np.swapaxes(np.asarray(X, dtype=complex), -1, -2)
+    return X.reshape(*X.shape[:-2], -1)
 
 
 def unvec(x: np.ndarray, d: int | None = None) -> np.ndarray:
+    """The inverse of ``vec``; x may carry leading stack axes."""
     x = np.asarray(x, dtype=complex)
     if d is None:
-        d = round(np.sqrt(x.size))
-    return x.reshape(d, d, order="F")
+        d = round(np.sqrt(x.shape[-1]))
+    return np.swapaxes(x.reshape(*x.shape[:-1], d, d), -1, -2)
 
 
 def hermitian_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,12 +2,22 @@
 
 Provides irreducibility tests for Kraus families, the peripheral
 decomposition (spectral radius, cyclic period z, unitary cycle operator u,
-invariant/adjoint-invariant operators, spectral projectors), and the
-associated conditioned (trace-preserving) map.
+invariant/adjoint-invariant operators, spectral projectors and their sum),
+and the associated conditioned (trace-preserving) map.
+
+``peripheral_decompositions`` decomposes a whole stack of map matrices in
+stacked passes: one ``eig`` for the right eigenvectors, one of the adjoint
+stack for the left ones, one stacked ``hermitian_eig`` each for rho and
+iota, and every certificate checked at each matrix's own scale. A node set
+thus costs a few LAPACK calls, not a few per node. Only the cycle unitary
+of a period z > 1 is built one map at a time. ``peripheral_decomposition``
+is its one-map view; the per-map route of earlier versions is kept as
+``tests/oracles.peripheral_decomposition``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +25,8 @@ import numpy as np
 from .linalg import (
     LinalgError,
     SuperOperator,
+    _adjoint,
+    _matrix_max,
     as_complex,
     assert_hermitian,
     general_eig,
@@ -148,6 +160,8 @@ class PeripheralDecomposition:
         eigenvalues: the z peripheral eigenvalues, ordered by m.
         spectral_projectors: superoperator matrices of the rank-one spectral
             projectors X -> Tr(iota u^{-m} X) rho u^m, ordered by m.
+        peripheral_projector: their sum, the projector onto the peripheral
+            spectral subspace.
     """
 
     spectral_radius: float
@@ -158,19 +172,39 @@ class PeripheralDecomposition:
     cycle_projectors: tuple[np.ndarray, ...]
     eigenvalues: np.ndarray
     spectral_projectors: tuple[np.ndarray, ...]
+    peripheral_projector: np.ndarray
+
+
+def _fail(i: int, message: str) -> SpectralError:
+    return SpectralError(f"matrix {i} of the stack: {message}")
+
+
+def _require(ok: np.ndarray, message: str, index=None) -> None:
+    """Raise SpectralError naming the first matrix of a stack where ``ok`` fails.
+
+    ``index`` maps the positions of ``ok`` to stack indices (default: equal).
+    """
+    bad = np.flatnonzero(~np.asarray(ok))
+    if bad.size:
+        raise _fail(bad[0] if index is None else index[bad[0]], message)
 
 
 def _phase_fixed_psd(X: np.ndarray) -> np.ndarray:
-    """Rotate a near-PSD eigenvector to Hermitian PSD (trace real positive)."""
-    tr = np.trace(X)
-    if abs(tr) < 1e-12 * max(np.abs(X).max(), 1e-300):
-        raise SpectralError("eigenvector has (near-)zero trace, cannot phase-fix")
-    X = X * (tr.conjugate() / abs(tr))
-    X = 0.5 * (X + X.conj().T)
+    """Rotate each near-PSD eigenvector of a stack (N, d, d) to Hermitian PSD."""
+    tr = np.trace(X, axis1=-2, axis2=-1)
+    scale = np.maximum(np.abs(X).max(axis=(-2, -1)), 1e-300)
+    _require(
+        np.abs(tr) >= 1e-12 * scale,
+        "eigenvector has (near-)zero trace, cannot phase-fix",
+    )
+    X = X * (tr.conjugate() / np.abs(tr))[:, None, None]
+    X = 0.5 * (X + _adjoint(X))
     w, V = hermitian_eig(X)
-    if w.min() < -1e-9 * max(abs(w).max(), 1.0):
-        raise SpectralError(f"eigenvector not PSD: min eigenvalue {w.min():.3e}")
-    return (V * np.clip(w, 0.0, None)) @ V.conj().T
+    _require(
+        w.min(axis=-1) >= -1e-9 * np.maximum(np.abs(w).max(axis=-1), 1.0),
+        "eigenvector not PSD",
+    )
+    return (V * np.clip(w, 0.0, None)[:, None, :]) @ _adjoint(V)
 
 
 def invariant_state(L: SuperOperator) -> np.ndarray:
@@ -179,113 +213,176 @@ def invariant_state(L: SuperOperator) -> np.ndarray:
     k = int(np.argmin(np.abs(w - 1.0)))
     if abs(w[k] - 1.0) > 1e-8:
         raise SpectralError(f"no eigenvalue near 1 (closest: {w[k]})")
-    rho = _phase_fixed_psd(unvec(Vr[:, k], L.dim))
+    rho = _phase_fixed_psd(unvec(Vr[:, k], L.dim)[None])[0]
     return rho / np.trace(rho).real
+
+
+def _cycle_unitary(i: int, rho, iota, X: np.ndarray, z: int):
+    """The cycle unitary u and its eigenprojectors p_m of stack matrix i.
+
+    X is the right eigenvector at lambda*theta, which equals rho u.
+    """
+    d = rho.shape[0]
+    if np.linalg.eigvalsh(rho).min() < FAITHFUL_TOL:
+        raise _fail(i, "invariant state not faithful; map not irreducible")
+    u = herm_power(rho, -1.0) @ X
+    u *= np.sqrt(d) / np.linalg.norm(u)
+    # fix the overall phase so that u^z = Id, then snap the eigenvalues
+    # of u to exact z-th roots of unity
+    uz = np.linalg.matrix_power(u, z)
+    c = np.trace(uz) / d
+    u = u / c ** (1.0 / z)
+    wu, Vu = np.linalg.eig(u)
+    mu = np.round(np.angle(wu) * z / (2 * np.pi)).astype(int) % z
+    if np.abs(wu - np.exp(2j * np.pi * mu / z)).max() > 1e-6:
+        raise _fail(i, "cycle operator eigenvalues not near roots of unity")
+    # u is normal here (commutes with the faithful rho up to numerics);
+    # orthonormalize the eigenbasis per eigenvalue cluster
+    cols = []
+    for m in range(z):
+        sel = Vu[:, mu == m]
+        if sel.shape[1]:
+            cols.append(np.linalg.qr(sel, mode="reduced")[0])
+    Vu = np.concatenate(cols, axis=1)
+    mu = np.concatenate([[m] * (mu == m).sum() for m in range(z)])
+    u = (Vu * np.exp(2j * np.pi * mu / z)) @ Vu.conj().T
+    if np.abs(u @ u.conj().T - np.eye(d)).max() > 1e-8:
+        raise _fail(i, "cycle operator could not be made unitary")
+    for A, name in ((rho, "rho"), (iota, "iota")):
+        if np.abs(u @ A - A @ u).max() > 1e-7 * max(np.abs(A).max(), 1.0):
+            raise _fail(i, f"cycle operator does not commute with {name}")
+    return u, tuple(Vu[:, mu == m] @ Vu[:, mu == m].conj().T for m in range(z))
+
+
+def _with_period(M, lam, rho, iota, Xr, z: int, nodes: np.ndarray) -> list:
+    """Cycle data, spectral projectors and their checks for the stack
+    matrices ``nodes``, all of period z; one decomposition per node."""
+    d = rho.shape[-1]
+    if z == 1:
+        # one read-only identity is every node's u and its one eigenprojector
+        Id = np.eye(d, dtype=complex)
+        Id.flags.writeable = False
+        units, cycles, powers = [Id] * nodes.size, [(Id,)] * nodes.size, []
+    else:
+        pairs = [_cycle_unitary(i, rho[i], iota[i], Xr[i], z) for i in nodes]
+        units, cycles = [p[0] for p in pairs], [p[1] for p in pairs]
+        powers = [np.linalg.matrix_power(np.stack(units), m) for m in range(1, z)]
+    M, lam, rho, iota = M[nodes], lam[nodes], rho[nodes], iota[nodes]
+    eigenvalues = lam[:, None] * np.exp(2j * np.pi / z) ** np.arange(z)
+    right = np.stack([rho] + [rho @ U for U in powers], 1)
+    left = np.stack([iota] + [iota @ _adjoint(U) for U in powers], 1)
+    # (nodes, z, d^2, d^2): P_m = |rho u^m)(iota u^{-m}|
+    P = vec(right)[..., :, None] * vec(np.swapaxes(left, -1, -2))[..., None, :]
+    # verify rank-one idempotency, the eigen-residual of the map and the
+    # mutual orthogonality, each node at its own scale
+    PP = P[:, :, None] @ P[:, None, :]
+    diag = np.eye(z, dtype=bool)
+    _require(
+        _matrix_max(np.abs(PP[:, diag] - P)).max(axis=1) <= RESIDUAL_TOL,
+        "spectral projector not idempotent",
+        nodes,
+    )
+    res = _matrix_max(np.abs(M[:, None] @ P - eigenvalues[..., None, None] * P))
+    _require(
+        res.max(axis=1) <= RESIDUAL_TOL * np.maximum(lam, 1.0),
+        "peripheral residual above tolerance",
+        nodes,
+    )
+    if z > 1:
+        _require(
+            _matrix_max(np.abs(PP[:, ~diag])).max(axis=1) <= RESIDUAL_TOL,
+            "spectral projectors not mutually orthogonal",
+            nodes,
+        )
+    total = P.sum(axis=1)
+    out = []
+    for j in range(nodes.size):
+        projectors = tuple(P[j])
+        # for z = 1 the sum is P_0 itself: no second copy per node
+        peripheral = projectors[0] if z == 1 else total[j]
+        out.append(
+            PeripheralDecomposition(
+                spectral_radius=float(lam[j]),
+                period=z,
+                rho=rho[j],
+                iota=iota[j],
+                cycle_unitary=units[j],
+                cycle_projectors=cycles[j],
+                eigenvalues=eigenvalues[j],
+                spectral_projectors=projectors,
+                peripheral_projector=peripheral,
+            )
+        )
+    return out
+
+
+def peripheral_decompositions(matrices) -> list[PeripheralDecomposition]:
+    """Peripheral decompositions of a stack (N, d^2, d^2) of CP map matrices.
+
+    One decomposition per matrix, each with its own period z. The work is
+    done in stacked passes: one ``eig`` of the stack for the right
+    eigenvectors, one of the adjoint stack for the left eigenvectors, one
+    stacked ``hermitian_eig`` each to phase-fix rho and iota, and stacked
+    checks at each matrix's own scale. Only the cycle unitary of a z > 1
+    matrix is built one matrix at a time.
+
+    Raises SpectralError, naming the index of the first failing matrix,
+    when the peripheral eigenvalues do not form a simple cyclic group
+    lambda * {z-th roots of unity}, or when any certified identity
+    (residuals, projector algebra, normalizations) fails its tolerance.
+    """
+    M = as_complex(matrices)
+    d = math.isqrt(M.shape[-1]) if M.ndim == 3 else 0
+    if M.ndim != 3 or M.shape[1:] != (d * d, d * d):
+        raise SpectralError(f"expected a stack (N, d^2, d^2), got {M.shape}")
+    n, d2 = len(M), d * d
+    rows = np.arange(n)
+    w, Vr = np.linalg.eig(M)
+    lam = np.abs(w).max(axis=1)
+    _require(lam > 0, "zero spectral radius")
+    peripheral = np.abs(w) >= lam[:, None] * (1.0 - PERIPHERAL_REL_TOL)
+    z = peripheral.sum(axis=1)
+    # the peripheral phases must be exactly the z-th roots of unity
+    ms = np.round(np.angle(w) * z[:, None] / (2 * np.pi)).astype(int) % z[:, None]
+    ms = np.where(peripheral, ms, d2)
+    ranks = np.arange(d2)
+    _require(
+        (np.sort(ms, axis=1) == np.where(ranks < z[:, None], ranks, d2)).all(1),
+        "peripheral eigenvalues do not form a cyclic group",
+    )
+    roots = lam[:, None] * np.exp(2j * np.pi / z)[:, None] ** ms
+    off = np.where(peripheral, np.abs(w - roots), 0.0).max(axis=1)
+    _require(
+        off <= PERIPHERAL_REL_TOL * lam * 10,
+        "peripheral eigenvalue off its root of unity",
+    )
+
+    k0 = np.argmax(ms == 0, axis=1)
+    wl, Vl = np.linalg.eig(_adjoint(M))
+    # the left eigenvector at lambda: the adjoint's eigenvector at conj(lambda)
+    j0 = np.argmin(np.abs(wl - w[rows, k0].conj()[:, None]), axis=1)
+    rho = _phase_fixed_psd(unvec(Vr[rows, :, k0], d))
+    rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    iota = _phase_fixed_psd(unvec(Vl[rows, :, j0], d))
+    iota = iota / np.trace(iota @ rho, axis1=1, axis2=2).real[:, None, None]
+    # right eigenvectors at lambda*theta, read only where z > 1
+    Xr = unvec(Vr[rows, :, np.argmax(ms == 1, axis=1)], d)
+
+    out: list = [None] * n
+    for period in np.unique(z):
+        nodes = np.flatnonzero(z == period)
+        decs = _with_period(M, lam, rho, iota, Xr, int(period), nodes)
+        for i, dec in zip(nodes, decs):
+            out[i] = dec
+    return out
 
 
 def peripheral_decomposition(L: SuperOperator) -> PeripheralDecomposition:
     """Full peripheral decomposition of an irreducible CP map.
 
-    Raises SpectralError when the peripheral eigenvalues do not form a
-    simple cyclic group lambda * {z-th roots of unity}, or when any
-    certified identity (residuals, projector algebra, normalizations)
-    fails its tolerance.
+    The one-map view of ``peripheral_decompositions``.
     """
-    d = L.dim
-    w, Vr, Vl = general_eig(L.matrix)
-    lam = float(np.abs(w).max())
-    if lam <= 0:
-        raise SpectralError("zero spectral radius")
-    idx = [
-        int(i) for i in range(w.size) if abs(w[i]) >= lam * (1.0 - PERIPHERAL_REL_TOL)
-    ]
-    z = len(idx)
-    # the peripheral phases must be exactly the z-th roots of unity
-    phases = np.angle(w[idx])
-    ms = np.round(phases * z / (2 * np.pi)).astype(int) % z
-    if sorted(ms) != list(range(z)):
-        raise SpectralError(
-            f"peripheral eigenvalues do not form a cyclic group: phases {phases}"
-        )
-    theta = np.exp(2j * np.pi / z)
-    for i, m in zip(idx, ms):
-        if abs(w[i] - lam * theta**m) > PERIPHERAL_REL_TOL * lam * 10:
-            raise SpectralError("peripheral eigenvalue off its root of unity")
-
-    k0 = idx[list(ms).index(0)]
-    rho = _phase_fixed_psd(unvec(Vr[:, k0], d))
-    rho = rho / np.trace(rho).real
-    iota = _phase_fixed_psd(unvec(Vl[:, k0], d))
-    iota = iota / np.trace(iota @ rho).real
-
-    if z > 1:
-        if np.linalg.eigvalsh(rho).min() < FAITHFUL_TOL:
-            raise SpectralError("invariant state not faithful; map not irreducible")
-        k1 = idx[list(ms).index(1)]
-        X = unvec(Vr[:, k1], d)
-        u = herm_power(rho, -1.0) @ X
-        u *= np.sqrt(d) / np.linalg.norm(u)
-        # fix the overall phase so that u^z = Id, then snap the eigenvalues
-        # of u to exact z-th roots of unity
-        uz = np.linalg.matrix_power(u, z)
-        c = np.trace(uz) / d
-        u = u / c ** (1.0 / z)
-        wu, Vu = np.linalg.eig(u)
-        mu = np.round(np.angle(wu) * z / (2 * np.pi)).astype(int) % z
-        if np.abs(wu - np.exp(2j * np.pi * mu / z)).max() > 1e-6:
-            raise SpectralError("cycle operator eigenvalues not near roots of unity")
-        # u is normal here (commutes with the faithful rho up to numerics);
-        # orthonormalize the eigenbasis per eigenvalue cluster
-        cols = []
-        for m in range(z):
-            sel = Vu[:, mu == m]
-            if sel.shape[1]:
-                cols.append(np.linalg.qr(sel, mode="reduced")[0])
-        Vu = np.concatenate(cols, axis=1)
-        mu = np.concatenate([[m] * (mu == m).sum() for m in range(z)])
-        u = (Vu * np.exp(2j * np.pi * mu / z)) @ Vu.conj().T
-        if np.abs(u @ u.conj().T - np.eye(d)).max() > 1e-8:
-            raise SpectralError("cycle operator could not be made unitary")
-        projectors = tuple(
-            (Vu[:, mu == m] @ Vu[:, mu == m].conj().T) for m in range(z)
-        )
-        for A, name in ((rho, "rho"), (iota, "iota")):
-            if np.abs(u @ A - A @ u).max() > 1e-7 * max(np.abs(A).max(), 1.0):
-                raise SpectralError(f"cycle operator does not commute with {name}")
-    else:
-        u = np.eye(d, dtype=complex)
-        projectors = (np.eye(d, dtype=complex),)
-
-    eigenvalues = lam * theta ** np.arange(z)
-    spectral_projectors = []
-    for m in range(z):
-        right = rho @ np.linalg.matrix_power(u, m)
-        left = iota @ np.linalg.matrix_power(u.conj().T, m)
-        P = np.outer(vec(right), vec(left.T))
-        # verify rank-one idempotency and the eigen-residual of the map
-        if np.abs(P @ P - P).max() > RESIDUAL_TOL:
-            raise SpectralError(f"spectral projector m={m} not idempotent")
-        res = np.abs(L.matrix @ P - eigenvalues[m] * P).max()
-        if res > RESIDUAL_TOL * max(lam, 1.0):
-            raise SpectralError(f"peripheral residual {res:.3e} at m={m}")
-        spectral_projectors.append(P)
-    for m in range(z):
-        for n in range(z):
-            prod = spectral_projectors[m] @ spectral_projectors[n]
-            target = spectral_projectors[m] if m == n else 0.0
-            if np.abs(prod - target).max() > RESIDUAL_TOL:
-                raise SpectralError("spectral projectors not mutually orthogonal")
-
-    return PeripheralDecomposition(
-        spectral_radius=lam,
-        period=z,
-        rho=rho,
-        iota=iota,
-        cycle_unitary=u,
-        cycle_projectors=projectors,
-        eigenvalues=eigenvalues,
-        spectral_projectors=tuple(spectral_projectors),
-    )
+    return peripheral_decompositions(L.matrix[None])[0]
 
 
 def primitivity_check(L: SuperOperator) -> bool:

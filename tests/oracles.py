@@ -3,11 +3,13 @@
 The library derives every map of a protocol node from one kernel, built
 for a whole node set at once by ``rislab.model.kraus_families``.
 ``kraus_family`` here builds one node's kernel alone, as the library did
-before the stacked build, and must agree with it bitwise. The other routes
-build the same maps from their defining expressions instead: a
-per-transition Kraus contraction and partial traces of the joint evolution
-applied to the matrix units. They are slow and used only as oracles by the
-tests. ``forward_prob``, ``backward_prob`` and ``balance_rhs`` evaluate one
+before the stacked build, and must agree with it bitwise.
+``peripheral_decomposition`` likewise decomposes one map alone, as the
+library did before the stacked ``rislab.spectral.peripheral_decompositions``.
+The other routes build the same maps from their defining expressions
+instead: a per-transition Kraus contraction and partial traces of the joint
+evolution applied to the matrix units. They are slow and used only as
+oracles by the tests. ``forward_prob``, ``backward_prob`` and ``balance_rhs`` evaluate one
 record at a time what the library computes for a whole enumerated measure,
 reading the chain of each (model, setup, T) from a cache filled on its
 first record; ``records`` lists the measure's records in their tuple form.
@@ -30,6 +32,7 @@ from rislab.linalg import (
     SuperOperator,
     as_complex,
     assert_hermitian,
+    general_eig,
     herm_exp,
     herm_power,
     hermitian_eig,
@@ -46,6 +49,13 @@ from rislab.model import (
     counting_observable,
     joint_unitary,
     probe_state,
+)
+from rislab.spectral import (
+    FAITHFUL_TOL,
+    PERIPHERAL_REL_TOL,
+    RESIDUAL_TOL,
+    PeripheralDecomposition,
+    SpectralError,
 )
 
 
@@ -290,3 +300,115 @@ def backward_prob(
         x = step.backward[i, j] @ x
     d = model.dim_sys
     return float(np.real(np.trace(setup.obs_i.projectors[ai] @ unvec(x, d))))
+
+
+def _phase_fixed_psd(X: np.ndarray) -> np.ndarray:
+    """Rotate a near-PSD eigenvector to Hermitian PSD (trace real positive)."""
+    tr = np.trace(X)
+    if abs(tr) < 1e-12 * max(np.abs(X).max(), 1e-300):
+        raise SpectralError("eigenvector has (near-)zero trace, cannot phase-fix")
+    X = X * (tr.conjugate() / abs(tr))
+    X = 0.5 * (X + X.conj().T)
+    w, V = hermitian_eig(X)
+    if w.min() < -1e-9 * max(abs(w).max(), 1.0):
+        raise SpectralError(f"eigenvector not PSD: min eigenvalue {w.min():.3e}")
+    return (V * np.clip(w, 0.0, None)) @ V.conj().T
+
+
+def peripheral_decomposition(L: SuperOperator) -> PeripheralDecomposition:
+    """Full peripheral decomposition of one irreducible CP map, on its own.
+
+    One ``general_eig`` gives the right and left eigenvectors of the same
+    Schur form; every check runs on this map alone.
+    """
+    d = L.dim
+    w, Vr, Vl = general_eig(L.matrix)
+    lam = float(np.abs(w).max())
+    if lam <= 0:
+        raise SpectralError("zero spectral radius")
+    idx = [
+        int(i) for i in range(w.size) if abs(w[i]) >= lam * (1.0 - PERIPHERAL_REL_TOL)
+    ]
+    z = len(idx)
+    # the peripheral phases must be exactly the z-th roots of unity
+    phases = np.angle(w[idx])
+    ms = np.round(phases * z / (2 * np.pi)).astype(int) % z
+    if sorted(ms) != list(range(z)):
+        raise SpectralError(
+            f"peripheral eigenvalues do not form a cyclic group: phases {phases}"
+        )
+    theta = np.exp(2j * np.pi / z)
+    for i, m in zip(idx, ms):
+        if abs(w[i] - lam * theta**m) > PERIPHERAL_REL_TOL * lam * 10:
+            raise SpectralError("peripheral eigenvalue off its root of unity")
+
+    k0 = idx[list(ms).index(0)]
+    rho = _phase_fixed_psd(unvec(Vr[:, k0], d))
+    rho = rho / np.trace(rho).real
+    iota = _phase_fixed_psd(unvec(Vl[:, k0], d))
+    iota = iota / np.trace(iota @ rho).real
+
+    if z > 1:
+        if np.linalg.eigvalsh(rho).min() < FAITHFUL_TOL:
+            raise SpectralError("invariant state not faithful; map not irreducible")
+        k1 = idx[list(ms).index(1)]
+        X = unvec(Vr[:, k1], d)
+        u = herm_power(rho, -1.0) @ X
+        u *= np.sqrt(d) / np.linalg.norm(u)
+        uz = np.linalg.matrix_power(u, z)
+        c = np.trace(uz) / d
+        u = u / c ** (1.0 / z)
+        wu, Vu = np.linalg.eig(u)
+        mu = np.round(np.angle(wu) * z / (2 * np.pi)).astype(int) % z
+        if np.abs(wu - np.exp(2j * np.pi * mu / z)).max() > 1e-6:
+            raise SpectralError("cycle operator eigenvalues not near roots of unity")
+        cols = []
+        for m in range(z):
+            sel = Vu[:, mu == m]
+            if sel.shape[1]:
+                cols.append(np.linalg.qr(sel, mode="reduced")[0])
+        Vu = np.concatenate(cols, axis=1)
+        mu = np.concatenate([[m] * (mu == m).sum() for m in range(z)])
+        u = (Vu * np.exp(2j * np.pi * mu / z)) @ Vu.conj().T
+        if np.abs(u @ u.conj().T - np.eye(d)).max() > 1e-8:
+            raise SpectralError("cycle operator could not be made unitary")
+        projectors = tuple(
+            (Vu[:, mu == m] @ Vu[:, mu == m].conj().T) for m in range(z)
+        )
+        for A, name in ((rho, "rho"), (iota, "iota")):
+            if np.abs(u @ A - A @ u).max() > 1e-7 * max(np.abs(A).max(), 1.0):
+                raise SpectralError(f"cycle operator does not commute with {name}")
+    else:
+        u = np.eye(d, dtype=complex)
+        projectors = (np.eye(d, dtype=complex),)
+
+    eigenvalues = lam * theta ** np.arange(z)
+    spectral_projectors = []
+    for m in range(z):
+        right = rho @ np.linalg.matrix_power(u, m)
+        left = iota @ np.linalg.matrix_power(u.conj().T, m)
+        P = np.outer(vec(right), vec(left.T))
+        if np.abs(P @ P - P).max() > RESIDUAL_TOL:
+            raise SpectralError(f"spectral projector m={m} not idempotent")
+        res = np.abs(L.matrix @ P - eigenvalues[m] * P).max()
+        if res > RESIDUAL_TOL * max(lam, 1.0):
+            raise SpectralError(f"peripheral residual {res:.3e} at m={m}")
+        spectral_projectors.append(P)
+    for m in range(z):
+        for n in range(z):
+            prod = spectral_projectors[m] @ spectral_projectors[n]
+            target = spectral_projectors[m] if m == n else 0.0
+            if np.abs(prod - target).max() > RESIDUAL_TOL:
+                raise SpectralError("spectral projectors not mutually orthogonal")
+
+    return PeripheralDecomposition(
+        spectral_radius=lam,
+        period=z,
+        rho=rho,
+        iota=iota,
+        cycle_unitary=u,
+        cycle_projectors=projectors,
+        eigenvalues=eigenvalues,
+        spectral_projectors=tuple(spectral_projectors),
+        peripheral_projector=sum(spectral_projectors),
+    )

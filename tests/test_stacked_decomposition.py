@@ -1,0 +1,231 @@
+"""The stacked peripheral decomposition against one map decomposed alone.
+
+``oracles.peripheral_decomposition`` is the per-map routine the library used
+before ``peripheral_decompositions`` decomposed a whole stack in one pass.
+Both must agree on the period and the eigenvalues exactly and on rho, iota
+and every projector to round-off; both must refuse the same maps, and the
+stacked call must name the refused map's index. The structural tests count
+LAPACK eigen-solver entries, so that a per-node route cannot come back
+unnoticed.
+"""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from rislab import adiabatic as ad
+from rislab import model as mod
+from rislab import spectral as sp
+from rislab.linalg import SuperOperator
+
+import oracles
+from conftest import random_small_model
+
+ALPHAS = (-1.0, 0.0, 0.5, 2.0)
+S_GRID = np.linspace(0.0, 1.0, 21)
+RTOL = 1e-13
+
+
+def _flip_map(a: float = 1.0, b: float = 1.0) -> np.ndarray:
+    """A period-2 map X -> K1 X K1* + K2 X K2* with K1 = a|0><1|, K2 = b|1><0|."""
+    K1 = np.array([[0.0, a], [0.0, 0.0]], dtype=complex)
+    K2 = np.array([[0.0, 0.0], [b, 0.0]], dtype=complex)
+    return SuperOperator.from_kraus([K1, K2], trace_preserving=False).matrix
+
+
+def _deformed_stack(model, alpha, s_grid=S_GRID) -> np.ndarray:
+    fams = mod.kraus_families(model, s_grid)
+    maps = [mod.deformed_map(model, s, alpha, fam=f) for s, f in zip(s_grid, fams)]
+    return np.stack([L.matrix for L in maps])
+
+
+def _oracle(M: np.ndarray):
+    L = SuperOperator(dim=math.isqrt(len(M)), matrix=M)
+    return oracles.peripheral_decomposition(L)
+
+
+def _close(a, b) -> bool:
+    return np.abs(a - b).max() <= RTOL * max(np.abs(b).max(), 1.0)
+
+
+def _assert_matches(dec, want):
+    assert dec.period == want.period
+    assert dec.spectral_radius == want.spectral_radius
+    assert np.array_equal(dec.eigenvalues, want.eigenvalues)
+    for name in ("rho", "iota", "cycle_unitary", "peripheral_projector"):
+        assert _close(getattr(dec, name), getattr(want, name)), name
+    for name in ("spectral_projectors", "cycle_projectors"):
+        got, ref = getattr(dec, name), getattr(want, name)
+        assert len(got) == len(ref) == dec.period, name
+        assert all(_close(a, b) for a, b in zip(got, ref)), name
+
+
+def _assert_stack_matches(stack):
+    decs = sp.peripheral_decompositions(stack)
+    assert len(decs) == len(stack)
+    for M, dec in zip(stack, decs):
+        _assert_matches(dec, _oracle(M))
+    return decs
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("make", [mod.fd_model, mod.rwa_model], ids=["fd", "rwa"])
+def test_presets_match_oracle(make, alpha):
+    decs = _assert_stack_matches(_deformed_stack(make(), alpha))
+    assert {d.period for d in decs} == {1}
+
+
+def test_random_models_match_oracle():
+    rng = np.random.default_rng(808)
+    for _ in range(4):
+        m = random_small_model(rng)
+        for alpha in (0.0, 0.8, -1.3):
+            _assert_stack_matches(_deformed_stack(m, alpha, np.linspace(0, 1, 5)))
+
+
+def test_period_two_family_matches_oracle():
+    stack = np.stack([_flip_map(a, b) for a, b in ((1, 1), (0.5, 1.5), (2.0, 0.3))])
+    decs = _assert_stack_matches(stack)
+    assert [d.period for d in decs] == [2, 2, 2]
+    assert np.isclose(decs[1].spectral_radius, 0.75)
+
+
+def test_mixed_periods_in_one_stack():
+    fd = _deformed_stack(mod.fd_model(), 0.5, [0.0, 0.4, 1.0])
+    stack = np.stack([_flip_map(), fd[0], _flip_map(0.5, 1.5), fd[1], fd[2]])
+    decs = _assert_stack_matches(stack)
+    assert [d.period for d in decs] == [2, 1, 2, 1, 1]
+
+
+def test_one_map_view_is_the_stack():
+    M = _deformed_stack(mod.fd_model(), 0.5, [0.3])[0]
+    one = sp.peripheral_decomposition(SuperOperator(dim=2, matrix=M))
+    _assert_matches(one, _oracle(M))
+    assert np.array_equal(one.rho, sp.peripheral_decompositions(M[None])[0].rho)
+
+
+def _bad_maps():
+    """One 4x4 map per certified failure of the decomposition."""
+    traceless = np.diag([0.5, 1.0, 0.3, 0.2]).astype(complex)  # top: |1><0|
+    v = np.array([1.0, 0.0, 0.0, -0.5])  # vec(diag(1, -1/2)): not PSD
+    Pv = np.outer(v, v) / (v @ v)
+    off_root = np.diag([1.0, np.exp(1j * (np.pi + 0.01)), 0.5, 0.2])
+    return {
+        "zero spectral radius": np.zeros((4, 4), dtype=complex),
+        "cyclic group": np.eye(4, dtype=complex),
+        "root of unity": off_root,
+        "zero trace": traceless,
+        "not PSD": (Pv + 0.1 * (np.eye(4) - Pv)).astype(complex),
+        "not faithful": np.diag([1.0, -1.0, 0.5, 0.2]).astype(complex),
+    }
+
+
+@pytest.mark.parametrize("where", [0, 2, 4])
+@pytest.mark.parametrize("kind", list(_bad_maps()))
+def test_bad_map_is_refused_and_named(kind, where):
+    bad = _bad_maps()[kind]
+    with pytest.raises(sp.SpectralError):
+        _oracle(bad)
+    good = _deformed_stack(mod.fd_model(), 0.5, np.linspace(0, 1, 4))
+    stack = np.insert(good, where, bad, axis=0)
+    with pytest.raises(sp.SpectralError, match=rf"matrix {where} of the stack"):
+        sp.peripheral_decompositions(stack)
+
+
+def test_period_change_along_the_protocol(monkeypatch):
+    """AdiabaticFamily refuses a protocol whose period changes, within a
+    block and across blocks."""
+    original = ad.deformed_map
+
+    def flips_late(model, s, alpha, fam=None):
+        if s > 0.5:
+            return SuperOperator(dim=2, matrix=_flip_map(0.8, 0.9))
+        return original(model, s, alpha, fam=fam)
+
+    monkeypatch.setattr(ad, "deformed_map", flips_late)
+    fam = ad.AdiabaticFamily(mod.fd_model(), 0.5)
+    with pytest.raises(ValueError, match="period changed"):
+        fam.prepare(np.linspace(0.0, 1.0, 11))
+    fam = ad.AdiabaticFamily(mod.fd_model(), 0.5)
+    fam.decomposition(0.2)
+    with pytest.raises(ValueError, match="period changed"):
+        fam.decomposition(0.9)
+
+
+@pytest.fixture
+def eigen_calls(monkeypatch):
+    """Count every entry into a LAPACK eigen-solver through numpy or scipy."""
+    calls = []
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        counted(np.linalg, name)
+    counted(scipy.linalg, "eig")
+    return calls
+
+
+def test_prepare_decomposes_in_blocks(eigen_calls):
+    n = 600
+    blocks = -(-n // ad.PREPARE_BLOCK)
+    fam = ad.AdiabaticFamily(mod.fd_model(), 0.5)
+    fam.prepare(np.linspace(0.0, 1.0, n))
+    assert len(fam._decs) == n
+    # a few stacked calls per block (kernel build and decomposition), not
+    # one or more per node
+    assert len(eigen_calls) <= 10 * blocks, len(eigen_calls)
+
+
+def test_residual_makes_no_one_map_decomposition(monkeypatch, eigen_calls):
+    def refuse(L):
+        raise AssertionError("one-map peripheral_decomposition called")
+
+    monkeypatch.setattr(sp, "peripheral_decomposition", refuse)
+    fam = ad.AdiabaticFamily(mod.fd_model(), 0.5)
+    r = ad.product_decomposition_residual(fam, 100)
+    assert 0.0 < r < 1.0
+    nodes = len(fam._decs)
+    assert nodes > 500
+    assert len(eigen_calls) <= 10 * -(-nodes // ad.PREPARE_BLOCK) + 10
+
+
+@st.composite
+def kraus_maps(draw):
+    d = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 3))
+    entries = st.floats(-1.0, 1.0)
+    # every entry drawn on its own: no shared fill value
+    shape = (2, n, d, d)
+    parts = draw(hnp.arrays(np.float64, shape, elements=entries, fill=st.nothing()))
+    kraus = list(parts[0] + 1j * parts[1])
+    return SuperOperator.from_kraus(kraus, trace_preserving=False)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(L=kraus_maps())
+def test_random_kraus_maps_match_oracle(L):
+    """Both routes refuse the same maps; where they decompose, they agree,
+    the peripheral projector is idempotent and Tr(iota rho) = 1."""
+    try:
+        want = oracles.peripheral_decomposition(L)
+    except sp.SpectralError:
+        with pytest.raises(sp.SpectralError, match="matrix 0 of the stack"):
+            sp.peripheral_decompositions(L.matrix[None])
+        return
+    dec = sp.peripheral_decompositions(L.matrix[None])[0]
+    _assert_matches(dec, want)
+    P = dec.peripheral_projector
+    assert np.abs(P @ P - P).max() <= 1e-8
+    assert abs(np.trace(dec.iota @ dec.rho) - 1.0) <= 1e-12
