@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import simpson
 
-from .linalg import SuperOperator, unvec, vec
-from .model import RISModel, deformed_map, kraus_families
+from .linalg import unvec, vec
+from .model import RISModel, kraus_families
 from .spectral import PeripheralDecomposition, peripheral_decompositions
 
 DERIV_STEP = 1e-5
@@ -27,15 +27,15 @@ PREPARE_BLOCK = 256
 class AdiabaticFamily:
     """A protocol of deformed maps with cached peripheral data.
 
-    Each map is built and decomposed together with the other nodes of its
-    block and cached by s; the peripheral period z must be constant along
-    the protocol (checked as each block is decomposed).
+    Each map's matrix is built and decomposed together with the other nodes
+    of its block and cached by s; the peripheral period z must be constant
+    along the protocol (checked as each block is decomposed).
     """
 
     def __init__(self, model: RISModel, alpha: float):
         self.model = model
         self.alpha = float(alpha)
-        self._maps: dict[float, SuperOperator] = {}
+        self._matrices: dict[float, np.ndarray] = {}
         self._decs: dict[float, PeripheralDecomposition] = {}
         self._period: int | None = None
         self._identity = np.eye(model.dim_sys**2, dtype=complex)
@@ -47,18 +47,15 @@ class AdiabaticFamily:
     def prepare(self, s_values) -> None:
         """Build and decompose the map of every uncached s in s_values.
 
-        Each block of at most PREPARE_BLOCK nodes is built from stacked
-        kernels and decomposed in one stacked pass. Only the maps and their
-        decompositions are kept; each kernel is dropped once its map is built.
+        Each block of at most PREPARE_BLOCK nodes is built from one stacked
+        kernel and decomposed in one stacked pass. Only the matrices and their
+        decompositions are kept; the kernel is dropped once they are built.
         """
         todo = [s for s in dict.fromkeys(map(float, s_values)) if s not in self._decs]
         for start in range(0, len(todo), PREPARE_BLOCK):
             block = todo[start : start + PREPARE_BLOCK]
-            maps = [
-                deformed_map(self.model, s, self.alpha, fam=fam)
-                for s, fam in zip(block, kraus_families(self.model, block))
-            ]
-            decs = peripheral_decompositions(np.stack([L.matrix for L in maps]))
+            matrices = kraus_families(self.model, block).deformed_matrix(self.alpha)
+            decs = peripheral_decompositions(matrices)
             if self._period is None:
                 self._period = decs[0].period
             for s, dec in zip(block, decs):
@@ -66,14 +63,8 @@ class AdiabaticFamily:
                     raise ValueError(
                         f"peripheral period changed along the protocol at s={s}"
                     )
-            self._maps.update(zip(block, maps))
+            self._matrices.update(zip(block, matrices))
             self._decs.update(zip(block, decs))
-
-    def map(self, s: float) -> SuperOperator:
-        s = float(s)
-        if s not in self._maps:
-            self.prepare([s])
-        return self._maps[s]
 
     def decomposition(self, s: float) -> PeripheralDecomposition:
         s = float(s)
@@ -86,7 +77,8 @@ class AdiabaticFamily:
 
     def normalized(self, s: float) -> np.ndarray:
         """Matrix of F(s) = L^(alpha)(s) / lambda^(alpha)(s)."""
-        return self.map(s).matrix / self.lam(s)
+        dec = self.decomposition(s)  # prepares s
+        return self._matrices[float(s)] / dec.spectral_radius
 
     def peripheral_projector(self, s: float) -> np.ndarray:
         return self.decomposition(s).peripheral_projector
@@ -147,9 +139,10 @@ def intertwiner(family: AdiabaticFamily, s_nodes) -> np.ndarray:
     d2 = family.dim**2
     W = np.eye(d2, dtype=complex)
     out = [W.copy()]
+    A4 = _generator(family, s_nodes[0])
     for a, b in steps:
         h = b - a
-        A1 = _generator(family, a)
+        A1 = A4  # the previous step's end node is this step's start
         A2 = _generator(family, a + h / 2)
         A4 = _generator(family, b)
         k1 = A1 @ W

@@ -52,11 +52,8 @@ def _initial_state(cfg: RunConfig) -> np.ndarray:
 
 def task_spectrum(cfg: RunConfig, out: str) -> None:
     s_grid = np.linspace(0.0, 1.0, cfg.s_nodes)
-    maps = [
-        model.deformed_map(cfg.model, float(s), 0.0, fam=fam)
-        for s, fam in zip(s_grid, model.kraus_families(cfg.model, s_grid))
-    ]
-    decs = spectral.peripheral_decompositions(np.stack([L.matrix for L in maps]))
+    fams = model.kraus_families(cfg.model, s_grid)
+    decs = spectral.peripheral_decompositions(fams.deformed_matrix(0.0))
     fh, w = _writer(os.path.join(out, "spectrum.csv"))
     with fh:
         w.writerow(["s", "beta", "spectral_radius", "period", "rho_00", "rho_11"])

@@ -170,7 +170,8 @@ def step_operators(
     """
     if fam is None:
         fam = kraus_family(model, s)
-    G, A, psi = fam.groups, fam.transitions, fam.basis
+    G = outcome_groups(fam.y_eigenvalues).astype(float)
+    A, psi = fam.transitions, fam.basis
     n, d2 = G.shape[0], model.dim_sys**2
     # Pi_I xi Pi_I for every outcome I, in the Y basis
     blocks = np.einsum("Ia,Ic,ac->Iac", G, G, fam.xi_y)
@@ -222,7 +223,8 @@ class ProtocolNodes:
         """
         s_values = [k / T for k in range(1, T + 1)]
         todo = [s for s in s_values if s not in self._families]
-        self._families.update(zip(todo, kraus_families(self.model, todo)))
+        if todo:
+            self._families.update(zip(todo, kraus_families(self.model, todo)))
         return s_values
 
     def family(self, s: float) -> KrausFamily:
@@ -395,7 +397,7 @@ def _commutes_with_projectors(rho: np.ndarray, obs: SpectralObservable) -> bool:
 
 
 def _probe_state_is_function_of_Y(fam: KrausFamily) -> bool:
-    for g in fam.groups.astype(bool):
+    for g in outcome_groups(fam.y_eigenvalues):
         block = fam.xi_y[np.ix_(g, g)]
         c = np.trace(block).real / g.sum()
         if np.abs(block - c * np.eye(g.sum())).max() > 1e-10:

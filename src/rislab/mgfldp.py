@@ -98,14 +98,12 @@ class LambdaEvaluator:
         self.model = model
         self.s_grid = np.linspace(0.0, 1.0, n_nodes)
         self._fams = kraus_families(model, self.s_grid)
-        self._mats = np.stack([f.kron for f in self._fams])  # (S, nK, d^2, d^2)
-        self._dys = np.stack([f.dy for f in self._fams])  # (S, nK)
         self._cache: dict[float, float] = {}
 
     def lambda_nodes(self, alpha: float) -> np.ndarray:
         """lambda^(alpha)(s) on the protocol grid."""
-        w = np.exp(float(alpha) * self._dys)
-        M = np.einsum("sn,snab->sab", w, self._mats)
+        w = np.exp(float(alpha) * self._fams.dy)
+        M = np.einsum("sn,snab->sab", w, self._fams.kron)
         ev = np.linalg.eigvals(M)
         return np.abs(ev).max(axis=1)
 

@@ -11,12 +11,13 @@ L^(alpha)(s) through an exponentially weighted Kraus family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
 from .linalg import (
+    KRAUS_MATRIX_TOL,
     LinalgError,
     SuperOperator,
     assert_hermitian,
@@ -24,7 +25,6 @@ from .linalg import (
     herm_power,
     hermitian_eig,
     kron_stack,
-    outcome_groups,
     spectral_radius,
     tensor_product,
 )
@@ -174,30 +174,39 @@ def joint_unitary(model: RISModel, s) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KrausFamily:
-    """The kernel of one protocol node: every map of the node is a sum over it.
+    """The kernel of a protocol node: every map of the node is a sum over it.
 
     psi (``basis``) diagonalises the counting observable Y with eigenvalues
-    ``y_eigenvalues`` ascending; ``groups`` (n_outcomes, dim_env) marks with
-    1 the eigenvectors of each distinct outcome of Y. ``transitions[b, a]``
-    is the system block (Id x <psi_b|) U (Id x |psi_a>) of the joint unitary
-    and ``xi_y = psi* xi psi`` the probe state. ``kraus[n]`` is
+    ``y_eigenvalues`` ascending. ``transitions[b, a]`` is the system block
+    (Id x <psi_b|) U (Id x |psi_a>) of the joint unitary and
+    ``xi_y = psi* xi psi`` the probe state. ``kraus[n]`` is
     K_ab = sum_c (xi_y^{1/2})_{ca} transitions[b, c] for the probe transition
     a -> b (n = a*dim_env + b), ``kron[n]`` is conj(K_n) kron K_n and
     ``dy[n] = y_b - y_a``.
+
+    The kernel of a node set carries a leading node axis on every field, so
+    ``deformed_matrix`` returns a stack; ``fams[i]`` is node i's kernel.
     """
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
     dy: np.ndarray
     y_eigenvalues: np.ndarray
     basis: np.ndarray
     transitions: np.ndarray
     xi_y: np.ndarray
-    groups: np.ndarray
     kron: np.ndarray
+
+    def __getitem__(self, i: int) -> "KrausFamily":
+        """Node i's kernel; iterating a node set's kernel yields its nodes."""
+        if self.dy.ndim != 2:
+            raise TypeError("the kernel of one node has no node axis")
+        return KrausFamily(*(getattr(self, f.name)[i] for f in fields(self)))
 
     def deformed_matrix(self, alpha: complex) -> np.ndarray:
         """The matrix sum_n e^{alpha*dy_n} conj(K_n) kron K_n of L^(alpha)(s)."""
-        return np.einsum("n,nab->ab", np.exp(complex(alpha) * self.dy), self.kron)
+        return np.einsum(
+            "...n,...nab->...ab", np.exp(complex(alpha) * self.dy), self.kron
+        )
 
 
 def counting_observable(model: RISModel, s, beta, h_env) -> np.ndarray:
@@ -212,20 +221,22 @@ def counting_observable(model: RISModel, s, beta, h_env) -> np.ndarray:
     return np.asarray(beta, dtype=float)[..., None, None] * h_env
 
 
-def kraus_families(model: RISModel, s_values) -> list[KrausFamily]:
-    """The kernels of a set of protocol nodes, built in one pass.
+def kraus_families(model: RISModel, s_values) -> KrausFamily:
+    """The kernel of a set of protocol nodes, built in one pass.
 
     Kraus operators K_ij = (Id x <psi_j|) U (Id x xi^{1/2} |psi_i>), with
     psi the eigenbasis of the model's counting observable Y and xi the probe
     Gibbs state; the reduced map is X -> sum_ij K_ij X K_ij*. Y, h_env, xi
     and the total Hamiltonian are each decomposed in one stacked eigh, and
-    every kernel is bitwise equal to the one built for its node alone.
+    every node's kernel is bitwise equal to the one built for it alone.
+    Each node is certified trace preserving: |sum_n K_n* K_n - Id| is at most
+    KRAUS_MATRIX_TOL, else LinalgError.
     """
     dS, dE = model.dim_sys, model.dim_env
     s_values = np.asarray(s_values, dtype=float).reshape(-1)
     n = s_values.size
     if n == 0:
-        return []
+        raise ValueError("a kernel needs at least one protocol node")
     # Y and the probe state of every node, from one reading of beta(s) and
     # h_env(s) per node
     beta = _at_nodes(model.beta, s_values).astype(float)
@@ -240,21 +251,19 @@ def kraus_families(model: RISModel, s_values) -> list[KrausFamily]:
     A = [np.einsum("eb,menf,fa->bamn", p.conj(), u, p) for p, u in zip(psi, U4)]
     K = np.stack([np.einsum("ca,bcmn->abmn", h, a) for h, a in zip(xi_y_half, A)])
     K = K.reshape(n, dE * dE, dS, dS)
-    kron = kron_stack(K.reshape(-1, dS, dS)).reshape(n, dE * dE, dS**2, dS**2)
-    dy = (y[:, None, :] - y[:, :, None]).reshape(n, -1)
-    return [
-        KrausFamily(
-            kraus=tuple(K[i]),
-            dy=dy[i],
-            y_eigenvalues=y[i],
-            basis=psi[i],
-            transitions=A[i],
-            xi_y=xi_y[i],
-            groups=outcome_groups(y[i]).astype(float),
-            kron=kron[i],
-        )
-        for i in range(n)
-    ]
+    tp = np.abs(np.einsum("snji,snjk->sik", K.conj(), K) - np.eye(dS)).max(axis=(1, 2))
+    if np.any(tp > KRAUS_MATRIX_TOL):
+        i = int(np.argmax(tp))
+        raise LinalgError(f"kernel at s={s_values[i]} not trace preserving: {tp[i]}")
+    return KrausFamily(
+        kraus=K,
+        dy=(y[:, None, :] - y[:, :, None]).reshape(n, -1),
+        y_eigenvalues=y,
+        basis=psi,
+        transitions=np.stack(A),
+        xi_y=xi_y,
+        kron=kron_stack(K.reshape(-1, dS, dS)).reshape(n, dE * dE, dS**2, dS**2),
+    )
 
 
 def kraus_family(model: RISModel, s: float) -> KrausFamily:

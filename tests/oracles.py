@@ -37,7 +37,6 @@ from rislab.linalg import (
     herm_power,
     hermitian_eig,
     kron_stack,
-    outcome_groups,
     partial_trace_env,
     tensor_product,
     unvec,
@@ -81,13 +80,12 @@ def kraus_family(model: RISModel, s: float) -> KrausFamily:
     A = np.einsum("eb,menf,fa->bamn", psi.conj(), U4, psi)
     K = np.einsum("ca,bcmn->abmn", xi_y_half, A).reshape(dE * dE, dS, dS)
     return KrausFamily(
-        kraus=tuple(K),
+        kraus=K,
         dy=(y[None, :] - y[:, None]).reshape(-1),
         y_eigenvalues=y,
         basis=psi,
         transitions=A,
         xi_y=xi_y,
-        groups=outcome_groups(y).astype(float),
         kron=kron_stack(K),
     )
 

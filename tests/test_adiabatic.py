@@ -34,6 +34,22 @@ def test_intertwiner_transports_ranges(fd_family):
         assert np.abs((np.eye(d2) - Ps) @ W @ P0).max() < 1e-8
 
 
+def test_intertwiner_evaluates_each_generator_node_once(monkeypatch, fd_family):
+    """RK4 over T steps reads 2T + 1 distinct nodes: each step's end node is
+    the next step's start."""
+    calls = []
+    original = ad._generator
+
+    def counted(family, s):
+        calls.append(float(s))
+        return original(family, s)
+
+    monkeypatch.setattr(ad, "_generator", counted)
+    ad.intertwiner(fd_family, np.linspace(0.0, 1.0, 101))
+    assert len(calls) == 201
+    assert len(set(calls)) == 201
+
+
 def test_gap_bound_below_one(fd_family):
     ell = fd_family.gap_bound(np.linspace(0.0, 1.0, 11))
     assert 0.0 < ell < 1.0

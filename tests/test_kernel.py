@@ -13,6 +13,7 @@ import pytest
 
 from rislab import fullstats as fs
 from rislab import model as mod
+from rislab.linalg import outcome_groups
 
 import oracles
 from conftest import random_hermitian, random_small_model
@@ -71,9 +72,10 @@ def test_cases_cover_their_claims():
         m = by_name[name]
         Y, xi = m.counting(S), mod.probe_state(m, S)
         assert np.abs(Y @ xi - xi @ Y).max() > 1e-2
-    assert mod.kraus_family(m, S).groups.shape == (2, 3)
+    assert outcome_groups(mod.kraus_family(m, S).y_eigenvalues).shape == (2, 3)
     fam = mod.kraus_family(by_name["degenerate-env3"], S)
-    assert fam.groups.shape == (2, 3)  # Y has eigenvalues beta * (0, 1, 1)
+    # Y has eigenvalues beta * (0, 1, 1)
+    assert outcome_groups(fam.y_eigenvalues).shape == (2, 3)
     assert by_name["sys3-env3"].dim_sys == 3
 
 

@@ -10,6 +10,7 @@ unnoticed.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rislab import adiabatic as ad
+from rislab import cli
+from rislab import config as cfg
 from rislab import model as mod
 from rislab import spectral as sp
 from rislab.linalg import SuperOperator
@@ -39,9 +42,7 @@ def _flip_map(a: float = 1.0, b: float = 1.0) -> np.ndarray:
 
 
 def _deformed_stack(model, alpha, s_grid=S_GRID) -> np.ndarray:
-    fams = mod.kraus_families(model, s_grid)
-    maps = [mod.deformed_map(model, s, alpha, fam=f) for s, f in zip(s_grid, fams)]
-    return np.stack([L.matrix for L in maps])
+    return mod.kraus_families(model, s_grid).deformed_matrix(alpha)
 
 
 def _oracle(M: np.ndarray):
@@ -140,14 +141,18 @@ def test_bad_map_is_refused_and_named(kind, where):
 def test_period_change_along_the_protocol(monkeypatch):
     """AdiabaticFamily refuses a protocol whose period changes, within a
     block and across blocks."""
-    original = ad.deformed_map
+    original = ad.kraus_families
 
-    def flips_late(model, s, alpha, fam=None):
-        if s > 0.5:
-            return SuperOperator(dim=2, matrix=_flip_map(0.8, 0.9))
-        return original(model, s, alpha, fam=fam)
+    def flips_late(model, s_values):
+        """The kernels, with the flip map as the only term (dy = 0) past 0.5."""
+        fams = original(model, s_values)
+        late = np.asarray(s_values) > 0.5
+        kron = fams.kron.copy()
+        kron[late] = 0.0
+        kron[late, 0] = _flip_map(0.8, 0.9)
+        return replace(fams, kron=kron)
 
-    monkeypatch.setattr(ad, "deformed_map", flips_late)
+    monkeypatch.setattr(ad, "kraus_families", flips_late)
     fam = ad.AdiabaticFamily(mod.fd_model(), 0.5)
     with pytest.raises(ValueError, match="period changed"):
         fam.prepare(np.linspace(0.0, 1.0, 11))
@@ -175,6 +180,29 @@ def eigen_calls(monkeypatch):
         counted(np.linalg, name)
     counted(scipy.linalg, "eig")
     return calls
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Count every SuperOperator validation."""
+    calls = []
+    original = SuperOperator.__post_init__
+
+    def counted(self):
+        calls.append(self.dim)
+        original(self)
+
+    monkeypatch.setattr(SuperOperator, "__post_init__", counted)
+    return calls
+
+
+def test_node_sets_build_no_superoperator(tmp_path, validations):
+    """spectrum and prepare decompose the kernel's matrix stack directly."""
+    config = cfg.load_config({"model": {"preset": "fd"}, "numeric": {"s_nodes": 201}})
+    cli.task_spectrum(config, str(tmp_path))
+    assert (tmp_path / "spectrum.csv").exists()
+    ad.AdiabaticFamily(mod.fd_model(), 0.5).prepare(np.linspace(0.0, 1.0, 600))
+    assert validations == []
 
 
 def test_prepare_decomposes_in_blocks(eigen_calls):

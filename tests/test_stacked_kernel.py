@@ -76,32 +76,71 @@ def _cases():
 CASES = _cases()
 
 
-def _field_equal(a, b) -> bool:
-    if isinstance(a, tuple):
-        return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
-    return np.array_equal(a, b)
+def assert_same_kernel(got, want, where=None):
+    """Every field of two node kernels equal bit for bit."""
+    for f in fields(want):
+        same = np.array_equal(getattr(got, f.name), getattr(want, f.name))
+        assert same, (where, f.name)
 
 
 @pytest.mark.parametrize("name,m", CASES, ids=[c[0] for c in CASES])
 def test_stacked_build_matches_one_node_oracle(name, m):
-    families = mod.kraus_families(m, S_GRID)
-    assert len(families) == S_GRID.size
-    for s, fam in zip(S_GRID, families):
-        want = oracles.kraus_family(m, float(s))
-        for f in fields(fam):
-            assert _field_equal(getattr(fam, f.name), getattr(want, f.name)), (s, f.name)
-    one = mod.kraus_family(m, 0.35)
-    want = oracles.kraus_family(m, 0.35)
-    assert all(_field_equal(getattr(one, f.name), getattr(want, f.name)) for f in fields(one))
+    fams = mod.kraus_families(m, S_GRID)
+    assert fams.dy.shape[0] == S_GRID.size
+    for i, s in enumerate(S_GRID):
+        assert_same_kernel(fams[i], oracles.kraus_family(m, float(s)), s)
+    assert_same_kernel(mod.kraus_family(m, 0.35), oracles.kraus_family(m, 0.35))
+
+
+@pytest.mark.parametrize("name,m", CASES, ids=[c[0] for c in CASES])
+def test_stacked_deformed_matrix_is_per_node(name, m):
+    """One einsum over the node stack rounds as the per-node sums do."""
+    fams = mod.kraus_families(m, S_GRID)
+    for alpha in (0.0, 0.5, -1.0, 2.0, 0.3 + 0.2j):
+        stack = fams.deformed_matrix(alpha)
+        assert stack.shape == (S_GRID.size,) + (m.dim_sys**2,) * 2
+        for i in range(S_GRID.size):
+            fam = fams[i]
+            one = np.einsum("n,nab->ab", np.exp(complex(alpha) * fam.dy), fam.kron)
+            assert np.array_equal(stack[i], one), (alpha, i)
+            assert np.array_equal(fam.deformed_matrix(alpha), one), (alpha, i)
 
 
 def test_cases_cover_their_claims():
     by_name = dict(CASES)
-    assert mod.kraus_family(by_name["degenerate-Y"], 0.5).groups.shape == (2, 3)
+    fam = mod.kraus_family(by_name["degenerate-Y"], 0.5)
+    assert la.outcome_groups(fam.y_eigenvalues).shape == (2, 3)
     assert by_name["explicit-3x3"].dim_sys == 3
     m = by_name["moving-probe"]
     assert not np.array_equal(m.h_env(0.0), m.h_env(1.0))
-    assert mod.kraus_families(m, []) == []
+
+
+def test_node_views():
+    """A node set's kernel indexes to its nodes; a node's kernel does not."""
+    fams = mod.kraus_families(mod.fd_model(), [0.0, 0.5, 1.0])
+    assert fams[1].kron.shape == (4, 4, 4)
+    assert np.shares_memory(fams[1].kron, fams.kron)
+    with pytest.raises(TypeError):
+        fams[1][0]
+    with pytest.raises(ValueError):
+        mod.kraus_families(mod.fd_model(), [])
+
+
+def test_kernel_build_certifies_trace_preservation(monkeypatch):
+    """A joint evolution that is not unitary fails the build at its node."""
+    unitary = mod.joint_unitary
+
+    def leaky(model, s):
+        scale = np.where(np.asarray(s) > 0.5, 1.001, 1.0)
+        return unitary(model, s) * scale[..., None, None]
+
+    monkeypatch.setattr(mod, "joint_unitary", leaky)
+    m = mod.fd_model()
+    mod.kraus_families(m, [0.0, 0.5])
+    with pytest.raises(la.LinalgError, match="s=0.75 not trace preserving"):
+        mod.kraus_families(m, [0.0, 0.75, 0.5])
+    with pytest.raises(la.LinalgError):
+        mod.kraus_family(m, 1.0)
 
 
 def _hermitian_stack(rng, n, d):
