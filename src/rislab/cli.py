@@ -170,8 +170,8 @@ def task_x0(cfg: RunConfig, out: str) -> None:
     rho_i = _initial_state(cfg)
     setup = fullstats.entropic_setup(rho_i)
     nodes = fullstats.ProtocolNodes(m)
-    rho0 = spectral.invariant_state(nodes.reduced(0.0))
-    rho1 = spectral.invariant_state(nodes.reduced(1.0))
+    ends = np.stack([nodes.reduced(0.0), nodes.reduced(1.0)])
+    rho0, rho1 = (dec.rho for dec in spectral.peripheral_decompositions(ends))
     grid = [(-0.5, -0.5), (-0.5, 0.5), (0.0, 0.3), (0.5, -0.5), (0.5, 0.5)]
     fh, w = _writer(os.path.join(out, "x0.csv"))
     with fh:

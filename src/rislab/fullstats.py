@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    SuperOperator,
     assert_hermitian,
     herm_log,
     herm_power,
@@ -27,12 +26,12 @@ from .linalg import (
     partial_trace_env,
     partial_trace_sys,
     tensor_product,
+    unvec,
     vec,
 )
 from .model import (
     KrausFamily,
     RISModel,
-    deformed_map,
     joint_unitary,
     kraus_families,
     kraus_family,
@@ -111,12 +110,12 @@ def evolved_state(
     *,
     nodes: ProtocolNodes | None = None,
 ) -> np.ndarray:
-    """rho_f = L(T/T) ... L(1/T) rho_i (exact reduced chain)."""
+    """rho_f = L(T/T) ... L(1/T) rho_i (exact reduced chain, in vec space)."""
     nodes = node_table(model, nodes)
-    rho = np.asarray(rho_i, dtype=complex)
+    x = vec(rho_i)
     for s in nodes.chain(T):
-        rho = nodes.reduced(s).apply(rho)
-    return rho
+        x = nodes.reduced(s) @ x
+    return unvec(x, model.dim_sys)
 
 
 def resolve_final_observable(
@@ -203,16 +202,17 @@ class ProtocolNodes:
     are keyed by the
     exact double float(s), so the chains of a nested T list share their
     nodes: k/T and (m*k)/(m*T) round to the same double. Per node the table
-    holds one kernel, counting the model's Y, and the reduced map L(s)
-    (validated once) and the conditioned step maps built from it; a chain at
-    alpha != 0 reads the kernel's ``deformed_matrix``. A table lives as long
-    as the task that made it.
+    holds one kernel, counting the model's Y, the d^2 x d^2 matrix of the
+    reduced map L(s) (the kernel's ``deformed_matrix(0)``; the kernel build
+    certified it trace preserving) and the conditioned step maps built from
+    the kernel; a chain at alpha != 0 reads the kernel's ``deformed_matrix``.
+    A table lives as long as the task that made it.
     """
 
     def __init__(self, model: RISModel):
         self.model = model
         self._families: dict[float, KrausFamily] = {}
-        self._reduced: dict[float, SuperOperator] = {}
+        self._reduced: dict[float, np.ndarray] = {}
         self._steps: dict[float, StepOperators] = {}
 
     def chain(self, T: int) -> list[float]:
@@ -233,10 +233,11 @@ class ProtocolNodes:
             self._families[s] = kraus_family(self.model, s)
         return self._families[s]
 
-    def reduced(self, s: float) -> SuperOperator:
+    def reduced(self, s: float) -> np.ndarray:
+        """The matrix of L(s), acting on column-stacked operators."""
         s = float(s)
         if s not in self._reduced:
-            self._reduced[s] = deformed_map(self.model, s, 0.0, fam=self.family(s))
+            self._reduced[s] = self.family(s).deformed_matrix(0.0)
         return self._reduced[s]
 
     def steps(self, s: float) -> StepOperators:
@@ -535,7 +536,7 @@ def total_entropy_production(
     for s in nodes.chain(T):
         bal = step_balance(model, rho, s)
         total += bal["sigma"]
-        rho = nodes.reduced(s).apply(rho)
+        rho = unvec(nodes.reduced(s) @ vec(rho), model.dim_sys)
     return total
 
 

@@ -148,14 +148,6 @@ def herm_log(H: np.ndarray) -> np.ndarray:
     return (V * np.log(w)) @ V.conj().T
 
 
-def project_to_faithful(rho: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """Mix a state with eps*Id and renormalize (opt-in faithfulness repair)."""
-    rho = assert_hermitian(rho)
-    d = rho.shape[0]
-    out = rho + eps * np.eye(d)
-    return out / np.trace(out).real
-
-
 def general_eig(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues with right and left eigenvectors of a general square matrix.
 
@@ -169,10 +161,8 @@ def general_eig(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w, Vr, Vl
 
 
-def spectral_radius(M) -> float:
-    """Largest eigenvalue modulus (accepts a matrix or a SuperOperator)."""
-    if isinstance(M, SuperOperator):
-        M = M.matrix
+def spectral_radius(M: np.ndarray) -> float:
+    """Largest eigenvalue modulus of a square matrix."""
     M = as_complex(M)
     if M.shape[0] != M.shape[1]:
         raise LinalgError("spectral_radius requires a square matrix")
@@ -258,13 +248,6 @@ class SuperOperator:
             completely_positive=self.completely_positive,
             trace_preserving=False,
         )
-
-    def compose(self, other: "SuperOperator") -> "SuperOperator":
-        """self after other."""
-        return SuperOperator(dim=self.dim, matrix=self.matrix @ other.matrix)
-
-    def __matmul__(self, other: "SuperOperator") -> "SuperOperator":
-        return self.compose(other)
 
 
 def kron_stack(kraus) -> np.ndarray:

@@ -22,9 +22,9 @@ from .linalg import (
     unvec,
     vec,
 )
-from .model import RISModel, deformed_map, kraus_families
+from .model import RISModel, kraus_families
 from .fullstats import MeasurementSetup, ProtocolNodes, node_table, resolve_final_observable
-from .spectral import growth_rates, invariant_state
+from .spectral import growth_rates, peripheral_decompositions
 
 DEFAULT_S_NODES = 201
 DEFAULT_ALPHA_GRID = (-3.0, 2.0, 101)
@@ -128,19 +128,24 @@ class LambdaEvaluator:
         with eta the unique traceless solution of
         (Id - L) eta = sum_n dy_n K_n rho K_n* - l1 rho. Then
         Lambda'(0) = int l1 and Lambda''(0) = int (l2 - l1^2).
+
+        The maps L(s) are the kernel's ``deformed_matrix(0)`` stack, and every
+        rho comes from one ``peripheral_decompositions`` call, which raises
+        SpectralError naming the first node whose map is not irreducible.
         """
         d = self.model.dim_sys
         diag = slice(None, None, d + 1)  # the trace of a column-stacked operator
+        maps = self._fams.deformed_matrix(0.0)
+        decs = peripheral_decompositions(maps)
         l1s = np.empty(self.s_grid.size)
         l2s = np.empty(self.s_grid.size)
-        for i, (s, fam) in enumerate(zip(self.s_grid, self._fams)):
-            L = deformed_map(self.model, float(s), 0.0, fam=fam)
-            rho = invariant_state(L)
+        for i, (s, fam, dec) in enumerate(zip(self.s_grid, self._fams, decs)):
+            rho = dec.rho
             jumps = fam.kron @ vec(rho)  # vec(K_n rho K_n*) for every n
             weights = np.real(jumps[:, diag].sum(axis=1))
             first = fam.dy @ weights
             rhs = fam.dy @ jumps - first * vec(rho)
-            A = np.eye(d * d, dtype=complex) - L.matrix
+            A = np.eye(d * d, dtype=complex) - maps[i]
             eta0, *_ = np.linalg.lstsq(A, rhs, rcond=None)
             eta = unvec(eta0, d)
             eta = eta - np.trace(eta) * rho  # fix the kernel component: traceless

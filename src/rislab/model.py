@@ -276,19 +276,13 @@ def reduced_map(model: RISModel, s: float) -> SuperOperator:
     return deformed_map(model, s, 0.0)
 
 
-def deformed_map(
-    model: RISModel,
-    s: float,
-    alpha: complex,
-    fam: KrausFamily | None = None,
-) -> SuperOperator:
+def deformed_map(model: RISModel, s: float, alpha: complex) -> SuperOperator:
     """The deformed map L^(alpha)(s): X -> sum_n e^{alpha*dy_n} K_n X K_n*.
 
     At alpha = 0 this is the reduced map, returned with its Kraus family and
     certified trace preserving; at any other alpha only the matrix is kept.
     """
-    if fam is None:
-        fam = kraus_family(model, s)
+    fam = kraus_family(model, s)
     matrix = fam.deformed_matrix(alpha)
     if alpha != 0:
         return SuperOperator(dim=model.dim_sys, matrix=matrix)

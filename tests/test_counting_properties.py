@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rislab import model as mod
+from rislab.linalg import SuperOperator
 
 import oracles
 from test_stacked_kernel import assert_same_kernel
@@ -82,7 +83,14 @@ def test_kernel_and_reduced_map_for_any_counting_observable(kind, data):
     for i, s in enumerate(NODES):
         fam = fams[i]
         assert_same_kernel(fam, oracles.kraus_family(m, s), s)
-        L = mod.deformed_map(m, s, 0.0, fam=fam)
+        # the stacked node's reduced map, its Kraus family and TP checked
+        L = SuperOperator(
+            dim=m.dim_sys,
+            matrix=fam.deformed_matrix(0.0),
+            kraus=fam.kraus,
+            completely_positive=True,
+            trace_preserving=True,
+        )
         eye = np.eye(m.dim_sys)
         assert np.abs(L.adjoint_apply(eye) - eye).max() <= 1e-12
         gap = np.abs(L.matrix - mod.reduced_map(default, s).matrix).max()

@@ -90,9 +90,6 @@ def test_herm_power_domain_error():
         la.herm_power(P, -1.0)
     with pytest.raises(la.LinalgError):
         la.herm_log(P)
-    repaired = la.project_to_faithful(P, eps=1e-6)
-    la.herm_log(repaired)  # no longer raises
-    assert np.isclose(np.trace(repaired), 1.0)
 
 
 def test_general_eig_left_right(rng):
@@ -134,15 +131,6 @@ def test_superoperator_adjoint_pairing(rng):
     lhs = np.trace(A.conj().T @ L.apply(B))
     rhs = np.trace(L.adjoint().apply(A).conj().T @ B)
     assert abs(lhs - rhs) < 1e-12
-
-
-def test_superoperator_compose(rng):
-    k1 = [_rand_c(rng, (2, 2)) for _ in range(2)]
-    k2 = [_rand_c(rng, (2, 2)) for _ in range(2)]
-    L1 = la.SuperOperator.from_kraus(k1, trace_preserving=False)
-    L2 = la.SuperOperator.from_kraus(k2, trace_preserving=False)
-    X = _rand_c(rng, (2, 2))
-    assert np.abs((L1 @ L2).apply(X) - L1.apply(L2.apply(X))).max() < 1e-12
 
 
 def test_superoperator_kraus_mismatch_raises():

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from rislab import fullstats as fs
 from rislab import mgfldp as mg
 from rislab import model as mod
-from rislab.spectral import invariant_state
+from rislab.linalg import unvec, vec
+from rislab.spectral import SpectralError, invariant_state
 
 from conftest import random_faithful_state
 
@@ -38,6 +42,47 @@ def test_lambda_derivatives_match_finite_difference(fd_ev):
     fd2 = (fd_ev(h) - 2 * fd_ev(0.0) + fd_ev(-h)) / h**2
     assert abs(d1 - fd1) < 1e-7
     assert abs(d2 - fd2) < 1e-5
+
+
+def _per_node_derivatives(m, n_nodes):
+    """(Lambda'(0), Lambda''(0)) one node at a time: each node's reduced map
+    from deformed_map, its invariant_state and the lstsq solve for eta."""
+    s_grid = np.linspace(0.0, 1.0, n_nodes)
+    d = m.dim_sys
+    diag = slice(None, None, d + 1)
+    l1s, l2s = np.empty(n_nodes), np.empty(n_nodes)
+    for i, s in enumerate(s_grid):
+        fam = mod.kraus_family(m, float(s))
+        L = mod.deformed_map(m, float(s), 0.0)
+        rho = invariant_state(L)
+        jumps = fam.kron @ vec(rho)
+        weights = np.real(jumps[:, diag].sum(axis=1))
+        l1s[i] = fam.dy @ weights
+        A = np.eye(d * d, dtype=complex) - L.matrix
+        eta0, *_ = np.linalg.lstsq(A, fam.dy @ jumps - l1s[i] * vec(rho), rcond=None)
+        eta = unvec(eta0, d)
+        eta = eta - np.trace(eta) * rho
+        eta_weights = np.real((fam.kron @ vec(eta))[:, diag].sum(axis=1))
+        l2s[i] = fam.dy**2 @ weights + 2 * fam.dy @ eta_weights
+    return (
+        float(simpson(l1s, x=s_grid)),
+        float(simpson(l2s - l1s**2, x=s_grid)),
+    )
+
+
+@pytest.mark.parametrize("make", [mod.fd_model, mod.rwa_model])
+def test_derivatives_at_zero_equal_the_per_node_route(make):
+    m = make()
+    assert mg.LambdaEvaluator(m, 201).derivatives_at_zero() == _per_node_derivatives(
+        m, 201
+    )
+
+
+def test_reducible_node_is_refused():
+    """With no coupling L(s) is a unitary conjugation: not irreducible."""
+    m = replace(mod.fd_model(), coupling=lambda s: np.zeros((4, 4)))
+    with pytest.raises(SpectralError, match="matrix 0 of the stack"):
+        mg.LambdaEvaluator(m, 11).derivatives_at_zero()
 
 
 def test_lambda_convex(fd_ev):

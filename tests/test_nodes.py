@@ -91,6 +91,20 @@ def test_shared_table_gives_identical_results():
             assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
+@pytest.mark.parametrize("make", [mod.fd_model, mod.rwa_model])
+def test_chain_walks_equal_the_reduced_map_walk(make):
+    """The table's matrix walks equal applying each node's SuperOperator."""
+    m = make()
+    rho_i = mod.gibbs_state(m.h_sys, m.beta(0.0))
+    T = 25
+    rho, sigma = np.asarray(rho_i, dtype=complex), 0.0
+    for k in range(1, T + 1):
+        sigma += fs.step_balance(m, rho, k / T)["sigma"]
+        rho = mod.reduced_map(m, k / T).apply(rho)
+    assert np.array_equal(fs.evolved_state(m, rho_i, T), rho)
+    assert fs.total_entropy_production(m, rho_i, T) == sigma
+
+
 def test_table_for_another_model_is_refused():
     m = mod.fd_model()
     setup = fs.entropic_setup(mod.gibbs_state(m.h_sys, m.beta(0.0)))

@@ -22,12 +22,14 @@ from hypothesis.extra import numpy as hnp
 from rislab import adiabatic as ad
 from rislab import cli
 from rislab import config as cfg
+from rislab import mgfldp as mg
 from rislab import model as mod
 from rislab import spectral as sp
 from rislab.linalg import SuperOperator
 
 import oracles
 from conftest import random_small_model
+from test_cli import BASE
 
 ALPHAS = (-1.0, 0.0, 0.5, 2.0)
 S_GRID = np.linspace(0.0, 1.0, 21)
@@ -197,12 +199,25 @@ def validations(monkeypatch):
 
 
 def test_node_sets_build_no_superoperator(tmp_path, validations):
-    """spectrum and prepare decompose the kernel's matrix stack directly."""
+    """spectrum and prepare decompose the kernel's matrix stack directly, and
+    the chain and Lambda tasks read each node's map as the kernel's matrix."""
     config = cfg.load_config({"model": {"preset": "fd"}, "numeric": {"s_nodes": 201}})
     cli.task_spectrum(config, str(tmp_path))
     assert (tmp_path / "spectrum.csv").exists()
     ad.AdiabaticFamily(mod.fd_model(), 0.5).prepare(np.linspace(0.0, 1.0, 600))
+    config = cfg.load_config(BASE)
+    for task in (cli.task_lambda, cli.task_x0, cli.task_simulate, cli.task_balance):
+        task(config, str(tmp_path))
+    assert (tmp_path / "x0.csv").exists()
     assert validations == []
+
+
+def test_derivatives_at_zero_decompose_in_one_pass(eigen_calls):
+    ev = mg.LambdaEvaluator(mod.fd_model(), 201)
+    eigen_calls.clear()
+    ev.derivatives_at_zero()
+    # one stacked decomposition of the 201 maps, not an eig per node
+    assert len(eigen_calls) <= 10, len(eigen_calls)
 
 
 def test_prepare_decomposes_in_blocks(eigen_calls):
