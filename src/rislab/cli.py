@@ -102,7 +102,7 @@ def task_ldp(cfg: RunConfig, out: str) -> None:
 def task_simulate(cfg: RunConfig, out: str) -> None:
     setup = fullstats.entropic_setup(_initial_state(cfg))
     d1, d2 = mgfldp.lambda_derivatives_at_zero(cfg.model, cfg.s_nodes)
-    nodes = fullstats.ProtocolNodes(cfg.model)
+    nodes = fullstats.ProtocolNodes(cfg.model, cfg.T_list)
     if d2 > CLT_DEGENERATE_D2:
         bins = np.linspace(-4 * np.sqrt(d2), 4 * np.sqrt(d2), 42)
     else:
@@ -146,7 +146,7 @@ def task_adiabatic(cfg: RunConfig, out: str) -> None:
 
 def task_balance(cfg: RunConfig, out: str) -> None:
     setup = fullstats.entropic_setup(_initial_state(cfg))
-    nodes = fullstats.ProtocolNodes(cfg.model)
+    nodes = fullstats.ProtocolNodes(cfg.model, [cfg.T])
     meas = fullstats.enumerate_measure(cfg.model, setup, cfg.T, nodes=nodes)
     if cfg.write_csv:
         fullstats.write_measure_csv(os.path.join(out, "measure.csv"), meas)
@@ -169,16 +169,17 @@ def task_x0(cfg: RunConfig, out: str) -> None:
     m = cfg.model
     rho_i = _initial_state(cfg)
     setup = fullstats.entropic_setup(rho_i)
-    nodes = fullstats.ProtocolNodes(m)
-    ends = np.stack([nodes.reduced(0.0), nodes.reduced(1.0)])
+    nodes = fullstats.ProtocolNodes(m, cfg.T_list)
+    # s = 1 is the last node of every chain
+    ends = np.stack([model.kraus_family(m, 0.0).deformed_matrix(0.0), nodes.reduced[-1]])
     rho0, rho1 = (dec.rho for dec in spectral.peripheral_decompositions(ends))
     grid = [(-0.5, -0.5), (-0.5, 0.5), (0.0, 0.3), (0.5, -0.5), (0.5, 0.5)]
     fh, w = _writer(os.path.join(out, "x0.csv"))
     with fh:
         w.writerow(["T", "alpha1", "alpha2", "finite_T", "limit", "abs_error"])
         for T in cfg.T_list:
-            for a1, a2 in grid:
-                fin = mgfldp.mgf_pair(m, setup, T, a1, a2, nodes=nodes).real
+            finite = mgfldp.mgf_pair(m, setup, T, *np.array(grid).T, nodes=nodes).real
+            for (a1, a2), fin in zip(grid, finite):
                 lim = mgfldp.stationary_pair_mgf_limit(rho0, rho1, rho_i, a1, a2).real
                 w.writerow([T, _f(a1), _f(a2), _f(fin), _f(lim), _f(abs(fin - lim))])
 

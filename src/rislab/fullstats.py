@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .linalg import (
 from .model import (
     KrausFamily,
     RISModel,
+    _at_nodes,
     joint_unitary,
     kraus_families,
     kraus_family,
@@ -111,10 +113,10 @@ def evolved_state(
     nodes: ProtocolNodes | None = None,
 ) -> np.ndarray:
     """rho_f = L(T/T) ... L(1/T) rho_i (exact reduced chain, in vec space)."""
-    nodes = node_table(model, nodes)
+    nodes = node_table(model, T, nodes)
     x = vec(rho_i)
-    for s in nodes.chain(T):
-        x = nodes.reduced(s) @ x
+    for L in nodes.reduced[nodes.chain(T)]:
+        x = L @ x
     return unvec(x, model.dim_sys)
 
 
@@ -145,47 +147,59 @@ def resolve_final_observable(
 class StepOperators:
     """Forward/backward maps of one step conditioned on probe outcomes.
 
-    forward[i][j] is the 4x4 (d^2 x d^2) matrix of
+    forward[i][j] is the d^2 x d^2 matrix of
     M -> Tr_env[(Id x Pi_j) U (M x Pi_i xi Pi_i) U*], and backward[i][j] of
-    N -> Tr_env[U* (N x Pi_j xi Pi_j) U (Id x Pi_i)].
+    N -> Tr_env[U* (N x Pi_j xi Pi_j) U (Id x Pi_i)], for the n outcomes of
+    Y. The step maps of N nodes carry a leading node axis on every field:
+    y_values, y_dims and energies (N, n), beta (N,), forward and backward
+    (N, n, n, d^2, d^2); those of one node have none.
     """
 
     y_values: np.ndarray
     y_dims: np.ndarray
     energies: np.ndarray
-    beta: float
-    forward: np.ndarray  # (nI, nJ, d^2, d^2)
+    beta: float | np.ndarray
+    forward: np.ndarray
     backward: np.ndarray
 
 
-def step_operators(
-    model: RISModel, s: float, fam: KrausFamily | None = None
-) -> StepOperators:
-    """The conditioned step maps as sums over the node's transition blocks.
+def step_operators(model: RISModel, s, fam: KrausFamily | None = None) -> StepOperators:
+    """The conditioned step maps at one node or a 1-d array of nodes.
 
     With A = fam.transitions and xi_y the probe state in the Y basis,
     forward[I, J] = sum_{b in J; a, c in I} xi_y[a, c] conj(A[b, c]) kron A[b, a]
     and backward[I, J] = sum_{a in I; b, c in J} xi_y[b, c] A[c, a]^T kron A[b, a]*.
+    ``fam`` is the kernel of the same nodes. A node set's maps, each bitwise
+    equal to its node's own, need one outcome grouping of Y at every node.
     """
+    s = np.asarray(s, dtype=float)
     if fam is None:
-        fam = kraus_family(model, s)
-    G = outcome_groups(fam.y_eigenvalues).astype(float)
+        fam = kraus_families(model, s) if s.ndim else kraus_family(model, float(s))
+    s_all, y = np.atleast_1d(s), fam.y_eigenvalues
+    groups = [outcome_groups(w) for w in np.atleast_2d(y)]
+    for s_k, g in zip(s_all, groups):
+        if not np.array_equal(g, groups[0]):
+            raise FullStatsError(
+                f"the outcome grouping of Y at s={s_k} differs from that at s={s_all[0]}"
+            )
+    G = groups[0].astype(float)
     A, psi = fam.transitions, fam.basis
     n, d2 = G.shape[0], model.dim_sys**2
     # Pi_I xi Pi_I for every outcome I, in the Y basis
-    blocks = np.einsum("Ia,Ic,ac->Iac", G, G, fam.xi_y)
-    fwd = np.einsum("Jb,Iac,bcij,bakl->IJikjl", G, blocks, A.conj(), A)
-    bwd = np.einsum("Ia,Jbc,caji,balk->IJikjl", G, blocks, A, A.conj())
-    hE = assert_hermitian(model.h_env(s))
-    level_energies = np.real(np.einsum("ea,ef,fa->a", psi.conj(), hE, psi))
+    blocks = np.einsum("Ia,Ic,...ac->...Iac", G, G, fam.xi_y)
+    fwd = np.einsum("Jb,...Iac,...bcij,...bakl->...IJikjl", G, blocks, A.conj(), A)
+    bwd = np.einsum("Ia,...Jbc,...caji,...balk->...IJikjl", G, blocks, A, A.conj())
+    hE = assert_hermitian(_at_nodes(model.h_env, s))
+    level_energies = np.real(np.einsum("...ea,...ef,...fa->...a", psi.conj(), hE, psi))
     dims = G.sum(axis=1)
+    shape = s.shape + (n, n, d2, d2)
     return StepOperators(
-        y_values=G @ fam.y_eigenvalues / dims,
-        y_dims=dims,
-        energies=G @ level_energies / dims,
-        beta=float(model.beta(s)),
-        forward=fwd.reshape(n, n, d2, d2),
-        backward=bwd.reshape(n, n, d2, d2),
+        y_values=np.einsum("Ia,...a->...I", G, y) / dims,
+        y_dims=np.broadcast_to(dims, s.shape + dims.shape),
+        energies=np.einsum("Ia,...a->...I", G, level_energies) / dims,
+        beta=_at_nodes(model.beta, s).astype(float)[()],
+        forward=fwd.reshape(shape),
+        backward=bwd.reshape(shape),
     )
 
 
@@ -195,66 +209,47 @@ def step_operators(
 
 
 class ProtocolNodes:
-    """The nodes of one task's finite-T chains, each built on first use.
+    """The nodes of one task's finite-T chains, as one stacked table.
 
-    A chain of length T walks the nodes s = k/T of ``chain(T)``, which
-    builds the kernels of all its missing nodes in one stacked call. Lookups
-    are keyed by the
-    exact double float(s), so the chains of a nested T list share their
-    nodes: k/T and (m*k)/(m*T) round to the same double. Per node the table
-    holds one kernel, counting the model's Y, the d^2 x d^2 matrix of the
-    reduced map L(s) (the kernel's ``deformed_matrix(0)``; the kernel build
-    certified it trace preserving) and the conditioned step maps built from
-    the kernel; a chain at alpha != 0 reads the kernel's ``deformed_matrix``.
-    A table lives as long as the task that made it.
+    ``s`` (N,) is the sorted union of the nodes k/T (k = 1..T) of every T in
+    ``T_list``, as exact doubles: k/T and (m*k)/(m*T) round to the same
+    double, so nested chains share their nodes. ``kernel`` is their stacked
+    KrausFamily, counting the model's Y; ``reduced`` (N, d^2, d^2) holds the
+    matrices of L(s), the kernel's ``deformed_matrix(0)``; ``steps`` is their
+    StepOperators stack, built on first use. ``chain(T)`` indexes all of
+    them. A table lives as long as the task that made it.
     """
 
-    def __init__(self, model: RISModel):
+    def __init__(self, model: RISModel, T_list):
         self.model = model
-        self._families: dict[float, KrausFamily] = {}
-        self._reduced: dict[float, np.ndarray] = {}
-        self._steps: dict[float, StepOperators] = {}
+        self.s = np.unique(np.concatenate([np.arange(1, T + 1) / T for T in T_list]))
+        self.kernel = kraus_families(model, self.s)
+        self.reduced = self.kernel.deformed_matrix(0.0)
 
-    def chain(self, T: int) -> list[float]:
-        """The nodes k/T (k = 1..T) of a length-T chain.
+    @cached_property
+    def steps(self) -> StepOperators:
+        return step_operators(self.model, self.s, self.kernel)
 
-        The kernels of the nodes not yet in the table are built in one
-        ``kraus_families`` call.
+    def chain(self, T: int) -> np.ndarray:
+        """The indices into ``s`` of the nodes k/T (k = 1..T) of a length-T chain.
+
+        A T whose nodes the table does not hold raises ValueError.
         """
-        s_values = [k / T for k in range(1, T + 1)]
-        todo = [s for s in s_values if s not in self._families]
-        if todo:
-            self._families.update(zip(todo, kraus_families(self.model, todo)))
-        return s_values
-
-    def family(self, s: float) -> KrausFamily:
-        s = float(s)
-        if s not in self._families:
-            self._families[s] = kraus_family(self.model, s)
-        return self._families[s]
-
-    def reduced(self, s: float) -> np.ndarray:
-        """The matrix of L(s), acting on column-stacked operators."""
-        s = float(s)
-        if s not in self._reduced:
-            self._reduced[s] = self.family(s).deformed_matrix(0.0)
-        return self._reduced[s]
-
-    def steps(self, s: float) -> StepOperators:
-        s = float(s)
-        if s not in self._steps:
-            self._steps[s] = step_operators(self.model, s, fam=self.family(s))
-        return self._steps[s]
+        want = np.arange(1, T + 1) / T
+        idx = np.searchsorted(self.s, want)
+        if not np.array_equal(self.s[np.minimum(idx, self.s.size - 1)], want):
+            raise ValueError(f"the node table does not hold the chain of T={T}")
+        return idx
 
 
-def node_table(model: RISModel, nodes: ProtocolNodes | None = None) -> ProtocolNodes:
-    """The table a chain walker reads: ``nodes``, or a fresh one if None.
+def node_table(model: RISModel, T: int, nodes: ProtocolNodes | None) -> ProtocolNodes:
+    """The table a length-T walker reads: ``nodes``, or ProtocolNodes(model, [T]).
 
     A table built for another model object raises ValueError, so every
     layer of a task counts the same Y, the model's.
     """
     if nodes is None:
-        return ProtocolNodes(model)
+        return ProtocolNodes(model, [T])
     if nodes.model is not model:
         raise ValueError("the node table was built for another model")
     return nodes
@@ -263,13 +258,6 @@ def node_table(model: RISModel, nodes: ProtocolNodes | None = None) -> ProtocolN
 # ---------------------------------------------------------------------------
 # exact forward / backward probabilities
 # ---------------------------------------------------------------------------
-
-
-def _all_steps(
-    model: RISModel, T: int, *, nodes: ProtocolNodes | None = None
-) -> list[StepOperators]:
-    nodes = node_table(model, nodes)
-    return [nodes.steps(s) for s in nodes.chain(T)]
 
 
 @dataclass
@@ -335,10 +323,10 @@ def enumerate_measure(
     linear in the number of records. Guarded: n_i * n_f * n_outcomes^(2T)
     must not exceed 10^7.
     """
-    nodes = node_table(model, nodes)
+    nodes = node_table(model, T, nodes)
     obs_f, rho_f = resolve_final_observable(model, setup, T, nodes=nodes)
-    steps = _all_steps(model, T, nodes=nodes)
-    n_out = steps[0].y_values.size
+    steps, idx = nodes.steps, nodes.chain(T)
+    n_out = steps.y_values.shape[-1]
     n_i, n_f = setup.obs_i.n_outcomes, obs_f.n_outcomes
     count = n_i * n_f * n_out ** (2 * T)
     if count > ENUMERATION_GUARD:
@@ -353,13 +341,13 @@ def enumerate_measure(
     # the stack of states would round differently.
     # prefixes (ai, pair_1..pair_k): (n_i * n_pair^k, d^2)
     fwd = np.stack([vec(P @ setup.rho_i @ P) for P in pi_i])
-    for step in steps:
-        maps = step.forward.reshape(-1, d2, d2)
+    for k in idx:
+        maps = steps.forward[k].reshape(-1, d2, d2)
         fwd = (maps @ fwd[:, None, :, None]).reshape(-1, d2)
     # suffixes (pair_k..pair_T) for every af: (n_pair^(T-k+1), n_f, d^2)
     bwd = np.stack([vec(P @ rho_f @ P) for P in pi_f])[None]
-    for step in reversed(steps):
-        maps = step.backward.reshape(-1, 1, 1, d2, d2)
+    for k in idx[::-1]:
+        maps = steps.backward[k].reshape(-1, 1, 1, d2, d2)
         bwd = (maps @ bwd[None, ..., None]).reshape(-1, n_f, d2)
 
     p_forward = _traces(pi_f, fwd[:, None]).reshape(-1)
@@ -367,9 +355,9 @@ def enumerate_measure(
     index = np.indices((n_i,) + (n_out * n_out,) * T + (n_f,)).reshape(T + 2, -1)
     i_index, probe_records, f_index = index[0], index[1:-1].T, index[-1]
     delta_y = np.zeros(count)
-    for step, pairs in zip(steps, index[1:-1]):
+    for y, pairs in zip(steps.y_values[idx], index[1:-1]):
         i, j = np.divmod(pairs, n_out)
-        delta_y += step.y_values[j] - step.y_values[i]
+        delta_y += y[j] - y[i]
     a_i = setup.obs_i.values[i_index]
     a_f = obs_f.values[f_index]
     return TrajectoryMeasure(
@@ -419,13 +407,13 @@ def balance_applicable(
     commutes with the final observable, (iii) each probe state is a
     function of its counting observable.
     """
-    nodes = node_table(model, nodes)
+    nodes = node_table(model, T, nodes)
     obs_f, rho_f = resolve_final_observable(model, setup, T, nodes=nodes)
     if not _commutes_with_projectors(setup.rho_i, setup.obs_i):
         return False
     if not _commutes_with_projectors(rho_f, obs_f):
         return False
-    return all(_probe_state_is_function_of_Y(nodes.family(s)) for s in nodes.chain(T))
+    return all(_probe_state_is_function_of_Y(nodes.kernel[k]) for k in nodes.chain(T))
 
 
 def balance_rhs(
@@ -445,7 +433,7 @@ def balance_rhs(
     (model, setup, T); a record whose initial or final outcome has zero
     weight gets NaN.
     """
-    nodes = node_table(model, nodes)
+    nodes = node_table(model, T, nodes)
     if not balance_applicable(model, setup, T, nodes=nodes):
         return None
     obs_f, rho_f = resolve_final_observable(model, setup, T, nodes=nodes)
@@ -455,9 +443,10 @@ def balance_rhs(
     wi, wf = wi[ai], wf[af]
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(wi / wf) + np.log(obs_f.dims()[af] / setup.obs_i.dims()[ai])
-    for step, pairs in zip(_all_steps(model, T, nodes=nodes), measure.probe_records.T):
-        i, j = np.divmod(pairs, step.y_values.size)
-        out += step.beta * (step.energies[j] - step.energies[i])
+    steps = nodes.steps
+    for k, pairs in zip(nodes.chain(T), measure.probe_records.T):
+        i, j = np.divmod(pairs, steps.energies.shape[-1])
+        out += steps.beta[k] * (steps.energies[k, j] - steps.energies[k, i])
     return np.where((wi > 0) & (wf > 0), out, np.nan)
 
 
@@ -530,13 +519,13 @@ def total_entropy_production(
     the relative entropy of the interacting pair to the product of its
     marginals' targets; this avoids enumerating trajectories at large T.
     """
-    nodes = node_table(model, nodes)
+    nodes = node_table(model, T, nodes)
     rho = np.asarray(rho_i, dtype=complex)
     total = 0.0
-    for s in nodes.chain(T):
-        bal = step_balance(model, rho, s)
+    for k in nodes.chain(T):
+        bal = step_balance(model, rho, float(nodes.s[k]))
         total += bal["sigma"]
-        rho = unvec(nodes.reduced(s) @ vec(rho), model.dim_sys)
+        rho = unvec(nodes.reduced[k] @ vec(rho), model.dim_sys)
     return total
 
 
@@ -572,10 +561,10 @@ def sample_trajectories(
     filled through the identity varsigma = -delta_a + delta_y; otherwise
     it is NaN (exact log-ratios are available through enumeration).
     """
-    nodes = node_table(model, nodes)
+    nodes = node_table(model, T, nodes)
     obs_f, _ = resolve_final_observable(model, setup, T, nodes=nodes)
-    steps = _all_steps(model, T, nodes=nodes)
-    n_out = steps[0].y_values.size
+    steps, idx = nodes.steps, nodes.chain(T)
+    n_out = steps.y_values.shape[-1]
     d = model.dim_sys
 
     uniforms = np.empty((n, T + 2))
@@ -599,8 +588,8 @@ def sample_trajectories(
     trace_idx = np.arange(0, d * d, d + 1)
     delta_y = np.zeros(n)
     probe_records = np.empty((n, T), dtype=np.int64)
-    for k, step in enumerate(steps):
-        mats = step.forward.reshape(n_out * n_out, d * d, d * d)
+    for k, node in enumerate(idx):
+        mats = steps.forward[node].reshape(n_out * n_out, d * d, d * d)
         applied = np.einsum("oab,nb->noa", mats, states)
         probs = np.real(applied[:, :, trace_idx].sum(axis=2))
         probs = np.clip(probs, 0.0, None)
@@ -612,7 +601,7 @@ def sample_trajectories(
         norm = np.real(picked[:, trace_idx].sum(axis=1))
         states = picked / norm[:, None]
         i_idx, j_idx = np.divmod(choice, n_out)
-        delta_y += step.y_values[j_idx] - step.y_values[i_idx]
+        delta_y += steps.y_values[node, j_idx] - steps.y_values[node, i_idx]
         probe_records[:, k] = choice
 
     # final measurement

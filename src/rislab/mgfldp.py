@@ -40,41 +40,45 @@ def mgf_pair(
     model: RISModel,
     setup: MeasurementSetup,
     T: int,
-    alpha1: complex,
-    alpha2: complex,
+    alpha1: complex | np.ndarray,
+    alpha2: complex | np.ndarray,
     *,
     nodes: ProtocolNodes | None = None,
-) -> complex:
+) -> complex | np.ndarray:
     """Joint E e^{alpha1 Delta_y + alpha2 Delta_a}, Delta_a = a_i - a_f.
 
     Tr( e^{-alpha2 A_f} L^(a1)-chain( sum_i e^{alpha2 a_i} pi_i rho_i pi_i ) ),
     with Y the model's counting observable; alpha2 = 0 gives
-    E e^{alpha1 Delta_y}.
+    E e^{alpha1 Delta_y}. Equal-length 1-d arrays alpha1, alpha2 give an
+    array, one value per pair, each from the walk a scalar call makes.
     """
-    nodes = node_table(model, nodes)
+    nodes = node_table(model, T, nodes)
     obs_f, _ = resolve_final_observable(model, setup, T, nodes=nodes)
-    init = sum(
-        np.exp(alpha2 * a) * (P @ setup.rho_i @ P)
-        for a, P in zip(setup.obs_i.values, setup.obs_i.projectors)
-    )
-    x = vec(init)
-    for s in nodes.chain(T):
-        x = nodes.family(s).deformed_matrix(alpha1) @ x
-    final = sum(
-        np.exp(-alpha2 * a) * P for a, P in zip(obs_f.values, obs_f.projectors)
-    )
-    d = model.dim_sys
-    return complex(np.trace(final @ unvec(x, d)))
+    kernel = nodes.kernel[nodes.chain(T)]
+    out = []
+    for a1, a2 in zip(np.atleast_1d(alpha1), np.atleast_1d(alpha2), strict=True):
+        init = sum(
+            np.exp(a2 * a) * (P @ setup.rho_i @ P)
+            for a, P in zip(setup.obs_i.values, setup.obs_i.projectors)
+        )
+        x = vec(init)
+        for L in kernel.deformed_matrix(a1):
+            x = L @ x
+        final = sum(
+            np.exp(-a2 * a) * P for a, P in zip(obs_f.values, obs_f.projectors)
+        )
+        out.append(complex(np.trace(final @ unvec(x, model.dim_sys))))
+    return out[0] if np.ndim(alpha1) == 0 else np.array(out)
 
 
 def mgf_varsigma(
     model: RISModel,
     setup: MeasurementSetup,
     T: int,
-    alpha: complex,
+    alpha: complex | np.ndarray,
     *,
     nodes: ProtocolNodes | None = None,
-) -> complex:
+) -> complex | np.ndarray:
     """E e^{alpha varsigma} with varsigma = Delta_y - Delta_a."""
     return mgf_pair(model, setup, T, alpha, -alpha, nodes=nodes)
 

@@ -21,10 +21,10 @@ import numpy as np
 
 from rislab.fullstats import (
     MeasurementSetup,
+    ProtocolNodes,
     SpectralObservable,
     StepOperators,
     TrajectoryMeasure,
-    _all_steps,
     balance_applicable,
     resolve_final_observable,
 )
@@ -230,11 +230,15 @@ def _chain(model: RISModel, setup: MeasurementSetup, T: int) -> tuple:
     The per-record oracles below read the same final observable, evolved
     state and step maps for every record of a (model, setup, T); models and
     setups are frozen, so the chain is built on the first record only.
+    ``steps`` is the step stack of a table holding the one chain of length
+    T, so its node k - 1 is step k.
     """
     key = (id(model), id(setup), T)
     if key not in _CHAINS:
-        obs_f, rho_f = resolve_final_observable(model, setup, T)
-        data = (obs_f, rho_f, _all_steps(model, T), balance_applicable(model, setup, T))
+        nodes = ProtocolNodes(model, [T])
+        obs_f, rho_f = resolve_final_observable(model, setup, T, nodes=nodes)
+        applicable = balance_applicable(model, setup, T, nodes=nodes)
+        data = (obs_f, rho_f, nodes.steps, applicable)
         _CHAINS[key] = (model, setup, data)
     return _CHAINS[key][2]
 
@@ -261,8 +265,8 @@ def balance_rhs(
     out = np.log(wi / wf) + np.log(
         np.trace(pi_f).real / np.trace(pi_i).real
     )
-    for step, (i, j) in zip(steps, probes):
-        out += step.beta * (step.energies[j] - step.energies[i])
+    for k, (i, j) in enumerate(probes):
+        out += steps.beta[k] * (steps.energies[k, j] - steps.energies[k, i])
     return float(out)
 
 
@@ -277,8 +281,8 @@ def forward_prob(
     obs_f, _, steps, _ = _chain(model, setup, T)
     pi_i = setup.obs_i.projectors[ai]
     x = vec(pi_i @ setup.rho_i @ pi_i)
-    for step, (i, j) in zip(steps, probes):
-        x = step.forward[i, j] @ x
+    for k, (i, j) in enumerate(probes):
+        x = steps.forward[k, i, j] @ x
     d = model.dim_sys
     return float(np.real(np.trace(obs_f.projectors[af] @ unvec(x, d))))
 
@@ -294,8 +298,8 @@ def backward_prob(
     obs_f, rho_f, steps, _ = _chain(model, setup, T)
     pi_f = obs_f.projectors[af]
     x = vec(pi_f @ rho_f @ pi_f)
-    for step, (i, j) in zip(reversed(steps), reversed(probes)):
-        x = step.backward[i, j] @ x
+    for k, (i, j) in reversed(list(enumerate(probes))):
+        x = steps.backward[k, i, j] @ x
     d = model.dim_sys
     return float(np.real(np.trace(setup.obs_i.projectors[ai] @ unvec(x, d))))
 

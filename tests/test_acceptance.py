@@ -89,7 +89,7 @@ def test_stationary_limits_converge():
     rho1 = sp.invariant_state(mod.reduced_map(m, 1.0))
     grid = [(-0.5, -0.5), (-0.5, 0.5), (0.0, 0.3), (0.5, -0.5), (0.5, 0.5)]
     Ts = (100, 200, 400)
-    nodes = fs.ProtocolNodes(m)
+    nodes = fs.ProtocolNodes(m, Ts)
     prev = None
     for T in Ts:
         worst = 0.0

@@ -202,6 +202,20 @@ def test_stationary_log_mgf_theta_zero_at_alpha_zero():
     assert abs(out) < 1e-14
 
 
+def test_mgf_pair_of_alpha_arrays_is_the_scalar_calls():
+    m = mod.fd_model()
+    setup = fs.entropic_setup(mod.gibbs_state(m.h_sys, m.beta(0.0)))
+    nodes = fs.ProtocolNodes(m, [7])
+    alpha1 = [-0.5, -0.5, 0.0, 0.5, 0.3 + 0.2j]
+    alpha2 = [-0.5, 0.5, 0.3, -0.5, 0.0]
+    got = mg.mgf_pair(m, setup, 7, np.array(alpha1), np.array(alpha2), nodes=nodes)
+    want = [mg.mgf_pair(m, setup, 7, a1, a2) for a1, a2 in zip(alpha1, alpha2)]
+    assert got.shape == (5,)
+    assert np.array_equal(got, want)
+    with pytest.raises(ValueError):
+        mg.mgf_pair(m, setup, 7, np.array(alpha1), np.array(alpha2[:3]), nodes=nodes)
+
+
 def test_finite_T_mgf_converges_to_limit(rng):
     m = mod.rwa_model()
     rho_i = random_faithful_state(rng)
@@ -210,10 +224,8 @@ def test_finite_T_mgf_converges_to_limit(rng):
     rho1 = invariant_state(mod.reduced_map(m, 1.0))
     a1, a2 = 0.5, -0.5
     lim = mg.stationary_pair_mgf_limit(rho0, rho1, rho_i, a1, a2).real
-    nodes = fs.ProtocolNodes(m)
-    errs = [
-        abs(mg.mgf_pair(m, setup, T, a1, a2, nodes=nodes).real - lim)
-        for T in (50, 100, 200)
-    ]
+    Ts = (50, 100, 200)
+    nodes = fs.ProtocolNodes(m, Ts)
+    errs = [abs(mg.mgf_pair(m, setup, T, a1, a2, nodes=nodes).real - lim) for T in Ts]
     assert errs[0] > errs[1] > errs[2]
     assert errs[-1] < 0.05

@@ -16,16 +16,13 @@ def _distinct_nodes(Ts) -> int:
     return len({k / T for T in Ts for k in range(1, T + 1)})
 
 
-@pytest.fixture
-def kraus_builds(monkeypatch):
-    """The nodes built through kraus_families, wrapped in every rislab namespace
-    that binds it (kraus_family builds through it too)."""
-    original = mod.kraus_families
-    calls = []
+def _wrap_everywhere(monkeypatch, original, record):
+    """Replace ``original`` in every rislab namespace that binds it by a
+    wrapper that passes its node argument to ``record`` first."""
 
-    def counted(model, s_values):
-        calls.extend(np.asarray(s_values, dtype=float).reshape(-1).tolist())
-        return original(model, s_values)
+    def counted(model, s, *args):
+        record(s)
+        return original(model, s, *args)
 
     for name, module in list(sys.modules.items()):
         if module is None or not (name == "rislab" or name.startswith("rislab.")):
@@ -33,6 +30,25 @@ def kraus_builds(monkeypatch):
         for key, value in list(vars(module).items()):
             if value is original:
                 monkeypatch.setattr(module, key, counted)
+
+
+@pytest.fixture
+def kraus_builds(monkeypatch):
+    """The nodes built through kraus_families (kraus_family builds through it too)."""
+    calls = []
+    _wrap_everywhere(
+        monkeypatch,
+        mod.kraus_families,
+        lambda s: calls.extend(np.asarray(s, dtype=float).reshape(-1).tolist()),
+    )
+    return calls
+
+
+@pytest.fixture
+def step_builds(monkeypatch):
+    """The node arguments of every step_operators call."""
+    calls = []
+    _wrap_everywhere(monkeypatch, fs.step_operators, calls.append)
     return calls
 
 
@@ -40,8 +56,8 @@ def test_cli_builds_each_node_once(tmp_path, kraus_builds):
     num = BASE["numeric"]
     chain = _distinct_nodes(num["T_list"])
     s_nodes = num["s_nodes"] | 1  # the Lambda evaluator makes the grid odd
-    # x0 adds the node s = 0 of its rho_inv(0), read from its table (s = 1
-    # is a chain node), and simulate the s grid of lambda_derivatives_at_zero.
+    # x0 adds the node s = 0 of its rho_inv(0), built alone (s = 1 is a
+    # chain node), and simulate the s grid of lambda_derivatives_at_zero.
     bounds = {
         "x0": chain + 1,
         "simulate": chain + s_nodes,
@@ -51,6 +67,14 @@ def test_cli_builds_each_node_once(tmp_path, kraus_builds):
         kraus_builds.clear()
         _run(task, tmp_path, sub=task)
         assert 0 < len(kraus_builds) <= bound, (task, len(kraus_builds), bound)
+
+
+def test_cli_builds_step_maps_once_per_task(tmp_path, step_builds):
+    """simulate and balance build one step stack over their table; x0 none."""
+    for task, builds in {"simulate": 1, "balance": 1, "x0": 0}.items():
+        step_builds.clear()
+        _run(task, tmp_path, sub=task)
+        assert len(step_builds) == builds, (task, len(step_builds))
 
 
 def test_protocol_tasks_build_each_s_once(tmp_path, kraus_builds):
@@ -75,8 +99,13 @@ def test_protocol_tasks_build_each_s_once(tmp_path, kraus_builds):
 def test_shared_table_gives_identical_results():
     m = mod.fd_model()
     setup = fs.entropic_setup(mod.gibbs_state(m.h_sys, m.beta(0.0)))
-    shared = fs.ProtocolNodes(m)
-    fs.evolved_state(m, setup.rho_i, 5, nodes=shared)  # fills some nodes of T = 10
+    shared = fs.ProtocolNodes(m, (10, 20))
+    # T = 5 is not in the list, but its chain is every other node of T = 10
+    assert np.array_equal(shared.chain(5), shared.chain(10)[1::2])
+    assert np.array_equal(
+        fs.evolved_state(m, setup.rho_i, 5, nodes=shared),
+        fs.evolved_state(m, setup.rho_i, 5),
+    )
     for T in (10, 20):
         assert np.array_equal(
             fs.evolved_state(m, setup.rho_i, T, nodes=shared),
@@ -108,13 +137,38 @@ def test_chain_walks_equal_the_reduced_map_walk(make):
 def test_table_for_another_model_is_refused():
     m = mod.fd_model()
     setup = fs.entropic_setup(mod.gibbs_state(m.h_sys, m.beta(0.0)))
-    other = fs.ProtocolNodes(mod.fd_model())
+    other = fs.ProtocolNodes(mod.fd_model(), (2, 3))
     with pytest.raises(ValueError, match="another model"):
         fs.evolved_state(m, setup.rho_i, 3, nodes=other)
     with pytest.raises(ValueError, match="another model"):
         mg.mgf_pair(m, setup, 3, 0.5, 0.5, nodes=other)
     with pytest.raises(ValueError, match="another model"):
         fs.enumerate_measure(m, setup, 2, nodes=other)
+    # a T whose nodes the table does not hold: 1/4 is not among 1/3, 1/2, 2/3, 1
+    own = fs.ProtocolNodes(m, (2, 3))
+    with pytest.raises(ValueError, match="T=4"):
+        fs.evolved_state(m, setup.rho_i, 4, nodes=own)
+    with pytest.raises(ValueError, match="T=4"):
+        mg.mgf_pair(m, setup, 4, 0.5, 0.5, nodes=own)
+    with pytest.raises(ValueError, match="T=4"):
+        fs.sample_trajectories(m, setup, 4, 5, seed=0, nodes=own)
+
+
+def test_chain_whose_outcome_grouping_changes():
+    """Y = beta(s) h_env(s) vanishes at s = 1/2 and has two outcomes at s = 1.
+
+    The walkers that need step maps refuse the chain, naming the node; the
+    reduced and deformed chains do not need them and still work.
+    """
+    m = replace(mod.fd_model(), h_env=lambda s: np.diag([0.0, 0.8 * (2 * s - 1)]))
+    setup = fs.entropic_setup(mod.gibbs_state(m.h_sys, m.beta(0.0)))
+    with pytest.raises(fs.FullStatsError, match="grouping of Y at s=1.0"):
+        fs.enumerate_measure(m, setup, 2)
+    with pytest.raises(fs.FullStatsError, match="grouping of Y at s=1.0"):
+        fs.sample_trajectories(m, setup, 2, 10, seed=0)
+    rho_f = fs.evolved_state(m, setup.rho_i, 2)
+    assert abs(np.trace(rho_f) - 1.0) < 1e-12
+    assert abs(mg.mgf_pair(m, setup, 2, 0.0, 0.0) - 1.0) < 1e-12
 
 
 def test_custom_Y_table_builds_one_kernel_per_node(kraus_builds):
@@ -128,7 +182,7 @@ def test_balance_rhs_reads_Y_from_the_table():
     """With Y = I the fd probe state is not a function of Y: no balance."""
     m = replace(mod.fd_model(), counting=lambda s: np.eye(2))
     setup = fs.entropic_setup(mod.gibbs_state(m.h_sys, m.beta(0.0)))
-    nodes = fs.ProtocolNodes(m)
+    nodes = fs.ProtocolNodes(m, [2])
     meas = fs.enumerate_measure(m, setup, 2, nodes=nodes)
     assert not fs.balance_applicable(m, setup, 2, nodes=nodes)
     assert fs.balance_rhs(m, setup, meas, 2, nodes=nodes) is None
@@ -141,7 +195,7 @@ def test_Y_table_serves_every_chain():
     Y = 2 * np.diag(np.diag(default.h_env(0.0)))
     m = replace(default, counting=lambda s: Y)
     setup = fs.entropic_setup(mod.gibbs_state(m.h_sys, m.beta(0.0)))
-    nodes = fs.ProtocolNodes(m)
+    nodes = fs.ProtocolNodes(m, (2, 3, 4))
     for T in (2, 3):
         meas = fs.enumerate_measure(m, setup, T, nodes=nodes)
         counts = meas.delta_y / 1.6

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from rislab import config as cfg
+from rislab import fullstats as fs
 from rislab import linalg as la
 from rislab import model as mod
 
@@ -104,6 +105,18 @@ def test_stacked_deformed_matrix_is_per_node(name, m):
             one = np.einsum("n,nab->ab", np.exp(complex(alpha) * fam.dy), fam.kron)
             assert np.array_equal(stack[i], one), (alpha, i)
             assert np.array_equal(fam.deformed_matrix(alpha), one), (alpha, i)
+
+
+@pytest.mark.parametrize("name,m", CASES, ids=[c[0] for c in CASES])
+def test_stacked_step_maps_are_per_node(name, m):
+    """The step maps of a node set are those of each node built alone."""
+    steps = fs.step_operators(m, S_GRID, mod.kraus_families(m, S_GRID))
+    n = steps.y_values.shape[1]
+    assert steps.forward.shape == (S_GRID.size, n, n) + (m.dim_sys**2,) * 2
+    for i, s in enumerate(S_GRID):
+        one = fs.step_operators(m, float(s))
+        for f in ("forward", "backward", "y_values", "y_dims", "energies", "beta"):
+            assert np.array_equal(getattr(steps, f)[i], getattr(one, f)), (s, f)
 
 
 def test_cases_cover_their_claims():
