@@ -13,6 +13,7 @@ the entropy functionals entering the Landauer-type step balance.
 from __future__ import annotations
 
 import csv
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -152,7 +153,8 @@ class StepOperators:
     N -> Tr_env[U* (N x Pi_j xi Pi_j) U (Id x Pi_i)], for the n outcomes of
     Y. The step maps of N nodes carry a leading node axis on every field:
     y_values, y_dims and energies (N, n), beta (N,), forward and backward
-    (N, n, n, d^2, d^2); those of one node have none.
+    (N, n, n, d^2, d^2); those of one node have none. ``backward`` is built
+    by ``make_backward`` on first use: the sampler reads forward maps only.
     """
 
     y_values: np.ndarray
@@ -160,7 +162,18 @@ class StepOperators:
     energies: np.ndarray
     beta: float | np.ndarray
     forward: np.ndarray
-    backward: np.ndarray
+    make_backward: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def backward(self) -> np.ndarray:
+        return self.make_backward()
+
+
+def _backward_maps(G: np.ndarray, blocks: np.ndarray, A: np.ndarray, shape) -> np.ndarray:
+    """backward[I, J] of ``step_operators``, from its outcome groups G, the
+    blocks Pi_J xi Pi_J and the transitions A."""
+    bwd = np.einsum("Ia,...Jbc,...caji,...balk->...IJikjl", G, blocks, A, A.conj())
+    return bwd.reshape(shape)
 
 
 def step_operators(model: RISModel, s, fam: KrausFamily | None = None) -> StepOperators:
@@ -188,7 +201,6 @@ def step_operators(model: RISModel, s, fam: KrausFamily | None = None) -> StepOp
     # Pi_I xi Pi_I for every outcome I, in the Y basis
     blocks = np.einsum("Ia,Ic,...ac->...Iac", G, G, fam.xi_y)
     fwd = np.einsum("Jb,...Iac,...bcij,...bakl->...IJikjl", G, blocks, A.conj(), A)
-    bwd = np.einsum("Ia,...Jbc,...caji,...balk->...IJikjl", G, blocks, A, A.conj())
     hE = assert_hermitian(_at_nodes(model.h_env, s))
     level_energies = np.real(np.einsum("...ea,...ef,...fa->...a", psi.conj(), hE, psi))
     dims = G.sum(axis=1)
@@ -199,7 +211,7 @@ def step_operators(model: RISModel, s, fam: KrausFamily | None = None) -> StepOp
         energies=np.einsum("Ia,...a->...I", G, level_energies) / dims,
         beta=_at_nodes(model.beta, s).astype(float)[()],
         forward=fwd.reshape(shape),
-        backward=bwd.reshape(shape),
+        make_backward=lambda: _backward_maps(G, blocks, A, shape),
     )
 
 
@@ -400,15 +412,17 @@ def balance_applicable(
     T: int,
     *,
     nodes: ProtocolNodes | None = None,
+    final: tuple[SpectralObservable, np.ndarray] | None = None,
 ) -> bool:
     """Check the hypotheses under which the balance identity holds.
 
     (i) rho_i commutes with the initial observable, (ii) the evolved state
     commutes with the final observable, (iii) each probe state is a
-    function of its counting observable.
+    function of its counting observable. ``final`` is the caller's
+    ``resolve_final_observable`` of the same (model, setup, T), if it has one.
     """
     nodes = node_table(model, T, nodes)
-    obs_f, rho_f = resolve_final_observable(model, setup, T, nodes=nodes)
+    obs_f, rho_f = final or resolve_final_observable(model, setup, T, nodes=nodes)
     if not _commutes_with_projectors(setup.rho_i, setup.obs_i):
         return False
     if not _commutes_with_projectors(rho_f, obs_f):
@@ -434,9 +448,9 @@ def balance_rhs(
     weight gets NaN.
     """
     nodes = node_table(model, T, nodes)
-    if not balance_applicable(model, setup, T, nodes=nodes):
-        return None
     obs_f, rho_f = resolve_final_observable(model, setup, T, nodes=nodes)
+    if not balance_applicable(model, setup, T, nodes=nodes, final=(obs_f, rho_f)):
+        return None
     ai, af = measure.i_index, measure.f_index
     wi = np.array([np.trace(P @ setup.rho_i).real for P in setup.obs_i.projectors])
     wf = np.array([np.trace(P @ rho_f).real for P in obs_f.projectors])
@@ -544,6 +558,24 @@ class SampledTrajectories:
     probe_records: np.ndarray  # (n, T) flat outcome-pair indices
 
 
+def _uniforms(seed: int, n: int, length: int) -> np.ndarray:
+    """(length, n) uniforms: column t opens the Philox4x64-10 stream keyed by (seed, t).
+
+    One bit generator serves every column. Resetting it to key words
+    (t, seed), counter 0 and an empty buffer gives the state of a fresh
+    ``Philox(key=(seed << 64) + t)``, without building one per trajectory.
+    """
+    bits = np.random.Philox(key=seed << 64)
+    gen = np.random.Generator(bits)
+    state = bits.state
+    out = np.empty((length, n))
+    for t in range(n):
+        state["state"]["key"][0] = t
+        bits.state = state
+        out[:, t] = gen.random(length)
+    return out
+
+
 def sample_trajectories(
     model: RISModel,
     setup: MeasurementSetup,
@@ -555,62 +587,75 @@ def sample_trajectories(
 ) -> SampledTrajectories:
     """Draw n independent trajectories from the exact forward measure.
 
-    Randomness is counter-based: trajectory t consumes uniforms from its
-    own stream keyed by (seed, t), so results depend only on
-    (seed, n, T) and not on batching. For the entropic setup varsigma is
-    filled through the identity varsigma = -delta_a + delta_y; otherwise
-    it is NaN (exact log-ratios are available through enumeration).
+    Randomness is counter-based: trajectory t consumes T + 2 uniforms from
+    the Philox4x64-10 stream keyed by (seed, t), so results depend only on
+    (seed, n, T) and not on batching. One bit generator serves the call,
+    reset to each trajectory's key (``_uniforms``).
+
+    The n states are the columns of a (d^2, n) stack. At each step the
+    outcome probabilities are one product of the step's trace covectors
+    vec(I)^T M_o (o = (i, j), taken once per chain from the forward maps)
+    with that stack; each state is then advanced by its chosen map alone
+    and renormalised to unit trace. For the entropic setup varsigma is
+    filled through the identity varsigma = -delta_a + delta_y; otherwise it
+    is NaN (exact log-ratios are available through enumeration).
     """
     nodes = node_table(model, T, nodes)
     obs_f, _ = resolve_final_observable(model, setup, T, nodes=nodes)
     steps, idx = nodes.steps, nodes.chain(T)
     n_out = steps.y_values.shape[-1]
+    n_pair = n_out * n_out
     d = model.dim_sys
+    trace_idx = np.arange(0, d * d, d + 1)
 
-    uniforms = np.empty((n, T + 2))
-    for t in range(n):
-        gen = np.random.Generator(np.random.Philox(key=(seed << 64) + t))
-        uniforms[t] = gen.random(T + 2)
+    uniforms = _uniforms(seed, n, T + 2)
 
     # initial measurement
     pi_list = setup.obs_i.projectors
     q = np.array([np.trace(P @ setup.rho_i).real for P in pi_list])
     q = np.clip(q, 0.0, None)
     q = q / q.sum()
-    ai_idx = (uniforms[:, 0][:, None] > np.cumsum(q)[None, :]).sum(axis=1)
-    states = np.empty((n, d * d), dtype=complex)
+    ai_idx = (uniforms[0] > np.cumsum(q)[:, None]).sum(axis=0)
+    states = np.empty((d * d, n), dtype=complex)
     for a in range(len(pi_list)):
         mask = ai_idx == a
         if mask.any():
             post = pi_list[a] @ setup.rho_i @ pi_list[a]
-            states[mask] = vec(post / np.trace(post).real)
+            states[:, mask] = vec(post / np.trace(post).real)[:, None]
 
-    trace_idx = np.arange(0, d * d, d + 1)
+    # per node: the covectors vec(I)^T M_o, (T, o, b); the entries of M_o
+    # with the input index b major, (T, b * d^2 + a, o); y_j - y_i per pair
+    # o = (i, j), (T, o)
+    maps = steps.forward[idx].reshape(T, n_pair, d * d, d * d)
+    covectors = maps[:, :, trace_idx, :].sum(axis=2)
+    entries = maps.transpose(0, 3, 2, 1).reshape(T, d**4, n_pair)
+    i_idx, j_idx = np.divmod(np.arange(n_pair), n_out)
+    dy = steps.y_values[idx][:, j_idx] - steps.y_values[idx][:, i_idx]
     delta_y = np.zeros(n)
-    probe_records = np.empty((n, T), dtype=np.int64)
-    for k, node in enumerate(idx):
-        mats = steps.forward[node].reshape(n_out * n_out, d * d, d * d)
-        applied = np.einsum("oab,nb->noa", mats, states)
-        probs = np.real(applied[:, :, trace_idx].sum(axis=2))
-        probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum(axis=1, keepdims=True)
-        u = uniforms[:, 1 + k]
-        choice = (u[:, None] > np.cumsum(probs, axis=1)).sum(axis=1)
-        choice = np.minimum(choice, n_out * n_out - 1)
-        picked = applied[np.arange(n), choice]
-        norm = np.real(picked[:, trace_idx].sum(axis=1))
-        states = picked / norm[:, None]
-        i_idx, j_idx = np.divmod(choice, n_out)
-        delta_y += steps.y_values[node, j_idx] - steps.y_values[node, i_idx]
-        probe_records[:, k] = choice
+    probe_records = np.empty((T, n), dtype=np.int64)
+    for k in range(T):
+        probs = np.real(covectors[k] @ states)
+        np.clip(probs, 0.0, None, out=probs)
+        probs /= probs.sum(axis=0)
+        for o in range(1, n_pair):  # cumulative sums along the outcome axis
+            probs[o] += probs[o - 1]
+        choice = (uniforms[1 + k] > probs).sum(axis=0)
+        choice = np.minimum(choice, n_pair - 1)
+        chosen = entries[k].take(choice, axis=1).reshape(d * d, d * d, n)
+        picked = chosen[0] * states[0]
+        for b in range(1, d * d):
+            picked += chosen[b] * states[b]
+        picked *= 1.0 / picked.real[trace_idx].sum(axis=0)
+        states = picked
+        delta_y += dy[k, choice]
+        probe_records[k] = choice
 
     # final measurement
     pf_mats = np.stack([vec(P.T) for P in obs_f.projectors])
-    probs_f = np.real(states @ pf_mats.T)
+    probs_f = np.real(pf_mats @ states)
     probs_f = np.clip(probs_f, 0.0, None)
-    probs_f /= probs_f.sum(axis=1, keepdims=True)
-    u = uniforms[:, T + 1]
-    af_idx = (u[:, None] > np.cumsum(probs_f, axis=1)).sum(axis=1)
+    probs_f /= probs_f.sum(axis=0)
+    af_idx = (uniforms[T + 1] > np.cumsum(probs_f, axis=0)).sum(axis=0)
     af_idx = np.minimum(af_idx, obs_f.n_outcomes - 1)
 
     a_i = setup.obs_i.values[ai_idx]
@@ -626,7 +671,7 @@ def sample_trajectories(
         delta_a=delta_a,
         delta_y=delta_y,
         varsigma=varsigma,
-        probe_records=probe_records,
+        probe_records=probe_records.T,
     )
 
 

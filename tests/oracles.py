@@ -13,6 +13,8 @@ oracles by the tests. ``forward_prob``, ``backward_prob`` and ``balance_rhs`` ev
 record at a time what the library computes for a whole enumerated measure,
 reading the chain of each (model, setup, T) from a cache filled on its
 first record; ``records`` lists the measure's records in their tuple form.
+``sample_trajectories_reference`` is the sampler's one-stream-per-trajectory,
+all-maps-per-step route.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 from rislab.fullstats import (
     MeasurementSetup,
     ProtocolNodes,
+    SampledTrajectories,
     SpectralObservable,
     StepOperators,
     TrajectoryMeasure,
@@ -205,7 +208,7 @@ def step_operators(model: RISModel, s: float) -> StepOperators:
         energies=energies,
         beta=float(model.beta(s)),
         forward=fwd,
-        backward=bwd,
+        make_backward=lambda: bwd,
     )
 
 
@@ -302,6 +305,81 @@ def backward_prob(
         x = steps.backward[k, i, j] @ x
     d = model.dim_sys
     return float(np.real(np.trace(setup.obs_i.projectors[ai] @ unvec(x, d))))
+
+
+def sample_trajectories_reference(
+    model: RISModel, setup: MeasurementSetup, T: int, n: int, seed: int
+) -> SampledTrajectories:
+    """The sampler as the library ran it before its array passes.
+
+    Every trajectory builds its own Philox stream keyed by (seed, t), and
+    each step applies all n_out^2 conditioned maps to every state, reading
+    the outcome probabilities off the traces of the results. Only the
+    sampled outcomes leave this route, so its records must equal the
+    library's bit for bit.
+    """
+    nodes = ProtocolNodes(model, [T])
+    obs_f, _ = resolve_final_observable(model, setup, T, nodes=nodes)
+    steps, idx = nodes.steps, nodes.chain(T)
+    n_out = steps.y_values.shape[-1]
+    d = model.dim_sys
+
+    uniforms = np.empty((n, T + 2))
+    for t in range(n):
+        gen = np.random.Generator(np.random.Philox(key=(seed << 64) + t))
+        uniforms[t] = gen.random(T + 2)
+
+    pi_list = setup.obs_i.projectors
+    q = np.array([np.trace(P @ setup.rho_i).real for P in pi_list])
+    q = np.clip(q, 0.0, None)
+    q = q / q.sum()
+    ai_idx = (uniforms[:, 0][:, None] > np.cumsum(q)[None, :]).sum(axis=1)
+    states = np.empty((n, d * d), dtype=complex)
+    for a in range(len(pi_list)):
+        mask = ai_idx == a
+        if mask.any():
+            post = pi_list[a] @ setup.rho_i @ pi_list[a]
+            states[mask] = vec(post / np.trace(post).real)
+
+    trace_idx = np.arange(0, d * d, d + 1)
+    delta_y = np.zeros(n)
+    probe_records = np.empty((n, T), dtype=np.int64)
+    for k, node in enumerate(idx):
+        mats = steps.forward[node].reshape(n_out * n_out, d * d, d * d)
+        applied = np.einsum("oab,nb->noa", mats, states)
+        probs = np.real(applied[:, :, trace_idx].sum(axis=2))
+        probs = np.clip(probs, 0.0, None)
+        probs /= probs.sum(axis=1, keepdims=True)
+        u = uniforms[:, 1 + k]
+        choice = (u[:, None] > np.cumsum(probs, axis=1)).sum(axis=1)
+        choice = np.minimum(choice, n_out * n_out - 1)
+        picked = applied[np.arange(n), choice]
+        norm = np.real(picked[:, trace_idx].sum(axis=1))
+        states = picked / norm[:, None]
+        i_idx, j_idx = np.divmod(choice, n_out)
+        delta_y += steps.y_values[node, j_idx] - steps.y_values[node, i_idx]
+        probe_records[:, k] = choice
+
+    pf_mats = np.stack([vec(P.T) for P in obs_f.projectors])
+    probs_f = np.real(states @ pf_mats.T)
+    probs_f = np.clip(probs_f, 0.0, None)
+    probs_f /= probs_f.sum(axis=1, keepdims=True)
+    u = uniforms[:, T + 1]
+    af_idx = (u[:, None] > np.cumsum(probs_f, axis=1)).sum(axis=1)
+    af_idx = np.minimum(af_idx, obs_f.n_outcomes - 1)
+
+    a_i = setup.obs_i.values[ai_idx]
+    a_f = obs_f.values[af_idx]
+    delta_a = a_i - a_f
+    varsigma = -delta_a + delta_y if setup.entropic else np.full(n, np.nan)
+    return SampledTrajectories(
+        a_i=a_i,
+        a_f=a_f,
+        delta_a=delta_a,
+        delta_y=delta_y,
+        varsigma=varsigma,
+        probe_records=probe_records,
+    )
 
 
 def _phase_fixed_psd(X: np.ndarray) -> np.ndarray:

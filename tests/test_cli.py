@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -119,6 +120,27 @@ def test_reruns_byte_identical(tmp_path):
     out2 = _run("simulate", tmp_path, sub="b")
     for name in ("trajectories_T10.csv", "clt_hist_T20.csv", "manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# SHA-256 of the BASE simulate outputs at seed 3, recorded (numpy 2.4.6)
+# from the sampler that built one Philox stream per trajectory and applied
+# every conditioned map at every step. A rewrite of the sampler that flips
+# one sampled outcome changes them; a rerun of the same code cannot show that.
+SIMULATE_SEED3_SHA256 = {
+    "trajectories_T10.csv": "7c97bc5e0a785ec5c6d6fbd7eaa7f1830127d5193cdb7fd926fb889a25b6913f",
+    "trajectories_T20.csv": "958969064e73c8ce12ab0102b87efaabf9a43bb77b290241152597daba04aaa0",
+    "clt_hist_T10.csv": "3a4ab232f6f5175fbd4856e2ab91fea81e04efff9808f5453efeefe7bc48212c",
+    "clt_hist_T20.csv": "9f5806fc471eb7b3a6fb19c198a837b7ba5dc000aa00c0cc36cdeda8c93f2abb",
+}
+
+
+def test_simulate_outputs_match_recorded_digests(tmp_path):
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", _write(tmp_path, BASE), "--seed", "3",
+               "--out", str(out)])
+    assert rc == 0
+    for name, want in SIMULATE_SEED3_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want, name
 
 
 def test_seed_override(tmp_path):

@@ -20,9 +20,9 @@ def _wrap_everywhere(monkeypatch, original, record):
     """Replace ``original`` in every rislab namespace that binds it by a
     wrapper that passes its node argument to ``record`` first."""
 
-    def counted(model, s, *args):
+    def counted(model, s, *args, **kwargs):
         record(s)
-        return original(model, s, *args)
+        return original(model, s, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if module is None or not (name == "rislab" or name.startswith("rislab.")):
@@ -52,6 +52,28 @@ def step_builds(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def evolved_states(monkeypatch):
+    """The initial states of every evolved_state call."""
+    calls = []
+    _wrap_everywhere(monkeypatch, fs.evolved_state, calls.append)
+    return calls
+
+
+@pytest.fixture
+def backward_builds(monkeypatch):
+    """One entry per build of a step stack's backward maps."""
+    calls = []
+    original = fs._backward_maps
+
+    def counted(*args):
+        calls.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(fs, "_backward_maps", counted)
+    return calls
+
+
 def test_cli_builds_each_node_once(tmp_path, kraus_builds):
     num = BASE["numeric"]
     chain = _distinct_nodes(num["T_list"])
@@ -75,6 +97,24 @@ def test_cli_builds_step_maps_once_per_task(tmp_path, step_builds):
         step_builds.clear()
         _run(task, tmp_path, sub=task)
         assert len(step_builds) == builds, (task, len(step_builds))
+
+
+def test_cli_builds_backward_maps_only_for_balance(tmp_path, backward_builds):
+    """The sampler reads forward maps alone; enumeration builds the backward ones once."""
+    for task, builds in {"simulate": 0, "balance": 1, "x0": 0}.items():
+        backward_builds.clear()
+        _run(task, tmp_path, sub=task)
+        assert len(backward_builds) == builds, (task, len(backward_builds))
+
+
+def test_cli_resolves_each_final_state_once(tmp_path, evolved_states):
+    """simulate and x0 evolve rho_i once per T; balance twice (enumeration,
+    then the right-hand side, which hands its rho_f to the applicability check)."""
+    n_T = len(BASE["numeric"]["T_list"])
+    for task, bound in {"simulate": n_T, "balance": 2, "x0": n_T}.items():
+        evolved_states.clear()
+        _run(task, tmp_path, sub=task)
+        assert 0 < len(evolved_states) <= bound, (task, len(evolved_states), bound)
 
 
 def test_protocol_tasks_build_each_s_once(tmp_path, kraus_builds):
