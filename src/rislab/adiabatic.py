@@ -11,6 +11,8 @@ geometric phase-type integral theta^(alpha).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 from scipy.integrate import simpson
 
@@ -22,6 +24,25 @@ DERIV_STEP = 1e-5
 # Kernels built per kraus_families call in prepare: bounds the memory of the
 # kernels alive at once (about 17 kB per node for 2x2 system and probe).
 PREPARE_BLOCK = 256
+
+
+class NodeStack(NamedTuple):
+    """Peripheral data of N nodes, stacked along a leading node axis.
+
+    F: the normalized maps L^(alpha)(s) / lambda^(alpha)(s), (N, d^2, d^2).
+    P: the spectral projectors P^m(s), (N, z, d^2, d^2), ordered by m.
+    rho, iota: the right and left Perron eigenvectors, (N, d, d).
+    """
+
+    F: np.ndarray
+    P: np.ndarray
+    rho: np.ndarray
+    iota: np.ndarray
+
+    @property
+    def Q(self) -> np.ndarray:
+        """Q(s) = Id - sum_m P^m(s), the projector onto the rest of the spectrum."""
+        return np.eye(self.F.shape[-1], dtype=complex) - self.P.sum(axis=1)
 
 
 class AdiabaticFamily:
@@ -38,7 +59,6 @@ class AdiabaticFamily:
         self._matrices: dict[float, np.ndarray] = {}
         self._decs: dict[float, PeripheralDecomposition] = {}
         self._period: int | None = None
-        self._identity = np.eye(model.dim_sys**2, dtype=complex)
 
     @property
     def dim(self) -> int:
@@ -72,84 +92,61 @@ class AdiabaticFamily:
             self.prepare([s])
         return self._decs[s]
 
-    def lam(self, s: float) -> float:
-        return self.decomposition(s).spectral_radius
-
-    def normalized(self, s: float) -> np.ndarray:
-        """Matrix of F(s) = L^(alpha)(s) / lambda^(alpha)(s)."""
-        dec = self.decomposition(s)  # prepares s
-        return self._matrices[float(s)] / dec.spectral_radius
-
-    def peripheral_projector(self, s: float) -> np.ndarray:
-        return self.decomposition(s).peripheral_projector
-
-    def complement(self, s: float) -> np.ndarray:
-        """Q(s) = Id - sum_m P^m(s), the projector onto the rest of the spectrum."""
-        return self._identity - self.peripheral_projector(s)
+    def stack(self, s_values) -> NodeStack:
+        """The peripheral data of the nodes s_values, in their order."""
+        s_values = np.asarray(s_values, dtype=float).tolist()
+        self.prepare(s_values)
+        decs = [self._decs[s] for s in s_values]
+        radii = np.array([d.spectral_radius for d in decs])
+        return NodeStack(
+            F=np.stack([self._matrices[s] for s in s_values]) / radii[:, None, None],
+            P=np.stack([d.spectral_projectors for d in decs]),
+            rho=np.stack([d.rho for d in decs]),
+            iota=np.stack([d.iota for d in decs]),
+        )
 
     def gap_bound(self, s_grid) -> float:
         """ell = sup over the grid of spr(F(s) Q(s)); must be < 1."""
-        s_grid = np.atleast_1d(s_grid).astype(float)
-        self.prepare(s_grid)
-        FQ = np.stack([self.normalized(s) @ self.complement(s) for s in s_grid])
-        return float(np.abs(np.linalg.eigvals(FQ)).max())
+        nodes = self.stack(np.atleast_1d(s_grid))
+        return float(np.abs(np.linalg.eigvals(nodes.F @ nodes.Q)).max())
 
 
-def _neighbours(s: float) -> tuple[float, float]:
+def _neighbours(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The nodes s -+ DERIV_STEP of a centred difference, clamped to [0, 1]."""
-    return max(s - DERIV_STEP, 0.0), min(s + DERIV_STEP, 1.0)
+    return np.maximum(s - DERIV_STEP, 0.0), np.minimum(s + DERIV_STEP, 1.0)
 
 
-def _with_neighbours(centres) -> list[float]:
-    """Every node a centred difference at each of ``centres`` reads."""
-    return [t for s in centres for t in (s, *_neighbours(s))]
-
-
-def _projector_derivative(family: AdiabaticFamily, s: float) -> list:
-    """Centered-difference derivatives of the spectral projectors at s."""
+def _derivative(family: AdiabaticFamily, s: np.ndarray, field: str) -> np.ndarray:
+    """Centred difference d/ds of one NodeStack field at each node of s."""
     lo, hi = _neighbours(s)
-    dec_lo = family.decomposition(lo)
-    dec_hi = family.decomposition(hi)
-    return [
-        (Ph - Pl) / (hi - lo)
-        for Ph, Pl in zip(dec_hi.spectral_projectors, dec_lo.spectral_projectors)
-    ]
-
-
-def _generator(family: AdiabaticFamily, s: float) -> np.ndarray:
-    """A(s) = sum_m dP^m/ds @ P^m, the intertwiner generator."""
-    dec = family.decomposition(s)
-    dPs = _projector_derivative(family, s)
-    A = np.zeros((family.dim**2,) * 2, dtype=complex)
-    for dP, P in zip(dPs, dec.spectral_projectors):
-        A += dP @ P
-    return A
+    diff = getattr(family.stack(hi), field) - getattr(family.stack(lo), field)
+    return diff / (hi - lo).reshape(-1, *(1,) * (diff.ndim - 1))
 
 
 def intertwiner(family: AdiabaticFamily, s_nodes) -> np.ndarray:
     """Solve W' = A(s) W, W(0) = Id, with classical RK4 on the given nodes.
 
     Returns the stack of W(s) at the nodes. The intertwiner transports the
-    spectral projectors: W(s) P^m(0) W(s)^{-1} = P^m(s).
+    spectral projectors: W(s) P^m(0) W(s)^{-1} = P^m(s). The generator
+    A(s) = sum_m dP^m/ds @ P^m is evaluated at the 2T + 1 distinct nodes
+    of T steps (each step's end is the next step's start) as one stack,
+    with dP^m/ds a centred difference.
     """
     s_nodes = np.asarray(s_nodes, dtype=float)
-    steps = list(zip(s_nodes[:-1], s_nodes[1:]))
-    rk4_nodes = [t for a, b in steps for t in (a, a + (b - a) / 2, b)]
-    family.prepare(_with_neighbours(rk4_nodes))
-    d2 = family.dim**2
-    W = np.eye(d2, dtype=complex)
+    h = np.diff(s_nodes)
+    s = np.empty(2 * s_nodes.size - 1)
+    s[0::2] = s_nodes
+    s[1::2] = s_nodes[:-1] + h / 2
+    A = (_derivative(family, s, "P") @ family.stack(s).P).sum(axis=1)
+    W = np.eye(family.dim**2, dtype=complex)
     out = [W.copy()]
-    A4 = _generator(family, s_nodes[0])
-    for a, b in steps:
-        h = b - a
-        A1 = A4  # the previous step's end node is this step's start
-        A2 = _generator(family, a + h / 2)
-        A4 = _generator(family, b)
+    for j, hj in enumerate(h):
+        A1, A2, A4 = A[2 * j], A[2 * j + 1], A[2 * j + 2]
         k1 = A1 @ W
-        k2 = A2 @ (W + h / 2 * k1)
-        k3 = A2 @ (W + h / 2 * k2)
-        k4 = A4 @ (W + h * k3)
-        W = W + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        k2 = A2 @ (W + hj / 2 * k1)
+        k3 = A2 @ (W + hj / 2 * k2)
+        k4 = A4 @ (W + hj * k3)
+        W = W + hj / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         out.append(W.copy())
     return np.stack(out)
 
@@ -161,24 +158,18 @@ def product_decomposition_residual(family: AdiabaticFamily, T: int) -> float:
     sum_m theta^{m T} W(1) P^m(0) plus the peripheral-complement chain
     (F Q)(T/T)...(F Q)(1/T) Q(0); the residual decays like 1/T.
     """
-    nodes = np.array([j / T for j in range(T + 1)])
-    W = intertwiner(family, nodes)[-1]  # prepares every node read below
-    dec0 = family.decomposition(0.0)
-    z = dec0.period
-    theta = np.exp(2j * np.pi / z)
-
-    d2 = family.dim**2
-    chain = np.eye(d2, dtype=complex)
-    qchain = np.eye(d2, dtype=complex)
-    for j in range(1, T + 1):
-        s = j / T
-        F = family.normalized(s)
+    s = np.array([j / T for j in range(T + 1)])
+    W = intertwiner(family, s)[-1]  # prepares every node read below
+    nodes = family.stack(s)
+    Q = nodes.Q
+    chain = qchain = np.eye(family.dim**2, dtype=complex)
+    for F, FQ in zip(nodes.F[1:], nodes.F[1:] @ Q[1:]):
         chain = F @ chain
-        qchain = (F @ family.complement(s)) @ qchain
-    approx = sum(
-        theta ** (m * T) * (W @ dec0.spectral_projectors[m]) for m in range(z)
-    )
-    approx = approx + qchain @ family.complement(0.0)
+        qchain = FQ @ qchain
+    z = nodes.P.shape[1]
+    theta = np.exp(2j * np.pi / z)
+    approx = sum(theta ** (m * T) * (W @ nodes.P[0, m]) for m in range(z))
+    approx = approx + qchain @ Q[0]
     return float(np.linalg.norm(chain - approx, 2))
 
 
@@ -186,19 +177,13 @@ def theta_integral(family: AdiabaticFamily, *, n_nodes: int = 201) -> complex:
     """theta^(alpha)(1) = int_0^1 Tr(iota(s) d rho(s)/ds) ds.
 
     Composite Simpson quadrature on an odd uniform grid of at least n_nodes
-    nodes.
+    nodes, with d rho/ds a centred difference.
     """
     if n_nodes % 2 == 0:
         n_nodes += 1
     s_grid = np.linspace(0.0, 1.0, n_nodes)
-    family.prepare(_with_neighbours(s_grid))
-    vals = np.empty(n_nodes, dtype=complex)
-    for i, s in enumerate(s_grid):
-        lo, hi = _neighbours(s)
-        drho = (family.decomposition(hi).rho - family.decomposition(lo).rho) / (
-            hi - lo
-        )
-        vals[i] = np.trace(family.decomposition(float(s)).iota @ drho)
+    drho = _derivative(family, s_grid, "rho")
+    vals = np.trace(family.stack(s_grid).iota @ drho, axis1=1, axis2=2)
     return complex(simpson(vals, x=s_grid))
 
 
@@ -206,10 +191,9 @@ def exact_deformed_chain(
     family: AdiabaticFamily, rho_i: np.ndarray, T: int
 ) -> np.ndarray:
     """Apply the normalized deformed chain F(T/T)...F(1/T) to a state."""
-    family.prepare([j / T for j in range(1, T + 1)])
     x = vec(rho_i)
-    for j in range(1, T + 1):
-        x = family.normalized(j / T) @ x
+    for F in family.stack([j / T for j in range(1, T + 1)]).F:
+        x = F @ x
     return unvec(x, family.dim)
 
 

@@ -84,14 +84,14 @@ class SpectralObservable:
 class MeasurementSetup:
     """Initial state with initial and final system observables.
 
-    ``obs_f`` is either a SpectralObservable or the string "log_rho_f",
-    meaning A_f = -log(rho_f) with rho_f the exact reduced evolution of
-    rho_i over the protocol length at hand (recomputed per T).
+    ``obs_f`` is either a SpectralObservable or None, meaning
+    A_f = -log(rho_f) with rho_f the exact reduced evolution of rho_i over
+    the protocol length at hand (recomputed per T).
     """
 
     rho_i: np.ndarray
     obs_i: SpectralObservable
-    obs_f: SpectralObservable | str
+    obs_f: SpectralObservable | None
     entropic: bool = False
 
 
@@ -101,7 +101,7 @@ def entropic_setup(rho_i: np.ndarray) -> MeasurementSetup:
     return MeasurementSetup(
         rho_i=rho_i,
         obs_i=SpectralObservable.from_matrix(-herm_log(rho_i)),
-        obs_f="log_rho_f",
+        obs_f=None,
         entropic=True,
     )
 
@@ -130,13 +130,9 @@ def resolve_final_observable(
 ) -> tuple[SpectralObservable, np.ndarray]:
     """The final observable and evolved state for a protocol of length T."""
     rho_f = evolved_state(model, setup.rho_i, T, nodes=nodes)
-    if isinstance(setup.obs_f, str):
-        if setup.obs_f != "log_rho_f":
-            raise FullStatsError(f"unknown final observable {setup.obs_f!r}")
-        obs_f = SpectralObservable.from_matrix(-herm_log(rho_f))
-    else:
-        obs_f = setup.obs_f
-    return obs_f, rho_f
+    if setup.obs_f is None:
+        return SpectralObservable.from_matrix(-herm_log(rho_f)), rho_f
+    return setup.obs_f, rho_f
 
 
 # ---------------------------------------------------------------------------

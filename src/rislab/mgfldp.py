@@ -71,18 +71,6 @@ def mgf_pair(
     return out[0] if np.ndim(alpha1) == 0 else np.array(out)
 
 
-def mgf_varsigma(
-    model: RISModel,
-    setup: MeasurementSetup,
-    T: int,
-    alpha: complex | np.ndarray,
-    *,
-    nodes: ProtocolNodes | None = None,
-) -> complex | np.ndarray:
-    """E e^{alpha varsigma} with varsigma = Delta_y - Delta_a."""
-    return mgf_pair(model, setup, T, alpha, -alpha, nodes=nodes)
-
-
 # ---------------------------------------------------------------------------
 # the limiting cumulant functional Lambda
 # ---------------------------------------------------------------------------
@@ -261,11 +249,6 @@ def rate_function_symmetry_defect(
         rhs = -x + legendre_transform(ev, -x, window=window)
         worst = max(worst, abs(lhs - rhs))
     return worst
-
-
-def lln_mean(ev: LambdaEvaluator) -> float:
-    """The law-of-large-numbers limit of Delta_y / T, i.e. Lambda'(0)."""
-    return ev.derivative(0.0)
 
 
 def clt_check(delta_y: np.ndarray, T: int, d1: float, d2: float) -> dict:

@@ -14,13 +14,20 @@ record at a time what the library computes for a whole enumerated measure,
 reading the chain of each (model, setup, T) from a cache filled on its
 first record; ``records`` lists the measure's records in their tuple form.
 ``sample_trajectories_reference`` is the sampler's one-stream-per-trajectory,
-all-maps-per-step route.
+all-maps-per-step route. ``intertwiner``, ``theta_integral``,
+``product_decomposition_residual`` and ``gap_bound`` read an
+``AdiabaticFamily`` one node at a time, building each generator from the
+per-node projector differences, as the library did before it read node
+stacks; they must agree with it bitwise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from scipy.integrate import simpson
+
+from rislab.adiabatic import DERIV_STEP, AdiabaticFamily
 from rislab.fullstats import (
     MeasurementSetup,
     ProtocolNodes,
@@ -492,3 +499,104 @@ def peripheral_decomposition(L: SuperOperator) -> PeripheralDecomposition:
         spectral_projectors=tuple(spectral_projectors),
         peripheral_projector=sum(spectral_projectors),
     )
+
+
+# ---------------------------------------------------------------------------
+# the adiabatic layer, one node at a time
+# ---------------------------------------------------------------------------
+
+
+def _normalized(family: AdiabaticFamily, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """F(s) = L^(alpha)(s) / lambda^(alpha)(s) and Q(s) = Id - sum_m P^m(s)."""
+    dec = family.decomposition(s)
+    F = family._matrices[float(s)] / dec.spectral_radius
+    return F, np.eye(family.dim**2, dtype=complex) - dec.peripheral_projector
+
+
+def _neighbours(s: float) -> tuple[float, float]:
+    return max(s - DERIV_STEP, 0.0), min(s + DERIV_STEP, 1.0)
+
+
+def _with_neighbours(centres) -> list[float]:
+    return [t for s in centres for t in (s, *_neighbours(s))]
+
+
+def generator(family: AdiabaticFamily, s: float) -> np.ndarray:
+    """A(s) = sum_m dP^m/ds @ P^m, each dP^m/ds a centred difference."""
+    lo, hi = _neighbours(s)
+    dec_lo, dec_hi = family.decomposition(lo), family.decomposition(hi)
+    dPs = [
+        (Ph - Pl) / (hi - lo)
+        for Ph, Pl in zip(dec_hi.spectral_projectors, dec_lo.spectral_projectors)
+    ]
+    A = np.zeros((family.dim**2,) * 2, dtype=complex)
+    for dP, P in zip(dPs, family.decomposition(s).spectral_projectors):
+        A += dP @ P
+    return A
+
+
+def intertwiner(family: AdiabaticFamily, s_nodes) -> np.ndarray:
+    """RK4 for W' = A(s) W, W(0) = Id, one generator node at a time."""
+    s_nodes = np.asarray(s_nodes, dtype=float)
+    steps = list(zip(s_nodes[:-1], s_nodes[1:]))
+    family.prepare(
+        _with_neighbours([t for a, b in steps for t in (a, a + (b - a) / 2, b)])
+    )
+    W = np.eye(family.dim**2, dtype=complex)
+    out = [W.copy()]
+    A4 = generator(family, s_nodes[0])
+    for a, b in steps:
+        h = b - a
+        A1 = A4
+        A2 = generator(family, a + h / 2)
+        A4 = generator(family, b)
+        k1 = A1 @ W
+        k2 = A2 @ (W + h / 2 * k1)
+        k3 = A2 @ (W + h / 2 * k2)
+        k4 = A4 @ (W + h * k3)
+        W = W + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append(W.copy())
+    return np.stack(out)
+
+
+def theta_integral(family: AdiabaticFamily, *, n_nodes: int = 201) -> complex:
+    """Simpson's rule over Tr(iota d rho/ds), one node at a time."""
+    if n_nodes % 2 == 0:
+        n_nodes += 1
+    s_grid = np.linspace(0.0, 1.0, n_nodes)
+    family.prepare(_with_neighbours(s_grid))
+    vals = np.empty(n_nodes, dtype=complex)
+    for i, s in enumerate(s_grid):
+        lo, hi = _neighbours(s)
+        drho = (family.decomposition(hi).rho - family.decomposition(lo).rho) / (
+            hi - lo
+        )
+        vals[i] = np.trace(family.decomposition(float(s)).iota @ drho)
+    return complex(simpson(vals, x=s_grid))
+
+
+def product_decomposition_residual(family: AdiabaticFamily, T: int) -> float:
+    """The product-decomposition residual, walking the chain node by node."""
+    W = intertwiner(family, np.array([j / T for j in range(T + 1)]))[-1]
+    dec0 = family.decomposition(0.0)
+    theta = np.exp(2j * np.pi / dec0.period)
+    chain = np.eye(family.dim**2, dtype=complex)
+    qchain = np.eye(family.dim**2, dtype=complex)
+    for j in range(1, T + 1):
+        F, Q = _normalized(family, j / T)
+        chain = F @ chain
+        qchain = (F @ Q) @ qchain
+    approx = sum(
+        theta ** (m * T) * (W @ dec0.spectral_projectors[m])
+        for m in range(dec0.period)
+    )
+    approx = approx + qchain @ _normalized(family, 0.0)[1]
+    return float(np.linalg.norm(chain - approx, 2))
+
+
+def gap_bound(family: AdiabaticFamily, s_grid) -> float:
+    """sup over the grid of spr(F(s) Q(s)), one node at a time."""
+    s_grid = np.atleast_1d(s_grid).astype(float)
+    family.prepare(s_grid)
+    FQ = np.stack([F @ Q for F, Q in (_normalized(family, s) for s in s_grid)])
+    return float(np.abs(np.linalg.eigvals(FQ)).max())

@@ -1,13 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from rislab import adiabatic as ad
 from rislab import model as mod
 from rislab.fullstats import evolved_state
-from rislab.linalg import trace_norm
+from rislab.linalg import trace_norm, unvec, vec
 from rislab.mgfldp import stationary_log_mgf_theta
 
+import oracles
 from conftest import random_faithful_state
+from test_stacked_decomposition import _flip_map
+
+PRESETS = {"fd": mod.fd_model, "rwa": mod.rwa_model, "flip": mod.fd_model}
 
 
 @pytest.fixture(scope="module")
@@ -26,28 +32,84 @@ def test_intertwiner_transports_ranges(fd_family):
     nodes = np.linspace(0.0, 1.0, 101)
     Ws = ad.intertwiner(fd_family, nodes)
     d2 = fd_family.dim**2
-    P0 = fd_family.peripheral_projector(0.0)
+    P0 = fd_family.decomposition(0.0).peripheral_projector
     for idx in (25, 50, 100):
         s = nodes[idx]
         W = Ws[idx]
-        Ps = fd_family.peripheral_projector(float(s))
+        Ps = fd_family.decomposition(s).peripheral_projector
         assert np.abs((np.eye(d2) - Ps) @ W @ P0).max() < 1e-8
 
 
 def test_intertwiner_evaluates_each_generator_node_once(monkeypatch, fd_family):
-    """RK4 over T steps reads 2T + 1 distinct nodes: each step's end node is
-    the next step's start."""
-    calls = []
-    original = ad._generator
+    """RK4 over T steps reads one generator stack of 2T + 1 distinct nodes:
+    each step's end node is the next step's start. The stacks read are the
+    nodes and their two centred-difference neighbours."""
+    stacks = []
+    original = ad.AdiabaticFamily.stack
 
-    def counted(family, s):
-        calls.append(float(s))
-        return original(family, s)
+    def recorded(family, s_values):
+        stacks.append(np.asarray(s_values))
+        return original(family, s_values)
 
-    monkeypatch.setattr(ad, "_generator", counted)
-    ad.intertwiner(fd_family, np.linspace(0.0, 1.0, 101))
-    assert len(calls) == 201
-    assert len(set(calls)) == 201
+    monkeypatch.setattr(ad.AdiabaticFamily, "stack", recorded)
+    nodes = np.linspace(0.0, 1.0, 101)
+    ad.intertwiner(fd_family, nodes)
+    assert [s.size for s in stacks] == [201] * 3
+    centres = stacks[-1]
+    assert np.unique(centres).size == 201
+    assert np.array_equal(centres[0::2], nodes)
+
+
+def _use_flip_kernels(monkeypatch):
+    """Make every family period 2: the fd kernel with a flip map as its only
+    term, whose weights vary in s so that the spectral projectors do."""
+    original = ad.kraus_families
+
+    def flips(model, s_values):
+        fams = original(model, s_values)
+        kron = np.zeros_like(fams.kron)
+        kron[:, 0] = [_flip_map(1.0 + 0.5 * s, 1.5 - s * s) for s in s_values]
+        return replace(fams, kron=kron)
+
+    monkeypatch.setattr(ad, "kraus_families", flips)
+
+
+@pytest.mark.parametrize(
+    "preset,alpha", [("fd", 0.5), ("fd", 0.0), ("rwa", 0.5), ("flip", 0.5)]
+)
+def test_stacked_route_matches_per_node_oracle(monkeypatch, preset, alpha):
+    """The node stacks give bitwise what per-node generators, projector
+    differences and chain walks give; each route runs on a fresh family."""
+    if preset == "flip":
+        _use_flip_kernels(monkeypatch)
+    model = PRESETS[preset]()
+
+    def family():
+        return ad.AdiabaticFamily(model, alpha)
+
+    if preset == "flip":
+        assert family().decomposition(0.5).period == 2
+    nodes = np.linspace(0.0, 1.0, 41)
+    Ws = ad.intertwiner(family(), nodes)
+    assert np.array_equal(Ws, oracles.intertwiner(family(), nodes))
+    if preset == "flip":
+        assert np.abs(Ws[-1] - np.eye(4)).max() > 1e-3  # dP != 0
+    for n in (51, 80):
+        assert ad.theta_integral(family(), n_nodes=n) == oracles.theta_integral(
+            family(), n_nodes=n
+        )
+    for T in (10, 40):
+        assert ad.product_decomposition_residual(
+            family(), T
+        ) == oracles.product_decomposition_residual(family(), T)
+    grid = np.linspace(0.0, 1.0, 11)
+    assert family().gap_bound(grid) == oracles.gap_bound(family(), grid)
+    fam, rho_i = family(), np.diag([0.3, 0.7]).astype(complex)
+    x = vec(rho_i)
+    for j in range(1, 21):
+        dec = fam.decomposition(j / 20)
+        x = (fam._matrices[j / 20] / dec.spectral_radius) @ x
+    assert np.array_equal(ad.exact_deformed_chain(family(), rho_i, 20), unvec(x, 2))
 
 
 def test_gap_bound_below_one(fd_family):
