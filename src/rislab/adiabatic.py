@@ -58,6 +58,7 @@ class AdiabaticFamily:
         self.alpha = float(alpha)
         self._matrices: dict[float, np.ndarray] = {}
         self._decs: dict[float, PeripheralDecomposition] = {}
+        self._thetas: dict[int, complex] = {}  # theta_integral by odd grid size
         self._period: int | None = None
 
     @property
@@ -177,14 +178,17 @@ def theta_integral(family: AdiabaticFamily, *, n_nodes: int = 201) -> complex:
     """theta^(alpha)(1) = int_0^1 Tr(iota(s) d rho(s)/ds) ds.
 
     Composite Simpson quadrature on an odd uniform grid of at least n_nodes
-    nodes, with d rho/ds a centred difference.
+    nodes, with d rho/ds a centred difference. Each grid is integrated once
+    per family and the value cached on it.
     """
     if n_nodes % 2 == 0:
         n_nodes += 1
-    s_grid = np.linspace(0.0, 1.0, n_nodes)
-    drho = _derivative(family, s_grid, "rho")
-    vals = np.trace(family.stack(s_grid).iota @ drho, axis1=1, axis2=2)
-    return complex(simpson(vals, x=s_grid))
+    if n_nodes not in family._thetas:
+        s_grid = np.linspace(0.0, 1.0, n_nodes)
+        drho = _derivative(family, s_grid, "rho")
+        vals = np.trace(family.stack(s_grid).iota @ drho, axis1=1, axis2=2)
+        family._thetas[n_nodes] = complex(simpson(vals, x=s_grid))
+    return family._thetas[n_nodes]
 
 
 def exact_deformed_chain(

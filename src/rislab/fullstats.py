@@ -12,7 +12,6 @@ the entropy functionals entering the Landauer-type step balance.
 
 from __future__ import annotations
 
-import csv
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -20,10 +19,13 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
+    HERM_TOL,
     assert_hermitian,
     herm_log,
     herm_power,
+    hermitian_basis,
     hermitian_eig,
+    outcome_gaps,
     outcome_groups,
     partial_trace_env,
     partial_trace_sys,
@@ -185,13 +187,15 @@ def step_operators(model: RISModel, s, fam: KrausFamily | None = None) -> StepOp
     if fam is None:
         fam = kraus_families(model, s) if s.ndim else kraus_family(model, float(s))
     s_all, y = np.atleast_1d(s), fam.y_eigenvalues
-    groups = [outcome_groups(w) for w in np.atleast_2d(y)]
-    for s_k, g in zip(s_all, groups):
-        if not np.array_equal(g, groups[0]):
-            raise FullStatsError(
-                f"the outcome grouping of Y at s={s_k} differs from that at s={s_all[0]}"
-            )
-    G = groups[0].astype(float)
+    y_all = np.atleast_2d(y)
+    gaps = outcome_gaps(y_all)
+    moved = (gaps != gaps[0]).any(axis=1)
+    if moved.any():
+        raise FullStatsError(
+            f"the outcome grouping of Y at s={s_all[moved.argmax()]} differs "
+            f"from that at s={s_all[0]}"
+        )
+    G = outcome_groups(y_all[0]).astype(float)
     A, psi = fam.transitions, fam.basis
     n, d2 = G.shape[0], model.dim_sys**2
     # Pi_I xi Pi_I for every outcome I, in the Y basis
@@ -588,13 +592,18 @@ def sample_trajectories(
     (seed, n, T) and not on batching. One bit generator serves the call,
     reset to each trajectory's key (``_uniforms``).
 
-    The n states are the columns of a (d^2, n) stack. At each step the
-    outcome probabilities are one product of the step's trace covectors
-    vec(I)^T M_o (o = (i, j), taken once per chain from the forward maps)
-    with that stack; each state is then advanced by its chosen map alone
-    and renormalised to unit trace. For the entropic setup varsigma is
-    filled through the identity varsigma = -delta_a + delta_y; otherwise it
-    is NaN (exact log-ratios are available through enumeration).
+    The sampler works in real coordinates: the n states are the columns of
+    a real (d^2, n) stack X of their coordinates in ``hermitian_basis(d)``
+    B, and each forward map M_o (o = (i, j)) becomes the real B^* M_o B,
+    certified once per chain (a node whose maps do not preserve
+    Hermiticity raises FullStatsError). The n_pair maps of a node are the
+    row blocks of one (d^2 n_pair, d^2) matrix with rows in (a, o) order,
+    so one product with X holds every state's image under every map; the
+    outcome probabilities are the images' traces, the sums of their
+    diagonal coordinates, and one gather picks each state's image under its
+    chosen map, renormalised to unit trace. For the entropic setup varsigma
+    is filled through the identity varsigma = -delta_a + delta_y; otherwise
+    it is NaN (exact log-ratios are available through enumeration).
     """
     nodes = node_table(model, T, nodes)
     obs_f, _ = resolve_final_observable(model, setup, T, nodes=nodes)
@@ -602,7 +611,8 @@ def sample_trajectories(
     n_out = steps.y_values.shape[-1]
     n_pair = n_out * n_out
     d = model.dim_sys
-    trace_idx = np.arange(0, d * d, d + 1)
+    B = hermitian_basis(d)
+    Bh = B.conj().T
 
     uniforms = _uniforms(seed, n, T + 2)
 
@@ -612,43 +622,46 @@ def sample_trajectories(
     q = np.clip(q, 0.0, None)
     q = q / q.sum()
     ai_idx = (uniforms[0] > np.cumsum(q)[:, None]).sum(axis=0)
-    states = np.empty((d * d, n), dtype=complex)
+    states = np.empty((d * d, n))
     for a in range(len(pi_list)):
         mask = ai_idx == a
         if mask.any():
             post = pi_list[a] @ setup.rho_i @ pi_list[a]
-            states[:, mask] = vec(post / np.trace(post).real)[:, None]
+            states[:, mask] = (Bh @ vec(post / np.trace(post).real)).real[:, None]
 
-    # per node: the covectors vec(I)^T M_o, (T, o, b); the entries of M_o
-    # with the input index b major, (T, b * d^2 + a, o); y_j - y_i per pair
-    # o = (i, j), (T, o)
-    maps = steps.forward[idx].reshape(T, n_pair, d * d, d * d)
-    covectors = maps[:, :, trace_idx, :].sum(axis=2)
-    entries = maps.transpose(0, 3, 2, 1).reshape(T, d**4, n_pair)
+    # per node: the real maps with rows in (a, o) order, (T, d^2 * n_pair, d^2);
+    # y_j - y_i per pair o = (i, j), (T, o)
+    maps = Bh @ steps.forward[idx].reshape(T, n_pair, d * d, d * d) @ B
+    worst = np.abs(maps.imag).max(axis=(1, 2, 3))
+    bad = worst > HERM_TOL * np.abs(maps).max(axis=(1, 2, 3))
+    if bad.any():
+        raise FullStatsError(
+            f"the forward maps at s={nodes.s[idx[bad.argmax()]]} do not preserve "
+            f"Hermiticity (imaginary part {worst[bad.argmax()]:.3e} in real coordinates)"
+        )
+    maps = maps.real.transpose(0, 2, 1, 3).reshape(T, d * d * n_pair, d * d)
     i_idx, j_idx = np.divmod(np.arange(n_pair), n_out)
     dy = steps.y_values[idx][:, j_idx] - steps.y_values[idx][:, i_idx]
     delta_y = np.zeros(n)
     probe_records = np.empty((T, n), dtype=np.int64)
+    cols = np.arange(n)
     for k in range(T):
-        probs = np.real(covectors[k] @ states)
+        images = (maps[k] @ states).reshape(d * d, n_pair * n)
+        probs = images[:d].sum(axis=0).reshape(n_pair, n)
         np.clip(probs, 0.0, None, out=probs)
         probs /= probs.sum(axis=0)
         for o in range(1, n_pair):  # cumulative sums along the outcome axis
             probs[o] += probs[o - 1]
         choice = (uniforms[1 + k] > probs).sum(axis=0)
         choice = np.minimum(choice, n_pair - 1)
-        chosen = entries[k].take(choice, axis=1).reshape(d * d, d * d, n)
-        picked = chosen[0] * states[0]
-        for b in range(1, d * d):
-            picked += chosen[b] * states[b]
-        picked *= 1.0 / picked.real[trace_idx].sum(axis=0)
-        states = picked
+        states = images.take(choice * n + cols, axis=1)
+        states *= 1.0 / states[:d].sum(axis=0)
         delta_y += dy[k, choice]
         probe_records[k] = choice
 
-    # final measurement
-    pf_mats = np.stack([vec(P.T) for P in obs_f.projectors])
-    probs_f = np.real(pf_mats @ states)
+    # final measurement: Tr(P rho) = (B^* vec P) . (B^* vec rho)
+    pf_mats = (vec(np.stack(obs_f.projectors)) @ B.conj()).real
+    probs_f = pf_mats @ states
     probs_f = np.clip(probs_f, 0.0, None)
     probs_f /= probs_f.sum(axis=0)
     af_idx = (uniforms[T + 1] > np.cumsum(probs_f, axis=0)).sum(axis=0)
@@ -679,11 +692,10 @@ def sample_trajectories(
 def _write_rows(path, data, fields: tuple[str, ...]) -> None:
     """One row per trajectory: its id, then each field with shortest round-trip repr."""
     columns = [getattr(data, f).tolist() for f in fields]
+    lines = [",".join(("trajectory_id", *fields))]
+    lines += [f"{t},{','.join(map(repr, row))}" for t, row in enumerate(zip(*columns))]
     with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["trajectory_id", *fields])
-        for t, row in enumerate(zip(*columns)):
-            writer.writerow([t, *map(repr, row)])
+        fh.write("\n".join(lines) + "\n")
 
 
 _TRAJECTORY_FIELDS = ("a_i", "a_f", "delta_a", "delta_y", "varsigma")

@@ -91,6 +91,24 @@ def unvec(x: np.ndarray, d: int | None = None) -> np.ndarray:
     return np.swapaxes(x.reshape(*x.shape[:-1], d, d), -1, -2)
 
 
+def hermitian_basis(d: int) -> np.ndarray:
+    """An orthonormal Hilbert-Schmidt basis of the Hermitian d x d matrices.
+
+    Returns the unitary (d^2, d^2) matrix B whose columns are the vecs of the
+    basis: first the diagonal units E_aa, then for each a < b the pair
+    (E_ab + E_ba)/sqrt(2) and i(E_ab - E_ba)/sqrt(2). B^* vec(X) is real for
+    Hermitian X, and its first d entries sum to Tr X. A map that preserves
+    Hermiticity has the real matrix B^* M B in these coordinates.
+    """
+    E = np.eye(d, dtype=complex)
+    units = [np.outer(E[a], E[a]) for a in range(d)]
+    for a in range(d):
+        for b in range(a + 1, d):
+            ab, ba = np.outer(E[a], E[b]), np.outer(E[b], E[a])
+            units += [(ab + ba) / np.sqrt(2), 1j * (ab - ba) / np.sqrt(2)]
+    return vec(np.stack(units)).T
+
+
 def hermitian_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, or of each of a stack.
 
@@ -107,14 +125,21 @@ def hermitian_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, V
 
 
-def outcome_groups(w: np.ndarray) -> np.ndarray:
-    """Membership (n_outcomes, w.size) of an ascending spectrum in its outcomes.
+def outcome_gaps(w: np.ndarray) -> np.ndarray:
+    """Where an ascending spectrum, or each row of a stack (..., n), opens an outcome.
 
-    Neighbours closer than GROUP_TOL * (1 + max|w|) belong to one outcome, a
-    distinct value of the measured observable.
+    Entry k is True when w[k + 1] - w[k] exceeds GROUP_TOL * (1 + max|w|),
+    taken over that spectrum alone: neighbours closer than this belong to
+    one outcome, a distinct value of the measured observable.
     """
     w = np.asarray(w, dtype=float)
-    gaps = np.diff(w) > GROUP_TOL * (1.0 + np.abs(w).max())
+    return np.diff(w) > GROUP_TOL * (1.0 + np.abs(w).max(axis=-1, keepdims=True))
+
+
+def outcome_groups(w: np.ndarray) -> np.ndarray:
+    """Membership (n_outcomes, w.size) of an ascending spectrum in its outcomes
+    (``outcome_gaps``)."""
+    gaps = outcome_gaps(w)
     labels = np.concatenate(([0], np.cumsum(gaps)))
     return labels == np.arange(labels[-1] + 1)[:, None]
 

@@ -14,7 +14,9 @@ record at a time what the library computes for a whole enumerated measure,
 reading the chain of each (model, setup, T) from a cache filled on its
 first record; ``records`` lists the measure's records in their tuple form.
 ``sample_trajectories_reference`` is the sampler's one-stream-per-trajectory,
-all-maps-per-step route. ``intertwiner``, ``theta_integral``,
+all-maps-per-step route in complex vec coordinates; ``write_rows_reference``
+writes the sampler's and the measure's CSV files one ``csv.writer`` row at
+a time. ``intertwiner``, ``theta_integral``,
 ``product_decomposition_residual`` and ``gap_bound`` read an
 ``AdiabaticFamily`` one node at a time, building each generator from the
 per-node projector differences, as the library did before it read node
@@ -22,6 +24,8 @@ stacks; they must agree with it bitwise.
 """
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 
@@ -387,6 +391,16 @@ def sample_trajectories_reference(
         varsigma=varsigma,
         probe_records=probe_records,
     )
+
+
+def write_rows_reference(path, data, fields: tuple[str, ...]) -> None:
+    """The library's CSV layout, written row by row through ``csv.writer``."""
+    columns = [getattr(data, f).tolist() for f in fields]
+    with open(path, "w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["trajectory_id", *fields])
+        for t, row in enumerate(zip(*columns)):
+            writer.writerow([t, *map(repr, row)])
 
 
 def _phase_fixed_psd(X: np.ndarray) -> np.ndarray:

@@ -2,15 +2,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from rislab import adiabatic as ad
+from rislab import config as cfg
 from rislab import model as mod
+from rislab.cli import _initial_state
 from rislab.fullstats import evolved_state
 from rislab.linalg import trace_norm, unvec, vec
 from rislab.mgfldp import stationary_log_mgf_theta
 
 import oracles
 from conftest import random_faithful_state
+from test_cli import BASE, _run
 from test_stacked_decomposition import _flip_map
 
 PRESETS = {"fd": mod.fd_model, "rwa": mod.rwa_model, "flip": mod.fd_model}
@@ -133,6 +137,32 @@ def test_deformed_state_residual_decays(fd_family, rng):
         errs.append(trace_norm(exact - approx))
     assert errs[0] > errs[1] > errs[2]
     assert errs[-1] < 0.05
+
+
+def test_adiabatic_task_integrates_theta_once_per_grid(monkeypatch, tmp_path):
+    """T = 10 and 20 share the 201-node grid; T = 300 needs a 301-node one.
+
+    Each row equals the residual from a family of its own.
+    """
+    grids = []
+
+    def counted(y, *, x):
+        grids.append(x.size)
+        return simpson(y, x=x)
+
+    monkeypatch.setattr(ad, "simpson", counted)
+    doc = {**BASE, "numeric": {**BASE["numeric"], "T_list": [10, 20, 300]}}
+    out = _run("adiabatic", tmp_path, doc)
+    assert grids == [201, 301]
+    rows = (out / "adiabatic.csv").read_text().strip().split("\n")[1:]
+    run = cfg.load_config(doc)
+    rho_i = _initial_state(run)
+    for row, T in zip(rows, (10, 20, 300)):
+        fam = ad.AdiabaticFamily(run.model, run.alpha)
+        want = trace_norm(
+            ad.exact_deformed_chain(fam, rho_i, T) - ad.deformed_adiabatic_state(fam, rho_i, T)
+        )
+        assert row.split(",") == [str(T), "0.5", repr(want)]
 
 
 def test_theta_vanishes_for_alpha_zero():

@@ -213,6 +213,25 @@ def test_csv_roundtrip(tmp_path, fd3):
     assert float(rows[1].split(",")[4]) == samp.delta_y[0]
 
 
+def test_csv_files_match_the_row_writer(tmp_path, fd3):
+    """One joined write gives the csv.writer route's bytes, NaN varsigma included."""
+    m, setup, meas = fd3
+    obs = fs.SpectralObservable.from_matrix(m.h_sys)
+    plain = fs.MeasurementSetup(rho_i=setup.rho_i, obs_i=obs, obs_f=obs)
+    cases = [
+        (fs.write_measure_csv, meas, fs._TRAJECTORY_FIELDS + ("p_forward", "p_backward")),
+        (fs.write_trajectories_csv, fs.sample_trajectories(m, setup, 3, 40, seed=2),
+         fs._TRAJECTORY_FIELDS),
+        (fs.write_trajectories_csv, fs.sample_trajectories(m, plain, 3, 40, seed=2),
+         fs._TRAJECTORY_FIELDS),
+    ]
+    for write, data, fields in cases:
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write(got, data)
+        oracles.write_rows_reference(want, data, fields)
+        assert got.read_bytes() == want.read_bytes()
+
+
 def test_evolved_state_matches_unitary_route(rng):
     m = random_small_model(rng)
     rho = random_faithful_state(rng)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rislab import linalg as la
 
@@ -140,3 +143,22 @@ def test_superoperator_kraus_mismatch_raises():
             matrix=np.eye(4),
             kraus=(np.array([[0.0, 1.0], [0.0, 0.0]]),),
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.integers(1, 5)),
+        elements=st.sampled_from([-2.0, -1.0, -1.0 + 1e-12, 0.0, 1e-10, 0.5, 3.0]),
+    )
+)
+def test_stacked_outcome_gaps_equal_each_spectrum_alone(W):
+    """Each row's gaps against its own GROUP_TOL * (1 + max|w|), bitwise."""
+    W = np.sort(W, axis=1)
+    gaps = la.outcome_gaps(W)
+    for w, g in zip(W, gaps):
+        want = np.diff(w) > la.GROUP_TOL * (1.0 + np.abs(w).max())
+        assert np.array_equal(g, want)
+        labels = np.concatenate(([0], np.cumsum(want)))
+        assert np.array_equal(la.outcome_groups(w), labels == np.arange(labels[-1] + 1)[:, None])

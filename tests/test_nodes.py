@@ -211,6 +211,15 @@ def test_chain_whose_outcome_grouping_changes():
     assert abs(mg.mgf_pair(m, setup, 2, 0.0, 0.0) - 1.0) < 1e-12
 
 
+def test_grouping_refusal_names_the_first_moved_node():
+    """Y vanishes on [1/2, 1]: two outcomes at s = 1/4, one from s = 1/2 on."""
+    m = replace(mod.fd_model(), h_env=lambda s: np.diag([0.0, 0.8 * min(2 * s - 1, 0.0)]))
+    with pytest.raises(fs.FullStatsError, match=r"Y at s=0\.5 differs from that at s=0\.25"):
+        fs.step_operators(m, np.arange(1, 5) / 4)
+    steps = fs.step_operators(m, np.array([0.5, 0.75, 1.0]))
+    assert steps.y_values.shape == (3, 1)
+
+
 def test_custom_Y_table_builds_one_kernel_per_node(kraus_builds):
     """The reduced chain of a table counting another Y reads the table's kernels."""
     m = replace(mod.fd_model(), counting=lambda s: np.eye(2))

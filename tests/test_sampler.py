@@ -1,13 +1,20 @@
-"""The sampler's array passes: the all-maps route's records, bit for bit,
-from one reusable random stream per call."""
+"""The sampler's array passes in real Hermitian coordinates: the complex
+all-maps route's records, bit for bit, from one reusable random stream per
+call."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rislab import fullstats as fs
+from rislab import linalg as la
 from rislab import model as mod
 
 import oracles
+from test_counting_properties import hermitian
 from test_stacked_kernel import CASES
 
 RECORD_FIELDS = ("probe_records", "delta_y", "a_i", "a_f")
@@ -70,3 +77,53 @@ def test_one_bit_generator_per_call(monkeypatch):
         built.clear()
         fs.sample_trajectories(m, setup, 2, n, seed=7)
         assert len(built) == 1, n
+
+
+CASE_MODELS = dict(CASES)
+
+
+@pytest.mark.parametrize(
+    "name,T,n",
+    [("explicit-3x3", 50, 300), ("degenerate-Y", 50, 500), ("fd", 3, 20_000)],
+)
+def test_real_coordinates_match_all_maps_route(name, T, n):
+    """d = 3 with 9 outcome pairs, a degenerate Y, and the wide shape."""
+    m = CASE_MODELS[name]
+    _assert_same_records(m, _entropic(m), T, n, seed=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4).flatmap(hermitian))
+def test_hermitian_basis_round_trips(rho):
+    d = rho.shape[0]
+    B = la.hermitian_basis(d)
+    assert np.abs(B.conj().T @ B - np.eye(d * d)).max() < 1e-15
+    x = B.conj().T @ la.vec(rho)
+    scale = max(np.abs(rho).max(), 1.0)
+    assert np.abs(x.imag).max() <= 1e-15 * scale
+    assert np.abs(B @ x.real - la.vec(rho)).max() <= 1e-15 * scale
+    assert abs(x.real[:d].sum() - np.trace(rho).real) <= 1e-15 * d * scale
+
+
+@pytest.mark.parametrize("name,m", CASES, ids=[c[0] for c in CASES])
+def test_forward_maps_are_real_in_the_hermitian_basis(name, m):
+    F = fs.ProtocolNodes(m, [7]).steps.forward
+    B = la.hermitian_basis(m.dim_sys)
+    real = B.conj().T @ F @ B
+    scale = np.abs(real).max(axis=(1, 2, 3, 4))
+    assert (np.abs(real.imag).max(axis=(1, 2, 3, 4)) <= 1e-14 * scale).all()
+
+
+def test_maps_that_do_not_preserve_hermiticity_are_refused():
+    """X -> 1e-6 i X added to one outcome pair's map at s = 3/4."""
+    m = mod.fd_model()
+    setup = _entropic(m)
+    nodes = fs.ProtocolNodes(m, [4])
+    steps = nodes.steps
+    forward = steps.forward.copy()
+    forward[2, 0, 1] += 1e-6j * np.eye(4)
+    nodes.__dict__["steps"] = replace(steps, forward=forward)
+    with pytest.raises(fs.FullStatsError, match=r"s=0\.75 do not preserve Hermiticity"):
+        fs.sample_trajectories(m, setup, 4, 10, seed=0, nodes=nodes)
+    nodes.__dict__["steps"] = steps
+    fs.sample_trajectories(m, setup, 4, 10, seed=0, nodes=nodes)
