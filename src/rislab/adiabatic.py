@@ -11,6 +11,7 @@ geometric phase-type integral theta^(alpha).
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -45,19 +46,33 @@ class NodeStack(NamedTuple):
         return np.eye(self.F.shape[-1], dtype=complex) - self.P.sum(axis=1)
 
 
+def _appended(cache: np.ndarray | None, n: int, rows: np.ndarray) -> np.ndarray:
+    """``cache`` with ``rows`` written from row n on; a full cache is copied
+    into one of twice the size first, so appending costs O(1) per row."""
+    if cache is None or n + len(rows) > len(cache):
+        grown = np.empty((max(2 * n, n + len(rows)), *rows.shape[1:]), rows.dtype)
+        if cache is not None:
+            grown[:n] = cache[:n]
+        cache = grown
+    cache[n : n + len(rows)] = rows
+    return cache
+
+
 class AdiabaticFamily:
     """A protocol of deformed maps with cached peripheral data.
 
     Each map's matrix is built and decomposed together with the other nodes
-    of its block and cached by s; the peripheral period z must be constant
-    along the protocol (checked as each block is decomposed).
+    of its block. The cache is node stacks, one row per node and a map from
+    s to its row: the normalized maps F and the peripheral decompositions.
+    The period z must be constant along the protocol (checked per block).
     """
 
     def __init__(self, model: RISModel, alpha: float):
         self.model = model
         self.alpha = float(alpha)
-        self._matrices: dict[float, np.ndarray] = {}
-        self._decs: dict[float, PeripheralDecomposition] = {}
+        self._rows: dict[float, int] = {}
+        self._F: np.ndarray | None = None
+        self._decs = None  # the PeripheralDecompositions stacks
         self._thetas: dict[int, complex] = {}  # theta_integral by odd grid size
         self._period: int | None = None
 
@@ -69,41 +84,45 @@ class AdiabaticFamily:
         """Build and decompose the map of every uncached s in s_values.
 
         Each block of at most PREPARE_BLOCK nodes is built from one stacked
-        kernel and decomposed in one stacked pass. Only the matrices and their
+        kernel and decomposed in one stacked pass. Only F and the
         decompositions are kept; the kernel is dropped once they are built.
         """
-        todo = [s for s in dict.fromkeys(map(float, s_values)) if s not in self._decs]
+        todo = [s for s in dict.fromkeys(map(float, s_values)) if s not in self._rows]
         for start in range(0, len(todo), PREPARE_BLOCK):
             block = todo[start : start + PREPARE_BLOCK]
             matrices = kraus_families(self.model, block).deformed_matrix(self.alpha)
             decs = peripheral_decompositions(matrices)
             if self._period is None:
-                self._period = decs[0].period
-            for s, dec in zip(block, decs):
-                if dec.period != self._period:
-                    raise ValueError(
-                        f"peripheral period changed along the protocol at s={s}"
-                    )
-            self._matrices.update(zip(block, matrices))
-            self._decs.update(zip(block, decs))
+                self._period = int(decs.period[0])
+            changed = np.flatnonzero(decs.period != self._period)
+            if changed.size:
+                s = block[changed[0]]
+                raise ValueError(f"peripheral period changed along the protocol at s={s}")
+            n, old = len(self._rows), self._decs
+            self._F = _appended(self._F, n, matrices / decs.spectral_radius[:, None, None])
+            grown = {
+                f.name: _appended(getattr(old, f.name, None), n, getattr(decs, f.name))
+                for f in fields(decs)
+            }
+            self._decs = replace(decs, **grown)
+            self._rows.update(zip(block, range(n, n + len(block))))
 
     def decomposition(self, s: float) -> PeripheralDecomposition:
+        """The peripheral decomposition at s, a row of the cache."""
         s = float(s)
-        if s not in self._decs:
-            self.prepare([s])
-        return self._decs[s]
+        self.prepare([s])
+        return self._decs[self._rows[s]]
 
     def stack(self, s_values) -> NodeStack:
         """The peripheral data of the nodes s_values, in their order."""
         s_values = np.asarray(s_values, dtype=float).tolist()
         self.prepare(s_values)
-        decs = [self._decs[s] for s in s_values]
-        radii = np.array([d.spectral_radius for d in decs])
+        rows = np.array([self._rows[s] for s in s_values])
         return NodeStack(
-            F=np.stack([self._matrices[s] for s in s_values]) / radii[:, None, None],
-            P=np.stack([d.spectral_projectors for d in decs]),
-            rho=np.stack([d.rho for d in decs]),
-            iota=np.stack([d.iota for d in decs]),
+            F=self._F[rows],
+            P=self._decs.spectral_projectors[rows],
+            rho=self._decs.rho[rows],
+            iota=self._decs.iota[rows],
         )
 
     def gap_bound(self, s_grid) -> float:
@@ -219,24 +238,3 @@ def deformed_adiabatic_state(
         weight = np.trace(dec0.iota @ dec0.cycle_projectors[m] @ rho_i)
         out += weight * decs.rho @ decs.cycle_projectors[(m - T) % z]
     return z * phase * out
-
-
-def adiabatic_state(
-    model: RISModel, rho_i: np.ndarray, T: int, k: int | None = None
-) -> np.ndarray:
-    """Adiabatic approximation of the physical (alpha = 0) evolved state.
-
-    z * sum_n Tr(p_n(0) rho_i) rho_inv(k/T) p_{n-k mod z}(k/T); it has unit
-    trace and approximates L(k/T)...L(1/T) rho_i to O(1/T).
-    """
-    family = AdiabaticFamily(model, 0.0)
-    if k is None:
-        k = T
-    dec0 = family.decomposition(0.0)
-    decs = family.decomposition(k / T)
-    z = dec0.period
-    out = np.zeros((model.dim_sys,) * 2, dtype=complex)
-    for n in range(z):
-        weight = np.trace(dec0.cycle_projectors[n] @ rho_i)
-        out += weight * decs.rho @ decs.cycle_projectors[(n - k) % z]
-    return z * out

@@ -57,15 +57,15 @@ def task_spectrum(cfg: RunConfig, out: str) -> None:
     fh, w = _writer(os.path.join(out, "spectrum.csv"))
     with fh:
         w.writerow(["s", "beta", "spectral_radius", "period", "rho_00", "rho_11"])
-        for s, dec in zip(s_grid, decs):
+        for s, lam, z, rho in zip(s_grid, decs.spectral_radius, decs.period, decs.rho):
             w.writerow(
                 [
                     _f(s),
                     _f(cfg.model.beta(float(s))),
-                    _f(dec.spectral_radius),
-                    dec.period,
-                    _f(dec.rho[0, 0].real),
-                    _f(dec.rho[1, 1].real) if dec.rho.shape[0] > 1 else _f(0.0),
+                    _f(lam),
+                    int(z),
+                    _f(rho[0, 0].real),
+                    _f(rho[1, 1].real) if rho.shape[0] > 1 else _f(0.0),
                 ]
             )
     fh2, w2 = _writer(os.path.join(out, "beta_curves.csv"))
@@ -172,7 +172,7 @@ def task_x0(cfg: RunConfig, out: str) -> None:
     nodes = fullstats.ProtocolNodes(m, cfg.T_list)
     # s = 1 is the last node of every chain
     ends = np.stack([model.kraus_family(m, 0.0).deformed_matrix(0.0), nodes.reduced[-1]])
-    rho0, rho1 = (dec.rho for dec in spectral.peripheral_decompositions(ends))
+    rho0, rho1 = spectral.peripheral_decompositions(ends).rho
     grid = [(-0.5, -0.5), (-0.5, 0.5), (0.0, 0.3), (0.5, -0.5), (0.5, 0.5)]
     fh, w = _writer(os.path.join(out, "x0.csv"))
     with fh:

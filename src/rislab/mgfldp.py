@@ -128,11 +128,10 @@ class LambdaEvaluator:
         d = self.model.dim_sys
         diag = slice(None, None, d + 1)  # the trace of a column-stacked operator
         maps = self._fams.deformed_matrix(0.0)
-        decs = peripheral_decompositions(maps)
+        rhos = peripheral_decompositions(maps).rho
         l1s = np.empty(self.s_grid.size)
         l2s = np.empty(self.s_grid.size)
-        for i, (s, fam, dec) in enumerate(zip(self.s_grid, self._fams, decs)):
-            rho = dec.rho
+        for i, (s, fam, rho) in enumerate(zip(self.s_grid, self._fams, rhos)):
             jumps = fam.kron @ vec(rho)  # vec(K_n rho K_n*) for every n
             weights = np.real(jumps[:, diag].sum(axis=1))
             first = fam.dy @ weights

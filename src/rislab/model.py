@@ -28,7 +28,6 @@ from .linalg import (
     spectral_radius,
     tensor_product,
 )
-from .spectral import invariant_state
 
 # ---------------------------------------------------------------------------
 # schedules on [0, 1]
@@ -238,8 +237,11 @@ def kraus_families(model: RISModel, s_values) -> KrausFamily:
     if n == 0:
         raise ValueError("a kernel needs at least one protocol node")
     # Y and the probe state of every node, from one reading of beta(s) and
-    # h_env(s) per node
-    beta = _at_nodes(model.beta, s_values).astype(float)
+    # h_env(s) per node; the package's schedules read the whole stack at once
+    if isinstance(model.beta, Schedule):
+        beta = np.asarray(model.beta(s_values), dtype=float)
+    else:
+        beta = _at_nodes(model.beta, s_values).astype(float)
     h_env = assert_hermitian(_at_nodes(model.h_env, s_values))
     y, psi = hermitian_eig(counting_observable(model, s_values, beta, h_env))
     xi = gibbs_state(h_env, beta)
@@ -247,10 +249,8 @@ def kraus_families(model: RISModel, s_values) -> KrausFamily:
     xi_y = psi_h @ xi @ psi
     xi_y_half = psi_h @ herm_power(xi, 0.5) @ psi
     U4 = joint_unitary(model, s_values).reshape(n, dS, dE, dS, dE)
-    # per node, the very calls of a one-node build, so they round alike on any numpy
-    A = [np.einsum("eb,menf,fa->bamn", p.conj(), u, p) for p, u in zip(psi, U4)]
-    K = np.stack([np.einsum("ca,bcmn->abmn", h, a) for h, a in zip(xi_y_half, A)])
-    K = K.reshape(n, dE * dE, dS, dS)
+    A = np.einsum("seb,smenf,sfa->sbamn", psi.conj(), U4, psi)
+    K = np.einsum("sca,sbcmn->sabmn", xi_y_half, A).reshape(n, dE * dE, dS, dS)
     tp = np.abs(np.einsum("snji,snjk->sik", K.conj(), K) - np.eye(dS)).max(axis=(1, 2))
     if np.any(tp > KRAUS_MATRIX_TOL):
         i = int(np.argmax(tp))
@@ -260,7 +260,7 @@ def kraus_families(model: RISModel, s_values) -> KrausFamily:
         dy=(y[:, None, :] - y[:, :, None]).reshape(n, -1),
         y_eigenvalues=y,
         basis=psi,
-        transitions=np.stack(A),
+        transitions=A,
         xi_y=xi_y,
         kron=kron_stack(K.reshape(-1, dS, dS)).reshape(n, dE * dE, dS**2, dS**2),
     )
@@ -298,37 +298,6 @@ def deformed_map(model: RISModel, s: float, alpha: complex) -> SuperOperator:
 # ---------------------------------------------------------------------------
 # structural diagnostics
 # ---------------------------------------------------------------------------
-
-
-def stationary_obstruction(model: RISModel, s: float) -> np.ndarray:
-    """X(s) = U (rho_inv x xi) U* - rho_inv x xi.
-
-    Vanishes identically in s exactly when the dynamics admits an exactly
-    stationary family of product states (the structural degenerate case).
-    """
-    rho_inv = invariant_state(reduced_map(model, s))
-    U = joint_unitary(model, s)
-    P = tensor_product(rho_inv, probe_state(model, s))
-    return U @ P @ U.conj().T - P
-
-
-def obstruction_norm(model: RISModel, s_grid) -> np.ndarray:
-    """Max-entry norm of the stationary obstruction along a protocol grid."""
-    return np.asarray(
-        [np.abs(stationary_obstruction(model, s)).max() for s in np.atleast_1d(s_grid)]
-    )
-
-
-def commuting_effective_hamiltonian(
-    model: RISModel, s: float, k_sys: np.ndarray
-) -> float:
-    """Defect max|[k_sys + h_env, U]|; zero certifies the degenerate case."""
-    dS, dE = model.dim_sys, model.dim_env
-    H = tensor_product(assert_hermitian(k_sys), np.eye(dE)) + tensor_product(
-        np.eye(dS), assert_hermitian(model.h_env(s))
-    )
-    U = joint_unitary(model, s)
-    return float(np.abs(H @ U - U @ H).max())
 
 
 def tri_symmetry_defect(model: RISModel, s: float, alphas) -> float:

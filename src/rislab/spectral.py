@@ -10,9 +10,10 @@ stacked passes: one ``eig`` for the right eigenvectors, one of the adjoint
 stack for the left ones, one stacked ``hermitian_eig`` each for rho and
 iota, and every certificate checked at each matrix's own scale. A node set
 thus costs a few LAPACK calls, not a few per node. Only the cycle unitary
-of a period z > 1 is built one map at a time. ``peripheral_decomposition``
-is its one-map view; the per-map route of earlier versions is kept as
-``tests/oracles.peripheral_decomposition``.
+of a period z > 1 is built one map at a time. The result holds node stacks;
+indexing it builds one map's ``PeripheralDecomposition``.
+``peripheral_decomposition`` is its one-map view; the per-map route of
+earlier versions is kept as ``tests/oracles.peripheral_decomposition``.
 """
 
 from __future__ import annotations
@@ -175,6 +176,42 @@ class PeripheralDecomposition:
     peripheral_projector: np.ndarray
 
 
+@dataclass(frozen=True)
+class PeripheralDecompositions:
+    """The fields of ``PeripheralDecomposition`` for a stack of N maps, each
+    with a leading node axis: the projectors are (N, z, d^2, d^2), the cycle
+    projectors (N, z, d, d); ``decs[i]`` is map i's decomposition. In a stack
+    of mixed periods z is the largest, with zero rows past a map's own."""
+
+    spectral_radius: np.ndarray
+    period: np.ndarray
+    rho: np.ndarray
+    iota: np.ndarray
+    cycle_unitary: np.ndarray
+    cycle_projectors: np.ndarray
+    eigenvalues: np.ndarray
+    spectral_projectors: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.period)
+
+    def __getitem__(self, i: int) -> PeripheralDecomposition:
+        z = int(self.period[i])
+        P = self.spectral_projectors[i, :z]
+        return PeripheralDecomposition(
+            spectral_radius=float(self.spectral_radius[i]),
+            period=z,
+            rho=self.rho[i],
+            iota=self.iota[i],
+            cycle_unitary=self.cycle_unitary[i],
+            cycle_projectors=tuple(self.cycle_projectors[i, :z]),
+            eigenvalues=self.eigenvalues[i, :z],
+            spectral_projectors=tuple(P),
+            # for z = 1 the sum is P_0 itself: no second copy
+            peripheral_projector=P[0] if z == 1 else P.sum(axis=0),
+        )
+
+
 def _fail(i: int, message: str) -> SpectralError:
     return SpectralError(f"matrix {i} of the stack: {message}")
 
@@ -254,19 +291,21 @@ def _cycle_unitary(i: int, rho, iota, X: np.ndarray, z: int):
     return u, tuple(Vu[:, mu == m] @ Vu[:, mu == m].conj().T for m in range(z))
 
 
-def _with_period(M, lam, rho, iota, Xr, z: int, nodes: np.ndarray) -> list:
+def _with_period(M, lam, rho, iota, Xr, z: int, nodes: np.ndarray) -> tuple:
     """Cycle data, spectral projectors and their checks for the stack
-    matrices ``nodes``, all of period z; one decomposition per node."""
+    matrices ``nodes``, all of period z: the stacks (u, p_m, eigenvalues, P)."""
     d = rho.shape[-1]
     if z == 1:
         # one read-only identity is every node's u and its one eigenprojector
         Id = np.eye(d, dtype=complex)
-        Id.flags.writeable = False
-        units, cycles, powers = [Id] * nodes.size, [(Id,)] * nodes.size, []
+        units = np.broadcast_to(Id, (nodes.size, d, d))
+        cycles = np.broadcast_to(Id, (nodes.size, 1, d, d))
+        powers = []
     else:
         pairs = [_cycle_unitary(i, rho[i], iota[i], Xr[i], z) for i in nodes]
-        units, cycles = [p[0] for p in pairs], [p[1] for p in pairs]
-        powers = [np.linalg.matrix_power(np.stack(units), m) for m in range(1, z)]
+        units = np.stack([p[0] for p in pairs])
+        cycles = np.stack([np.stack(p[1]) for p in pairs])
+        powers = [np.linalg.matrix_power(units, m) for m in range(1, z)]
     M, lam, rho, iota = M[nodes], lam[nodes], rho[nodes], iota[nodes]
     eigenvalues = lam[:, None] * np.exp(2j * np.pi / z) ** np.arange(z)
     right = np.stack([rho] + [rho @ U for U in powers], 1)
@@ -294,33 +333,15 @@ def _with_period(M, lam, rho, iota, Xr, z: int, nodes: np.ndarray) -> list:
             "spectral projectors not mutually orthogonal",
             nodes,
         )
-    total = P.sum(axis=1)
-    out = []
-    for j in range(nodes.size):
-        projectors = tuple(P[j])
-        # for z = 1 the sum is P_0 itself: no second copy per node
-        peripheral = projectors[0] if z == 1 else total[j]
-        out.append(
-            PeripheralDecomposition(
-                spectral_radius=float(lam[j]),
-                period=z,
-                rho=rho[j],
-                iota=iota[j],
-                cycle_unitary=units[j],
-                cycle_projectors=cycles[j],
-                eigenvalues=eigenvalues[j],
-                spectral_projectors=projectors,
-                peripheral_projector=peripheral,
-            )
-        )
-    return out
+    return units, cycles, eigenvalues, P
 
 
-def peripheral_decompositions(matrices) -> list[PeripheralDecomposition]:
+def peripheral_decompositions(matrices) -> PeripheralDecompositions:
     """Peripheral decompositions of a stack (N, d^2, d^2) of CP map matrices.
 
-    One decomposition per matrix, each with its own period z. The work is
-    done in stacked passes: one ``eig`` of the stack for the right
+    One decomposition per matrix, each with its own period z, returned as
+    node stacks; indexing the result gives one matrix's decomposition. The
+    work is done in stacked passes: one ``eig`` of the stack for the right
     eigenvectors, one of the adjoint stack for the left eigenvectors, one
     stacked ``hermitian_eig`` each to phase-fix rho and iota, and stacked
     checks at each matrix's own scale. Only the cycle unitary of a z > 1
@@ -368,13 +389,25 @@ def peripheral_decompositions(matrices) -> list[PeripheralDecomposition]:
     # right eigenvectors at lambda*theta, read only where z > 1
     Xr = unvec(Vr[rows, :, np.argmax(ms == 1, axis=1)], d)
 
-    out: list = [None] * n
-    for period in np.unique(z):
-        nodes = np.flatnonzero(z == period)
-        decs = _with_period(M, lam, rho, iota, Xr, int(period), nodes)
-        for i, dec in zip(nodes, decs):
-            out[i] = dec
-    return out
+    periods = np.unique(z)
+    if periods.size == 1:
+        cycle = _with_period(M, lam, rho, iota, Xr, int(periods[0]), rows)
+    else:
+        # rows past a matrix's own period stay zero
+        zmax = int(periods[-1])
+        cycle = (
+            np.zeros((n, d, d), dtype=complex),
+            np.zeros((n, zmax, d, d), dtype=complex),
+            np.zeros((n, zmax), dtype=complex),
+            np.zeros((n, zmax, d2, d2), dtype=complex),
+        )
+        for period in periods:
+            nodes = np.flatnonzero(z == period)
+            part = _with_period(M, lam, rho, iota, Xr, int(period), nodes)
+            # u's second axis is d, filled whole; the others' is the period
+            for whole, rows_of_part in zip(cycle, part):
+                whole[nodes, : rows_of_part.shape[1]] = rows_of_part
+    return PeripheralDecompositions(lam, z, rho, iota, *cycle)
 
 
 def peripheral_decomposition(L: SuperOperator) -> PeripheralDecomposition:

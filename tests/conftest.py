@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from rislab import model as mod
 from rislab.model import RISModel
 
 
@@ -40,3 +43,31 @@ def random_small_model(rng):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def wrap_everywhere(monkeypatch, original, record):
+    """Replace ``original`` in every rislab namespace that binds it by a
+    wrapper that passes its node argument to ``record`` first."""
+
+    def counted(model, s, *args, **kwargs):
+        record(s)
+        return original(model, s, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "rislab" or name.startswith("rislab.")):
+            continue
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, counted)
+
+
+@pytest.fixture
+def kraus_builds(monkeypatch):
+    """The nodes built through kraus_families (kraus_family builds through it too)."""
+    calls = []
+    wrap_everywhere(
+        monkeypatch,
+        mod.kraus_families,
+        lambda s: calls.extend(np.asarray(s, dtype=float).reshape(-1).tolist()),
+    )
+    return calls

@@ -20,7 +20,10 @@ a time. ``intertwiner``, ``theta_integral``,
 ``product_decomposition_residual`` and ``gap_bound`` read an
 ``AdiabaticFamily`` one node at a time, building each generator from the
 per-node projector differences, as the library did before it read node
-stacks; they must agree with it bitwise.
+stacks; they must agree with it bitwise. ``stationary_obstruction``,
+``obstruction_norm``, ``commuting_effective_hamiltonian`` and
+``adiabatic_state`` are diagnostics of the structural degenerate case and
+the physical (alpha = 0) adiabatic state that only the tests evaluate.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import numpy as np
 
 from scipy.integrate import simpson
 
+from rislab import adiabatic
 from rislab.adiabatic import DERIV_STEP, AdiabaticFamily
 from rislab.fullstats import (
     MeasurementSetup,
@@ -62,6 +66,7 @@ from rislab.model import (
     counting_observable,
     joint_unitary,
     probe_state,
+    reduced_map,
 )
 from rislab.spectral import (
     FAITHFUL_TOL,
@@ -69,6 +74,7 @@ from rislab.spectral import (
     RESIDUAL_TOL,
     PeripheralDecomposition,
     SpectralError,
+    invariant_state,
 )
 
 
@@ -520,10 +526,15 @@ def peripheral_decomposition(L: SuperOperator) -> PeripheralDecomposition:
 # ---------------------------------------------------------------------------
 
 
-def _normalized(family: AdiabaticFamily, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """F(s) = L^(alpha)(s) / lambda^(alpha)(s) and Q(s) = Id - sum_m P^m(s)."""
+def normalized(family: AdiabaticFamily, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """F(s) = L^(alpha)(s) / lambda^(alpha)(s) and Q(s) = Id - sum_m P^m(s).
+
+    The map is rebuilt from a kernel of node s alone, through the kernel
+    builder the adiabatic module reads.
+    """
     dec = family.decomposition(s)
-    F = family._matrices[float(s)] / dec.spectral_radius
+    M = adiabatic.kraus_families(family.model, [s]).deformed_matrix(family.alpha)[0]
+    F = M / dec.spectral_radius
     return F, np.eye(family.dim**2, dtype=complex) - dec.peripheral_projector
 
 
@@ -597,14 +608,14 @@ def product_decomposition_residual(family: AdiabaticFamily, T: int) -> float:
     chain = np.eye(family.dim**2, dtype=complex)
     qchain = np.eye(family.dim**2, dtype=complex)
     for j in range(1, T + 1):
-        F, Q = _normalized(family, j / T)
+        F, Q = normalized(family, j / T)
         chain = F @ chain
         qchain = (F @ Q) @ qchain
     approx = sum(
         theta ** (m * T) * (W @ dec0.spectral_projectors[m])
         for m in range(dec0.period)
     )
-    approx = approx + qchain @ _normalized(family, 0.0)[1]
+    approx = approx + qchain @ normalized(family, 0.0)[1]
     return float(np.linalg.norm(chain - approx, 2))
 
 
@@ -612,5 +623,62 @@ def gap_bound(family: AdiabaticFamily, s_grid) -> float:
     """sup over the grid of spr(F(s) Q(s)), one node at a time."""
     s_grid = np.atleast_1d(s_grid).astype(float)
     family.prepare(s_grid)
-    FQ = np.stack([F @ Q for F, Q in (_normalized(family, s) for s in s_grid)])
+    FQ = np.stack([F @ Q for F, Q in (normalized(family, s) for s in s_grid)])
     return float(np.abs(np.linalg.eigvals(FQ)).max())
+
+
+# ---------------------------------------------------------------------------
+# structural diagnostics and the physical adiabatic state, node by node
+# ---------------------------------------------------------------------------
+
+
+def stationary_obstruction(model: RISModel, s: float) -> np.ndarray:
+    """X(s) = U (rho_inv x xi) U* - rho_inv x xi.
+
+    Vanishes identically in s exactly when the dynamics admits an exactly
+    stationary family of product states (the structural degenerate case).
+    """
+    rho_inv = invariant_state(reduced_map(model, s))
+    U = joint_unitary(model, s)
+    P = tensor_product(rho_inv, probe_state(model, s))
+    return U @ P @ U.conj().T - P
+
+
+def obstruction_norm(model: RISModel, s_grid) -> np.ndarray:
+    """Max-entry norm of the stationary obstruction along a protocol grid."""
+    return np.asarray(
+        [np.abs(stationary_obstruction(model, s)).max() for s in np.atleast_1d(s_grid)]
+    )
+
+
+def commuting_effective_hamiltonian(
+    model: RISModel, s: float, k_sys: np.ndarray
+) -> float:
+    """Defect max|[k_sys + h_env, U]|; zero certifies the degenerate case."""
+    dS, dE = model.dim_sys, model.dim_env
+    H = tensor_product(assert_hermitian(k_sys), np.eye(dE)) + tensor_product(
+        np.eye(dS), assert_hermitian(model.h_env(s))
+    )
+    U = joint_unitary(model, s)
+    return float(np.abs(H @ U - U @ H).max())
+
+
+def adiabatic_state(
+    model: RISModel, rho_i: np.ndarray, T: int, k: int | None = None
+) -> np.ndarray:
+    """Adiabatic approximation of the physical (alpha = 0) evolved state.
+
+    z * sum_n Tr(p_n(0) rho_i) rho_inv(k/T) p_{n-k mod z}(k/T); it has unit
+    trace and approximates L(k/T)...L(1/T) rho_i to O(1/T).
+    """
+    family = AdiabaticFamily(model, 0.0)
+    if k is None:
+        k = T
+    dec0 = family.decomposition(0.0)
+    decs = family.decomposition(k / T)
+    z = dec0.period
+    out = np.zeros((model.dim_sys,) * 2, dtype=complex)
+    for n in range(z):
+        weight = np.trace(dec0.cycle_projectors[n] @ rho_i)
+        out += weight * decs.rho @ decs.cycle_projectors[(n - k) % z]
+    return z * out

@@ -108,16 +108,16 @@ def test_deformed_adjoint_closed_form(rng):
 
 def test_rwa_obstruction_vanishes():
     m = mod.rwa_model()
-    assert mod.obstruction_norm(m, [0.0, 0.3, 0.8, 1.0]).max() < 1e-12
+    assert oracles.obstruction_norm(m, [0.0, 0.3, 0.8, 1.0]).max() < 1e-12
     k = mod.rwa_k_sys(m)
     assert np.abs(k - (0.8 / 0.9) * m.h_sys).max() < 1e-12
     for s in (0.0, 0.5, 1.0):
-        assert mod.commuting_effective_hamiltonian(m, s, k) < 1e-12
+        assert oracles.commuting_effective_hamiltonian(m, s, k) < 1e-12
 
 
 def test_fd_obstruction_does_not_vanish():
     m = mod.fd_model()
-    assert mod.obstruction_norm(m, [0.5]).max() > 0.05
+    assert oracles.obstruction_norm(m, [0.5]).max() > 0.05
 
 
 def test_rwa_invariant_state_is_rescaled_gibbs():

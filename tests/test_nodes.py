@@ -1,6 +1,5 @@
 """The per-task node table: each node built once, same results, wrong tables refused."""
 
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +8,8 @@ import pytest
 from rislab import fullstats as fs
 from rislab import mgfldp as mg
 from rislab import model as mod
+
+from conftest import wrap_everywhere
 from test_cli import BASE, _run
 
 
@@ -16,39 +17,11 @@ def _distinct_nodes(Ts) -> int:
     return len({k / T for T in Ts for k in range(1, T + 1)})
 
 
-def _wrap_everywhere(monkeypatch, original, record):
-    """Replace ``original`` in every rislab namespace that binds it by a
-    wrapper that passes its node argument to ``record`` first."""
-
-    def counted(model, s, *args, **kwargs):
-        record(s)
-        return original(model, s, *args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if module is None or not (name == "rislab" or name.startswith("rislab.")):
-            continue
-        for key, value in list(vars(module).items()):
-            if value is original:
-                monkeypatch.setattr(module, key, counted)
-
-
-@pytest.fixture
-def kraus_builds(monkeypatch):
-    """The nodes built through kraus_families (kraus_family builds through it too)."""
-    calls = []
-    _wrap_everywhere(
-        monkeypatch,
-        mod.kraus_families,
-        lambda s: calls.extend(np.asarray(s, dtype=float).reshape(-1).tolist()),
-    )
-    return calls
-
-
 @pytest.fixture
 def step_builds(monkeypatch):
     """The node arguments of every step_operators call."""
     calls = []
-    _wrap_everywhere(monkeypatch, fs.step_operators, calls.append)
+    wrap_everywhere(monkeypatch, fs.step_operators, calls.append)
     return calls
 
 
@@ -56,7 +29,7 @@ def step_builds(monkeypatch):
 def evolved_states(monkeypatch):
     """The initial states of every evolved_state call."""
     calls = []
-    _wrap_everywhere(monkeypatch, fs.evolved_state, calls.append)
+    wrap_everywhere(monkeypatch, fs.evolved_state, calls.append)
     return calls
 
 

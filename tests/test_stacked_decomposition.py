@@ -220,18 +220,18 @@ def test_derivatives_at_zero_decompose_in_one_pass(eigen_calls):
     assert len(eigen_calls) <= 10, len(eigen_calls)
 
 
-def test_prepare_decomposes_in_blocks(eigen_calls):
+def test_prepare_decomposes_in_blocks(eigen_calls, kraus_builds):
     n = 600
     blocks = -(-n // ad.PREPARE_BLOCK)
     fam = ad.AdiabaticFamily(mod.fd_model(), 0.5)
     fam.prepare(np.linspace(0.0, 1.0, n))
-    assert len(fam._decs) == n
+    assert len(kraus_builds) == n
     # a few stacked calls per block (kernel build and decomposition), not
     # one or more per node
     assert len(eigen_calls) <= 10 * blocks, len(eigen_calls)
 
 
-def test_residual_makes_no_one_map_decomposition(monkeypatch, eigen_calls):
+def test_residual_makes_no_one_map_decomposition(monkeypatch, eigen_calls, kraus_builds):
     def refuse(L):
         raise AssertionError("one-map peripheral_decomposition called")
 
@@ -239,9 +239,48 @@ def test_residual_makes_no_one_map_decomposition(monkeypatch, eigen_calls):
     fam = ad.AdiabaticFamily(mod.fd_model(), 0.5)
     r = ad.product_decomposition_residual(fam, 100)
     assert 0.0 < r < 1.0
-    nodes = len(fam._decs)
+    nodes = len(kraus_builds)
     assert nodes > 500
+    assert len(set(kraus_builds)) == nodes  # each node built once
     assert len(eigen_calls) <= 10 * -(-nodes // ad.PREPARE_BLOCK) + 10
+
+
+def test_adiabatic_layer_indexes_no_per_node_decomposition(monkeypatch, tmp_path):
+    """The residual and the adiabatic task read node stacks: the only
+    per-node PeripheralDecomposition they make are the lookups at s = 0
+    and s = 1, and a lookup reads the cache, sharing its builds."""
+    made, lookups = [], []
+    init, lookup = sp.PeripheralDecomposition.__init__, ad.AdiabaticFamily.decomposition
+
+    def counted_init(self, *args, **kwargs):
+        made.append(kwargs.get("period"))
+        init(self, *args, **kwargs)
+
+    def counted_lookup(self, s):
+        lookups.append(float(s))
+        return lookup(self, s)
+
+    monkeypatch.setattr(sp.PeripheralDecomposition, "__init__", counted_init)
+    monkeypatch.setattr(ad.AdiabaticFamily, "decomposition", counted_lookup)
+    ad.product_decomposition_residual(ad.AdiabaticFamily(mod.fd_model(), 0.5), 40)
+    assert made == [] and lookups == []
+    cli.task_adiabatic(cfg.load_config(BASE), str(tmp_path))
+    assert set(lookups) == {0.0, 1.0}
+    assert len(made) == len(lookups) == 2 * len(BASE["numeric"]["T_list"])
+
+
+def test_lookup_shares_the_stack_cache(kraus_builds):
+    """decomposition(s) and stack read one cache: no node is built twice,
+    and a lookup's fields are the stack's rows."""
+    fam = ad.AdiabaticFamily(mod.fd_model(), 0.5)
+    dec = fam.decomposition(0.25)
+    nodes = fam.stack([0.0, 0.25, 0.5])
+    fam.decomposition(0.5)  # stacked above: read from the cache, not built
+    assert kraus_builds == [0.25, 0.0, 0.5]
+    assert np.array_equal(nodes.rho[1], dec.rho)
+    assert np.array_equal(nodes.P[1], np.stack(dec.spectral_projectors))
+    M = _deformed_stack(mod.fd_model(), 0.5, [0.25])[0]
+    assert np.array_equal(nodes.F[1], M / dec.spectral_radius)
 
 
 @st.composite

@@ -10,11 +10,14 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rislab import config as cfg
 from rislab import fullstats as fs
 from rislab import linalg as la
 from rislab import model as mod
+from rislab.adiabatic import DERIV_STEP
 
 import oracles
 from conftest import random_hermitian
@@ -117,6 +120,37 @@ def test_stacked_step_maps_are_per_node(name, m):
         one = fs.step_operators(m, float(s))
         for f in ("forward", "backward", "y_values", "y_dims", "energies", "beta"):
             assert np.array_equal(getattr(steps, f)[i], getattr(one, f)), (s, f)
+
+
+SCHEDULES = [
+    mod.beta_schedule_1(),
+    mod.beta_schedule_2(),
+    mod.TabulatedSchedule((0.0, 0.3, 0.7, 1.0), (0.5, 1.2, 0.9, 1.6)),
+    mod.ConstantSchedule(0.7),
+]
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(s=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_schedules_read_over_a_node_array_are_per_node(s):
+    """Each schedule class read over a node array gives each node's own read
+    bit for bit, at the ends and at the centred-difference neighbours too; a
+    beta that takes only floats still builds through kraus_families."""
+    s = np.array(s)
+    nodes = np.concatenate(
+        [s, [0.0, 1.0], np.maximum(s - DERIV_STEP, 0.0), np.minimum(s + DERIV_STEP, 1.0)]
+    )
+    for schedule in SCHEDULES:
+        per_node = [np.asarray(schedule(float(x))) for x in nodes]
+        assert np.array_equal(_bits(schedule(nodes)), _bits(per_node)), schedule
+    m = replace(mod.fd_model(), beta=lambda x: 0.8 + min(x, 0.5))
+    fams = mod.kraus_families(m, nodes)
+    for i, x in enumerate(nodes):
+        assert_same_kernel(fams[i], mod.kraus_family(m, x), x)
 
 
 def test_cases_cover_their_claims():
