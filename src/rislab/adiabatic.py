@@ -11,7 +11,6 @@ geometric phase-type integral theta^(alpha).
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -19,7 +18,8 @@ from scipy.integrate import simpson
 
 from .linalg import unvec, vec
 from .model import RISModel, kraus_families
-from .spectral import PeripheralDecomposition, peripheral_decompositions
+from .spectral import PeripheralDecomposition, PeripheralDecompositions
+from .spectral import peripheral_decompositions
 
 DERIV_STEP = 1e-5
 # Kernels built per kraus_families call in prepare: bounds the memory of the
@@ -71,8 +71,10 @@ class AdiabaticFamily:
         self.model = model
         self.alpha = float(alpha)
         self._rows: dict[float, int] = {}
+        # F and each PeripheralDecompositions field by name: len(self._rows)
+        # filled rows, then unfilled capacity
         self._F: np.ndarray | None = None
-        self._decs = None  # the PeripheralDecompositions stacks
+        self._decs: dict[str, np.ndarray] = {}
         self._thetas: dict[int, complex] = {}  # theta_integral by odd grid size
         self._period: int | None = None
 
@@ -98,20 +100,20 @@ class AdiabaticFamily:
             if changed.size:
                 s = block[changed[0]]
                 raise ValueError(f"peripheral period changed along the protocol at s={s}")
-            n, old = len(self._rows), self._decs
+            n = len(self._rows)
             self._F = _appended(self._F, n, matrices / decs.spectral_radius[:, None, None])
-            grown = {
-                f.name: _appended(getattr(old, f.name, None), n, getattr(decs, f.name))
-                for f in fields(decs)
+            self._decs = {
+                k: _appended(self._decs.get(k), n, v) for k, v in vars(decs).items()
             }
-            self._decs = replace(decs, **grown)
             self._rows.update(zip(block, range(n, n + len(block))))
 
     def decomposition(self, s: float) -> PeripheralDecomposition:
         """The peripheral decomposition at s, a row of the cache."""
         s = float(s)
         self.prepare([s])
-        return self._decs[self._rows[s]]
+        row = self._rows[s]
+        one = {k: v[row : row + 1] for k, v in self._decs.items()}
+        return PeripheralDecompositions(**one)[0]
 
     def stack(self, s_values) -> NodeStack:
         """The peripheral data of the nodes s_values, in their order."""
@@ -120,9 +122,9 @@ class AdiabaticFamily:
         rows = np.array([self._rows[s] for s in s_values])
         return NodeStack(
             F=self._F[rows],
-            P=self._decs.spectral_projectors[rows],
-            rho=self._decs.rho[rows],
-            iota=self._decs.iota[rows],
+            P=self._decs["spectral_projectors"][rows],
+            rho=self._decs["rho"][rows],
+            iota=self._decs["iota"][rows],
         )
 
     def gap_bound(self, s_grid) -> float:

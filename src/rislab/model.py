@@ -138,6 +138,9 @@ def _at_nodes(f: Callable, s) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if s.ndim == 0:
         return np.asarray(f(float(s)))
+    if isinstance(f, Schedule):
+        # the package's schedules read the whole array at once
+        return np.asarray(f(s))
     return np.stack([np.asarray(f(float(x))) for x in s])
 
 
@@ -237,11 +240,8 @@ def kraus_families(model: RISModel, s_values) -> KrausFamily:
     if n == 0:
         raise ValueError("a kernel needs at least one protocol node")
     # Y and the probe state of every node, from one reading of beta(s) and
-    # h_env(s) per node; the package's schedules read the whole stack at once
-    if isinstance(model.beta, Schedule):
-        beta = np.asarray(model.beta(s_values), dtype=float)
-    else:
-        beta = _at_nodes(model.beta, s_values).astype(float)
+    # h_env(s) per node
+    beta = _at_nodes(model.beta, s_values).astype(float)
     h_env = assert_hermitian(_at_nodes(model.h_env, s_values))
     y, psi = hermitian_eig(counting_observable(model, s_values, beta, h_env))
     xi = gibbs_state(h_env, beta)

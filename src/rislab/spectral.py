@@ -390,23 +390,20 @@ def peripheral_decompositions(matrices) -> PeripheralDecompositions:
     Xr = unvec(Vr[rows, :, np.argmax(ms == 1, axis=1)], d)
 
     periods = np.unique(z)
-    if periods.size == 1:
-        cycle = _with_period(M, lam, rho, iota, Xr, int(periods[0]), rows)
-    else:
-        # rows past a matrix's own period stay zero
-        zmax = int(periods[-1])
-        cycle = (
-            np.zeros((n, d, d), dtype=complex),
-            np.zeros((n, zmax, d, d), dtype=complex),
-            np.zeros((n, zmax), dtype=complex),
-            np.zeros((n, zmax, d2, d2), dtype=complex),
-        )
-        for period in periods:
-            nodes = np.flatnonzero(z == period)
-            part = _with_period(M, lam, rho, iota, Xr, int(period), nodes)
-            # u's second axis is d, filled whole; the others' is the period
-            for whole, rows_of_part in zip(cycle, part):
-                whole[nodes, : rows_of_part.shape[1]] = rows_of_part
+    # rows past a matrix's own period stay zero
+    zmax = int(periods[-1])
+    cycle = (
+        np.zeros((n, d, d), dtype=complex),
+        np.zeros((n, zmax, d, d), dtype=complex),
+        np.zeros((n, zmax), dtype=complex),
+        np.zeros((n, zmax, d2, d2), dtype=complex),
+    )
+    for period in periods:
+        nodes = np.flatnonzero(z == period)
+        part = _with_period(M, lam, rho, iota, Xr, int(period), nodes)
+        # u's second axis is d, filled whole; the others' is the period
+        for whole, rows_of_part in zip(cycle, part):
+            whole[nodes, : rows_of_part.shape[1]] = rows_of_part
     return PeripheralDecompositions(lam, z, rho, iota, *cycle)
 
 

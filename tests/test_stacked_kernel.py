@@ -146,7 +146,9 @@ def test_schedules_read_over_a_node_array_are_per_node(s):
     )
     for schedule in SCHEDULES:
         per_node = [np.asarray(schedule(float(x))) for x in nodes]
-        assert np.array_equal(_bits(schedule(nodes)), _bits(per_node)), schedule
+        # directly and through _at_nodes, which both kernel builders read
+        for read in (schedule(nodes), mod._at_nodes(schedule, nodes)):
+            assert np.array_equal(_bits(read), _bits(per_node)), schedule
     m = replace(mod.fd_model(), beta=lambda x: 0.8 + min(x, 0.5))
     fams = mod.kraus_families(m, nodes)
     for i, x in enumerate(nodes):
