@@ -14,9 +14,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .linalg import unvec, vec
+from .linalg import simpson, unvec, vec
 from .model import RISModel, kraus_families
 from .spectral import PeripheralDecomposition, PeripheralDecompositions
 from .spectral import peripheral_decompositions
@@ -198,9 +197,9 @@ def product_decomposition_residual(family: AdiabaticFamily, T: int) -> float:
 def theta_integral(family: AdiabaticFamily, *, n_nodes: int = 201) -> complex:
     """theta^(alpha)(1) = int_0^1 Tr(iota(s) d rho(s)/ds) ds.
 
-    Composite Simpson quadrature on an odd uniform grid of at least n_nodes
-    nodes, with d rho/ds a centred difference. Each grid is integrated once
-    per family and the value cached on it.
+    Composite Simpson quadrature (``linalg.simpson``) on an odd uniform grid
+    of at least n_nodes nodes, with d rho/ds a centred difference. Each grid
+    is integrated once per family and the value cached on it.
     """
     if n_nodes % 2 == 0:
         n_nodes += 1

@@ -56,17 +56,12 @@ def task_spectrum(cfg: RunConfig, out: str) -> None:
     decs = spectral.peripheral_decompositions(fams.deformed_matrix(0.0))
     fh, w = _writer(os.path.join(out, "spectrum.csv"))
     with fh:
-        w.writerow(["s", "beta", "spectral_radius", "period", "rho_00", "rho_11"])
+        populations = [f"rho_{i}{i}" for i in range(cfg.model.dim_sys)]
+        w.writerow(["s", "beta", "spectral_radius", "period", *populations])
         for s, lam, z, rho in zip(s_grid, decs.spectral_radius, decs.period, decs.rho):
             w.writerow(
-                [
-                    _f(s),
-                    _f(cfg.model.beta(float(s))),
-                    _f(lam),
-                    int(z),
-                    _f(rho[0, 0].real),
-                    _f(rho[1, 1].real) if rho.shape[0] > 1 else _f(0.0),
-                ]
+                [_f(s), _f(cfg.model.beta(float(s))), _f(lam), int(z)]
+                + [_f(p) for p in np.diagonal(rho).real]
             )
     fh2, w2 = _writer(os.path.join(out, "beta_curves.csv"))
     with fh2:

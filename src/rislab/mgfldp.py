@@ -14,11 +14,11 @@ exactly stationary (obstruction-free) case.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .linalg import (
     hermitian_eig,
     herm_exp,
+    simpson,
     unvec,
     vec,
 )

@@ -150,12 +150,14 @@ def probe_state(model: RISModel, s: float) -> np.ndarray:
 
 # total_hamiltonian and joint_unitary take one node or a 1-d array of nodes;
 # for an array they return the stack of the per-node results, each bitwise
-# equal to the result for that node alone.
+# equal to the result for that node alone. The keyword ``_h_env`` hands them
+# h_env(s) already read and checked at those nodes, so a caller that needs
+# the probe Hamiltonian too reads it once.
 
 
-def total_hamiltonian(model: RISModel, s) -> np.ndarray:
+def total_hamiltonian(model: RISModel, s, *, _h_env=None) -> np.ndarray:
     dS, dE = model.dim_sys, model.dim_env
-    hE = assert_hermitian(_at_nodes(model.h_env, s))
+    hE = assert_hermitian(_at_nodes(model.h_env, s)) if _h_env is None else _h_env
     V = assert_hermitian(_at_nodes(model.coupling, s))
     return (
         tensor_product(model.h_sys, np.eye(dE))
@@ -164,9 +166,9 @@ def total_hamiltonian(model: RISModel, s) -> np.ndarray:
     )
 
 
-def joint_unitary(model: RISModel, s) -> np.ndarray:
+def joint_unitary(model: RISModel, s, *, _h_env=None) -> np.ndarray:
     """exp(-i*tau*(h_sys + h_env(s) + v(s))) on the system-probe pair."""
-    return herm_exp(total_hamiltonian(model, s), -1j * model.tau)
+    return herm_exp(total_hamiltonian(model, s, _h_env=_h_env), -1j * model.tau)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +241,8 @@ def kraus_families(model: RISModel, s_values) -> KrausFamily:
     n = s_values.size
     if n == 0:
         raise ValueError("a kernel needs at least one protocol node")
-    # Y and the probe state of every node, from one reading of beta(s) and
-    # h_env(s) per node
+    # Y, the probe state and the joint unitary of every node, from one
+    # reading of beta(s) and h_env(s) per node
     beta = _at_nodes(model.beta, s_values).astype(float)
     h_env = assert_hermitian(_at_nodes(model.h_env, s_values))
     y, psi = hermitian_eig(counting_observable(model, s_values, beta, h_env))
@@ -248,7 +250,7 @@ def kraus_families(model: RISModel, s_values) -> KrausFamily:
     psi_h = np.swapaxes(psi.conj(), -1, -2)
     xi_y = psi_h @ xi @ psi
     xi_y_half = psi_h @ herm_power(xi, 0.5) @ psi
-    U4 = joint_unitary(model, s_values).reshape(n, dS, dE, dS, dE)
+    U4 = joint_unitary(model, s_values, _h_env=h_env).reshape(n, dS, dE, dS, dE)
     A = np.einsum("seb,smenf,sfa->sbamn", psi.conj(), U4, psi)
     K = np.einsum("sca,sbcmn->sabmn", xi_y_half, A).reshape(n, dE * dE, dS, dS)
     tp = np.abs(np.einsum("snji,snjk->sik", K.conj(), K) - np.eye(dS)).max(axis=(1, 2))

@@ -46,6 +46,24 @@ def test_spectrum_task(tmp_path):
     assert "config_hash" in manifest
 
 
+def test_spectrum_writes_every_population(tmp_path):
+    """A three-level system gets one rho_ii column per level, summing to 1."""
+    x3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    model = {
+        "h_sys": [[0, 0, 0], [0, 0.9, 0], [0, 0, 1.7]],
+        "h_env": [[0, 0], [0, 0.8]],
+        "coupling": (0.7 * np.kron(x3, [[0, 1], [1, 0]])).tolist(),
+        "tau": 0.5,
+    }
+    out = _run("spectrum", tmp_path, dict(BASE, model=model))
+    rows = (out / "spectrum.csv").read_text().strip().split("\n")
+    assert rows[0].split(",")[4:] == ["rho_00", "rho_11", "rho_22"]
+    assert len(rows) == 22
+    for row in rows[1:]:
+        populations = [float(p) for p in row.split(",")[4:]]
+        assert abs(sum(populations) - 1.0) < 1e-12
+
+
 def test_lambda_task(tmp_path):
     out = _run("lambda", tmp_path)
     rows = (out / "lambda.csv").read_text().strip().split("\n")

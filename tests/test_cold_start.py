@@ -1,0 +1,65 @@
+"""A fresh interpreter runs rislab on numpy alone.
+
+scipy is imported only where it is needed: by a tabulated schedule (its
+cubic spline) and by the one-map ``general_eig`` route. Each case runs in
+its own interpreter, since this test session has scipy loaded already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _run(code: str, tmp_path) -> list[str]:
+    """Run ``code`` in a fresh interpreter; return the scipy modules it loaded."""
+    tail = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import json, sys\n{code}\n{tail}"],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _config(tmp_path, schedule) -> str:
+    doc = {
+        "model": {"preset": "fd", "schedule": schedule},
+        "numeric": {"s_nodes": 21, "T_list": [10, 20], "alpha_grid": [-1.0, 1.0, 5]},
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_import_and_tasks_load_no_scipy(tmp_path):
+    config = _config(tmp_path, "beta1")
+    code = f"""
+import rislab
+from rislab.cli import main
+from rislab.config import load_config
+load_config({config!r})
+for task in ("lambda", "adiabatic"):
+    assert main([task, "--config", {config!r}, "--out", task]) == 0
+"""
+    assert _run(code, tmp_path) == []
+
+
+def test_tabulated_schedule_loads_scipy_interpolate_lazily(tmp_path):
+    schedule = {"kind": "tabulated", "nodes": [0.0, 0.5, 1.0], "values": [1.0, 1.5, 2.2]}
+    config = _config(tmp_path, schedule)
+    code = f"""
+import rislab
+from rislab.config import load_config
+assert not any(m.startswith("scipy") for m in sys.modules)
+beta = load_config({config!r}).model.beta
+assert abs(beta(0.5) - 1.5) < 1e-12 and abs(beta(1.0) - 2.2) < 1e-12
+"""
+    assert "scipy.interpolate" in _run(code, tmp_path)

@@ -162,3 +162,17 @@ def test_stacked_outcome_gaps_equal_each_spectrum_alone(W):
         assert np.array_equal(g, want)
         labels = np.concatenate(([0], np.cumsum(want)))
         assert np.array_equal(la.outcome_groups(w), labels == np.arange(labels[-1] + 1)[:, None])
+
+
+@pytest.mark.parametrize("N", [*range(2, 41), 200, 201, 202, 801])
+def test_simpson_is_bitwise_scipy(N):
+    """The port equals scipy's simpson bit for bit and in dtype, on every branch."""
+    from scipy.integrate import simpson as scipy_simpson
+
+    rng = np.random.default_rng(N)
+    grids = (np.linspace(0.0, 1.0, N), np.sort(rng.uniform(-1.0, 2.0, N)))
+    for x in grids:
+        for y in (rng.standard_normal(N), _rand_c(rng, N), rng.standard_normal((N, 3))):
+            got, want = la.simpson(y, x), scipy_simpson(y, x=x, axis=0)
+            assert np.array_equal(got, want)
+            assert np.asarray(got).dtype == np.asarray(want).dtype

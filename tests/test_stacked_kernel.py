@@ -175,13 +175,34 @@ def test_node_views():
         mod.kraus_families(mod.fd_model(), [])
 
 
+def test_kernel_build_reads_each_node_once():
+    """A stacked build reads h_env(s) and v(s) once per node, not again for U."""
+    m = mod.fd_model()
+    calls = {"h_env": 0, "coupling": 0}
+
+    def counted(name):
+        f = getattr(m, name)
+
+        def read(s):
+            calls[name] += 1
+            return f(s)
+
+        return read
+
+    counting = replace(m, h_env=counted("h_env"), coupling=counted("coupling"))
+    s = np.linspace(0.0, 1.0, 10)
+    fams = mod.kraus_families(counting, s)
+    assert calls == {"h_env": 10, "coupling": 10}
+    assert np.array_equal(fams.kraus, mod.kraus_families(m, s).kraus)
+
+
 def test_kernel_build_certifies_trace_preservation(monkeypatch):
     """A joint evolution that is not unitary fails the build at its node."""
     unitary = mod.joint_unitary
 
-    def leaky(model, s):
+    def leaky(model, s, **kw):
         scale = np.where(np.asarray(s) > 0.5, 1.001, 1.0)
-        return unitary(model, s) * scale[..., None, None]
+        return unitary(model, s, **kw) * scale[..., None, None]
 
     monkeypatch.setattr(mod, "joint_unitary", leaky)
     m = mod.fd_model()
