@@ -187,54 +187,30 @@ def general_eig(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w, Vr, Vl
 
 
-def _divide(a, b) -> np.ndarray:
-    """a / b where b is nonzero, else 0."""
-    return np.true_divide(a, b, out=np.zeros_like(b), where=b != 0)
-
-
-def _simpson_pairs(y: np.ndarray, x: np.ndarray, stop: int):
-    """Simpson's rule over the interval pairs of x[:stop + 2], summed."""
-    h = np.diff(x, axis=0)
-    h0 = h[0:stop:2].astype(float, copy=False)
-    h1 = h[1 : stop + 1 : 2].astype(float, copy=False)
-    hsum = h0 + h1
-    hprod = h0 * h1
-    h0divh1 = _divide(h0, h1)
-    tmp = hsum / 6.0 * (
-        y[0:stop:2] * (2.0 - _divide(1.0, h0divh1))
-        + y[1 : stop + 1 : 2] * (hsum * _divide(hsum, hprod))
-        + y[2 : stop + 2 : 2] * (2.0 - h0divh1)
-    )
-    return np.sum(tmp, axis=0)
-
-
 def simpson(y, x):
-    """Composite Simpson integral of y (N, ...) over the grid x (N,), along axis 0.
+    """Composite Simpson integral of a 1-d y over the grid x, on an odd number of nodes.
 
-    Odd N uses Simpson's rule on every pair of intervals. Even N > 2 uses it
-    on the first N - 2 intervals and Cartwright's correction on the last;
-    N = 2 is the trapezoid. The operations follow
-    ``scipy.integrate.simpson(y, x=x)`` of scipy 1.17 in order, so the
-    result is bitwise equal to it, dtype included.
+    Simpson's rule on every pair of intervals, with the operations of
+    ``scipy.integrate.simpson(y, x=x)`` (scipy 1.17) in the same order, so on
+    a grid of distinct nodes the result is bitwise equal to it, dtype
+    included. Callers bump an even node count to odd; an even one is refused.
     """
     y = np.asarray(y)
     N = y.shape[0]
-    x = np.asarray(x).reshape((N,) + (1,) * (y.ndim - 1))
-    if N % 2 == 1:
-        return _simpson_pairs(y, x, N - 2)
-    # Adding the zeros scipy accumulates into turns a -0.0 result into +0.0.
-    if N == 2:
-        return 0.0 + (0.0 + 0.5 * (x[-1] - x[-2]) * (y[-1] + y[-2]))
-    diffs = np.float64(np.diff(x, axis=0))
-    h0 = np.squeeze(diffs[-2:-1], axis=0)
-    h1 = np.squeeze(diffs[-1:], axis=0)
-    alpha = _divide(2 * h1**2 + 3 * h0 * h1, 6 * (h1 + h0))
-    beta = _divide(h1**2 + 3.0 * h0 * h1, 6 * h0)
-    eta = _divide(h1**3, 6 * h0 * (h0 + h1))
-    result = _simpson_pairs(y, x, N - 3)
-    result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
-    result += 0.0
-    return result
+    if N < 3 or N % 2 == 0:
+        raise ValueError(f"simpson needs an odd number of nodes >= 3, got {N}")
+    h = np.diff(np.asarray(x))
+    h0 = h[0 : N - 2 : 2].astype(float, copy=False)
+    h1 = h[1 : N - 1 : 2].astype(float, copy=False)
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = h0 / h1
+    tmp = hsum / 6.0 * (
+        y[0 : N - 2 : 2] * (2.0 - 1.0 / h0divh1)
+        + y[1 : N - 1 : 2] * (hsum * (hsum / hprod))
+        + y[2:N:2] * (2.0 - h0divh1)
+    )
+    return np.sum(tmp, axis=0)
 
 
 def spectral_radius(M: np.ndarray) -> float:

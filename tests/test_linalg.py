@@ -164,15 +164,21 @@ def test_stacked_outcome_gaps_equal_each_spectrum_alone(W):
         assert np.array_equal(la.outcome_groups(w), labels == np.arange(labels[-1] + 1)[:, None])
 
 
-@pytest.mark.parametrize("N", [*range(2, 41), 200, 201, 202, 801])
+@pytest.mark.parametrize("N", [*range(3, 42, 2), 201, 801])
 def test_simpson_is_bitwise_scipy(N):
-    """The port equals scipy's simpson bit for bit and in dtype, on every branch."""
+    """The port equals scipy's simpson bit for bit and in dtype on odd grids."""
     from scipy.integrate import simpson as scipy_simpson
 
     rng = np.random.default_rng(N)
     grids = (np.linspace(0.0, 1.0, N), np.sort(rng.uniform(-1.0, 2.0, N)))
     for x in grids:
-        for y in (rng.standard_normal(N), _rand_c(rng, N), rng.standard_normal((N, 3))):
-            got, want = la.simpson(y, x), scipy_simpson(y, x=x, axis=0)
+        for y in (rng.standard_normal(N), _rand_c(rng, N)):
+            got, want = la.simpson(y, x), scipy_simpson(y, x=x)
             assert np.array_equal(got, want)
             assert np.asarray(got).dtype == np.asarray(want).dtype
+
+
+@pytest.mark.parametrize("N", [1, 2, 4, 200])
+def test_simpson_refuses_an_even_grid(N):
+    with pytest.raises(ValueError, match="odd number of nodes"):
+        la.simpson(np.ones(N), np.linspace(0.0, 1.0, N))
