@@ -102,9 +102,11 @@ def task_simulate(cfg: RunConfig, out: str) -> None:
         bins = np.linspace(-4 * np.sqrt(d2), 4 * np.sqrt(d2), 42)
     else:
         bins = 41
+    # every T reads a prefix of the same per-trajectory streams
+    uniforms = fullstats.trajectory_uniforms(cfg.seed, cfg.n, max(cfg.T_list) + 2)
     for T in cfg.T_list:
         samp = fullstats.sample_trajectories(
-            cfg.model, setup, T, cfg.n, seed=cfg.seed, nodes=nodes
+            cfg.model, setup, T, cfg.n, seed=cfg.seed, nodes=nodes, uniforms=uniforms
         )
         if cfg.write_csv:
             fullstats.write_trajectories_csv(

@@ -279,8 +279,9 @@ class TrajectoryMeasure:
     Record r has the outcome indices ``i_index[r]`` of A_i, ``f_index[r]``
     of A_f and, per step k, the probe outcome pair (i_k, j_k) as
     ``probe_records[r, k] = i_k * n_outcomes + j_k``, as in
-    ``SampledTrajectories``. Records are in lexicographic order of
-    (i_index, probe_records, f_index).
+    ``SampledTrajectories``: stored in the narrowest unsigned dtype that
+    holds n_outcomes^2 - 1 (uint8 up to 16 outcomes). Records are in
+    lexicographic order of (i_index, probe_records, f_index).
     """
 
     i_index: np.ndarray
@@ -365,7 +366,8 @@ def enumerate_measure(
     p_forward = _traces(pi_f, fwd[:, None]).reshape(-1)
     p_backward = _traces(pi_i[:, None, None], bwd).reshape(-1)
     index = np.indices((n_i,) + (n_out * n_out,) * T + (n_f,)).reshape(T + 2, -1)
-    i_index, probe_records, f_index = index[0], index[1:-1].T, index[-1]
+    i_index, f_index = index[0], index[-1]
+    probe_records = index[1:-1].T.astype(np.min_scalar_type(n_out * n_out - 1))
     delta_y = np.zeros(count)
     for y, pairs in zip(steps.y_values[idx], index[1:-1]):
         i, j = np.divmod(pairs, n_out)
@@ -555,15 +557,17 @@ class SampledTrajectories:
     delta_a: np.ndarray
     delta_y: np.ndarray
     varsigma: np.ndarray
-    probe_records: np.ndarray  # (n, T) flat outcome-pair indices
+    probe_records: np.ndarray  # (n, T) flat outcome-pair indices, as in TrajectoryMeasure
 
 
-def _uniforms(seed: int, n: int, length: int) -> np.ndarray:
+def trajectory_uniforms(seed: int, n: int, length: int) -> np.ndarray:
     """(length, n) uniforms: column t opens the Philox4x64-10 stream keyed by (seed, t).
 
     One bit generator serves every column. Resetting it to key words
     (t, seed), counter 0 and an empty buffer gives the state of a fresh
     ``Philox(key=(seed << 64) + t)``, without building one per trajectory.
+    Each column is a prefix of the stream, so the first rows of a longer
+    draw equal a shorter one bit for bit.
     """
     bits = np.random.Philox(key=seed << 64)
     gen = np.random.Generator(bits)
@@ -584,13 +588,16 @@ def sample_trajectories(
     seed: int,
     *,
     nodes: ProtocolNodes | None = None,
+    uniforms: np.ndarray | None = None,
 ) -> SampledTrajectories:
     """Draw n independent trajectories from the exact forward measure.
 
     Randomness is counter-based: trajectory t consumes T + 2 uniforms from
     the Philox4x64-10 stream keyed by (seed, t), so results depend only on
     (seed, n, T) and not on batching. One bit generator serves the call,
-    reset to each trajectory's key (``_uniforms``).
+    reset to each trajectory's key (``trajectory_uniforms``). A caller
+    sampling several T passes ``uniforms``, one ``trajectory_uniforms(seed,
+    n, L)`` draw with L >= T + 2, and each call reads its first T + 2 rows.
 
     The sampler works in real coordinates: the n states are the columns of
     a real (d^2, n) stack X of their coordinates in ``hermitian_basis(d)``
@@ -614,7 +621,10 @@ def sample_trajectories(
     B = hermitian_basis(d)
     Bh = B.conj().T
 
-    uniforms = _uniforms(seed, n, T + 2)
+    if uniforms is None:
+        uniforms = trajectory_uniforms(seed, n, T + 2)
+    elif uniforms.shape[0] < T + 2 or uniforms.shape[1:] != (n,):
+        raise ValueError(f"uniforms of shape {uniforms.shape} cannot serve T={T}, n={n}")
 
     # initial measurement
     pi_list = setup.obs_i.projectors
@@ -643,7 +653,7 @@ def sample_trajectories(
     i_idx, j_idx = np.divmod(np.arange(n_pair), n_out)
     dy = steps.y_values[idx][:, j_idx] - steps.y_values[idx][:, i_idx]
     delta_y = np.zeros(n)
-    probe_records = np.empty((T, n), dtype=np.int64)
+    probe_records = np.empty((T, n), dtype=np.min_scalar_type(n_pair - 1))
     cols = np.arange(n)
     for k in range(T):
         images = (maps[k] @ states).reshape(d * d, n_pair * n)
@@ -690,10 +700,19 @@ def sample_trajectories(
 
 
 def _write_rows(path, data, fields: tuple[str, ...]) -> None:
-    """One row per trajectory: its id, then each field with shortest round-trip repr."""
-    columns = [getattr(data, f).tolist() for f in fields]
+    """One row per trajectory: its id, then each field with shortest round-trip repr.
+
+    A column's values are grouped by their float64 bit pattern and each
+    distinct pattern is formatted once, so -0.0 and NaN keep their own text.
+    """
+    columns = []
+    for f in fields:
+        col = np.ascontiguousarray(getattr(data, f), dtype=np.float64)
+        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        text = [repr(v) for v in bits.view(np.float64).tolist()]
+        columns.append([text[i] for i in inverse.tolist()])
     lines = [",".join(("trajectory_id", *fields))]
-    lines += [f"{t},{','.join(map(repr, row))}" for t, row in enumerate(zip(*columns))]
+    lines += [f"{t},{','.join(row)}" for t, row in enumerate(zip(*columns))]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

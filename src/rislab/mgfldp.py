@@ -13,6 +13,8 @@ exactly stationary (obstruction-free) case.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .linalg import (
@@ -253,15 +255,21 @@ def rate_function_symmetry_defect(
 def clt_check(delta_y: np.ndarray, T: int, d1: float, d2: float) -> dict:
     """Compare standardized samples of Delta_y against Normal(0, Lambda''(0)).
 
-    Returns the KS distance, the sample mean of Delta_y / T, and its
-    standard error.
+    Returns the Kolmogorov-Smirnov distance D = max_i max(i/n - F(x_(i)),
+    F(x_(i)) - (i-1)/n) over the sorted standardized samples x_(i), with F
+    the Normal(0, d2) CDF (d2 > 0); the sample mean of Delta_y / T; and its
+    standard error (NaN for a single sample).
     """
-    from scipy.stats import kstest
-
-    standardized = (np.asarray(delta_y) - T * d1) / np.sqrt(T)
-    ks = kstest(standardized, "norm", args=(0.0, np.sqrt(d2))).statistic
+    if not d2 > 0:
+        raise ValueError(f"the CLT variance must be positive, got d2={d2}")
+    standardized = np.sort((np.asarray(delta_y) - T * d1) / np.sqrt(T))
+    scale = math.sqrt(2.0 * d2)
+    cdf = np.array([0.5 * math.erfc(-x / scale) for x in standardized.tolist()])
+    n = cdf.size
+    ranks = np.arange(n + 1) / n
+    ks = max((ranks[1:] - cdf).max(), (cdf - ranks[:-1]).max())
     mean = float(np.mean(delta_y) / T)
-    se = float(np.std(delta_y, ddof=1) / (T * np.sqrt(delta_y.size)))
+    se = float(np.std(delta_y, ddof=1) / (T * np.sqrt(n))) if n > 1 else math.nan
     return {"ks_distance": float(ks), "mean_rate": mean, "mean_se": se}
 
 

@@ -96,6 +96,19 @@ def test_simulate_task(tmp_path):
         assert counts <= 50
 
 
+def test_simulate_draws_once_for_every_T(tmp_path, monkeypatch):
+    built = []
+    philox = np.random.Philox
+
+    def counted(*args, **kwargs):
+        built.append(kwargs.get("key"))
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    _run("simulate", tmp_path)
+    assert len(built) == 1
+
+
 def test_simulate_task_stationary_preset(tmp_path):
     """On rwa Lambda''(0) is round-off; the CLT bins follow the samples' own range."""
     doc = dict(BASE, model={"preset": "rwa", "schedule": "beta1"})

@@ -1,8 +1,10 @@
 """A fresh interpreter runs rislab on numpy alone.
 
 scipy is imported only where it is needed: by a tabulated schedule (its
-cubic spline) and by the one-map ``general_eig`` route. Each case runs in
-its own interpreter, since this test session has scipy loaded already.
+cubic spline) and by the one-map ``general_eig`` route; the CLT check's
+Kolmogorov-Smirnov distance needs numpy and ``math.erfc`` only. Each case
+runs in its own interpreter, since this test session has scipy loaded
+already.
 """
 
 import json
@@ -32,7 +34,8 @@ def _run(code: str, tmp_path) -> list[str]:
 def _config(tmp_path, schedule) -> str:
     doc = {
         "model": {"preset": "fd", "schedule": schedule},
-        "numeric": {"s_nodes": 21, "T_list": [10, 20], "alpha_grid": [-1.0, 1.0, 5]},
+        "numeric": {"s_nodes": 21, "T_list": [10, 20], "n": 50,
+                    "alpha_grid": [-1.0, 1.0, 5]},
     }
     path = tmp_path / "run.json"
     path.write_text(json.dumps(doc))
@@ -48,6 +51,22 @@ from rislab.config import load_config
 load_config({config!r})
 for task in ("lambda", "adiabatic"):
     assert main([task, "--config", {config!r}, "--out", task]) == 0
+"""
+    assert _run(code, tmp_path) == []
+
+
+def test_simulate_and_clt_check_load_no_scipy(tmp_path):
+    config = _config(tmp_path, "beta1")
+    code = f"""
+import numpy as np
+from rislab import mgfldp
+from rislab.cli import main
+from rislab.config import load_config
+assert main(["simulate", "--config", {config!r}, "--out", "sim"]) == 0
+dy = np.loadtxt("sim/trajectories_T20.csv", delimiter=",", skiprows=1, usecols=4)
+d1, d2 = mgfldp.lambda_derivatives_at_zero(load_config({config!r}).model, 21)
+out = mgfldp.clt_check(dy, 20, d1, d2)
+assert 0 < out["ks_distance"] < 1 and out["mean_se"] > 0
 """
     assert _run(code, tmp_path) == []
 

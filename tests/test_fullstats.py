@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,23 @@ def test_csv_files_match_the_row_writer(tmp_path, fd3):
         write(got, data)
         oracles.write_rows_reference(want, data, fields)
         assert got.read_bytes() == want.read_bytes()
+
+
+def test_row_writer_formats_each_bit_pattern_once(tmp_path, rng):
+    """Grouped formatting equals the per-value route on signed zeros, NaN
+    payloads, infinities and repeated values."""
+    payload_nan = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(float)
+    special = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, 0.1 + 0.2, 5e-324], payload_nan])
+    data = SimpleNamespace(
+        x=rng.choice(special, 300),
+        y=np.round(rng.standard_normal(300), 2),
+        z=rng.standard_normal(300),
+    )
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    fs._write_rows(got, data, ("x", "y", "z"))
+    oracles.write_rows_reference(want, data, ("x", "y", "z"))
+    assert got.read_bytes() == want.read_bytes()
+    assert {"-0.0", "0.0", "nan", "inf", "-inf"} <= set(got.read_text().replace("\n", ",").split(","))
 
 
 def test_evolved_state_matches_unitary_route(rng):

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.stats import kstest
 
 from rislab import fullstats as fs
 from rislab import mgfldp as mg
@@ -159,6 +160,26 @@ def test_clt_check_on_gaussian_samples(rng):
     out = mg.clt_check(samples, T, d1, d2)
     assert out["ks_distance"] < 0.03
     assert abs(out["mean_rate"] - d1) < 4 * out["mean_se"]
+
+
+def test_ks_distance_matches_scipy_kstest(rng):
+    """The numpy KS distance against scipy's: random sets, ties, d2 != 1, n = 1."""
+    cases = [(rng.uniform(0.5, 2.0) * rng.standard_normal(2000), 1, 0.0, rng.uniform(0.2, 3.0))
+             for _ in range(20)]
+    cases += [
+        (np.repeat(rng.standard_normal(40), 25), 1, 0.0, 1.0),
+        (np.round(rng.standard_normal(500), 1), 1, 0.0, 0.53),
+        (400 * 0.24 + np.sqrt(400 * 0.53) * rng.standard_normal(2000), 400, 0.24, 0.53),
+        (np.array([0.3]), 1, 0.0, 1.0),
+        (np.array([-1.2]), 1, 0.0, 2.5),
+    ]
+    for dy, T, d1, d2 in cases:
+        got = mg.clt_check(dy, T, d1, d2)["ks_distance"]
+        want = kstest((dy - T * d1) / np.sqrt(T), "norm", args=(0.0, np.sqrt(d2))).statistic
+        assert abs(got - want) <= 1e-12 * want, (dy.size, d2)
+    assert np.isnan(mg.clt_check(np.array([0.3]), 1, 0.0, 1.0)["mean_se"])
+    with pytest.raises(ValueError, match="positive"):
+        mg.clt_check(np.zeros(5), 1, 0.0, 0.0)
 
 
 def test_stationary_pair_mgf_limit_explicit(rng):

@@ -14,6 +14,7 @@ from rislab import linalg as la
 from rislab import model as mod
 
 import oracles
+from conftest import random_hermitian
 from test_counting_properties import hermitian
 from test_stacked_kernel import CASES
 
@@ -55,11 +56,65 @@ def test_sampler_matches_all_maps_route_non_entropic():
 def test_reset_stream_is_a_fresh_philox(seed):
     """Lengths 1..9 cross the generator's 4-word buffer."""
     for length in range(1, 10):
-        u = fs._uniforms(seed, 4, length)
+        u = fs.trajectory_uniforms(seed, 4, length)
         assert u.shape == (length, 4)
         for t in range(4):
             fresh = np.random.Generator(np.random.Philox(key=(seed << 64) + t))
             assert np.array_equal(u[:, t], fresh.random(length)), (length, t)
+
+
+def test_a_longer_draw_starts_with_a_shorter_one():
+    """Lengths 1..9 cross the generator's 4-word buffer."""
+    long = fs.trajectory_uniforms(5, 30, 42)
+    for length in (*range(1, 10), 17, 42):
+        assert np.array_equal(long[:length], fs.trajectory_uniforms(5, 30, length)), length
+
+
+def test_shared_draw_gives_the_self_drawn_records():
+    m = mod.fd_model()
+    setup = _entropic(m)
+    T_list, n = [1, 3, 10, 40], 200
+    nodes = fs.ProtocolNodes(m, T_list)
+    shared = fs.trajectory_uniforms(9, n, max(T_list) + 2)
+    for T in T_list:
+        got = fs.sample_trajectories(m, setup, T, n, 9, nodes=nodes, uniforms=shared)
+        want = fs.sample_trajectories(m, setup, T, n, 9)
+        for f in RECORD_FIELDS + ("delta_a", "varsigma"):
+            assert np.array_equal(getattr(got, f), getattr(want, f)), (T, f)
+    for bad in (shared[:41], shared[:, :199]):
+        with pytest.raises(ValueError, match="cannot serve T=40, n=200"):
+            fs.sample_trajectories(m, setup, 40, n, 9, nodes=nodes, uniforms=bad)
+
+
+@pytest.mark.parametrize("make", [mod.fd_model, mod.rwa_model])
+def test_records_are_uint8_on_the_presets(make):
+    m = make()
+    setup = _entropic(m)
+    assert fs.sample_trajectories(m, setup, 5, 20, seed=1).probe_records.dtype == np.uint8
+    assert fs.enumerate_measure(m, setup, 2).probe_records.dtype == np.uint8
+
+
+def test_records_widen_past_256_outcome_pairs():
+    """A 17-level probe has 289 outcome pairs: uint16 records, equal to the oracle's."""
+    rng = np.random.default_rng(17)
+    h_env, coupling = np.diag(np.linspace(0.0, 1.0, 17)).astype(complex), random_hermitian(rng, 34)
+    m = mod.RISModel(
+        dim_sys=2,
+        dim_env=17,
+        h_sys=random_hermitian(rng, 2),
+        h_env=lambda s: h_env,
+        coupling=lambda s: coupling,
+        beta=mod.beta_schedule_1(),
+        tau=0.5,
+    )
+    setup = _entropic(m)
+    got = fs.sample_trajectories(m, setup, 2, 50, seed=4)
+    assert got.probe_records.dtype == np.uint16
+    assert got.probe_records.max() > 255
+    _assert_same_records(m, setup, 2, 50, seed=4)
+    meas = fs.enumerate_measure(m, setup, 1)
+    assert meas.probe_records.dtype == np.uint16
+    assert np.array_equal(np.unique(meas.probe_records), np.arange(289))
 
 
 def test_one_bit_generator_per_call(monkeypatch):
