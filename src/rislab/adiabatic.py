@@ -194,6 +194,11 @@ def product_decomposition_residual(family: AdiabaticFamily, T: int) -> float:
     return float(np.linalg.norm(chain - approx, 2))
 
 
+def _theta_grid(n_nodes: int) -> np.ndarray:
+    """The odd uniform grid of at least n_nodes nodes that theta is integrated on."""
+    return np.linspace(0.0, 1.0, n_nodes | 1)
+
+
 def theta_integral(family: AdiabaticFamily, *, n_nodes: int = 201) -> complex:
     """theta^(alpha)(1) = int_0^1 Tr(iota(s) d rho(s)/ds) ds.
 
@@ -201,14 +206,36 @@ def theta_integral(family: AdiabaticFamily, *, n_nodes: int = 201) -> complex:
     of at least n_nodes nodes, with d rho/ds a centred difference. Each grid
     is integrated once per family and the value cached on it.
     """
-    if n_nodes % 2 == 0:
-        n_nodes += 1
-    if n_nodes not in family._thetas:
-        s_grid = np.linspace(0.0, 1.0, n_nodes)
+    s_grid = _theta_grid(n_nodes)
+    if s_grid.size not in family._thetas:
         drho = _derivative(family, s_grid, "rho")
         vals = np.trace(family.stack(s_grid).iota @ drho, axis1=1, axis2=2)
-        family._thetas[n_nodes] = complex(simpson(vals, x=s_grid))
-    return family._thetas[n_nodes]
+        family._thetas[s_grid.size] = complex(simpson(vals, x=s_grid))
+    return family._thetas[s_grid.size]
+
+
+def _label_shift(family: AdiabaticFamily, s_grid: np.ndarray) -> int:
+    """J mod z: the cycle projector labelled m at s_grid[0] is labelled
+    m + J at s_grid[-1].
+
+    Each node's u is fixed only up to a z-th root of unity. Between
+    neighbouring nodes, w_k = Tr(u_{k+1} u_k*) / d is near theta^(j_k) for
+    the root j_k by which the labels turn; J = sum_k j_k. Reads the nodes
+    that ``theta_integral`` prepared on the same grid.
+    """
+    z = family._period
+    u = family._decs["cycle_unitary"][[family._rows[s] for s in s_grid.tolist()]]
+    w = np.einsum("kab,kab->k", u[1:], u[:-1].conj()) / family.dim
+    j = np.round(np.angle(w) * z / (2 * np.pi)).astype(int)
+    # each step must stay within a quarter of the distance between two roots
+    off = np.abs(w - np.exp(2j * np.pi * j / z))
+    jump = off > 0.25 * abs(1 - np.exp(2j * np.pi / z))
+    if jump.any():
+        k = int(np.argmax(jump))
+        raise ValueError(
+            f"cycle unitary cannot be followed from s={s_grid[k]} to s={s_grid[k + 1]}"
+        )
+    return int(j.sum() % z)
 
 
 def exact_deformed_chain(
@@ -228,14 +255,17 @@ def deformed_adiabatic_state(
 
     z * e^{-theta^(alpha)(1)} * sum_m Tr(iota(0) p_m(0) rho_i)
     rho^(alpha)(1) p_{m-T mod z}(1); the exact chain F(T/T)...F(1/T)
-    differs from this by O(1/T).
+    differs from this by O(1/T). The labels m are carried from s = 0 to
+    s = 1 by following u along theta's grid (``_label_shift``).
     """
     dec0 = family.decomposition(0.0)
     decs = family.decomposition(1.0)
     z = dec0.period
-    phase = np.exp(-theta_integral(family, n_nodes=max(201, T + 1)))
+    n_nodes = max(201, T + 1)
+    phase = np.exp(-theta_integral(family, n_nodes=n_nodes))
+    J = _label_shift(family, _theta_grid(n_nodes)) if z > 1 else 0
     out = np.zeros((family.dim,) * 2, dtype=complex)
     for m in range(z):
         weight = np.trace(dec0.iota @ dec0.cycle_projectors[m] @ rho_i)
-        out += weight * decs.rho @ decs.cycle_projectors[(m - T) % z]
+        out += weight * decs.rho @ decs.cycle_projectors[(m - T + J) % z]
     return z * phase * out

@@ -8,9 +8,9 @@ and the associated conditioned (trace-preserving) map.
 ``peripheral_decompositions`` decomposes a whole stack of map matrices in
 stacked passes: one ``eig`` for the right eigenvectors, one of the adjoint
 stack for the left ones, one stacked ``hermitian_eig`` each for rho and
-iota, and every certificate checked at each matrix's own scale. A node set
-thus costs a few LAPACK calls, not a few per node. Only the cycle unitary
-of a period z > 1 is built one map at a time. The result holds node stacks;
+iota, at a period z > 1 the cycle unitaries of all its maps at once, and
+every certificate checked at each matrix's own scale. A node set thus
+costs a few LAPACK calls, not a few per node. The result holds node stacks;
 indexing it builds one map's ``PeripheralDecomposition``.
 ``peripheral_decomposition`` is its one-map view; the per-map route of
 earlier versions is kept as ``tests/oracles.peripheral_decomposition``.
@@ -51,92 +51,46 @@ class SpectralError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _span_rank(vectors: list[np.ndarray]) -> int:
-    if not vectors:
-        return 0
-    return int(np.linalg.matrix_rank(np.stack(vectors), tol=1e-10))
-
-
 def _orbit_span(seed: np.ndarray, kraus) -> np.ndarray:
     """Smallest Kraus-invariant subspace containing ``seed`` (as basis matrix)."""
-    d = seed.size
-    basis = seed.reshape(1, d) / np.linalg.norm(seed)
+    basis = seed.reshape(1, -1) / np.linalg.norm(seed)
     while True:
-        candidates = [basis[k] for k in range(basis.shape[0])]
-        for K in kraus:
-            candidates.extend(K @ b for b in basis)
-        M = np.stack(candidates)
+        M = np.concatenate([basis, *(basis @ K.T for K in kraus)])
         _, svals, Vh = np.linalg.svd(M, full_matrices=False)
         rank = int((svals > 1e-10 * svals[0]).sum())
         if rank == basis.shape[0]:
-            return Vh[:rank].T  # d x rank, orthonormal columns
+            return Vh[:rank].T  # orthonormal columns
         basis = Vh[:rank]
 
 
-def _algebra_dimension(kraus, d: int) -> int:
-    """Dimension of the unital algebra generated by the Kraus operators."""
-    gens = [np.eye(d, dtype=complex)] + [as_complex(K) for K in kraus]
-    basis: list[np.ndarray] = []
-    rank = 0
-    for g in gens:
-        cand = basis + [vec(g)]
-        r = _span_rank(cand)
-        if r > rank:
-            basis, rank = cand, r
-    elements = [unvec(b, d) for b in basis]
-    while True:
-        grew = False
-        for g in gens:
-            for e in list(elements):
-                for prod in (g @ e, e @ g):
-                    cand = basis + [vec(prod)]
-                    r = _span_rank(cand)
-                    if r > rank:
-                        basis, rank = cand, r
-                        elements.append(prod)
-                        grew = True
-                        if rank == d * d:
-                            return rank
-        if not grew:
-            return rank
-
-
 def is_irreducible(kraus, *, return_witness: bool = False):
-    """Decide whether the Kraus family has a common proper invariant subspace.
+    """Decide whether the Kraus family has no common proper invariant subspace.
 
-    Returns ``bool`` (or ``(bool, witness)`` with ``return_witness=True``,
-    where the witness is an orthonormal basis of a proper invariant subspace,
-    or ``None``). The verdict is the generated-algebra dimension test
-    (irreducible over C iff the unital algebra generated by the family is the
-    full matrix algebra); a subspace witness is searched when reducible.
+    By Burnside's theorem it has none exactly when the unital algebra that
+    the K_n generate is all of M_d. That algebra is spanned by the words in
+    the K_n: the orbit of Id under X -> K_n X. With ``return_witness=True``
+    returns ``(bool, witness)``: for a reducible family, an orthonormal
+    basis of a proper invariant subspace, the orbit of an eigenvector of a
+    K_n or of a random combination of them at the same tolerance. The
+    witness is None for an irreducible family, and for one that is reducible
+    only within that tolerance, where no such orbit closes.
     """
     kraus = [as_complex(K) for K in kraus]
     d = kraus[0].shape[0]
-    irreducible = _algebra_dimension(kraus, d) == d * d
+    Id = np.eye(d, dtype=complex)
+    algebra = _orbit_span(vec(Id), [np.kron(Id, K) for K in kraus])
+    irreducible = algebra.shape[1] == d * d
+    if not return_witness:
+        return irreducible
     witness = None
     if not irreducible:
-        seeds = []
-        for K in kraus:
-            _, V = np.linalg.eig(K)
-            seeds.extend(V.T)
-        rng = np.random.default_rng(0)
-        for _ in range(4):
-            coeffs = rng.standard_normal(len(kraus)) + 1j * rng.standard_normal(
-                len(kraus)
-            )
-            A = sum(c * K for c, K in zip(coeffs, kraus))
-            _, V = np.linalg.eig(A)
-            seeds.extend(V.T)
-        for seed in seeds:
-            span = _orbit_span(seed, kraus)
-            if 0 < span.shape[1] < d:
-                witness = span
-                break
-        if witness is None:
-            raise SpectralError(
-                "algebra test says reducible but no invariant subspace found"
-            )
-    return (irreducible, witness) if return_witness else irreducible
+        rng, n = np.random.default_rng(0), len(kraus)
+        coeffs = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+        combos = np.concatenate([kraus, np.einsum("cn,nab->cab", coeffs, kraus)])
+        seeds = np.linalg.eig(combos)[1].swapaxes(1, 2).reshape(-1, d)
+        spans = (_orbit_span(seed, kraus) for seed in seeds)
+        witness = next((span for span in spans if span.shape[1] < d), None)
+    return irreducible, witness
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +110,10 @@ class PeripheralDecomposition:
         rho: right eigenvector at lambda, a state (trace one, PSD).
         iota: left eigenvector at lambda, PSD, normalized Tr(iota rho) = 1.
         cycle_unitary: unitary u with u^z = Id commuting with rho and iota;
-            the right eigenvector at lambda*theta^m is rho u^m.
+            the right eigenvector at lambda*theta^m is rho u^m. Each map's
+            u is fixed only up to a z-th root of unity (it follows the
+            phase of the computed eigenvector), so the labels m of two
+            maps' cycle projectors need not match.
         cycle_projectors: eigenprojectors p_m of u at exp(2*pi*i*m/z).
         eigenvalues: the z peripheral eigenvalues, ordered by m.
         spectral_projectors: superoperator matrices of the rank-one spectral
@@ -254,59 +211,55 @@ def invariant_state(L: SuperOperator) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def _cycle_unitary(i: int, rho, iota, X: np.ndarray, z: int):
-    """The cycle unitary u and its eigenprojectors p_m of stack matrix i.
-
-    X is the right eigenvector at lambda*theta, which equals rho u.
-    """
-    d = rho.shape[0]
-    if np.linalg.eigvalsh(rho).min() < FAITHFUL_TOL:
-        raise _fail(i, "invariant state not faithful; map not irreducible")
-    u = herm_power(rho, -1.0) @ X
-    u *= np.sqrt(d) / np.linalg.norm(u)
-    # fix the overall phase so that u^z = Id, then snap the eigenvalues
-    # of u to exact z-th roots of unity
-    uz = np.linalg.matrix_power(u, z)
-    c = np.trace(uz) / d
-    u = u / c ** (1.0 / z)
-    wu, Vu = np.linalg.eig(u)
-    mu = np.round(np.angle(wu) * z / (2 * np.pi)).astype(int) % z
-    if np.abs(wu - np.exp(2j * np.pi * mu / z)).max() > 1e-6:
-        raise _fail(i, "cycle operator eigenvalues not near roots of unity")
-    # u is normal here (commutes with the faithful rho up to numerics);
-    # orthonormalize the eigenbasis per eigenvalue cluster
-    cols = []
-    for m in range(z):
-        sel = Vu[:, mu == m]
-        if sel.shape[1]:
-            cols.append(np.linalg.qr(sel, mode="reduced")[0])
-    Vu = np.concatenate(cols, axis=1)
-    mu = np.concatenate([[m] * (mu == m).sum() for m in range(z)])
-    u = (Vu * np.exp(2j * np.pi * mu / z)) @ Vu.conj().T
-    if np.abs(u @ u.conj().T - np.eye(d)).max() > 1e-8:
-        raise _fail(i, "cycle operator could not be made unitary")
-    for A, name in ((rho, "rho"), (iota, "iota")):
-        if np.abs(u @ A - A @ u).max() > 1e-7 * max(np.abs(A).max(), 1.0):
-            raise _fail(i, f"cycle operator does not commute with {name}")
-    return u, tuple(Vu[:, mu == m] @ Vu[:, mu == m].conj().T for m in range(z))
-
-
 def _with_period(M, lam, rho, iota, Xr, z: int, nodes: np.ndarray) -> tuple:
     """Cycle data, spectral projectors and their checks for the stack
     matrices ``nodes``, all of period z: the stacks (u, p_m, eigenvalues, P)."""
     d = rho.shape[-1]
+    M, lam, rho, iota = M[nodes], lam[nodes], rho[nodes], iota[nodes]
+    Id = np.eye(d, dtype=complex)
     if z == 1:
         # one read-only identity is every node's u and its one eigenprojector
-        Id = np.eye(d, dtype=complex)
         units = np.broadcast_to(Id, (nodes.size, d, d))
         cycles = np.broadcast_to(Id, (nodes.size, 1, d, d))
         powers = []
     else:
-        pairs = [_cycle_unitary(i, rho[i], iota[i], Xr[i], z) for i in nodes]
-        units = np.stack([p[0] for p in pairs])
-        cycles = np.stack([np.stack(p[1]) for p in pairs])
+        _require(
+            np.linalg.eigvalsh(rho)[:, 0] >= FAITHFUL_TOL,
+            "invariant state not faithful; map not irreducible",
+            nodes,
+        )
+        # the right eigenvector at lambda*theta is rho u; fix u's scale and
+        # phase so that ||u||^2 = d and Tr(u^z) = d
+        u = herm_power(rho, -1.0) @ Xr[nodes]
+        u *= (np.sqrt(d) / np.linalg.norm(u, axis=(1, 2)))[:, None, None]
+        c = np.trace(np.linalg.matrix_power(u, z), axis1=1, axis2=2) / d
+        u /= (c ** (1.0 / z))[:, None, None]
+        # p_m, the eigenprojector of u at theta^m, is the discrete Fourier
+        # transform (1/z) sum_k theta^(-mk) u^k of u's powers, Hermitised
+        k = np.arange(z)
+        powers = np.stack([np.linalg.matrix_power(u, j) for j in k], 1)
+        dft = np.exp(-2j * np.pi * np.outer(k, k) / z)
+        cycles = np.einsum("mk,nkab->nmab", dft, powers)
+        cycles = (cycles + _adjoint(cycles)) / (2 * z)
+        _require(
+            _matrix_max(np.abs(cycles @ cycles - cycles)).max(axis=1) <= 1e-6,
+            "cycle projector not idempotent: u's eigenvalues not roots of unity",
+            nodes,
+        )
+        units = np.einsum("m,nmab->nab", np.exp(2j * np.pi * k / z), cycles)
+        _require(
+            _matrix_max(np.abs(units @ _adjoint(units) - Id)) <= 1e-8,
+            "cycle operator could not be made unitary",
+            nodes,
+        )
+        for A, name in ((rho, "rho"), (iota, "iota")):
+            _require(
+                _matrix_max(np.abs(units @ A - A @ units))
+                <= 1e-7 * np.maximum(_matrix_max(np.abs(A)), 1.0),
+                f"cycle operator does not commute with {name}",
+                nodes,
+            )
         powers = [np.linalg.matrix_power(units, m) for m in range(1, z)]
-    M, lam, rho, iota = M[nodes], lam[nodes], rho[nodes], iota[nodes]
     eigenvalues = lam[:, None] * np.exp(2j * np.pi / z) ** np.arange(z)
     right = np.stack([rho] + [rho @ U for U in powers], 1)
     left = np.stack([iota] + [iota @ _adjoint(U) for U in powers], 1)
@@ -343,9 +296,9 @@ def peripheral_decompositions(matrices) -> PeripheralDecompositions:
     node stacks; indexing the result gives one matrix's decomposition. The
     work is done in stacked passes: one ``eig`` of the stack for the right
     eigenvectors, one of the adjoint stack for the left eigenvectors, one
-    stacked ``hermitian_eig`` each to phase-fix rho and iota, and stacked
-    checks at each matrix's own scale. Only the cycle unitary of a z > 1
-    matrix is built one matrix at a time.
+    stacked ``hermitian_eig`` each to phase-fix rho and iota, one stacked
+    pass per period z > 1 for the cycle unitaries, and stacked checks at
+    each matrix's own scale.
 
     Raises SpectralError, naming the index of the first failing matrix,
     when the peripheral eigenvalues do not form a simple cyclic group

@@ -13,9 +13,9 @@ from rislab.linalg import trace_norm, unvec, vec
 from rislab.mgfldp import stationary_log_mgf_theta
 
 import oracles
-from conftest import random_faithful_state
+from conftest import random_faithful_state, random_hermitian
 from test_cli import BASE, _run
-from test_stacked_decomposition import _flip_map
+from test_stacked_decomposition import _flip_map, _shift_map
 
 PRESETS = {"fd": mod.fd_model, "rwa": mod.rwa_model, "flip": mod.fd_model}
 
@@ -76,6 +76,73 @@ def _use_flip_kernels(monkeypatch):
         return replace(fams, kron=kron)
 
     monkeypatch.setattr(ad, "kraus_families", flips)
+
+
+def _use_shift_kernels(monkeypatch) -> mod.RISModel:
+    """A 3-level system whose every family is period 3: its kernel's only
+    term is a cyclic shift whose weights vary in s."""
+    original = ad.kraus_families
+
+    def shifts(model, s_values):
+        fams = original(model, s_values)
+        kron = np.zeros_like(fams.kron)
+        weights = [(1 + 0.5 * s, 1.2 - 0.4 * s * s, 0.8 + 0.3 * s) for s in s_values]
+        kron[:, 0] = [_shift_map(c) for c in weights]
+        return replace(fams, kron=kron)
+
+    monkeypatch.setattr(ad, "kraus_families", shifts)
+    v = random_hermitian(np.random.default_rng(0), 6)
+    return mod.RISModel(
+        dim_sys=3,
+        dim_env=2,
+        h_sys=np.diag([0.0, 1.0, 2.0]),
+        h_env=lambda s: np.diag([0.0, 1.0]),
+        coupling=lambda s: v,
+        beta=lambda s: 1.0,
+        tau=0.5,
+    )
+
+
+@pytest.mark.parametrize(
+    "period,T_doubling", [(2, (20, 40, 80, 160)), (3, (30, 60, 120))]
+)
+def test_cycle_labels_are_carried_to_the_end(monkeypatch, period, T_doubling):
+    """At z > 1 each node's u is fixed only up to a z-th root of unity, and
+    the decompositions at s = 0 and s = 1 label their cycle projectors
+    differently; carrying the labels along the protocol keeps the 1/T decay,
+    at even and odd T."""
+    if period == 2:
+        _use_flip_kernels(monkeypatch)
+        model, rho_i = mod.fd_model(), np.diag([0.3, 0.7])
+    else:
+        model, rho_i = _use_shift_kernels(monkeypatch), np.diag([0.2, 0.3, 0.5])
+    fam = ad.AdiabaticFamily(model, 0.5)
+    assert fam.decomposition(0.5).period == period
+    # the labels differ at the ends
+    u0, u1 = (fam.decomposition(s).cycle_unitary for s in (0.0, 1.0))
+    assert np.abs(u0 - u1).max() > 0.5
+    for Ts in (np.array(T_doubling), np.array(T_doubling) + 1):
+        errs = [
+            trace_norm(
+                ad.exact_deformed_chain(fam, rho_i, T)
+                - ad.deformed_adiabatic_state(fam, rho_i, T)
+            )
+            for T in Ts
+        ]
+        slope = np.polyfit(np.log(Ts), np.log(errs), 1)[0]
+        assert abs(slope + 1.0) <= 0.3, (Ts, errs)
+
+
+def test_a_cycle_unitary_that_jumps_is_refused(monkeypatch):
+    """Where u changes by more than a root of unity between two neighbouring
+    nodes of theta's grid, the labels cannot be carried."""
+    _use_flip_kernels(monkeypatch)
+    fam = ad.AdiabaticFamily(mod.fd_model(), 0.5)
+    fam.prepare(np.linspace(0.0, 1.0, 201))
+    row = fam._rows[0.5]
+    fam._decs["cycle_unitary"][row] = np.eye(2) * 1j
+    with pytest.raises(ValueError, match=r"from s=0\.495 to s=0\.5"):
+        ad.deformed_adiabatic_state(fam, np.diag([0.3, 0.7]), 20)
 
 
 @pytest.mark.parametrize(

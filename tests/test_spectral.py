@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rislab import model as mod
 from rislab import spectral as sp
@@ -43,6 +45,87 @@ def test_irreducibility_verdicts():
     P = witness @ witness.conj().T
     for K in reducible:
         assert np.abs((np.eye(2) - P) @ K @ P).max() < 1e-8
+
+
+def _near_reducible(rng, d: int, n: int, k: int, eps: float) -> list[np.ndarray]:
+    """n random Kraus operators, block upper triangular in a random unitary
+    basis (its first k vectors span an invariant subspace) but for the
+    lower-left block, scaled by eps: the subspace is broken at eps."""
+    X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    V = np.linalg.qr(X)[0]
+    K = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    K[:, k:, :k] *= eps
+    return list(V @ K @ V.conj().T)
+
+
+def _assert_invariant(kraus, witness):
+    d = kraus[0].shape[0]
+    assert witness is not None and 0 < witness.shape[1] < d
+    P = witness @ witness.conj().T
+    for K in kraus:
+        leak = np.abs((np.eye(d) - P) @ K @ P).max()
+        assert leak <= 1e-8 * max(np.abs(K).max(), 1.0)
+
+
+FAMILIES = {
+    "seed": st.integers(0, 2**32 - 1),
+    "d": st.integers(2, 4),
+    "n": st.integers(1, 3),
+}
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(**FAMILIES)
+def test_triangular_and_commuting_families_are_reducible(seed, d, n):
+    rng = np.random.default_rng(seed)
+    triangular = _near_reducible(rng, d, n, int(rng.integers(1, d)), 0.0)
+    S = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    commuting = list(S @ (rng.standard_normal((n, d, 1)) * np.linalg.inv(S)))
+    for kraus in (triangular, commuting):
+        ok, witness = sp.is_irreducible(kraus, return_witness=True)
+        assert ok is False
+        _assert_invariant(kraus, witness)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(seed=FAMILIES["seed"], d=FAMILIES["d"], n=st.integers(2, 3))
+def test_generic_families_are_irreducible(seed, d, n):
+    rng = np.random.default_rng(seed)
+    kraus = list(rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)))
+    ok, witness = sp.is_irreducible(kraus, return_witness=True)
+    assert ok is True and witness is None
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(**FAMILIES, log_eps=st.floats(-12.0, -6.0))
+def test_nearly_reducible_families_get_a_verdict(seed, d, n, log_eps):
+    """Inside the tolerance band either verdict is right, but a verdict is
+    returned, and a witness, when there is one, is invariant."""
+    rng = np.random.default_rng(seed)
+    kraus = _near_reducible(rng, d, n, int(rng.integers(1, d)), 10.0**log_eps)
+    ok, witness = sp.is_irreducible(kraus, return_witness=True)
+    assert isinstance(ok, bool)
+    if witness is not None:
+        _assert_invariant(kraus, witness)
+    assert not (ok and witness is not None)
+
+
+def test_verdicts_inside_the_tolerance_band():
+    """Two pairs whose invariant subspace is broken at about 1e-10.
+
+    d = 4: an algebra test with an absolute rank tolerance of its own called
+    this family reducible while no seed's orbit closed. At one tolerance,
+    the orbit of Id fills M_d as the seeds' orbits fill C^d. d = 2: the
+    orbit of Id stays short of M_d but no seed's orbit closes; the verdict
+    is reducible, without a witness.
+    """
+    kraus = _near_reducible(np.random.default_rng(4), 4, 2, 2, 1e-10)
+    ok, witness = sp.is_irreducible(kraus, return_witness=True)
+    assert ok is True and witness is None
+    kraus = _near_reducible(np.random.default_rng(42), 2, 2, 1, 7e-11)
+    ok, witness = sp.is_irreducible(kraus, return_witness=True)
+    assert ok is False and witness is None
+    assert sp.is_irreducible(kraus) is False
 
 
 def test_presets_are_primitive():

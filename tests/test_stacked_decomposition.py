@@ -43,6 +43,15 @@ def _flip_map(a: float = 1.0, b: float = 1.0) -> np.ndarray:
     return SuperOperator.from_kraus([K1, K2], trace_preserving=False).matrix
 
 
+def _shift_map(c, V=None) -> np.ndarray:
+    """A period-3 map on 3x3 matrices with Kraus operators K_j = c_j|j+1><j|
+    (indices mod 3), each conjugated by the unitary V when one is given."""
+    V = np.eye(3) if V is None else V
+    shift = np.roll(np.eye(3), 1, axis=0)  # |j+1><j|
+    kraus = [c[j] * V @ (shift * (np.arange(3) == j)) @ V.conj().T for j in range(3)]
+    return SuperOperator.from_kraus(kraus, trace_preserving=False).matrix
+
+
 def _deformed_stack(model, alpha, s_grid=S_GRID) -> np.ndarray:
     return mod.kraus_families(model, s_grid).deformed_matrix(alpha)
 
@@ -103,6 +112,42 @@ def test_mixed_periods_in_one_stack():
     stack = np.stack([_flip_map(), fd[0], _flip_map(0.5, 1.5), fd[1], fd[2]])
     decs = _assert_stack_matches(stack)
     assert [d.period for d in decs] == [2, 1, 2, 1, 1]
+
+
+def _random_unitary(rng, d):
+    X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return np.linalg.qr(X)[0]
+
+
+def test_period_three_family_matches_oracle():
+    """Cyclic shifts, in the standard basis and in a random one, where u is
+    not diagonal."""
+    V = _random_unitary(np.random.default_rng(3), 3)
+    weights = ((1.0, 1.0, 1.0), (1.5, 0.8, 1.1), (0.3, 2.0, 0.9))
+    stack = np.stack([_shift_map(c, W) for c in weights for W in (None, V)])
+    decs = _assert_stack_matches(stack)
+    assert [d.period for d in decs] == [3] * 6
+    u = decs[3].cycle_unitary
+    assert np.abs(u - np.diag(np.diag(u))).max() > 0.1
+
+
+def test_periods_one_two_and_three_in_one_stack():
+    """On 3x3 matrices: a random primitive map (z = 1), a population flip
+    between span{|0>} and span{|1>, |2>} (z = 2, a rank-two cycle
+    projector) and a cyclic shift (z = 3)."""
+    rng = np.random.default_rng(5)
+    kraus = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+    primitive = SuperOperator.from_kraus(list(kraus), trace_preserving=False).matrix
+    E = np.eye(3)
+    arrows = ((1.0, 1, 0), (0.6, 2, 0), (0.9, 0, 1), (1.3, 0, 2))  # c|a><b|
+    flip = SuperOperator.from_kraus(
+        [c * np.outer(E[a], E[b]) for c, a, b in arrows], trace_preserving=False
+    ).matrix
+    turned = _shift_map((1.0, 0.7, 1.4), _random_unitary(rng, 3))
+    stack = np.stack([flip, turned, primitive, _shift_map((0.5, 1, 2)), flip])
+    decs = _assert_stack_matches(stack)
+    assert [d.period for d in decs] == [2, 3, 1, 3, 2]
+    assert np.linalg.matrix_rank(decs[0].cycle_projectors[1]) == 2
 
 
 def test_one_map_view_is_the_stack():
@@ -166,7 +211,7 @@ def test_period_change_along_the_protocol(monkeypatch):
 
 @pytest.fixture
 def eigen_calls(monkeypatch):
-    """Count every entry into a LAPACK eigen-solver through numpy or scipy."""
+    """Count every entry into a LAPACK eigen-solver or QR through numpy or scipy."""
     calls = []
 
     def counted(owner, name):
@@ -178,7 +223,7 @@ def eigen_calls(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "qr"):
         counted(np.linalg, name)
     counted(scipy.linalg, "eig")
     return calls
@@ -217,6 +262,15 @@ def test_derivatives_at_zero_decompose_in_one_pass(eigen_calls):
     eigen_calls.clear()
     ev.derivatives_at_zero()
     # one stacked decomposition of the 201 maps, not an eig per node
+    assert len(eigen_calls) <= 10, len(eigen_calls)
+
+
+def test_period_two_stack_decomposes_in_one_pass(eigen_calls):
+    s = np.linspace(0.0, 1.0, 256)
+    stack = np.stack([_flip_map(1.0 + 0.5 * x, 1.5 - x * x) for x in s])
+    decs = sp.peripheral_decompositions(stack)
+    assert set(decs.period) == {2}
+    # stacked cycle unitaries: no eig or QR per node
     assert len(eigen_calls) <= 10, len(eigen_calls)
 
 
