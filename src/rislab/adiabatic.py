@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import simpson, unvec, vec
+from .linalg import ordered_product, simpson, unvec, vec
 from .model import RISModel, kraus_families
 from .spectral import PeripheralDecomposition, PeripheralDecompositions
 from .spectral import peripheral_decompositions
@@ -145,13 +145,14 @@ def _derivative(family: AdiabaticFamily, s: np.ndarray, field: str) -> np.ndarra
 
 
 def intertwiner(family: AdiabaticFamily, s_nodes) -> np.ndarray:
-    """Solve W' = A(s) W, W(0) = Id, with classical RK4 on the given nodes.
+    """W(1) of W' = A(s) W, W(0) = Id, by classical RK4 on the (>= 2) given nodes.
 
-    Returns the stack of W(s) at the nodes. The intertwiner transports the
-    spectral projectors: W(s) P^m(0) W(s)^{-1} = P^m(s). The generator
-    A(s) = sum_m dP^m/ds @ P^m is evaluated at the 2T + 1 distinct nodes
-    of T steps (each step's end is the next step's start) as one stack,
-    with dP^m/ds a centred difference.
+    W transports the spectral projectors: W(s) P^m(0) W(s)^{-1} = P^m(s).
+    The generator A(s) = sum_m dP^m/ds @ P^m (dP^m/ds a centred difference)
+    is one stack over the 2T + 1 distinct nodes of T steps. The ODE is linear,
+    so step j is the matrix R_j = Id + h/6 (K1 + 2 K2 + 2 K3 + K4), K1 = A1,
+    K2 = A2 (Id + h/2 K1), K3 = A2 (Id + h/2 K2), K4 = A4 (Id + h K3), and
+    W(1) is the ordered product of the R_j.
     """
     s_nodes = np.asarray(s_nodes, dtype=float)
     h = np.diff(s_nodes)
@@ -159,17 +160,13 @@ def intertwiner(family: AdiabaticFamily, s_nodes) -> np.ndarray:
     s[0::2] = s_nodes
     s[1::2] = s_nodes[:-1] + h / 2
     A = (_derivative(family, s, "P") @ family.stack(s).P).sum(axis=1)
-    W = np.eye(family.dim**2, dtype=complex)
-    out = [W.copy()]
-    for j, hj in enumerate(h):
-        A1, A2, A4 = A[2 * j], A[2 * j + 1], A[2 * j + 2]
-        k1 = A1 @ W
-        k2 = A2 @ (W + hj / 2 * k1)
-        k3 = A2 @ (W + hj / 2 * k2)
-        k4 = A4 @ (W + hj * k3)
-        W = W + hj / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        out.append(W.copy())
-    return np.stack(out)
+    A1, A2, A4 = A[0:-1:2], A[1::2], A[2::2]
+    h = h[:, None, None]
+    Id = np.eye(family.dim**2, dtype=complex)
+    k2 = A2 @ (Id + h / 2 * A1)
+    k3 = A2 @ (Id + h / 2 * k2)
+    k4 = A4 @ (Id + h * k3)
+    return ordered_product(Id + h / 6 * (A1 + 2 * k2 + 2 * k3 + k4))
 
 
 def product_decomposition_residual(family: AdiabaticFamily, T: int) -> float:
@@ -180,17 +177,13 @@ def product_decomposition_residual(family: AdiabaticFamily, T: int) -> float:
     (F Q)(T/T)...(F Q)(1/T) Q(0); the residual decays like 1/T.
     """
     s = np.array([j / T for j in range(T + 1)])
-    W = intertwiner(family, s)[-1]  # prepares every node read below
+    W = intertwiner(family, s)  # prepares every node read below
     nodes = family.stack(s)
     Q = nodes.Q
-    chain = qchain = np.eye(family.dim**2, dtype=complex)
-    for F, FQ in zip(nodes.F[1:], nodes.F[1:] @ Q[1:]):
-        chain = F @ chain
-        qchain = FQ @ qchain
+    chain, qchain = ordered_product(np.stack((nodes.F[1:], nodes.F[1:] @ Q[1:])))
     z = nodes.P.shape[1]
-    theta = np.exp(2j * np.pi / z)
-    approx = sum(theta ** (m * T) * (W @ nodes.P[0, m]) for m in range(z))
-    approx = approx + qchain @ Q[0]
+    phases = np.exp(2j * np.pi / z) ** (np.arange(z) * T)  # theta^{m T}
+    approx = W @ np.einsum("m,mab->ab", phases, nodes.P[0]) + qchain @ Q[0]
     return float(np.linalg.norm(chain - approx, 2))
 
 
@@ -242,10 +235,8 @@ def exact_deformed_chain(
     family: AdiabaticFamily, rho_i: np.ndarray, T: int
 ) -> np.ndarray:
     """Apply the normalized deformed chain F(T/T)...F(1/T) to a state."""
-    x = vec(rho_i)
-    for F in family.stack([j / T for j in range(1, T + 1)]).F:
-        x = F @ x
-    return unvec(x, family.dim)
+    F = family.stack([j / T for j in range(1, T + 1)]).F
+    return unvec(ordered_product(F) @ vec(rho_i), family.dim)
 
 
 def deformed_adiabatic_state(

@@ -25,6 +25,7 @@ from .linalg import (
     herm_power,
     hermitian_basis,
     hermitian_eig,
+    ordered_product,
     outcome_gaps,
     outcome_groups,
     partial_trace_env,
@@ -117,10 +118,8 @@ def evolved_state(
 ) -> np.ndarray:
     """rho_f = L(T/T) ... L(1/T) rho_i (exact reduced chain, in vec space)."""
     nodes = node_table(model, T, nodes)
-    x = vec(rho_i)
-    for L in nodes.reduced[nodes.chain(T)]:
-        x = L @ x
-    return unvec(x, model.dim_sys)
+    chain = ordered_product(nodes.reduced[nodes.chain(T)])
+    return unvec(chain @ vec(rho_i), model.dim_sys)
 
 
 def resolve_final_observable(
@@ -350,8 +349,8 @@ def enumerate_measure(
     pi_i, pi_f = np.stack(setup.obs_i.projectors), np.stack(obs_f.projectors)
 
     # Every product is a (d^2, d^2) @ (d^2, 1) matrix-vector product, which
-    # rounds as a walk along one record does; a matrix-matrix product over
-    # the stack of states would round differently.
+    # rounds as a walk along one record does; an ordered product of the chain
+    # or a matrix-matrix product over the stack of states would round otherwise.
     # prefixes (ai, pair_1..pair_k): (n_i * n_pair^k, d^2)
     fwd = np.stack([vec(P @ setup.rho_i @ P) for P in pi_i])
     for k in idx:
@@ -538,7 +537,7 @@ def total_entropy_production(
     nodes = node_table(model, T, nodes)
     rho = np.asarray(rho_i, dtype=complex)
     total = 0.0
-    for k in nodes.chain(T):
+    for k in nodes.chain(T):  # a walk: step_balance reads every state on the way
         bal = step_balance(model, rho, float(nodes.s[k]))
         total += bal["sigma"]
         rho = unvec(nodes.reduced[k] @ vec(rho), model.dim_sys)
@@ -655,7 +654,7 @@ def sample_trajectories(
     delta_y = np.zeros(n)
     probe_records = np.empty((T, n), dtype=np.min_scalar_type(n_pair - 1))
     cols = np.arange(n)
-    for k in range(T):
+    for k in range(T):  # a walk: each draw reads the state the step before left
         images = (maps[k] @ states).reshape(d * d, n_pair * n)
         probs = images[:d].sum(axis=0).reshape(n_pair, n)
         np.clip(probs, 0.0, None, out=probs)

@@ -187,6 +187,18 @@ def general_eig(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w, Vr, Vl
 
 
+def ordered_product(stack: np.ndarray) -> np.ndarray:
+    """stack[T-1] ... stack[0] over axis -3 of (..., T, n, n), T >= 1, as ceil(log2 T)
+    stacked matmuls of neighbour pairs; at odd T the last matrix joins the last pair."""
+    M = np.asarray(stack)
+    while M.shape[-3] > 1:
+        pairs = M[..., 1::2, :, :] @ M[..., : M.shape[-3] - 1 : 2, :, :]
+        if M.shape[-3] % 2:
+            pairs[..., -1, :, :] = M[..., -1, :, :] @ pairs[..., -1, :, :]
+        M = pairs
+    return M[..., 0, :, :]
+
+
 def simpson(y, x):
     """Composite Simpson integral of a 1-d y over the grid x, on an odd number of nodes.
 

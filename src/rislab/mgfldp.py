@@ -20,8 +20,8 @@ import numpy as np
 from .linalg import (
     hermitian_eig,
     herm_exp,
+    ordered_product,
     simpson,
-    unvec,
     vec,
 )
 from .model import RISModel, kraus_families
@@ -52,25 +52,21 @@ def mgf_pair(
     Tr( e^{-alpha2 A_f} L^(a1)-chain( sum_i e^{alpha2 a_i} pi_i rho_i pi_i ) ),
     with Y the model's counting observable; alpha2 = 0 gives
     E e^{alpha1 Delta_y}. Equal-length 1-d arrays alpha1, alpha2 give an
-    array, one value per pair, each from the walk a scalar call makes.
+    array, one value per pair, all chains from one ``ordered_product`` call.
     """
     nodes = node_table(model, T, nodes)
     obs_f, _ = resolve_final_observable(model, setup, T, nodes=nodes)
     kernel = nodes.kernel[nodes.chain(T)]
-    out = []
-    for a1, a2 in zip(np.atleast_1d(alpha1), np.atleast_1d(alpha2), strict=True):
-        init = sum(
-            np.exp(a2 * a) * (P @ setup.rho_i @ P)
-            for a, P in zip(setup.obs_i.values, setup.obs_i.projectors)
-        )
-        x = vec(init)
-        for L in kernel.deformed_matrix(a1):
-            x = L @ x
-        final = sum(
-            np.exp(-a2 * a) * P for a, P in zip(obs_f.values, obs_f.projectors)
-        )
-        out.append(complex(np.trace(final @ unvec(x, model.dim_sys))))
-    return out[0] if np.ndim(alpha1) == 0 else np.array(out)
+    pairs = zip(np.atleast_1d(alpha1), np.atleast_1d(alpha2), strict=True)
+    a1, a2 = np.array(list(pairs)).T
+    chains = ordered_product(np.stack([kernel.deformed_matrix(a) for a in a1]))
+    obs_i, a2 = setup.obs_i, a2[:, None, None]  # a2 against the outcome and vec axes
+    pi_i, pi_f = np.stack(obs_i.projectors), np.stack(obs_f.projectors)
+    init = (np.exp(a2 * obs_i.values[:, None]) * vec(pi_i @ setup.rho_i @ pi_i)).sum(1)
+    final_t = (np.exp(-a2 * obs_f.values[:, None]) * vec(pi_f).conj()).sum(1)
+    # Tr(final X) = vec(final^T) . vec(X), and final_t = vec(final^T)
+    out = ((chains @ init[..., None])[..., 0] * final_t).sum(-1)
+    return complex(out[0]) if np.ndim(alpha1) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +115,10 @@ class LambdaEvaluator:
         At each node, with invariant state rho of L(s):
         l1 = sum_n dy_n Tr(K_n rho K_n*), and
         l2 = sum_n dy_n^2 Tr(K_n rho K_n*) + 2 sum_n dy_n Tr(K_n eta K_n*)
-        with eta the unique traceless solution of
-        (Id - L) eta = sum_n dy_n K_n rho K_n* - l1 rho. Then
+        with eta the unique traceless solution of (Id - L) eta = rhs =
+        sum_n dy_n K_n rho K_n* - l1 rho: the solution of the non-singular
+        (Id - L + |rho><Id|) eta = rhs, one stacked solve over all nodes (a
+        residual above 1e-10 raises ValueError naming s). Then
         Lambda'(0) = int l1 and Lambda''(0) = int (l2 - l1^2).
 
         The maps L(s) are the kernel's ``deformed_matrix(0)`` stack, and every
@@ -129,25 +127,22 @@ class LambdaEvaluator:
         """
         d = self.model.dim_sys
         diag = slice(None, None, d + 1)  # the trace of a column-stacked operator
+        dy, kron = self._fams.dy, self._fams.kron
         maps = self._fams.deformed_matrix(0.0)
-        rhos = peripheral_decompositions(maps).rho
-        l1s = np.empty(self.s_grid.size)
-        l2s = np.empty(self.s_grid.size)
-        for i, (s, fam, rho) in enumerate(zip(self.s_grid, self._fams, rhos)):
-            jumps = fam.kron @ vec(rho)  # vec(K_n rho K_n*) for every n
-            weights = np.real(jumps[:, diag].sum(axis=1))
-            first = fam.dy @ weights
-            rhs = fam.dy @ jumps - first * vec(rho)
-            A = np.eye(d * d, dtype=complex) - maps[i]
-            eta0, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-            eta = unvec(eta0, d)
-            eta = eta - np.trace(eta) * rho  # fix the kernel component: traceless
-            resid = np.abs(A @ vec(eta) - rhs).max()
-            if resid > 1e-10:
-                raise ValueError(f"perturbation solve residual {resid:.3e} at s={s}")
-            eta_weights = np.real((fam.kron @ vec(eta))[:, diag].sum(axis=1))
-            l1s[i] = first
-            l2s[i] = fam.dy**2 @ weights + 2 * fam.dy @ eta_weights
+        rho = vec(peripheral_decompositions(maps).rho)[..., None]
+        jumps = kron @ rho[:, None]  # vec(K_n rho K_n*) for every n
+        weights = np.real(jumps[:, :, diag, 0].sum(axis=-1))
+        l1s = np.einsum("sn,sn->s", dy, weights)
+        rhs = np.einsum("sn,snxo->sxo", dy, jumps) - l1s[:, None, None] * rho
+        A = np.eye(d * d) - maps
+        eta = np.linalg.solve(A + rho * vec(np.eye(d)), rhs)
+        resid = np.abs(A @ eta - rhs).max(axis=(1, 2))
+        i = int(np.argmax(resid > 1e-10))
+        if resid[i] > 1e-10:
+            s = self.s_grid[i]
+            raise ValueError(f"perturbation solve residual {resid[i]:.3e} at s={s}")
+        eta_weights = np.real((kron @ eta[:, None])[:, :, diag, 0].sum(axis=-1))
+        l2s = np.einsum("sn,sn->s", dy, dy * weights + 2 * eta_weights)
         d1 = float(simpson(l1s, x=self.s_grid))
         d2 = float(simpson(l2s - l1s**2, x=self.s_grid))
         return d1, d2

@@ -7,6 +7,11 @@ from rislab import model as mod
 from rislab.model import RISModel
 
 
+def close(a, b, rtol=1e-12) -> bool:
+    """a equals b up to rtol relative to b's largest entry."""
+    return bool(np.abs(np.asarray(a) - b).max() <= rtol * np.abs(b).max())
+
+
 def random_hermitian(rng, d):
     X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return 0.5 * (X + X.conj().T)

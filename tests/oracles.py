@@ -20,7 +20,11 @@ a time. ``intertwiner``, ``theta_integral``,
 ``product_decomposition_residual`` and ``gap_bound`` read an
 ``AdiabaticFamily`` one node at a time, building each generator from the
 per-node projector differences, as the library did before it read node
-stacks; they must agree with it bitwise. ``stationary_obstruction``,
+stacks, and walk each chain one step at a time. ``intertwiner`` returns W at
+every node; the library returns W(1) as the ordered product of the RK4 step
+matrices, so it is compared on node prefixes. Where the library multiplies a
+chain as an ordered product they agree to round-off, elsewhere bitwise.
+``stationary_obstruction``,
 ``obstruction_norm``, ``commuting_effective_hamiltonian`` and
 ``adiabatic_state`` are diagnostics of the structural degenerate case and
 the physical (alpha = 0) adiabatic state that only the tests evaluate.
@@ -670,6 +674,10 @@ def adiabatic_state(
 
     z * sum_n Tr(p_n(0) rho_i) rho_inv(k/T) p_{n-k mod z}(k/T); it has unit
     trace and approximates L(k/T)...L(1/T) rho_i to O(1/T).
+
+    Only period 1 is served: p_n(0) and p_{n-k}(k/T) are read from two
+    independent decompositions, whose cycle labels need not match at z > 1
+    (the library's ``deformed_adiabatic_state`` carries them along a grid).
     """
     family = AdiabaticFamily(model, 0.0)
     if k is None:
@@ -677,6 +685,8 @@ def adiabatic_state(
     dec0 = family.decomposition(0.0)
     decs = family.decomposition(k / T)
     z = dec0.period
+    if z > 1:
+        raise ValueError(f"adiabatic_state serves period 1 only, got period {z}")
     out = np.zeros((model.dim_sys,) * 2, dtype=complex)
     for n in range(z):
         weight = np.trace(dec0.cycle_projectors[n] @ rho_i)

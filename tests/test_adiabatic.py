@@ -13,7 +13,7 @@ from rislab.linalg import trace_norm, unvec, vec
 from rislab.mgfldp import stationary_log_mgf_theta
 
 import oracles
-from conftest import random_faithful_state, random_hermitian
+from conftest import close, random_faithful_state, random_hermitian
 from test_cli import BASE, _run
 from test_stacked_decomposition import _flip_map, _shift_map
 
@@ -34,13 +34,11 @@ def test_intertwiner_transports_ranges(fd_family):
     the identity.
     """
     nodes = np.linspace(0.0, 1.0, 101)
-    Ws = ad.intertwiner(fd_family, nodes)
     d2 = fd_family.dim**2
     P0 = fd_family.decomposition(0.0).peripheral_projector
     for idx in (25, 50, 100):
-        s = nodes[idx]
-        W = Ws[idx]
-        Ps = fd_family.decomposition(s).peripheral_projector
+        W = ad.intertwiner(fd_family, nodes[: idx + 1])
+        Ps = fd_family.decomposition(nodes[idx]).peripheral_projector
         assert np.abs((np.eye(d2) - Ps) @ W @ P0).max() < 1e-8
 
 
@@ -149,8 +147,10 @@ def test_a_cycle_unitary_that_jumps_is_refused(monkeypatch):
     "preset,alpha", [("fd", 0.5), ("fd", 0.0), ("rwa", 0.5), ("flip", 0.5)]
 )
 def test_stacked_route_matches_per_node_oracle(monkeypatch, preset, alpha):
-    """The node stacks give bitwise what per-node generators, projector
-    differences and chain walks give; each route runs on a fresh family."""
+    """The node stacks give what per-node generators, projector differences
+    and chain walks give: bitwise where no chain is multiplied, to round-off
+    where the library takes an ordered product and the oracle walks. Each
+    route runs on a fresh family."""
     if preset == "flip":
         _use_flip_kernels(monkeypatch)
     model = PRESETS[preset]()
@@ -161,8 +161,9 @@ def test_stacked_route_matches_per_node_oracle(monkeypatch, preset, alpha):
     if preset == "flip":
         assert family().decomposition(0.5).period == 2
     nodes = np.linspace(0.0, 1.0, 41)
-    Ws = ad.intertwiner(family(), nodes)
-    assert np.array_equal(Ws, oracles.intertwiner(family(), nodes))
+    Ws = oracles.intertwiner(family(), nodes)
+    for k in (1, 2, 17, 40):  # W at node k is the intertwiner of the nodes up to it
+        assert close(ad.intertwiner(family(), nodes[: k + 1]), Ws[k])
     if preset == "flip":
         assert np.abs(Ws[-1] - np.eye(4)).max() > 1e-3  # dP != 0
     for n in (51, 80):
@@ -170,16 +171,17 @@ def test_stacked_route_matches_per_node_oracle(monkeypatch, preset, alpha):
             family(), n_nodes=n
         )
     for T in (10, 40):
-        assert ad.product_decomposition_residual(
-            family(), T
-        ) == oracles.product_decomposition_residual(family(), T)
+        assert close(
+            ad.product_decomposition_residual(family(), T),
+            oracles.product_decomposition_residual(family(), T),
+        )
     grid = np.linspace(0.0, 1.0, 11)
     assert family().gap_bound(grid) == oracles.gap_bound(family(), grid)
     fam, rho_i = family(), np.diag([0.3, 0.7]).astype(complex)
     x = vec(rho_i)
     for j in range(1, 21):
         x = oracles.normalized(fam, j / 20)[0] @ x
-    assert np.array_equal(ad.exact_deformed_chain(family(), rho_i, 20), unvec(x, 2))
+    assert close(ad.exact_deformed_chain(family(), rho_i, 20), unvec(x, 2))
 
 
 def test_gap_bound_below_one(fd_family):
@@ -261,6 +263,16 @@ def test_adiabatic_state_tracks_exact_chain(rng):
         assert np.isclose(np.trace(approx).real, 1.0, atol=1e-10)
         errs.append(trace_norm(exact - approx))
     assert errs[0] > errs[1] > errs[2]
+
+
+def test_adiabatic_state_refuses_a_period_above_one(monkeypatch):
+    """The oracle pairs cycle labels of two independent decompositions, which
+    is right at period 1 only; the flip family has period 2."""
+    _use_flip_kernels(monkeypatch)
+    m = mod.fd_model()
+    assert ad.AdiabaticFamily(m, 0.0).decomposition(0.0).period == 2
+    with pytest.raises(ValueError, match="period 2"):
+        oracles.adiabatic_state(m, np.diag([0.3, 0.7]), 10)
 
 
 def test_adiabatic_state_midpoint(rng):

@@ -157,9 +157,14 @@ def test_reruns_byte_identical(tmp_path):
 # from the sampler that built one Philox stream per trajectory and applied
 # every conditioned map at every step. A rewrite of the sampler that flips
 # one sampled outcome changes them; a rerun of the same code cannot show that.
+# The trajectories digests were re-recorded when rho_f became an ordered
+# product of the chain: its round-off moved a_f, delta_a and varsigma by
+# <= 2.2e-15 relative, while trajectory_id, a_i and delta_y stayed
+# byte-identical (no sampled outcome flipped) and the clt_hist files kept
+# their digests.
 SIMULATE_SEED3_SHA256 = {
-    "trajectories_T10.csv": "7c97bc5e0a785ec5c6d6fbd7eaa7f1830127d5193cdb7fd926fb889a25b6913f",
-    "trajectories_T20.csv": "958969064e73c8ce12ab0102b87efaabf9a43bb77b290241152597daba04aaa0",
+    "trajectories_T10.csv": "2bf34df8777ad600af80bf14e293e9856bb2aec64d0543bbc0cb6ad3c0091cd0",
+    "trajectories_T20.csv": "97d52bd4fda7d34f466eba9a72b61f6aa98ac67af55c048c391559ba8a95a7fa",
     "clt_hist_T10.csv": "3a4ab232f6f5175fbd4856e2ab91fea81e04efff9808f5453efeefe7bc48212c",
     "clt_hist_T20.csv": "9f5806fc471eb7b3a6fb19c198a837b7ba5dc000aa00c0cc36cdeda8c93f2abb",
 }

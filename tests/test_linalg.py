@@ -6,6 +6,8 @@ from hypothesis.extra import numpy as hnp
 
 from rislab import linalg as la
 
+from conftest import close
+
 
 def _rand_c(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -182,3 +184,23 @@ def test_simpson_is_bitwise_scipy(N):
 def test_simpson_refuses_an_even_grid(N):
     with pytest.raises(ValueError, match="odd number of nodes"):
         la.simpson(np.ones(N), np.linspace(0.0, 1.0, N))
+
+
+def test_ordered_product_is_the_sequential_walk(rng):
+    """stack[T-1] ... stack[0] by pairwise products equals the walk that
+    multiplies one matrix at a time, to 1e-12 relative, for every T up to 65
+    (odd T, powers of 2 and their neighbours), with and without a leading
+    batch axis; T = 1 gives stack[0] itself, and the stack is not written."""
+    for T in range(1, 66):
+        stack = _rand_c(rng, (3, T, 4, 4)) / 2
+        before = stack.copy()
+        batched = la.ordered_product(stack)
+        assert batched.shape == (3, 4, 4)
+        for b in range(3):
+            want = stack[b, 0]
+            for M in stack[b, 1:]:
+                want = M @ want
+            assert close(batched[b], want), (T, b)
+            assert close(la.ordered_product(stack[b]), want), (T, b)
+        assert np.array_equal(stack, before)
+    assert np.array_equal(la.ordered_product(stack[:, :1]), stack[:, 0])

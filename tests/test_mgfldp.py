@@ -73,10 +73,31 @@ def _per_node_derivatives(m, n_nodes):
 
 @pytest.mark.parametrize("make", [mod.fd_model, mod.rwa_model])
 def test_derivatives_at_zero_equal_the_per_node_route(make):
+    """The stacked solve gives the per-node lstsq route's (Lambda', Lambda'')
+    bitwise on fd. On rwa the two routes agree to 1e-15 absolute: there
+    Lambda''(0) is 0 and each route returns its own round-off around it."""
     m = make()
-    assert mg.LambdaEvaluator(m, 201).derivatives_at_zero() == _per_node_derivatives(
-        m, 201
-    )
+    for n_nodes in (21, 201):
+        got = mg.LambdaEvaluator(m, n_nodes).derivatives_at_zero()
+        want = _per_node_derivatives(m, n_nodes)
+        if make is mod.fd_model:
+            assert got == want
+        else:
+            assert np.abs(np.subtract(got, want)).max() <= 1e-15
+
+
+def test_perturbation_solve_residual_names_its_node(monkeypatch):
+    """A solution off (Id - L) eta = rhs by more than 1e-10 is refused at its s."""
+    solve = np.linalg.solve
+
+    def off_at_node_4(a, b):
+        eta = solve(a, b)
+        eta[4] += 1e-6
+        return eta
+
+    monkeypatch.setattr(np.linalg, "solve", off_at_node_4)
+    with pytest.raises(ValueError, match=r"residual .* at s=0\.4$"):
+        mg.LambdaEvaluator(mod.fd_model(), 11).derivatives_at_zero()
 
 
 def test_reducible_node_is_refused():

@@ -9,7 +9,7 @@ from rislab import fullstats as fs
 from rislab import mgfldp as mg
 from rislab import model as mod
 
-from conftest import wrap_everywhere
+from conftest import close, wrap_everywhere
 from test_cli import BASE, _run
 
 
@@ -135,7 +135,8 @@ def test_shared_table_gives_identical_results():
 
 @pytest.mark.parametrize("make", [mod.fd_model, mod.rwa_model])
 def test_chain_walks_equal_the_reduced_map_walk(make):
-    """The table's matrix walks equal applying each node's SuperOperator."""
+    """The table's chain products equal applying each node's SuperOperator
+    to round-off; the entropy production, a walk, equals it bitwise."""
     m = make()
     rho_i = mod.gibbs_state(m.h_sys, m.beta(0.0))
     T = 25
@@ -143,7 +144,7 @@ def test_chain_walks_equal_the_reduced_map_walk(make):
     for k in range(1, T + 1):
         sigma += fs.step_balance(m, rho, k / T)["sigma"]
         rho = mod.reduced_map(m, k / T).apply(rho)
-    assert np.array_equal(fs.evolved_state(m, rho_i, T), rho)
+    assert close(fs.evolved_state(m, rho_i, T), rho)
     assert fs.total_entropy_production(m, rho_i, T) == sigma
 
 

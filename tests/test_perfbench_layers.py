@@ -40,7 +40,12 @@ def workloads():
 
 @pytest.mark.parametrize(
     "workload,size",
-    [("protocol-grid", "smoke"), ("finite-chain", "smoke"), ("protocol-grid", "full")],
+    [
+        ("protocol-grid", "smoke"),
+        ("finite-chain", "smoke"),
+        ("protocol-grid", "full"),
+        ("finite-chain", "full"),
+    ],
 )
 def test_job_matches_the_recorded_reference(workloads, tmp_path, workload, size):
     reference = json.loads((PERFBENCH / "reference.json").read_text())
