@@ -176,15 +176,16 @@ def general_eig(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues with right and left eigenvectors of a general square matrix.
 
     Left eigenvectors are returned as columns ``l`` with ``l* M = w l*``,
-    i.e. ``M* l = conj(w) l``.
+    i.e. ``M* l = conj(w) l``. Column k of Vl is the unit left singular vector
+    of M - w_k Id at its smallest singular value, from one stacked SVD, so it
+    belongs to w_k by construction, also where M is defective.
     """
     M = as_complex(M)
     if M.shape[0] != M.shape[1]:
         raise LinalgError("general_eig requires a square matrix")
-    import scipy.linalg  # only this oracle route needs scipy: keep it off import
-
-    w, Vl, Vr = scipy.linalg.eig(M, left=True, right=True)
-    return w, Vr, Vl
+    w, Vr = np.linalg.eig(M)
+    U = np.linalg.svd(M - w[:, None, None] * np.eye(len(M)))[0]
+    return w, Vr, U[:, :, -1].T
 
 
 def ordered_product(stack: np.ndarray) -> np.ndarray:

@@ -92,9 +92,7 @@ class LambdaEvaluator:
 
     def lambda_nodes(self, alpha: float) -> np.ndarray:
         """lambda^(alpha)(s) on the protocol grid."""
-        w = np.exp(float(alpha) * self._fams.dy)
-        M = np.einsum("sn,snab->sab", w, self._fams.kron)
-        ev = np.linalg.eigvals(M)
+        ev = np.linalg.eigvals(self._fams.deformed_matrix(float(alpha)))
         return np.abs(ev).max(axis=1)
 
     def __call__(self, alpha: float) -> float:
@@ -149,7 +147,7 @@ class LambdaEvaluator:
 
     def support_window(self) -> tuple[float, float]:
         """(nu_minus, nu_plus) = integrated extreme counting increments."""
-        lo, hi = np.array([growth_rates(f.kraus, f.dy) for f in self._fams]).T
+        lo, hi = growth_rates(self._fams.kraus, self._fams.dy)
         return (
             float(simpson(lo, x=self.s_grid)),
             float(simpson(hi, x=self.s_grid)),

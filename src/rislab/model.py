@@ -61,20 +61,32 @@ class TanhPolySchedule:
 
 @dataclass(frozen=True)
 class TabulatedSchedule:
-    """Natural cubic spline through (nodes, values)."""
+    """Natural cubic spline through (nodes, values); its end pieces extrapolate.
+
+    ``_m``: the second derivatives at the nodes (0 at both ends), from one
+    solve. Cubes as products keep a scalar read bitwise equal to an array's."""
 
     nodes: tuple[float, ...]
     values: tuple[float, ...]
-    _spline: Callable = field(init=False, repr=False, compare=False)
+    _m: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        from scipy.interpolate import CubicSpline
-
-        spline = CubicSpline(self.nodes, self.values, bc_type="natural")
-        object.__setattr__(self, "_spline", spline)
+        x, y = np.asarray(self.nodes, float), np.asarray(self.values, float)
+        h, i = np.diff(x), np.arange(1, x.size - 1)
+        A, rhs = np.eye(x.size), np.zeros(x.size)
+        A[i, i - 1], A[i, i], A[i, i + 1] = h[:-1], 2.0 * (h[:-1] + h[1:]), h[1:]
+        rhs[i] = 6.0 * np.diff(np.diff(y) / h)
+        object.__setattr__(self, "_m", np.linalg.solve(A, rhs))
 
     def __call__(self, s):
-        return self._spline(np.asarray(s, dtype=float))
+        x, y, m = np.asarray(self.nodes, float), np.asarray(self.values, float), self._m
+        s = np.asarray(s, dtype=float)
+        i = np.clip(np.searchsorted(x, s, side="right") - 1, 0, x.size - 2)
+        h = x[i + 1] - x[i]
+        u = (s - x[i]) / h
+        v = 1.0 - u
+        curve = (v * v - 1.0) * v * m[i] + (u * u - 1.0) * u * m[i + 1]
+        return v * y[i] + u * y[i + 1] + h * h / 6.0 * curve
 
 
 Schedule = ConstantSchedule | TanhPolySchedule | TabulatedSchedule
@@ -209,7 +221,7 @@ class KrausFamily:
     def deformed_matrix(self, alpha: complex) -> np.ndarray:
         """The matrix sum_n e^{alpha*dy_n} conj(K_n) kron K_n of L^(alpha)(s)."""
         return np.einsum(
-            "...n,...nab->...ab", np.exp(complex(alpha) * self.dy), self.kron
+            "...n,...nab->...ab", np.exp(alpha * self.dy), self.kron
         )
 
 

@@ -434,11 +434,10 @@ def conditioned_map(
     return SuperOperator.from_kraus(cond, trace_preserving=True)
 
 
-def growth_rates(kraus, dy) -> tuple[float, float]:
-    """(nu_minus, nu_plus): min/max weight exponent over nonvanishing Kraus."""
-    norms = np.array([np.abs(K).max() for K in kraus])
-    scale = max(norms.max(), 1.0)
-    active = np.asarray(dy, dtype=float)[norms > 1e-12 * scale]
-    if active.size == 0:
-        raise SpectralError("all Kraus operators vanish")
-    return float(active.min()), float(active.max())
+def growth_rates(kraus, dy) -> tuple[np.ndarray, np.ndarray]:
+    """(nu_minus, nu_plus): min/max weight exponent over nonvanishing Kraus,
+    for each node of a stack (..., n, d, d) with dy (..., n)."""
+    norms = np.abs(np.asarray(kraus)).max(axis=(-2, -1))
+    active = norms > 1e-12 * np.maximum(norms.max(axis=-1, keepdims=True), 1.0)
+    _require(active.any(axis=-1), "all Kraus operators vanish")
+    return np.where(active, dy, np.inf).min(-1), np.where(active, dy, -np.inf).max(-1)

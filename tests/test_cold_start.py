@@ -1,10 +1,12 @@
 """A fresh interpreter runs rislab on numpy alone.
 
-scipy is imported only where it is needed: by a tabulated schedule (its
-cubic spline) and by the one-map ``general_eig`` route; the CLT check's
+numpy is rislab's only runtime dependency: no library route imports scipy,
+tabulated schedules and ``general_eig`` included, and the CLT check's
 Kolmogorov-Smirnov distance needs numpy and ``math.erfc`` only. Each case
 runs in its own interpreter, since this test session has scipy loaded
-already.
+already. There a ``sys.meta_path`` finder makes every scipy import raise
+ImportError, so a route that still needs scipy fails the case, and the case
+also checks that no scipy module was loaded.
 """
 
 import json
@@ -15,12 +17,23 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+BLOCK_SCIPY = """
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked in this interpreter: {name}")
+sys.meta_path.insert(0, BlockScipy())
+"""
+
+TABULATED = {"kind": "tabulated", "nodes": [0.0, 0.4, 1.0], "values": [1.0, 1.6, 2.2]}
+
 
 def _run(code: str, tmp_path) -> list[str]:
-    """Run ``code`` in a fresh interpreter; return the scipy modules it loaded."""
+    """Run ``code`` in a fresh interpreter with scipy blocked; return the
+    scipy modules it loaded."""
     tail = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))"
     proc = subprocess.run(
-        [sys.executable, "-c", f"import json, sys\n{code}\n{tail}"],
+        [sys.executable, "-c", f"import json, sys\n{BLOCK_SCIPY}\n{code}\n{tail}"],
         cwd=tmp_path,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
@@ -42,15 +55,27 @@ def _config(tmp_path, schedule) -> str:
     return str(path)
 
 
-def test_import_and_tasks_load_no_scipy(tmp_path):
-    config = _config(tmp_path, "beta1")
-    code = f"""
+def _every_task(config: str) -> str:
+    return f"""
 import rislab
-from rislab.cli import main
+from rislab.cli import TASKS, main
 from rislab.config import load_config
 load_config({config!r})
-for task in ("lambda", "adiabatic"):
-    assert main([task, "--config", {config!r}, "--out", task]) == 0
+for task in TASKS:
+    assert main([task, "--config", {config!r}, "--out", task]) == 0, task
+"""
+
+
+def test_import_and_tasks_load_no_scipy(tmp_path):
+    assert _run(_every_task(_config(tmp_path, "beta1")), tmp_path) == []
+
+
+def test_tabulated_schedule_runs_every_task_without_scipy(tmp_path):
+    config = _config(tmp_path, TABULATED)
+    code = _every_task(config) + f"""
+beta = load_config({config!r}).model.beta
+assert beta(0.4) == 1.6 and beta(1.0) == 2.2
+assert list(beta({TABULATED["nodes"]!r})) == {TABULATED["values"]!r}
 """
     assert _run(code, tmp_path) == []
 
@@ -69,16 +94,3 @@ out = mgfldp.clt_check(dy, 20, d1, d2)
 assert 0 < out["ks_distance"] < 1 and out["mean_se"] > 0
 """
     assert _run(code, tmp_path) == []
-
-
-def test_tabulated_schedule_loads_scipy_interpolate_lazily(tmp_path):
-    schedule = {"kind": "tabulated", "nodes": [0.0, 0.5, 1.0], "values": [1.0, 1.5, 2.2]}
-    config = _config(tmp_path, schedule)
-    code = f"""
-import rislab
-from rislab.config import load_config
-assert not any(m.startswith("scipy") for m in sys.modules)
-beta = load_config({config!r}).model.beta
-assert abs(beta(0.5) - 1.5) < 1e-12 and abs(beta(1.0) - 2.2) < 1e-12
-"""
-    assert "scipy.interpolate" in _run(code, tmp_path)

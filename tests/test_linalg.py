@@ -97,12 +97,40 @@ def test_herm_power_domain_error():
         la.herm_log(P)
 
 
+def _assert_left_right(M, w, Vr, Vl):
+    scale = np.abs(M).max()
+    assert np.abs(M @ Vr - Vr * w).max() < 1e-10 * scale
+    assert np.abs(Vl.conj().T @ M - w[:, None] * Vl.conj().T).max() < 1e-10 * scale
+    assert np.allclose(np.linalg.norm(Vl, axis=0), 1.0, rtol=0, atol=1e-12)
+
+
 def test_general_eig_left_right(rng):
-    M = _rand_c(rng, (4, 4))
+    """Against scipy.linalg.eig(left=True) on random matrices and a CP map:
+    the same eigenvalues, the eigen-residuals on both sides, and each left
+    vector on scipy's line and paired with its right vector as scipy's is."""
+    import scipy.linalg
+
+    kraus = list(_rand_c(rng, (3, 3, 3)))
+    cp_map = la.SuperOperator.from_kraus(kraus, trace_preserving=False).matrix
+    for M in [_rand_c(rng, (n, n)) for n in (4, 9, 16)] + [cp_map]:
+        w, Vr, Vl = la.general_eig(M)
+        _assert_left_right(M, w, Vr, Vl)
+        ws, Vls, Vrs = scipy.linalg.eig(M, left=True)
+        for k in range(len(w)):
+            j = np.argmin(np.abs(ws - w[k]))
+            assert abs(ws[j] - w[k]) < 1e-10 * np.abs(w).max()
+            assert abs(abs(Vl[:, k].conj() @ Vls[:, j]) - 1.0) < 1e-8
+            pair = abs(Vl[:, k].conj() @ Vr[:, k])
+            assert pair > 0 and np.isclose(pair, abs(Vls[:, j].conj() @ Vrs[:, j]))
+
+
+def test_general_eig_left_vectors_of_a_defective_matrix():
+    """A nilpotent Jordan block leaves Vr singular; every left vector is still
+    a unit left eigenvector of its own eigenvalue."""
+    M = np.diag([1.0, 1.0, 0.0], 1) + np.diag([0.0, 0.0, 0.0, 0.5])
     w, Vr, Vl = la.general_eig(M)
-    for k in range(4):
-        assert np.abs(M @ Vr[:, k] - w[k] * Vr[:, k]).max() < 1e-10
-        assert np.abs(Vl[:, k].conj() @ M - w[k] * Vl[:, k].conj()).max() < 1e-10
+    assert np.array_equal(w, [0.0, 0.0, 0.0, 0.5])
+    _assert_left_right(M, w, Vr, Vl)
 
 
 def test_spectral_radius_and_trace_norm():

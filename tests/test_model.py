@@ -44,6 +44,27 @@ def test_schedules_vectorize():
     assert abs(tab(0.5) - 2.0) < 1e-12
 
 
+def test_tabulated_schedule_is_scipy_natural_spline(rng):
+    """The numpy spline against scipy's CubicSpline(bc_type="natural") on 200
+    random tables of 2-30 nodes: inside the nodes, extrapolated by the end
+    pieces to [-0.2, 1.2], exact at the nodes, and each scalar read bitwise
+    equal to the same point read in an array."""
+    from scipy.interpolate import CubicSpline
+
+    for _ in range(200):
+        n = int(rng.integers(2, 31))
+        x = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, n - 2)), [1.0]])
+        y = rng.uniform(0.2, 3.0, n)
+        tab = mod.TabulatedSchedule(tuple(x), tuple(y))
+        ref = CubicSpline(x, y, bc_type="natural")
+        for lo, hi, rtol in ((0.0, 1.0, 1e-13), (-0.2, 1.2, 1e-12)):
+            s = rng.uniform(lo, hi, 50)
+            want = ref(s)
+            assert np.abs(tab(s) - want).max() <= rtol * np.abs(want).max()
+            assert all(tab(float(v)).tobytes() == r.tobytes() for v, r in zip(s, tab(s)))
+        assert np.array_equal(tab(x), y)
+
+
 def test_gibbs_state():
     h = np.diag([0.0, 0.8])
     g = mod.gibbs_state(h, 2.0)

@@ -205,6 +205,23 @@ def test_growth_rates(rng):
         sp.growth_rates([np.zeros((2, 2))], [0.0])
 
 
+def test_growth_rates_of_a_stack():
+    """One call over a node stack gives each node's own rates; an operator
+    that vanishes drops out of its node only, and a node whose operators all
+    vanish is refused by index."""
+    fams = mod.kraus_families(mod.fd_model(), np.linspace(0.0, 1.0, 5))
+    kraus = fams.kraus.copy()
+    kraus[1, np.argmax(fams.dy[1])] = 0.0
+    lo, hi = sp.growth_rates(kraus, fams.dy)
+    assert lo.shape == hi.shape == (5,)
+    for i in range(5):
+        assert (lo[i], hi[i]) == sp.growth_rates(kraus[i], fams.dy[i])
+    assert hi[1] < fams.dy[1].max() and hi[0] == fams.dy[0].max()
+    kraus[3] = 0.0
+    with pytest.raises(sp.SpectralError, match="matrix 3 of the stack"):
+        sp.growth_rates(kraus, fams.dy)
+
+
 def test_reducible_map_rejected_by_decomposition():
     # a rank-one projection map has non-faithful peripheral data
     K = [np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)]

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -365,3 +365,31 @@ def test_random_kraus_maps_match_oracle(L):
     P = dec.peripheral_projector
     assert np.abs(P @ P - P).max() <= 1e-8
     assert abs(np.trace(dec.iota @ dec.rho) - 1.0) <= 1e-12
+
+
+@st.composite
+def cyclic_stacks(draw):
+    """1-3 maps of one cyclic structure z in {2, 3} on C^(2z): each of 2-3
+    Kraus operators carries 2x2 block j to block j + 1 (mod z), with entries
+    uniform in [-1, 1] + i[-1, 1] from a drawn seed, and only irreducible
+    families are kept (one operator or 1x1 blocks give reducible ones)."""
+    z, n, count = draw(st.integers(2, 3)), draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = rng.uniform(-1.0, 1.0, (2, count, n, z, 2, 2))
+    K = np.zeros((count, n, z, 2, z, 2), dtype=complex)
+    for j in range(z):
+        K[:, :, (j + 1) % z, :, j, :] = blocks[0, :, :, j] + 1j * blocks[1, :, :, j]
+    kraus = K.reshape(count, n, 2 * z, 2 * z)
+    assume(all(sp.is_irreducible(list(family)) for family in kraus))
+    maps = [SuperOperator.from_kraus(list(f), trace_preserving=False).matrix for f in kraus]
+    return z, np.stack(maps)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(case=cyclic_stacks())
+def test_random_cyclic_maps_match_oracle(case):
+    """Irreducible maps with a cyclic block structure: the stacked
+    decomposition equals the one-map oracle, and each map has period z."""
+    z, stack = case
+    decs = _assert_stack_matches(stack)
+    assert set(decs.period) == {z}

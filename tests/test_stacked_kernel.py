@@ -105,7 +105,7 @@ def test_stacked_deformed_matrix_is_per_node(name, m):
         assert stack.shape == (S_GRID.size,) + (m.dim_sys**2,) * 2
         for i in range(S_GRID.size):
             fam = fams[i]
-            one = np.einsum("n,nab->ab", np.exp(complex(alpha) * fam.dy), fam.kron)
+            one = np.einsum("n,nab->ab", np.exp(alpha * fam.dy), fam.kron)
             assert np.array_equal(stack[i], one), (alpha, i)
             assert np.array_equal(fam.deformed_matrix(alpha), one), (alpha, i)
 
