@@ -1,18 +1,18 @@
 """Two-time measurement statistics of repeated interaction protocols.
 
 A trajectory consists of an initial projective measurement of A_i on the
-system, per-step projective measurements of the counting observable Y on
-each probe before and after its interaction, and a final measurement of
-A_f on the system. This module evaluates forward and backward trajectory
-probabilities exactly (one batched pass per step over all record prefixes
-and suffixes), checks the trajectory-level balance identity, samples the
-forward measure with reproducible counter-based randomness, and provides
-the entropy functionals entering the Landauer-type step balance.
+system, per-step projective measurements of the counting observable
+Y = beta * h_env on each probe before and after its interaction, and a
+final measurement of A_f on the system. This module evaluates forward and
+backward trajectory probabilities exactly (one batched pass per step over
+all record prefixes and suffixes), checks the trajectory-level balance
+identity, samples the forward measure with reproducible counter-based
+randomness, and provides the entropy functionals entering the
+Landauer-type step balance.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -37,7 +37,6 @@ from .linalg import (
 from .model import (
     KrausFamily,
     RISModel,
-    _at_nodes,
     joint_unitary,
     kraus_families,
     kraus_family,
@@ -141,6 +140,13 @@ def resolve_final_observable(
 # ---------------------------------------------------------------------------
 
 
+def _outcome_sums(groups: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """sum_{a in I, b in J} terms[a * dim_env + b] for every outcome pair (I, J)."""
+    dE = groups.shape[1]
+    terms = terms.reshape(terms.shape[:-3] + (dE, dE) + terms.shape[-2:])
+    return np.einsum("Ia,Jb,...abkl->...IJkl", groups, groups, terms)
+
+
 @dataclass(frozen=True)
 class StepOperators:
     """Forward/backward maps of one step conditioned on probe outcomes.
@@ -148,39 +154,32 @@ class StepOperators:
     forward[i][j] is the d^2 x d^2 matrix of
     M -> Tr_env[(Id x Pi_j) U (M x Pi_i xi Pi_i) U*], and backward[i][j] of
     N -> Tr_env[U* (N x Pi_j xi Pi_j) U (Id x Pi_i)], for the n outcomes of
-    Y. The step maps of N nodes carry a leading node axis on every field:
-    y_values, y_dims and energies (N, n), beta (N,), forward and backward
-    (N, n, n, d^2, d^2); those of one node have none. ``backward`` is built
-    by ``make_backward`` on first use: the sampler reads forward maps only.
+    Y: sums over the node's ``kernel`` of the transitions a -> b with a in
+    outcome i and b in j, as marked by ``groups`` (n, dim_env). The step
+    maps of N nodes carry a leading node axis: y_values (N, n), forward and
+    backward (N, n, n, d^2, d^2). ``backward`` is built on first use: the
+    sampler reads forward maps only.
     """
 
     y_values: np.ndarray
-    y_dims: np.ndarray
-    energies: np.ndarray
-    beta: float | np.ndarray
     forward: np.ndarray
-    make_backward: Callable[[], np.ndarray] = field(repr=False, compare=False)
+    groups: np.ndarray = field(repr=False)
+    kernel: KrausFamily = field(repr=False, compare=False)
 
     @cached_property
     def backward(self) -> np.ndarray:
-        return self.make_backward()
-
-
-def _backward_maps(G: np.ndarray, blocks: np.ndarray, A: np.ndarray, shape) -> np.ndarray:
-    """backward[I, J] of ``step_operators``, from its outcome groups G, the
-    blocks Pi_J xi Pi_J and the transitions A."""
-    bwd = np.einsum("Ia,...Jbc,...caji,...balk->...IJikjl", G, blocks, A, A.conj())
-    return bwd.reshape(shape)
+        """(sum_{a in I, b in J} e^{-dy_ab} kron[a, b])^*: the term of a -> b is
+        xi_b K_ab^* N K_ab / xi_a, so sum_{IJ} backward = L^(-1)(s)^*."""
+        weighted = np.exp(-self.kernel.dy)[..., None, None] * self.kernel.kron
+        return _outcome_sums(self.groups, weighted).conj().swapaxes(-1, -2)
 
 
 def step_operators(model: RISModel, s, fam: KrausFamily | None = None) -> StepOperators:
     """The conditioned step maps at one node or a 1-d array of nodes.
 
-    With A = fam.transitions and xi_y the probe state in the Y basis,
-    forward[I, J] = sum_{b in J; a, c in I} xi_y[a, c] conj(A[b, c]) kron A[b, a]
-    and backward[I, J] = sum_{a in I; b, c in J} xi_y[b, c] A[c, a]^T kron A[b, a]*.
-    ``fam`` is the kernel of the same nodes. A node set's maps, each bitwise
-    equal to its node's own, need one outcome grouping of Y at every node.
+    ``fam`` is the kernel of the same nodes, built here when None. A node
+    set's maps, each bitwise equal to its node's own, need one outcome
+    grouping of Y at every node.
     """
     s = np.asarray(s, dtype=float)
     if fam is None:
@@ -195,23 +194,8 @@ def step_operators(model: RISModel, s, fam: KrausFamily | None = None) -> StepOp
             f"from that at s={s_all[0]}"
         )
     G = outcome_groups(y_all[0]).astype(float)
-    A, psi = fam.transitions, fam.basis
-    n, d2 = G.shape[0], model.dim_sys**2
-    # Pi_I xi Pi_I for every outcome I, in the Y basis
-    blocks = np.einsum("Ia,Ic,...ac->...Iac", G, G, fam.xi_y)
-    fwd = np.einsum("Jb,...Iac,...bcij,...bakl->...IJikjl", G, blocks, A.conj(), A)
-    hE = assert_hermitian(_at_nodes(model.h_env, s))
-    level_energies = np.real(np.einsum("...ea,...ef,...fa->...a", psi.conj(), hE, psi))
-    dims = G.sum(axis=1)
-    shape = s.shape + (n, n, d2, d2)
-    return StepOperators(
-        y_values=np.einsum("Ia,...a->...I", G, y) / dims,
-        y_dims=np.broadcast_to(dims, s.shape + dims.shape),
-        energies=np.einsum("Ia,...a->...I", G, level_energies) / dims,
-        beta=_at_nodes(model.beta, s).astype(float)[()],
-        forward=fwd.reshape(shape),
-        make_backward=lambda: _backward_maps(G, blocks, A, shape),
-    )
+    y_values = np.einsum("Ia,...a->...I", G, y) / G.sum(axis=1)
+    return StepOperators(y_values, _outcome_sums(G, fam.kron), G, fam)
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +209,10 @@ class ProtocolNodes:
     ``s`` (N,) is the sorted union of the nodes k/T (k = 1..T) of every T in
     ``T_list``, as exact doubles: k/T and (m*k)/(m*T) round to the same
     double, so nested chains share their nodes. ``kernel`` is their stacked
-    KrausFamily, counting the model's Y; ``reduced`` (N, d^2, d^2) holds the
-    matrices of L(s), the kernel's ``deformed_matrix(0)``; ``steps`` is their
-    StepOperators stack, built on first use. ``chain(T)`` indexes all of
-    them. A table lives as long as the task that made it.
+    KrausFamily; ``reduced`` (N, d^2, d^2) holds the matrices of L(s), the
+    kernel's ``deformed_matrix(0)``; ``steps`` is their StepOperators stack,
+    built from the kernel on first use. ``chain(T)`` indexes all of them. A
+    table lives as long as the task that made it.
     """
 
     def __init__(self, model: RISModel, T_list):
@@ -257,7 +241,7 @@ def node_table(model: RISModel, T: int, nodes: ProtocolNodes | None) -> Protocol
     """The table a length-T walker reads: ``nodes``, or ProtocolNodes(model, [T]).
 
     A table built for another model object raises ValueError, so every
-    layer of a task counts the same Y, the model's.
+    layer of a task reads the kernels of the model it was handed.
     """
     if nodes is None:
         return ProtocolNodes(model, [T])
@@ -398,15 +382,6 @@ def _commutes_with_projectors(rho: np.ndarray, obs: SpectralObservable) -> bool:
     )
 
 
-def _probe_state_is_function_of_Y(fam: KrausFamily) -> bool:
-    for g in outcome_groups(fam.y_eigenvalues):
-        block = fam.xi_y[np.ix_(g, g)]
-        c = np.trace(block).real / g.sum()
-        if np.abs(block - c * np.eye(g.sum())).max() > 1e-10:
-            return False
-    return True
-
-
 def balance_applicable(
     model: RISModel,
     setup: MeasurementSetup,
@@ -417,18 +392,16 @@ def balance_applicable(
 ) -> bool:
     """Check the hypotheses under which the balance identity holds.
 
-    (i) rho_i commutes with the initial observable, (ii) the evolved state
-    commutes with the final observable, (iii) each probe state is a
-    function of its counting observable. ``final`` is the caller's
-    ``resolve_final_observable`` of the same (model, setup, T), if it has one.
+    (i) rho_i commutes with the initial observable and (ii) the evolved
+    state commutes with the final observable. The third, that each probe
+    state is a function of its counting observable, holds by construction:
+    xi = e^{-Y} / Z. ``final`` is the caller's ``resolve_final_observable``
+    of the same (model, setup, T), if it has one.
     """
-    nodes = node_table(model, T, nodes)
     obs_f, rho_f = final or resolve_final_observable(model, setup, T, nodes=nodes)
     if not _commutes_with_projectors(setup.rho_i, setup.obs_i):
         return False
-    if not _commutes_with_projectors(rho_f, obs_f):
-        return False
-    return all(_probe_state_is_function_of_Y(nodes.kernel[k]) for k in nodes.chain(T))
+    return _commutes_with_projectors(rho_f, obs_f)
 
 
 def balance_rhs(
@@ -444,11 +417,11 @@ def balance_rhs(
 
     log[ Tr(pi_i rho_i) dim(pi_f) / (Tr(pi_f rho_f) dim(pi_i)) ]
     + sum_k beta_k (E_{j_k} - E_{i_k}), with E_i the mean probe energy on
-    the i-th outcome eigenspace. ``measure`` is the enumeration of the same
+    the i-th outcome eigenspace; the sum is the record's Delta_y, as
+    Y = beta * h_env. ``measure`` is the enumeration of the same
     (model, setup, T); a record whose initial or final outcome has zero
     weight gets NaN.
     """
-    nodes = node_table(model, T, nodes)
     obs_f, rho_f = resolve_final_observable(model, setup, T, nodes=nodes)
     if not balance_applicable(model, setup, T, nodes=nodes, final=(obs_f, rho_f)):
         return None
@@ -458,10 +431,7 @@ def balance_rhs(
     wi, wf = wi[ai], wf[af]
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(wi / wf) + np.log(obs_f.dims()[af] / setup.obs_i.dims()[ai])
-    steps = nodes.steps
-    for k, pairs in zip(nodes.chain(T), measure.probe_records.T):
-        i, j = np.divmod(pairs, steps.energies.shape[-1])
-        out += steps.beta[k] * (steps.energies[k, j] - steps.energies[k, i])
+    out += measure.delta_y
     return np.where((wi > 0) & (wf > 0), out, np.nan)
 
 

@@ -49,10 +49,12 @@ def mgf_pair(
 ) -> complex | np.ndarray:
     """Joint E e^{alpha1 Delta_y + alpha2 Delta_a}, Delta_a = a_i - a_f.
 
-    Tr( e^{-alpha2 A_f} L^(a1)-chain( sum_i e^{alpha2 a_i} pi_i rho_i pi_i ) ),
-    with Y the model's counting observable; alpha2 = 0 gives
-    E e^{alpha1 Delta_y}. Equal-length 1-d arrays alpha1, alpha2 give an
-    array, one value per pair, all chains from one ``ordered_product`` call.
+    Tr( e^{-alpha2 A_f} L^(a1)-chain( sum_i e^{alpha2 a_i} pi_i rho_i pi_i ) ).
+    L^(a1)(s) is sum_{IJ} e^{a1 (y_J - y_I)} forward[I, J] of the node's step
+    maps, both sums over one kernel, so this is the enumerated measure's
+    ``pair_mgf``; alpha2 = 0 gives E e^{alpha1 Delta_y}. Equal-length 1-d
+    arrays alpha1, alpha2 give an array, one value per pair, all chains from
+    one ``ordered_product`` call.
     """
     nodes = node_table(model, T, nodes)
     obs_f, _ = resolve_final_observable(model, setup, T, nodes=nodes)

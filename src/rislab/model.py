@@ -5,7 +5,7 @@ thermal probes. During step k of a length-T protocol the pair evolves for
 a time tau under exp(-i*tau*(h_sys + h_env(s) + v(s))) at s = k/T, with
 the probe prepared in the Gibbs state of h_env(s) at inverse temperature
 beta(s). Tracing out the probe yields the reduced map L(s); two-point
-counting with respect to a probe observable Y yields the deformed maps
+counting of Y(s) = beta(s) * h_env(s) yields the deformed maps
 L^(alpha)(s) through an exponentially weighted Kraus family.
 """
 
@@ -119,9 +119,9 @@ class RISModel:
 
     ``h_env`` and ``coupling`` are functions of s returning Hermitian
     matrices (dim_env x dim_env and the full dim_sys*dim_env square,
-    respectively); ``beta`` is the inverse-temperature schedule.
-    ``counting`` returns the Hermitian probe observable Y(s) that the
-    two-time protocol measures; None means beta(s) * h_env(s).
+    respectively); ``beta`` is the inverse-temperature schedule. The
+    two-time protocol counts Y(s) = beta(s) * h_env(s), so the probe state
+    is xi(s) = e^{-Y(s)} / Z(s).
     """
 
     dim_sys: int
@@ -131,7 +131,6 @@ class RISModel:
     coupling: Callable[[float], np.ndarray]
     beta: Callable[[float], float]
     tau: float
-    counting: Callable[[float], np.ndarray] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "h_sys", assert_hermitian(self.h_sys))
@@ -192,13 +191,11 @@ def joint_unitary(model: RISModel, s, *, _h_env=None) -> np.ndarray:
 class KrausFamily:
     """The kernel of a protocol node: every map of the node is a sum over it.
 
-    psi (``basis``) diagonalises the counting observable Y with eigenvalues
-    ``y_eigenvalues`` ascending. ``transitions[b, a]`` is the system block
-    (Id x <psi_b|) U (Id x |psi_a>) of the joint unitary and
-    ``xi_y = psi* xi psi`` the probe state. ``kraus[n]`` is
-    K_ab = sum_c (xi_y^{1/2})_{ca} transitions[b, c] for the probe transition
+    psi diagonalises Y = beta * h_env, eigenvalues ``y_eigenvalues``
+    ascending, and the probe state xi = e^{-Y} / Z. ``kraus[n]`` is
+    K_ab = (Id x <psi_b|) U (Id x xi^{1/2} |psi_a>) for the probe transition
     a -> b (n = a*dim_env + b), ``kron[n]`` is conj(K_n) kron K_n and
-    ``dy[n] = y_b - y_a``.
+    ``dy[n] = y_b - y_a = log(xi_a / xi_b)``.
 
     The kernel of a node set carries a leading node axis on every field, so
     ``deformed_matrix`` returns a stack; ``fams[i]`` is node i's kernel.
@@ -207,9 +204,6 @@ class KrausFamily:
     kraus: np.ndarray
     dy: np.ndarray
     y_eigenvalues: np.ndarray
-    basis: np.ndarray
-    transitions: np.ndarray
-    xi_y: np.ndarray
     kron: np.ndarray
 
     def __getitem__(self, i: int) -> "KrausFamily":
@@ -225,25 +219,13 @@ class KrausFamily:
         )
 
 
-def counting_observable(model: RISModel, s, beta, h_env) -> np.ndarray:
-    """Y(s), the probe observable counted at one node or at a 1-d array of nodes.
-
-    ``beta`` and ``h_env`` are the schedule and the probe Hamiltonian already
-    read at those nodes. Y is ``model.counting`` when it is set, and the
-    entropic beta(s) * h_env(s) when it is None.
-    """
-    if model.counting is not None:
-        return _at_nodes(model.counting, s)
-    return np.asarray(beta, dtype=float)[..., None, None] * h_env
-
-
 def kraus_families(model: RISModel, s_values) -> KrausFamily:
     """The kernel of a set of protocol nodes, built in one pass.
 
     Kraus operators K_ij = (Id x <psi_j|) U (Id x xi^{1/2} |psi_i>), with
-    psi the eigenbasis of the model's counting observable Y and xi the probe
-    Gibbs state; the reduced map is X -> sum_ij K_ij X K_ij*. Y, h_env, xi
-    and the total Hamiltonian are each decomposed in one stacked eigh, and
+    psi the eigenbasis of Y = beta * h_env and xi the probe Gibbs state; the
+    reduced map is X -> sum_ij K_ij X K_ij*. Y, h_env, xi and the total
+    Hamiltonian are each decomposed in one stacked eigh, and
     every node's kernel is bitwise equal to the one built for it alone.
     Each node is certified trace preserving: |sum_n K_n* K_n - Id| is at most
     KRAUS_MATRIX_TOL, else LinalgError.
@@ -257,12 +239,11 @@ def kraus_families(model: RISModel, s_values) -> KrausFamily:
     # reading of beta(s) and h_env(s) per node
     beta = _at_nodes(model.beta, s_values).astype(float)
     h_env = assert_hermitian(_at_nodes(model.h_env, s_values))
-    y, psi = hermitian_eig(counting_observable(model, s_values, beta, h_env))
+    y, psi = hermitian_eig(beta[:, None, None] * h_env)
     xi = gibbs_state(h_env, beta)
-    psi_h = np.swapaxes(psi.conj(), -1, -2)
-    xi_y = psi_h @ xi @ psi
-    xi_y_half = psi_h @ herm_power(xi, 0.5) @ psi
+    xi_y_half = np.swapaxes(psi.conj(), -1, -2) @ herm_power(xi, 0.5) @ psi
     U4 = joint_unitary(model, s_values, _h_env=h_env).reshape(n, dS, dE, dS, dE)
+    # A[b, a] = (Id x <psi_b|) U (Id x |psi_a>), then K_ab = sum_c (xi^{1/2})_ca A[b, c]
     A = np.einsum("seb,smenf,sfa->sbamn", psi.conj(), U4, psi)
     K = np.einsum("sca,sbcmn->sabmn", xi_y_half, A).reshape(n, dE * dE, dS, dS)
     tp = np.abs(np.einsum("snji,snjk->sik", K.conj(), K) - np.eye(dS)).max(axis=(1, 2))
@@ -273,9 +254,6 @@ def kraus_families(model: RISModel, s_values) -> KrausFamily:
         kraus=K,
         dy=(y[:, None, :] - y[:, :, None]).reshape(n, -1),
         y_eigenvalues=y,
-        basis=psi,
-        transitions=A,
-        xi_y=xi_y,
         kron=kron_stack(K.reshape(-1, dS, dS)).reshape(n, dE * dE, dS**2, dS**2),
     )
 

@@ -2,6 +2,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rislab import model as mod
 from rislab.model import RISModel
@@ -14,6 +16,16 @@ def close(a, b, rtol=1e-12) -> bool:
 
 def random_hermitian(rng, d):
     X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return 0.5 * (X + X.conj().T)
+
+
+@st.composite
+def hermitian(draw, d):
+    """A d x d Hermitian matrix with entries of real and imaginary parts in [-1, 1]."""
+    entries = st.floats(-1.0, 1.0)
+    # every entry drawn on its own: no shared fill value
+    parts = draw(hnp.arrays(np.float64, (2, d, d), elements=entries, fill=st.nothing()))
+    X = parts[0] + 1j * parts[1]
     return 0.5 * (X + X.conj().T)
 
 

@@ -33,6 +33,7 @@ the physical (alpha = 0) adiabatic state that only the tests evaluate.
 from __future__ import annotations
 
 import csv
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -45,7 +46,6 @@ from rislab.fullstats import (
     ProtocolNodes,
     SampledTrajectories,
     SpectralObservable,
-    StepOperators,
     TrajectoryMeasure,
     balance_applicable,
     resolve_final_observable,
@@ -67,7 +67,6 @@ from rislab.linalg import (
 from rislab.model import (
     KrausFamily,
     RISModel,
-    counting_observable,
     joint_unitary,
     probe_state,
     reduced_map,
@@ -83,9 +82,8 @@ from rislab.spectral import (
 
 
 def _counting(model: RISModel, s: float) -> np.ndarray:
-    """Y(s) through the library's one definition of the counting observable."""
-    beta = float(model.beta(s))
-    return counting_observable(model, s, beta, assert_hermitian(model.h_env(s)))
+    """The counting observable Y(s) = beta(s) * h_env(s)."""
+    return float(model.beta(s)) * assert_hermitian(model.h_env(s))
 
 
 def kraus_family(model: RISModel, s: float) -> KrausFamily:
@@ -98,7 +96,6 @@ def kraus_family(model: RISModel, s: float) -> KrausFamily:
     Y = _counting(model, s)
     y, psi = hermitian_eig(Y)
     xi = probe_state(model, s)
-    xi_y = psi.conj().T @ xi @ psi
     xi_y_half = psi.conj().T @ herm_power(xi, 0.5) @ psi
     U4 = joint_unitary(model, s).reshape(dS, dE, dS, dE)
     A = np.einsum("eb,menf,fa->bamn", psi.conj(), U4, psi)
@@ -107,9 +104,6 @@ def kraus_family(model: RISModel, s: float) -> KrausFamily:
         kraus=K,
         dy=(y[None, :] - y[:, None]).reshape(-1),
         y_eigenvalues=y,
-        basis=psi,
-        transitions=A,
-        xi_y=xi_y,
         kron=kron_stack(K),
     )
 
@@ -187,13 +181,17 @@ def deformed_adjoint_map(model: RISModel, s: float, alpha: complex) -> SuperOper
     return SuperOperator(dim=dS, matrix=mat)
 
 
-def step_operators(model: RISModel, s: float) -> StepOperators:
+def step_operators(model: RISModel, s: float) -> SimpleNamespace:
+    """y_values, forward and backward step maps of one node, by partial traces.
+
+    The maps of the outcome pairs (i, j) are applied to the matrix units;
+    the library sums them over the node's kernel instead.
+    """
     dS, dE = model.dim_sys, model.dim_env
     Y = _counting(model, s)
     obs = SpectralObservable.from_matrix(Y)
     xi = probe_state(model, s)
     U = joint_unitary(model, s)
-    hE = assert_hermitian(model.h_env(s))
     n = obs.n_outcomes
     d2 = dS * dS
     fwd = np.zeros((n, n, d2, d2), dtype=complex)
@@ -220,17 +218,7 @@ def step_operators(model: RISModel, s: float) -> StepOperators:
                     U.conj().T @ tensor_product(E, xi_j) @ U @ IPi, dS, dE
                 )
                 bwd[i, j, :, col] = vec(out_b)
-    energies = np.array(
-        [np.trace(hE @ P).real / np.trace(P).real for P in obs.projectors]
-    )
-    return StepOperators(
-        y_values=obs.values,
-        y_dims=obs.dims(),
-        energies=energies,
-        beta=float(model.beta(s)),
-        forward=fwd,
-        make_backward=lambda: bwd,
-    )
+    return SimpleNamespace(y_values=obs.values, forward=fwd, backward=bwd)
 
 
 def records(measure: TrajectoryMeasure, n_out: int) -> list[tuple]:
@@ -274,9 +262,10 @@ def balance_rhs(
 
     log[ Tr(pi_i rho_i) dim(pi_f) / (Tr(pi_f rho_f) dim(pi_i)) ]
     + sum_k beta_k (E_{j_k} - E_{i_k}), with E_i the mean probe energy on
-    the i-th outcome eigenspace.
+    the i-th outcome eigenspace, read from beta(k/T) and h_env(k/T) of the
+    model itself.
     """
-    obs_f, rho_f, steps, applicable = _chain(model, setup, T)
+    obs_f, rho_f, _, applicable = _chain(model, setup, T)
     if not applicable:
         return None
     ai, probes, af = record
@@ -289,8 +278,11 @@ def balance_rhs(
     out = np.log(wi / wf) + np.log(
         np.trace(pi_f).real / np.trace(pi_i).real
     )
-    for k, (i, j) in enumerate(probes):
-        out += steps.beta[k] * (steps.energies[k, j] - steps.energies[k, i])
+    for k, (i, j) in enumerate(probes, start=1):
+        beta, hE = float(model.beta(k / T)), assert_hermitian(model.h_env(k / T))
+        P = SpectralObservable.from_matrix(beta * hE).projectors
+        energy = [np.trace(hE @ p).real / np.trace(p).real for p in P]
+        out += beta * (energy[j] - energy[i])
     return float(out)
 
 

@@ -8,7 +8,8 @@ from rislab import model as mod
 from rislab.linalg import tensor_product
 
 import oracles
-from conftest import random_faithful_state, random_hermitian, random_small_model
+from conftest import close, random_faithful_state, random_hermitian, random_small_model
+from test_kernel import CASES as KERNEL_CASES
 
 FD_OUTCOMES = 2  # distinct outcomes of Y = beta * h_env on the preset probes
 
@@ -70,6 +71,18 @@ def test_balance_rhs_matches_per_record_oracle(fd3):
     want = np.array([oracles.balance_rhs(m, setup, rec, 3) for rec in records])
     assert rhs.shape == want.shape
     assert np.abs(rhs - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", ["fd", "rwa", "degenerate-env3"])
+def test_entropic_balance_is_minus_delta_a_plus_delta_y(rng, name):
+    """For A_i = -log rho_i and A_f = -log rho_f the right-hand side is
+    -Delta_a + Delta_y, record by record."""
+    m = dict(KERNEL_CASES)[name]
+    setup = fs.entropic_setup(random_faithful_state(rng, m.dim_sys))
+    for T in (1, 2, 3, 4):
+        meas = fs.enumerate_measure(m, setup, T)
+        rhs = fs.balance_rhs(m, setup, meas, T)
+        assert close(rhs, -meas.delta_a + meas.delta_y), T
 
 
 def test_balance_not_applicable(rng):

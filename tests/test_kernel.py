@@ -1,12 +1,8 @@
 """The per-node kernel against the independent routes in ``oracles``.
 
 Coverage goes beyond the two 2x2 presets: random models, a degenerate
-counting spectrum, a counting observable that does not commute with the
-probe state (also on a degenerate outcome), and a three-level system with
-three-level probes.
+counting spectrum and a three-level system with three-level probes.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,31 +30,17 @@ def _model(rng, dim_sys, h_env):
     )
 
 
-def _counting(m, Y):
-    """The model m counting the fixed probe observable Y at every node."""
-    return replace(m, counting=lambda s: Y)
-
-
 def _cases():
     rng = np.random.default_rng(2024)
     cases = [("fd", mod.fd_model()), ("rwa", mod.rwa_model())]
     cases += [(f"random{k}", random_small_model(rng)) for k in range(20)]
     degenerate = _model(rng, 2, np.diag([0.0, 1.0, 1.0]).astype(complex))
     cases.append(("degenerate-env3", degenerate))
-    cases.append(
-        ("noncommuting-Y", _counting(random_small_model(rng), random_hermitian(rng, 2)))
-    )
     cases.append(("sys3-env3", _model(rng, 3, random_hermitian(rng, 3))))
-    # a degenerate outcome whose block of the probe state is not diagonal
-    V = np.linalg.qr(random_hermitian(rng, 3) + 1j * random_hermitian(rng, 3))[0]
-    Y = V @ np.diag([0.0, 1.0, 1.0]) @ V.conj().T
-    m = _model(rng, 2, random_hermitian(rng, 3))
-    cases.append(("degenerate-noncommuting-Y", _counting(m, 0.5 * (Y + Y.conj().T))))
     return cases
 
 
 CASES = _cases()
-COMMUTING = [c for c in CASES if c[1].counting is None]
 S = 0.3
 
 
@@ -68,11 +50,6 @@ def _ids(cases):
 
 def test_cases_cover_their_claims():
     by_name = dict(CASES)
-    for name in ("noncommuting-Y", "degenerate-noncommuting-Y"):
-        m = by_name[name]
-        Y, xi = m.counting(S), mod.probe_state(m, S)
-        assert np.abs(Y @ xi - xi @ Y).max() > 1e-2
-    assert outcome_groups(mod.kraus_family(m, S).y_eigenvalues).shape == (2, 3)
     fam = mod.kraus_family(by_name["degenerate-env3"], S)
     # Y has eigenvalues beta * (0, 1, 1)
     assert outcome_groups(fam.y_eigenvalues).shape == (2, 3)
@@ -86,7 +63,6 @@ def test_kraus_stack_matches_oracle(name, m):
     assert np.abs(np.stack(fam.kraus) - np.stack(expected)).max() <= TOL
     kron = np.stack([np.kron(K.conj(), K) for K in expected])
     assert np.abs(fam.kron - kron).max() <= TOL
-    # alpha = 0 needs no commutation of Y with the probe state
     reduced = oracles.deformed_map_bare(m, S, 0.0)
     assert np.abs(mod.deformed_map(m, S, 0.0).matrix - reduced.matrix).max() <= TOL
 
@@ -99,14 +75,29 @@ def test_step_maps_match_oracle(name, m):
     assert np.abs(got.forward - want.forward).max() <= TOL
     assert np.abs(got.backward - want.backward).max() <= TOL
     assert np.abs(got.y_values - want.y_values).max() <= TOL
-    assert np.abs(got.y_dims - want.y_dims).max() <= TOL
-    assert np.abs(got.energies - want.energies).max() <= TOL
-    assert got.beta == want.beta
 
 
-@pytest.mark.parametrize("name,m", COMMUTING, ids=_ids(COMMUTING))
+@pytest.mark.parametrize("name,m", CASES, ids=_ids(CASES))
+def test_step_maps_sum_to_the_kernel_maps(name, m):
+    """sum_{IJ} forward = L(s) and sum_{IJ} backward = L^(-1)(s)^*, on a node stack.
+
+    The backward maps weigh the kernel by xi_b / xi_a = e^{-dy}, as L^(-1)
+    does, so both carry the same round-off; the tolerance is relative to
+    the largest entry.
+    """
+    s = np.array([0.0, S, 1.0])
+    fams = mod.kraus_families(m, s)
+    steps = fs.step_operators(m, s, fams)
+    for got, want in (
+        (steps.forward.sum(axis=(1, 2)), fams.deformed_matrix(0.0)),
+        (steps.backward.sum(axis=(1, 2)), fams.deformed_matrix(-1.0).conj().swapaxes(-1, -2)),
+    ):
+        assert np.abs(got - want).max() <= TOL * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name,m", CASES, ids=_ids(CASES))
 def test_deformed_maps_match_oracle(name, m):
-    """Both oracles need Y to commute with the probe state.
+    """Both oracles need Y to commute with the probe state, as Y = beta * h_env does.
 
     The weights e^{alpha*dy} reach ~20 on the three-level model, so the
     tolerance is relative to the largest entry.

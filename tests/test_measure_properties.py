@@ -1,8 +1,8 @@
 """Property checks of the full-statistics measure and of Lambda.
 
 Over the models of ``test_stacked_kernel.CASES`` (two- and three-level
-systems and probes, moving probes, a degenerate and a caller-set counting
-observable) and random faithful initial states: the exactly enumerated
+systems and probes, moving probes and a degenerate counting observable)
+and random faithful initial states: the exactly enumerated
 forward measure is normalised, the forward and backward measures charge
 the same records, the entropy production sigma = E_forward(varsigma) is
 non-negative, and the limiting log-MGF Lambda is convex in alpha.

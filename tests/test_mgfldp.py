@@ -12,6 +12,7 @@ from rislab.linalg import unvec, vec
 from rislab.spectral import SpectralError, invariant_state
 
 from conftest import random_faithful_state
+from test_kernel import CASES as KERNEL_CASES
 
 # frozen high-precision oracles for the full-dipole preset with schedule 1,
 # converged in the quadrature node count (201 through 1601 nodes agree)
@@ -155,6 +156,18 @@ def test_legendre_point_matches_the_search(fd_ev):
 
 
 def test_mgf_product_matches_enumeration():
+    """The deformed chain is the enumerated measure's MGF on every kernel
+    case (the presets, random 2x2 models, a degenerate three-level probe and
+    a qutrit pair); on fd it checks the pair MGF too."""
+    for name, k in KERNEL_CASES:
+        setup = fs.entropic_setup(mod.gibbs_state(k.h_sys, k.beta(0.0)))
+        nodes = fs.ProtocolNodes(k, (1, 2, 3))
+        for T in (1, 2, 3):
+            meas = fs.enumerate_measure(k, setup, T, nodes=nodes)
+            for alpha in (0.5, -0.7, 0.2 + 0.5j):
+                want = meas.mgf(alpha)
+                got = mg.mgf_pair(k, setup, T, alpha, 0.0, nodes=nodes)
+                assert abs(got - want) <= 1e-12 * abs(want), (name, T, alpha)
     m = mod.fd_model()
     setup = fs.entropic_setup(mod.gibbs_state(m.h_sys, m.beta(0.0)))
     meas = fs.enumerate_measure(m, setup, 3)

@@ -1,6 +1,7 @@
 """The per-task node table: each node built once, same results, wrong tables refused."""
 
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -37,13 +38,15 @@ def evolved_states(monkeypatch):
 def backward_builds(monkeypatch):
     """One entry per build of a step stack's backward maps."""
     calls = []
-    original = fs._backward_maps
+    original = fs.StepOperators.backward.func
 
-    def counted(*args):
-        calls.append(args[-1])
-        return original(*args)
+    def counted(steps):
+        calls.append(steps.forward.shape)
+        return original(steps)
 
-    monkeypatch.setattr(fs, "_backward_maps", counted)
+    prop = cached_property(counted)
+    prop.__set_name__(fs.StepOperators, "backward")
+    monkeypatch.setattr(fs.StepOperators, "backward", prop)
     return calls
 
 
@@ -194,39 +197,17 @@ def test_grouping_refusal_names_the_first_moved_node():
     assert steps.y_values.shape == (3, 1)
 
 
-def test_custom_Y_table_builds_one_kernel_per_node(kraus_builds):
-    """The reduced chain of a table counting another Y reads the table's kernels."""
-    m = replace(mod.fd_model(), counting=lambda s: np.eye(2))
-    fs.evolved_state(m, mod.gibbs_state(m.h_sys, m.beta(0.0)), 10)
-    assert sorted(kraus_builds) == [k / 10 for k in range(1, 11)]
-
-
-def test_balance_rhs_reads_Y_from_the_table():
-    """With Y = I the fd probe state is not a function of Y: no balance."""
-    m = replace(mod.fd_model(), counting=lambda s: np.eye(2))
-    setup = fs.entropic_setup(mod.gibbs_state(m.h_sys, m.beta(0.0)))
-    nodes = fs.ProtocolNodes(m, [2])
-    meas = fs.enumerate_measure(m, setup, 2, nodes=nodes)
-    assert not fs.balance_applicable(m, setup, 2, nodes=nodes)
-    assert fs.balance_rhs(m, setup, meas, 2, nodes=nodes) is None
-
-
 def test_Y_table_serves_every_chain():
-    default = mod.fd_model()
-    # twice the probe's diagonal: commutes with every probe state, and is
-    # not the default beta(s) * h_env(s)
-    Y = 2 * np.diag(np.diag(default.h_env(0.0)))
-    m = replace(default, counting=lambda s: Y)
+    """One table of the nodes of T = 2, 3, 4 serves each chain's enumeration,
+    MGF and reduced walk as a table of that chain alone does."""
+    m = mod.rwa_model()
     setup = fs.entropic_setup(mod.gibbs_state(m.h_sys, m.beta(0.0)))
     nodes = fs.ProtocolNodes(m, (2, 3, 4))
     for T in (2, 3):
         meas = fs.enumerate_measure(m, setup, T, nodes=nodes)
-        counts = meas.delta_y / 1.6
-        assert np.abs(counts - np.round(counts)).max() < 1e-12
+        assert np.array_equal(meas.p_forward, fs.enumerate_measure(m, setup, T).p_forward)
         for a1, a2 in ((0.5, -0.5), (-0.3, 0.7), (1.0, 0.0)):
             prod = mg.mgf_pair(m, setup, T, a1, a2, nodes=nodes)
             assert abs(prod - meas.pair_mgf(a1, a2)) < 1e-12
-    # L(s) does not depend on Y: the Y kernel gives the default one's up to round-off
     got = fs.evolved_state(m, setup.rho_i, 4, nodes=nodes)
-    want = fs.evolved_state(default, setup.rho_i, 4)
-    assert np.abs(got - want).max() <= 1e-13
+    assert np.array_equal(got, fs.evolved_state(m, setup.rho_i, 4))

@@ -14,8 +14,7 @@ from rislab import linalg as la
 from rislab import model as mod
 
 import oracles
-from conftest import random_hermitian
-from test_counting_properties import hermitian
+from conftest import hermitian, random_hermitian
 from test_stacked_kernel import CASES
 
 RECORD_FIELDS = ("probe_records", "delta_y", "a_i", "a_f")

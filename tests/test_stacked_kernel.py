@@ -64,7 +64,6 @@ def _cases():
         beta=mod.beta_schedule_1(),
         tau=0.7,
     )
-    caller_Y = random_hermitian(rng, 2)
     return [
         ("fd", mod.fd_model()),
         ("rwa", mod.rwa_model()),
@@ -73,7 +72,6 @@ def _cases():
         ("explicit-3x3", explicit),
         ("moving-probe", moving),
         ("degenerate-Y", degenerate),
-        ("caller-Y", replace(mod.fd_model(), counting=lambda s: caller_Y)),
     ]
 
 
@@ -118,7 +116,7 @@ def test_stacked_step_maps_are_per_node(name, m):
     assert steps.forward.shape == (S_GRID.size, n, n) + (m.dim_sys**2,) * 2
     for i, s in enumerate(S_GRID):
         one = fs.step_operators(m, float(s))
-        for f in ("forward", "backward", "y_values", "y_dims", "energies", "beta"):
+        for f in ("forward", "backward", "y_values"):
             assert np.array_equal(getattr(steps, f)[i], getattr(one, f)), (s, f)
 
 
@@ -175,10 +173,8 @@ def test_node_views():
         mod.kraus_families(mod.fd_model(), [])
 
 
-def test_kernel_build_reads_each_node_once():
-    """A stacked build reads h_env(s) and v(s) once per node, not again for U."""
-    m = mod.fd_model()
-    calls = {"h_env": 0, "coupling": 0}
+def _counted_reads(m, calls):
+    """m with h_env, coupling and beta wrapped to count their reads in ``calls``."""
 
     def counted(name):
         f = getattr(m, name)
@@ -189,11 +185,32 @@ def test_kernel_build_reads_each_node_once():
 
         return read
 
-    counting = replace(m, h_env=counted("h_env"), coupling=counted("coupling"))
+    return replace(m, **{name: counted(name) for name in calls})
+
+
+def test_kernel_build_reads_each_node_once():
+    """A stacked build reads h_env(s) and v(s) once per node, not again for U."""
+    m = mod.fd_model()
+    calls = {"h_env": 0, "coupling": 0}
     s = np.linspace(0.0, 1.0, 10)
-    fams = mod.kraus_families(counting, s)
+    fams = mod.kraus_families(_counted_reads(m, calls), s)
     assert calls == {"h_env": 10, "coupling": 10}
     assert np.array_equal(fams.kraus, mod.kraus_families(m, s).kraus)
+
+
+def test_step_maps_and_balance_read_only_the_kernel():
+    """Once a table is built, its step maps, the enumeration and the balance
+    right-hand side read h_env, beta and coupling no more."""
+    calls = {"h_env": 0, "beta": 0, "coupling": 0}
+    m = _counted_reads(mod.fd_model(), calls)
+    setup = fs.entropic_setup(mod.gibbs_state(m.h_sys, 1.0))
+    nodes = fs.ProtocolNodes(m, [3])
+    assert calls == {"h_env": 3, "beta": 3, "coupling": 3}
+    calls.update(h_env=0, beta=0, coupling=0)
+    nodes.steps.backward
+    meas = fs.enumerate_measure(m, setup, 3, nodes=nodes)
+    assert fs.balance_rhs(m, setup, meas, 3, nodes=nodes) is not None
+    assert calls == {"h_env": 0, "beta": 0, "coupling": 0}
 
 
 def test_kernel_build_certifies_trace_preservation(monkeypatch):
