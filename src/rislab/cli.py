@@ -5,7 +5,8 @@ Tasks:
 * ``spectrum``  peripheral data of the reduced map along the protocol;
 * ``lambda``    the limiting cumulant functional on an alpha grid;
 * ``ldp``       the rate function on the reachable x window;
-* ``simulate``  forward sampling and CLT histograms for each T;
+* ``simulate``  forward sampling, CLT histograms and Landauer's balance
+                sigma_tot = Delta S + E(Delta_y) for each T;
 * ``adiabatic`` residuals of the adiabatic product approximation;
 * ``balance``   exact enumeration with the trajectory balance report;
 * ``x0``        finite-T versus closed-form limits for the exactly
@@ -95,6 +96,9 @@ def task_ldp(cfg: RunConfig, out: str) -> None:
 
 
 def task_simulate(cfg: RunConfig, out: str) -> None:
+    """Per T of ``T_list``: sampled trajectories, their CLT histogram and,
+    in ``landauer.csv``, the exact mean of the sampled varsigma,
+    sigma_tot = Delta S + E(Delta_y) (Landauer's balance, from the table)."""
     setup = fullstats.entropic_setup(_initial_state(cfg))
     d1, d2 = mgfldp.lambda_derivatives_at_zero(cfg.model, cfg.s_nodes)
     nodes = fullstats.ProtocolNodes(cfg.model, cfg.T_list)
@@ -127,6 +131,12 @@ def task_simulate(cfg: RunConfig, out: str) -> None:
                         _f(c / (cfg.n * widths[i])),
                     ]
                 )
+    fh, w = _writer(os.path.join(out, "landauer.csv"))
+    with fh:
+        w.writerow(["T", "delta_S", "beta_heat", "sigma_tot"])
+        for T in cfg.T_list:
+            delta_s, heat = fullstats._landauer_terms(nodes, setup.rho_i, T)
+            w.writerow([T, _f(delta_s), _f(heat), _f(delta_s + heat)])
 
 
 def task_adiabatic(cfg: RunConfig, out: str) -> None:

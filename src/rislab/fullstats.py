@@ -7,8 +7,8 @@ final measurement of A_f on the system. This module evaluates forward and
 backward trajectory probabilities exactly (one batched pass per step over
 all record prefixes and suffixes), checks the trajectory-level balance
 identity, samples the forward measure with reproducible counter-based
-randomness, and provides the entropy functionals entering the
-Landauer-type step balance.
+randomness, and reads Landauer's balance sigma_tot = Delta S + E(Delta_y)
+of a chain from its node table.
 """
 
 from __future__ import annotations
@@ -28,22 +28,16 @@ from .linalg import (
     ordered_product,
     outcome_gaps,
     outcome_groups,
-    partial_trace_env,
-    partial_trace_sys,
-    tensor_product,
     unvec,
     vec,
 )
-from .model import (
-    KrausFamily,
-    RISModel,
-    joint_unitary,
-    kraus_families,
-    kraus_family,
-    probe_state,
-)
+from .model import KrausFamily, RISModel, kraus_families, kraus_family
 
-ENUMERATION_GUARD = 10_000_000
+# enumerate_measure's peak memory per record (274 B measured by ru_maxrss on
+# fd at T = 8 and 9, of which the result holds about 80), and the most its
+# estimate may reach: fd T = 9 (about 280 MiB) is admitted, T = 10 refused.
+ENUMERATION_BYTES_PER_RECORD = 280
+ENUMERATION_BUDGET = 512 * 2**20
 
 
 class FullStatsError(ValueError):
@@ -316,8 +310,9 @@ def enumerate_measure(
     One batched pass per step carries the states of all prefixes forward
     (the new outcome pair is the minor index) and one carries the states of
     all suffixes backward (the new pair is the major index), so the cost is
-    linear in the number of records. Guarded: n_i * n_f * n_outcomes^(2T)
-    must not exceed 10^7.
+    linear in the number of records. Guarded in bytes: the n_i * n_f *
+    n_outcomes^(2T) records times ENUMERATION_BYTES_PER_RECORD must not
+    exceed ENUMERATION_BUDGET, checked before any record is allocated.
     """
     nodes = node_table(model, T, nodes)
     obs_f, rho_f = resolve_final_observable(model, setup, T, nodes=nodes)
@@ -325,9 +320,12 @@ def enumerate_measure(
     n_out = steps.y_values.shape[-1]
     n_i, n_f = setup.obs_i.n_outcomes, obs_f.n_outcomes
     count = n_i * n_f * n_out ** (2 * T)
-    if count > ENUMERATION_GUARD:
+    if count * ENUMERATION_BYTES_PER_RECORD > ENUMERATION_BUDGET:
         raise FullStatsError(
-            f"enumeration would produce {count} records (guard {ENUMERATION_GUARD})"
+            f"enumeration of {count} records would need about "
+            f"{count * ENUMERATION_BYTES_PER_RECORD} bytes "
+            f"({ENUMERATION_BYTES_PER_RECORD} per record), over the budget of "
+            f"{ENUMERATION_BUDGET} bytes"
         )
     d2 = model.dim_sys**2
     pi_i, pi_f = np.stack(setup.obs_i.projectors), np.stack(obs_f.projectors)
@@ -436,7 +434,7 @@ def balance_rhs(
 
 
 # ---------------------------------------------------------------------------
-# entropies and the per-step balance
+# entropies and Landauer's balance
 # ---------------------------------------------------------------------------
 
 
@@ -446,17 +444,6 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return float(-(w * np.log(w)).sum())
 
 
-def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """S(rho | sigma) = Tr rho (log rho - log sigma); sigma must be faithful."""
-    rho = assert_hermitian(rho)
-    log_sigma = herm_log(sigma)
-    w, _ = hermitian_eig(rho)
-    w = w[w > 1e-15]
-    out = float(np.sum(w * np.log(w)))
-    out -= float(np.real(np.trace(rho @ log_sigma)))
-    return out
-
-
 def renyi_relative_entropy(alpha: float, rho: np.ndarray, sigma: np.ndarray) -> float:
     """S_alpha(rho | sigma) = log Tr(rho^alpha sigma^(1-alpha))."""
     A = herm_power(assert_hermitian(rho), float(alpha))
@@ -464,31 +451,26 @@ def renyi_relative_entropy(alpha: float, rho: np.ndarray, sigma: np.ndarray) -> 
     return float(np.log(np.real(np.trace(A @ B))))
 
 
-def step_balance(model: RISModel, rho: np.ndarray, s: float) -> dict:
-    """Entropy/heat balance of a single interaction step at parameter s.
+def _landauer_terms(nodes: ProtocolNodes, rho_i: np.ndarray, T: int) -> tuple[float, float]:
+    """(S(rho_T) - S(rho_i), E(Delta_y)) of the length-T chain of ``nodes``.
 
-    Returns the system entropy change, the heat deposited in the probe,
-    the step entropy production sigma = S(U(rho x xi)U* | rho' x xi) >= 0,
-    and the defect of the identity sigma = dS + beta*dQ (which vanishes).
+    With M1 = sum_n dy_n kron_n, the alpha-derivative at 0 of the deformed
+    matrix, node k's first-order jet is [[L_k, 0], [M1_k, L_k]]. The
+    ordered product of the chain's jets maps [vec rho_i; 0] to
+    [vec rho_T; vec D], and Tr D = E(Delta_y) = sum_k beta_k Delta Q_k, the
+    heat the probes take up. One stacked product, no walk over T.
     """
-    xi = probe_state(model, s)
-    U = joint_unitary(model, s)
-    joint = U @ tensor_product(rho, xi) @ U.conj().T
-    dS_, dE_ = model.dim_sys, model.dim_env
-    rho_next = partial_trace_env(joint, dS_, dE_)
-    xi_next = partial_trace_sys(joint, dS_, dE_)
-    hE = assert_hermitian(model.h_env(s))
-    beta = float(model.beta(s))
-    entropy_change = von_neumann_entropy(rho_next) - von_neumann_entropy(rho)
-    heat = float(np.real(np.trace(hE @ (xi_next - xi))))
-    sigma = relative_entropy(joint, tensor_product(rho_next, xi))
-    return {
-        "entropy_change": entropy_change,
-        "heat_to_probe": heat,
-        "sigma": sigma,
-        "beta": beta,
-        "defect": sigma - entropy_change - beta * heat,
-    }
+    idx = nodes.chain(T)
+    L = nodes.reduced[idx]
+    d2 = L.shape[-1]
+    jets = np.zeros((idx.size, 2 * d2, 2 * d2), dtype=complex)
+    jets[:, :d2, :d2] = jets[:, d2:, d2:] = L
+    jets[:, d2:, :d2] = np.einsum("kn,knab->kab", nodes.kernel.dy[idx], nodes.kernel.kron[idx])
+    x = ordered_product(jets)[:, :d2] @ vec(rho_i)
+    d = nodes.model.dim_sys
+    rho_T = unvec(x[:d2], d)
+    mean_dy = float(np.real(np.trace(unvec(x[d2:], d))))
+    return von_neumann_entropy(rho_T) - von_neumann_entropy(rho_i), mean_dy
 
 
 def total_entropy_production(
@@ -498,20 +480,17 @@ def total_entropy_production(
     *,
     nodes: ProtocolNodes | None = None,
 ) -> float:
-    """sigma_tot for the entropic setup, as the sum of per-step productions.
+    """sigma_tot = S(rho_T) - S(rho_i) + E(Delta_y) for the entropic setup.
 
-    Along the exact reduced chain, E(varsigma) = sum_k sigma_k with sigma_k
-    the relative entropy of the interacting pair to the product of its
-    marginals' targets; this avoids enumerating trajectories at large T.
+    This is E(varsigma), the mean of the entropic balance -Delta_a +
+    Delta_y, and equals the sum over steps of the relative entropies
+    sigma_k = Delta S_k + beta_k Delta Q_k >= 0 (Landauer's balance per
+    step). Read from the table's kernel by one ordered product of
+    first-order jets (``_landauer_terms``), so it enumerates no
+    trajectories and reads nothing of the model once the table is built.
     """
-    nodes = node_table(model, T, nodes)
-    rho = np.asarray(rho_i, dtype=complex)
-    total = 0.0
-    for k in nodes.chain(T):  # a walk: step_balance reads every state on the way
-        bal = step_balance(model, rho, float(nodes.s[k]))
-        total += bal["sigma"]
-        rho = unvec(nodes.reduced[k] @ vec(rho), model.dim_sys)
-    return total
+    delta_s, mean_dy = _landauer_terms(node_table(model, T, nodes), rho_i, T)
+    return delta_s + mean_dy
 
 
 # ---------------------------------------------------------------------------

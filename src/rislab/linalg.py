@@ -60,22 +60,6 @@ def tensor_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.kron(as_complex(A), as_complex(B))
 
 
-def partial_trace_env(M: np.ndarray, dS: int, dE: int) -> np.ndarray:
-    """Trace out the second (environment) factor of an operator on H_S ⊗ H_E."""
-    M = as_complex(M)
-    if M.shape != (dS * dE, dS * dE):
-        raise LinalgError(f"expected shape {(dS * dE,) * 2}, got {M.shape}")
-    return np.einsum("ikjk->ij", M.reshape(dS, dE, dS, dE))
-
-
-def partial_trace_sys(M: np.ndarray, dS: int, dE: int) -> np.ndarray:
-    """Trace out the first (system) factor of an operator on H_S ⊗ H_E."""
-    M = as_complex(M)
-    if M.shape != (dS * dE, dS * dE):
-        raise LinalgError(f"expected shape {(dS * dE,) * 2}, got {M.shape}")
-    return np.einsum("kikj->ij", M.reshape(dS, dE, dS, dE))
-
-
 def vec(X: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization of a matrix, or of each of a stack."""
     X = np.swapaxes(np.asarray(X, dtype=complex), -1, -2)

@@ -155,10 +155,6 @@ def _at_nodes(f: Callable, s) -> np.ndarray:
     return np.stack([np.asarray(f(float(x))) for x in s])
 
 
-def probe_state(model: RISModel, s: float) -> np.ndarray:
-    return gibbs_state(model.h_env(s), model.beta(s))
-
-
 # total_hamiltonian and joint_unitary take one node or a 1-d array of nodes;
 # for an array they return the stack of the per-node results, each bitwise
 # equal to the result for that node alone. The keyword ``_h_env`` hands them

@@ -28,6 +28,10 @@ chain as an ordered product they agree to round-off, elsewhere bitwise.
 ``obstruction_norm``, ``commuting_effective_hamiltonian`` and
 ``adiabatic_state`` are diagnostics of the structural degenerate case and
 the physical (alpha = 0) adiabatic state that only the tests evaluate.
+``step_balance`` is Landauer's balance of one interaction step from the
+joint evolution U (rho x xi) U* and its partial traces, and
+``step_productions`` walks a chain with it one step at a time; the library
+reads the chain's total sigma_tot from the node table's kernel instead.
 """
 
 from __future__ import annotations
@@ -49,17 +53,19 @@ from rislab.fullstats import (
     TrajectoryMeasure,
     balance_applicable,
     resolve_final_observable,
+    von_neumann_entropy,
 )
 from rislab.linalg import (
+    LinalgError,
     SuperOperator,
     as_complex,
     assert_hermitian,
     general_eig,
     herm_exp,
+    herm_log,
     herm_power,
     hermitian_eig,
     kron_stack,
-    partial_trace_env,
     tensor_product,
     unvec,
     vec,
@@ -67,8 +73,8 @@ from rislab.linalg import (
 from rislab.model import (
     KrausFamily,
     RISModel,
+    gibbs_state,
     joint_unitary,
-    probe_state,
     reduced_map,
 )
 from rislab.spectral import (
@@ -79,6 +85,27 @@ from rislab.spectral import (
     SpectralError,
     invariant_state,
 )
+
+
+def probe_state(model: RISModel, s: float) -> np.ndarray:
+    """The probe's Gibbs state xi(s) = e^{-beta(s) h_env(s)} / Z(s)."""
+    return gibbs_state(model.h_env(s), model.beta(s))
+
+
+def partial_trace_env(M: np.ndarray, dS: int, dE: int) -> np.ndarray:
+    """Trace out the second (environment) factor of an operator on H_S x H_E."""
+    M = as_complex(M)
+    if M.shape != (dS * dE, dS * dE):
+        raise LinalgError(f"expected shape {(dS * dE,) * 2}, got {M.shape}")
+    return np.einsum("ikjk->ij", M.reshape(dS, dE, dS, dE))
+
+
+def partial_trace_sys(M: np.ndarray, dS: int, dE: int) -> np.ndarray:
+    """Trace out the first (system) factor of an operator on H_S x H_E."""
+    M = as_complex(M)
+    if M.shape != (dS * dE, dS * dE):
+        raise LinalgError(f"expected shape {(dS * dE,) * 2}, got {M.shape}")
+    return np.einsum("kikj->ij", M.reshape(dS, dE, dS, dE))
 
 
 def _counting(model: RISModel, s: float) -> np.ndarray:
@@ -461,16 +488,22 @@ def peripheral_decomposition(L: SuperOperator) -> PeripheralDecomposition:
         uz = np.linalg.matrix_power(u, z)
         c = np.trace(uz) / d
         u = u / c ** (1.0 / z)
-        wu, Vu = np.linalg.eig(u)
+        wu = np.linalg.eigvals(u)
         mu = np.round(np.angle(wu) * z / (2 * np.pi)).astype(int) % z
         if np.abs(wu - np.exp(2j * np.pi * mu / z)).max() > 1e-6:
             raise SpectralError("cycle operator eigenvalues not near roots of unity")
-        cols = []
-        for m in range(z):
-            sel = Vu[:, mu == m]
-            if sel.shape[1]:
-                cols.append(np.linalg.qr(sel, mode="reduced")[0])
-        Vu = np.concatenate(cols, axis=1)
+        # u's eigenspaces as those of the Hermitian part of e^{i phi} u, whose
+        # eigenvalues cos(2 pi m / z + phi) are distinct for phi = pi / (2z),
+        # and for phi = 0 at z = 2, where the exact u is Hermitian. eigh's
+        # eigenspaces are orthogonal; eig's only as far as u is normal, that
+        # is, as far as the map's eigenvector at lambda theta is accurate.
+        phi = 0.0 if z == 2 else np.pi / (2 * z)
+        wh, Vh = np.linalg.eigh((np.exp(1j * phi) * u + np.exp(-1j * phi) * u.conj().T) / 2)
+        levels = np.cos(2 * np.pi * np.arange(z) / z + phi)
+        label = np.abs(wh[:, None] - levels).argmin(axis=1)
+        if sorted(label) != sorted(mu):
+            raise SpectralError("cycle operator eigenspaces do not match its eigenvalues")
+        Vu = np.concatenate([Vh[:, label == m] for m in range(z)], axis=1)
         mu = np.concatenate([[m] * (mu == m).sum() for m in range(z)])
         u = (Vu * np.exp(2j * np.pi * mu / z)) @ Vu.conj().T
         if np.abs(u @ u.conj().T - np.eye(d)).max() > 1e-8:
@@ -621,6 +654,62 @@ def gap_bound(family: AdiabaticFamily, s_grid) -> float:
     family.prepare(s_grid)
     FQ = np.stack([F @ Q for F, Q in (normalized(family, s) for s in s_grid)])
     return float(np.abs(np.linalg.eigvals(FQ)).max())
+
+
+# ---------------------------------------------------------------------------
+# Landauer's balance, one step at a time
+# ---------------------------------------------------------------------------
+
+
+def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """S(rho | sigma) = Tr rho (log rho - log sigma); sigma must be faithful."""
+    rho = assert_hermitian(rho)
+    log_sigma = herm_log(sigma)
+    w, _ = hermitian_eig(rho)
+    w = w[w > 1e-15]
+    out = float(np.sum(w * np.log(w)))
+    out -= float(np.real(np.trace(rho @ log_sigma)))
+    return out
+
+
+def step_balance(model: RISModel, rho: np.ndarray, s: float) -> dict:
+    """Entropy/heat balance of a single interaction step at parameter s.
+
+    Returns the system entropy change, the heat deposited in the probe,
+    the step entropy production sigma = S(U(rho x xi)U* | rho' x xi) >= 0,
+    the defect of the identity sigma = dS + beta*dQ (which vanishes) and
+    the system's next state rho'.
+    """
+    xi = probe_state(model, s)
+    U = joint_unitary(model, s)
+    joint = U @ tensor_product(rho, xi) @ U.conj().T
+    dS_, dE_ = model.dim_sys, model.dim_env
+    rho_next = partial_trace_env(joint, dS_, dE_)
+    xi_next = partial_trace_sys(joint, dS_, dE_)
+    hE = assert_hermitian(model.h_env(s))
+    beta = float(model.beta(s))
+    entropy_change = von_neumann_entropy(rho_next) - von_neumann_entropy(rho)
+    heat = float(np.real(np.trace(hE @ (xi_next - xi))))
+    sigma = relative_entropy(joint, tensor_product(rho_next, xi))
+    return {
+        "entropy_change": entropy_change,
+        "heat_to_probe": heat,
+        "sigma": sigma,
+        "beta": beta,
+        "defect": sigma - entropy_change - beta * heat,
+        "rho_next": rho_next,
+    }
+
+
+def step_productions(model: RISModel, rho_i: np.ndarray, T: int) -> np.ndarray:
+    """sigma_k of steps k = 1..T of the length-T chain from rho_i, a walk that
+    carries each step's partial trace to the next."""
+    rho, out = np.asarray(rho_i, dtype=complex), []
+    for k in range(1, T + 1):
+        bal = step_balance(model, rho, k / T)
+        out.append(bal["sigma"])
+        rho = bal["rho_next"]
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------

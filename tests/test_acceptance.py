@@ -49,6 +49,43 @@ def test_figure_values_schedule_2():
         )
 
 
+def _schedule_2_moved(term: int, delta: float) -> mod.TanhPolySchedule:
+    """Schedule 2 with amplitude ``term`` moved by delta: terms 0-1 are the
+    tanh amplitudes 35.483 and -141.929, terms 2-5 the polynomial
+    coefficients 1.061, -17.808, 93.5 and -42.945."""
+    sched = mod.beta_schedule_2()
+    amps = [c for c, _ in sched.tanh_terms] + list(sched.poly)
+    amps[term] += delta
+    rates = [r for _, r in sched.tanh_terms]
+    return mod.TanhPolySchedule(tanh_terms=tuple(zip(amps[:2], rates)), poly=tuple(amps[2:]))
+
+
+def test_schedule_2_rounding_cannot_explain_the_printed_second_derivative():
+    """Evidence for the xfail above. Moving each printed amplitude of
+    schedule 2 by half its last printed digit moves Lambda''(0) by at most
+    2.3e-4 (0.011 for 93.5), short of the 0.045 between the computed 0.6712
+    and the printed 0.716; the rates 2 and 1/2 are taken as exact. Reaching
+    0.716 through 93.5 alone takes more than +0.2, and at +0.2 Lambda'(0)
+    has already left the printed 0.275 +- FIG_TOL."""
+    def derivatives(term, delta):
+        return mg.lambda_derivatives_at_zero(mod.fd_model(_schedule_2_moved(term, delta)), 201)
+
+    d1, d2 = derivatives(0, 0.0)
+    half_digits = [5e-4, 5e-4, 5e-4, 5e-4, 0.05, 5e-4]
+    moved = [
+        max(abs(derivatives(term, sign * h)[1] - d2) for sign in (1, -1))
+        for term, h in enumerate(half_digits)
+    ]
+    assert max(moved[:4] + moved[5:]) < 2.3e-4
+    assert moved[4] < 0.012
+    assert sum(moved) < abs(0.716 - d2)
+    # 93.5 alone: Lambda' and Lambda'' both rise with it, and +0.2 is not enough
+    path = [derivatives(4, delta) for delta in (0.0, 0.1, 0.2)]
+    assert all(a[0] < b[0] and a[1] < b[1] for a, b in zip(path, path[1:]))
+    assert path[-1][1] < 0.716
+    assert abs(path[-1][0] - 0.275) > FIG_TOL
+
+
 # -- 2: product formula equals exact enumeration -----------------------------
 
 
@@ -102,7 +139,7 @@ def test_stationary_limits_converge():
             assert worst < prev
         prev = worst
     # total entropy production converges to the relative entropy
-    target = fs.relative_entropy(rho_i, rho0)
+    target = oracles.relative_entropy(rho_i, rho0)
     prev = None
     for T in Ts:
         err = abs(fs.total_entropy_production(m, rho_i, T, nodes=nodes) - target)
@@ -228,7 +265,7 @@ def test_randomized_invariants():
             meas.p_forward <= 1e-14, meas.p_backward <= 1e-14
         )
         for k in (1, 2):
-            assert fs.step_balance(m, rho_i, k / 2)["sigma"] >= -1e-12
+            assert oracles.step_balance(m, rho_i, k / 2)["sigma"] >= -1e-12
 
         if trial % 10 == 0:  # the spectral checks on a subsample
             ev = mg.LambdaEvaluator(m, 21)

@@ -1,10 +1,17 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rislab import config as cfg
+from rislab import fullstats as fs
+from rislab import mgfldp as mg
+from rislab import model as mod
 from rislab.cli import main
 
 
@@ -96,6 +103,31 @@ def test_simulate_task(tmp_path):
         assert counts <= 50
 
 
+def test_simulate_writes_landauer_balance(tmp_path):
+    """landauer.csv: one row per T, sigma_tot = delta_S + beta_heat, the
+    library's total_entropy_production bit for bit."""
+    out = _run("simulate", tmp_path)
+    rows = (out / "landauer.csv").read_text().strip().split("\n")
+    assert rows[0] == "T,delta_S,beta_heat,sigma_tot"
+    run = cfg.load_config(BASE)
+    rho_i = mod.gibbs_state(run.model.h_sys, run.model.beta(0.0))
+    for row, T in zip(rows[1:], BASE["numeric"]["T_list"], strict=True):
+        t, delta_s, heat, sigma = row.split(",")
+        assert int(t) == T
+        assert float(sigma) == float(delta_s) + float(heat)
+        assert float(sigma) == fs.total_entropy_production(run.model, rho_i, T)
+
+
+def test_landauer_rate_is_lambda_prime(tmp_path):
+    """On fd the probes' heat grows like T * Lambda'(0): sigma_tot(800) / 800
+    is within 1e-3 of Lambda'(0)."""
+    doc = dict(BASE, numeric=dict(BASE["numeric"], T_list=[800], n=20, s_nodes=201))
+    out = _run("simulate", tmp_path, doc)
+    sigma = float((out / "landauer.csv").read_text().strip().split("\n")[1].split(",")[3])
+    d1, _ = mg.lambda_derivatives_at_zero(cfg.load_config(doc).model, 201)
+    assert abs(sigma / 800 - d1) < 1e-3
+
+
 def test_simulate_draws_once_for_every_T(tmp_path, monkeypatch):
     built = []
     philox = np.random.Philox
@@ -149,8 +181,55 @@ def test_x0_task(tmp_path):
 def test_reruns_byte_identical(tmp_path):
     out1 = _run("simulate", tmp_path, sub="a")
     out2 = _run("simulate", tmp_path, sub="b")
-    for name in ("trajectories_T10.csv", "clt_hist_T20.csv", "manifest.json"):
+    for name in ("trajectories_T10.csv", "clt_hist_T20.csv", "landauer.csv", "manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# A three-level system coupled to two-level probes, (d_sys, d_env) = (3, 2).
+QUTRIT_MODEL = {
+    "h_sys": [[0, 0, 0], [0, 0.9, 0], [0, 0, 1.7]],
+    "h_env": [[0, 0], [0, 0.8]],
+    "coupling": (0.7 * np.kron([[0, 1, 0], [1, 0, 1], [0, 1, 0]], [[0, 1], [1, 0]])).tolist(),
+    "tau": 0.5,
+}
+QUTRIT_TASKS = ("spectrum", "lambda", "ldp", "simulate", "adiabatic", "balance")
+
+
+def test_qutrit_tasks_rerun_byte_identical(tmp_path):
+    """Every task but x0 (whose closed-form limit holds for stationary models
+    only) on a qutrit system at smoke size: each writes its manifest and a
+    rerun writes the same bytes."""
+    doc = dict(BASE, model=QUTRIT_MODEL)
+    for task in QUTRIT_TASKS:
+        first, again = _run(task, tmp_path, doc, f"{task}-a"), _run(task, tmp_path, doc, f"{task}-b")
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in again.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (again / name).read_bytes(), (task, name)
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert manifest["task"] == task
+        assert manifest["config_hash"] == cfg.config_hash(doc)
+    assert "rho_22" in (tmp_path / "spectrum-a" / "spectrum.csv").read_text().split("\n")[0]
+    landauer = (tmp_path / "simulate-a" / "landauer.csv").read_text().strip().split("\n")
+    assert len(landauer) == 1 + len(BASE["numeric"]["T_list"])
+    balance = (tmp_path / "balance-a" / "balance.csv").read_text().strip().split("\n")[1]
+    assert balance.split(",")[0] == "True"
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    """``python -m rislab`` with src on the path is the CLI: same exit code,
+    same bytes as ``cli.main``."""
+    config = _write(tmp_path, BASE)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rislab", "spectrum", "--config", config, "--out", str(tmp_path / "m")],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    direct = _run("spectrum", tmp_path, sub="direct")
+    for name in ("spectrum.csv", "beta_curves.csv", "manifest.json"):
+        assert (tmp_path / "m" / name).read_bytes() == (direct / name).read_bytes(), name
 
 
 # SHA-256 of the BASE simulate outputs at seed 3, recorded (numpy 2.4.6)

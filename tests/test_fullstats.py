@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -154,7 +155,7 @@ def test_entropy_production_equals_step_sum(fd3):
 def test_step_balance_defect(rng):
     m = random_small_model(rng)
     rho = random_faithful_state(rng)
-    bal = fs.step_balance(m, rho, 0.5)
+    bal = oracles.step_balance(m, rho, 0.5)
     assert bal["sigma"] >= -1e-12
     assert abs(bal["defect"]) < 1e-12
 
@@ -165,7 +166,7 @@ def test_entropies():
     assert abs(
         fs.von_neumann_entropy(rho) - (-(0.75 * np.log(0.75) + 0.25 * np.log(0.25)))
     ) < 1e-12
-    kl = fs.relative_entropy(rho, sig)
+    kl = oracles.relative_entropy(rho, sig)
     assert abs(kl - (0.75 * np.log(1.5) + 0.25 * np.log(0.5))) < 1e-12
     # Renyi relative entropy tends to -S(rho|sigma) in slope near alpha = 1:
     # S_alpha(rho|sigma) = log Tr rho^a sigma^(1-a) vanishes at a = 1 with
@@ -209,6 +210,27 @@ def test_enumeration_guard():
     setup = fs.entropic_setup(mod.gibbs_state(m.h_sys, m.beta(0.0)))
     with pytest.raises(fs.FullStatsError):
         fs.enumerate_measure(m, setup, 12)
+
+
+def test_enumeration_guard_is_a_byte_budget_checked_before_allocating():
+    """fd has 2 x 2 outcomes of A_i, A_f and 4 probe pairs per step: T = 9
+    (1 048 576 records) fits the budget, T = 10 is refused, naming the
+    estimate and the budget, before any record array exists."""
+    records = {T: 2 * 2 * 4**T for T in (9, 10)}
+    assert records[9] * fs.ENUMERATION_BYTES_PER_RECORD <= fs.ENUMERATION_BUDGET
+    assert records[10] * fs.ENUMERATION_BYTES_PER_RECORD > fs.ENUMERATION_BUDGET
+    m = mod.fd_model()
+    setup = fs.entropic_setup(mod.gibbs_state(m.h_sys, m.beta(0.0)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(fs.FullStatsError) as err:
+            fs.enumerate_measure(m, setup, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert f"{records[10] * fs.ENUMERATION_BYTES_PER_RECORD} bytes" in str(err.value)
+    assert f"budget of {fs.ENUMERATION_BUDGET} bytes" in str(err.value)
 
 
 def test_csv_roundtrip(tmp_path, fd3):
@@ -271,7 +293,7 @@ def test_evolved_state_matches_unitary_route(rng):
     cur = rho
     for k in (1, 2):
         U = mod.joint_unitary(m, k / 2)
-        xi = mod.probe_state(m, k / 2)
+        xi = oracles.probe_state(m, k / 2)
         joint = U @ tensor_product(cur, xi) @ U.conj().T
         cur = joint.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
     assert np.abs(out - cur).max() < 1e-12

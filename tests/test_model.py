@@ -229,7 +229,7 @@ def test_counting_weights_are_probe_state_ratios(rng):
     """xi = e^{-Y} / Z with Y = beta * h_env: e^{-dy_ab} = xi_b / xi_a."""
     m = random_small_model(rng)
     fam = mod.kraus_family(m, 0.5)
-    xi = np.linalg.eigvalsh(mod.probe_state(m, 0.5))[::-1]  # levels of ascending y
+    xi = np.linalg.eigvalsh(oracles.probe_state(m, 0.5))[::-1]  # levels of ascending y
     assert np.allclose(np.exp(-fam.dy), np.outer(1.0 / xi, xi).reshape(-1), rtol=1e-12)
 
 

@@ -61,20 +61,20 @@ def _oracle(M: np.ndarray):
     return oracles.peripheral_decomposition(L)
 
 
-def _close(a, b) -> bool:
-    return np.abs(a - b).max() <= RTOL * max(np.abs(b).max(), 1.0)
+def _close(a, b, rtol=RTOL) -> bool:
+    return np.abs(a - b).max() <= rtol * max(np.abs(b).max(), 1.0)
 
 
-def _assert_matches(dec, want):
+def _assert_matches(dec, want, rtol=RTOL):
     assert dec.period == want.period
     assert dec.spectral_radius == want.spectral_radius
     assert np.array_equal(dec.eigenvalues, want.eigenvalues)
     for name in ("rho", "iota", "cycle_unitary", "peripheral_projector"):
-        assert _close(getattr(dec, name), getattr(want, name)), name
+        assert _close(getattr(dec, name), getattr(want, name), rtol), name
     for name in ("spectral_projectors", "cycle_projectors"):
         got, ref = getattr(dec, name), getattr(want, name)
         assert len(got) == len(ref) == dec.period, name
-        assert all(_close(a, b) for a, b in zip(got, ref)), name
+        assert all(_close(a, b, rtol) for a, b in zip(got, ref)), name
 
 
 def _assert_stack_matches(stack):
@@ -368,17 +368,26 @@ def test_random_kraus_maps_match_oracle(L):
 
 
 @st.composite
-def cyclic_stacks(draw):
+def cyclic_stacks(draw, structured=False):
     """1-3 maps of one cyclic structure z in {2, 3} on C^(2z): each of 2-3
-    Kraus operators carries 2x2 block j to block j + 1 (mod z), with entries
-    uniform in [-1, 1] + i[-1, 1] from a drawn seed, and only irreducible
-    families are kept (one operator or 1x1 blocks give reducible ones)."""
+    Kraus operators carries 2x2 block j to block j + 1 (mod z), and only
+    irreducible families are kept (one operator or 1x1 blocks give
+    reducible ones). Block entries are uniform in [-1, 1] + i[-1, 1] from a
+    drawn seed or, ``structured``, each from {0, +-1, +-i} plus sparse raw
+    floats of [-1, 1] (exact zeros, +-1, subnormals, ...)."""
     z, n, count = draw(st.integers(2, 3)), draw(st.integers(2, 3)), draw(st.integers(1, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    blocks = rng.uniform(-1.0, 1.0, (2, count, n, z, 2, 2))
+    shape = (count, n, z, 2, 2)
+    if structured:
+        picks = draw(hnp.arrays(np.int8, shape, elements=st.integers(0, 4)))
+        raw = draw(hnp.arrays(np.float64, shape, elements=st.floats(-1.0, 1.0), fill=st.just(0.0)))
+        blocks = np.array([0, 1, -1, 1j, -1j])[picks] + raw
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        parts = rng.uniform(-1.0, 1.0, (2,) + shape)
+        blocks = parts[0] + 1j * parts[1]
     K = np.zeros((count, n, z, 2, z, 2), dtype=complex)
     for j in range(z):
-        K[:, :, (j + 1) % z, :, j, :] = blocks[0, :, :, j] + 1j * blocks[1, :, :, j]
+        K[:, :, (j + 1) % z, :, j, :] = blocks[:, :, j]
     kraus = K.reshape(count, n, 2 * z, 2 * z)
     assume(all(sp.is_irreducible(list(family)) for family in kraus))
     maps = [SuperOperator.from_kraus(list(f), trace_preserving=False).matrix for f in kraus]
@@ -393,3 +402,85 @@ def test_random_cyclic_maps_match_oracle(case):
     z, stack = case
     decs = _assert_stack_matches(stack)
     assert set(decs.period) == {z}
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(case=cyclic_stacks(structured=True))
+def test_structured_cyclic_maps_match_oracle(case):
+    """Cyclic maps with entries 0, +-1, +-i and raw floats: a map the oracle
+    refuses (such entries can leave rho singular) the stack refuses too,
+    naming it; the others decompose as the oracle does. Both routes read u
+    as rho^(-1) X, X the map's eigenvector at lambda theta, so they agree to
+    RTOL scaled by the first-order sensitivity of that input: 1 / gap for
+    a peripheral modulus gap under 1% and cond(rho) / 100 above 100."""
+    z, stack = case
+    refused = np.zeros(len(stack), dtype=bool)
+    for i, M in enumerate(stack):
+        try:
+            _oracle(M)
+        except sp.SpectralError:
+            refused[i] = True
+    if refused.any():
+        with pytest.raises(sp.SpectralError, match=f"matrix {refused.argmax()} of the stack"):
+            sp.peripheral_decompositions(stack)
+    if refused.all():
+        return
+    kept = stack[~refused]
+    decs = sp.peripheral_decompositions(kept)
+    moduli = np.sort(np.abs(np.linalg.eigvals(kept)), axis=1)
+    gaps = 1.0 - moduli[:, -z - 1] / moduli[:, -1]
+    for M, dec, gap in zip(kept, decs, gaps):
+        want = _oracle(M)
+        cond = np.linalg.cond(want.rho)
+        _assert_matches(dec, want, RTOL * max(1.0, 1e-2 / gap) * max(1.0, cond / 1e2))
+    assert set(decs.period) == {z}
+
+
+def _cycle_identities(dec) -> float:
+    """The worst of |p_m^2 - p_m|, |sum_m p_m - Id| and |u p_m - theta^m p_m|."""
+    p, u, z = np.stack(dec.cycle_projectors), dec.cycle_unitary, dec.period
+    theta = np.exp(2j * np.pi * np.arange(z) / z)[:, None, None]
+    return max(
+        np.abs(p @ p - p).max(),
+        np.abs(p.sum(axis=0) - np.eye(len(u))).max(),
+        np.abs(u @ p - theta * p).max(),
+    )
+
+
+# Period-2 maps of entries 0, +-1, +-i (and one round-off-sized entry),
+# as (block 0 -> 1, block 1 -> 0) of each Kraus operator. Double precision
+# reads their eigenvector at -lambda, so u, only to about 1e-9.
+PERIOD_TWO_STRUCTURED = {
+    # u departs from normal by about 5.6e-9, and the oracle's projectors on
+    # eig's eigenvectors of u missed sum_m p_m = Id by as much
+    "oracle-was-off": [
+        ([[-1j, 0.5 - 1j], [0, -1]], [[-3e-17, -1], [-1j, -1j]]),
+        ([[-1j, 1j], [-3e-17, 0]], [[1j, 1], [0, 1j]]),
+    ],
+    # u's eigenvalues +-1 only to 3.4e-9: the Fourier projectors (Id +- u)/2
+    # missed p^2 = p by 8.5e-10
+    "stack-was-off": [
+        ([[0, 0], [2.2e-16, 1j]], [[1, -1j], [-1, 0.5 - 1j]]),
+        ([[-1j, 0], [-1j, 2.2e-16]], [[0.5 + 1j, -1j], [-1, 1j]]),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(PERIOD_TWO_STRUCTURED))
+def test_period_two_cycle_projectors_by_their_identities(name):
+    """Each route's cycle projectors satisfy their defining identities to
+    round-off, and the routes agree to RTOL: the oracle reads u's
+    eigenspaces from eigh of its Hermitian part, and the stack's Fourier
+    projectors take one McWeeny step. (A 60-digit solve puts both routes
+    2.0e-9 from the exact (Id +- u)/2 on the first map and within 1e-15 on
+    the second: what remains is the error of u itself.)"""
+    K = np.zeros((2, 2, 2, 2, 2), dtype=complex)  # (operator, block out, i, block in, j)
+    for k, (up, down) in enumerate(PERIOD_TWO_STRUCTURED[name]):
+        K[k, 1, :, 0, :], K[k, 0, :, 1, :] = up, down
+    M = SuperOperator.from_kraus(list(K.reshape(2, 4, 4)), trace_preserving=False).matrix
+    dec = sp.peripheral_decompositions(M[None])[0]
+    want = _oracle(M)
+    assert dec.period == want.period == 2
+    assert _cycle_identities(dec) <= 1e-13
+    assert _cycle_identities(want) <= 1e-13
+    _assert_matches(dec, want)

@@ -213,6 +213,18 @@ def test_step_maps_and_balance_read_only_the_kernel():
     assert calls == {"h_env": 0, "beta": 0, "coupling": 0}
 
 
+def test_entropy_production_reads_only_the_kernel():
+    """Given a table, sigma_tot reads h_env, beta and coupling no more: no
+    per-step joint unitary, probe state or partial trace is rebuilt."""
+    calls = {"h_env": 0, "beta": 0, "coupling": 0}
+    m = _counted_reads(mod.fd_model(), calls)
+    nodes = fs.ProtocolNodes(m, [10])
+    calls.update(h_env=0, beta=0, coupling=0)
+    sigma = fs.total_entropy_production(m, mod.gibbs_state(m.h_sys, 1.0), 10, nodes=nodes)
+    assert sigma > 0
+    assert calls == {"h_env": 0, "beta": 0, "coupling": 0}
+
+
 def test_kernel_build_certifies_trace_preservation(monkeypatch):
     """A joint evolution that is not unitary fails the build at its node."""
     unitary = mod.joint_unitary
