@@ -33,10 +33,10 @@ from .linalg import (
 )
 from .model import KrausFamily, RISModel, kraus_families, kraus_family
 
-# enumerate_measure's peak memory per record (274 B measured by ru_maxrss on
-# fd at T = 8 and 9, of which the result holds about 80), and the most its
-# estimate may reach: fd T = 9 (about 280 MiB) is admitted, T = 10 refused.
-ENUMERATION_BYTES_PER_RECORD = 280
+# enumerate_measure's peak memory per record (131-135 B measured by ru_maxrss
+# on fd at T = 7 and 8, of which the result holds about 66), and the most its
+# estimate may reach: fd T = 9 (about 140 MiB) is admitted, T = 10 refused.
+ENUMERATION_BYTES_PER_RECORD = 140
 ENUMERATION_BUDGET = 512 * 2**20
 
 
@@ -256,8 +256,8 @@ class TrajectoryMeasure:
     Record r has the outcome indices ``i_index[r]`` of A_i, ``f_index[r]``
     of A_f and, per step k, the probe outcome pair (i_k, j_k) as
     ``probe_records[r, k] = i_k * n_outcomes + j_k``, as in
-    ``SampledTrajectories``: stored in the narrowest unsigned dtype that
-    holds n_outcomes^2 - 1 (uint8 up to 16 outcomes). Records are in
+    ``SampledTrajectories``; each in the narrowest unsigned dtype that holds
+    its largest index (uint8 up to 16 probe outcomes). Records are in
     lexicographic order of (i_index, probe_records, f_index).
     """
 
@@ -333,38 +333,41 @@ def enumerate_measure(
     # Every product is a (d^2, d^2) @ (d^2, 1) matrix-vector product, which
     # rounds as a walk along one record does; an ordered product of the chain
     # or a matrix-matrix product over the stack of states would round otherwise.
-    # prefixes (ai, pair_1..pair_k): (n_i * n_pair^k, d^2)
+    # prefixes (ai, pair_1..pair_k): (n_i * n_pair^k, d^2), freed once traced
     fwd = np.stack([vec(P @ setup.rho_i @ P) for P in pi_i])
     for k in idx:
         maps = steps.forward[k].reshape(-1, d2, d2)
         fwd = (maps @ fwd[:, None, :, None]).reshape(-1, d2)
+    p_forward = np.maximum(_traces(pi_f, fwd[:, None]).reshape(-1), 0.0)
+    del fwd
     # suffixes (pair_k..pair_T) for every af: (n_pair^(T-k+1), n_f, d^2)
     bwd = np.stack([vec(P @ rho_f @ P) for P in pi_f])[None]
     for k in idx[::-1]:
         maps = steps.backward[k].reshape(-1, 1, 1, d2, d2)
         bwd = (maps @ bwd[None, ..., None]).reshape(-1, n_f, d2)
-
-    p_forward = _traces(pi_f, fwd[:, None]).reshape(-1)
-    p_backward = _traces(pi_i[:, None, None], bwd).reshape(-1)
-    index = np.indices((n_i,) + (n_out * n_out,) * T + (n_f,)).reshape(T + 2, -1)
-    i_index, f_index = index[0], index[-1]
-    probe_records = index[1:-1].T.astype(np.min_scalar_type(n_out * n_out - 1))
-    delta_y = np.zeros(count)
-    for y, pairs in zip(steps.y_values[idx], index[1:-1]):
-        i, j = np.divmod(pairs, n_out)
-        delta_y += y[j] - y[i]
-    a_i = setup.obs_i.values[i_index]
-    a_f = obs_f.values[f_index]
+    p_backward = np.maximum(_traces(pi_i[:, None, None], bwd).reshape(-1), 0.0)
+    # the records' grid (a_i, pair_1, ..., pair_T, a_f), each step's pairs and
+    # increments broadcast along its axis, added in step order as along a walk
+    grid = (n_i,) + (n_out * n_out,) * T + (n_f,)
+    probe_records = np.empty(grid + (T,), np.min_scalar_type(n_out * n_out - 1))
+    delta_y = np.zeros(grid)
+    for k, y in enumerate(steps.y_values[idx]):
+        pairs = np.arange(n_out * n_out).reshape((-1,) + (1,) * (T - k))
+        probe_records[..., k] = pairs
+        delta_y += (y[None, :] - y[:, None]).reshape(pairs.shape)
+    i_index = np.repeat(np.arange(n_i, dtype=np.min_scalar_type(n_i - 1)), count // n_i)
+    f_index = np.tile(np.arange(n_f, dtype=np.min_scalar_type(n_f - 1)), count // n_f)
+    a_i, a_f = setup.obs_i.values[i_index], obs_f.values[f_index]
     return TrajectoryMeasure(
         i_index=i_index,
-        probe_records=probe_records,
+        probe_records=probe_records.reshape(count, T),
         f_index=f_index,
         a_i=a_i,
         a_f=a_f,
         delta_a=a_i - a_f,
-        delta_y=delta_y,
-        p_forward=np.maximum(p_forward, 0.0),
-        p_backward=np.maximum(p_backward, 0.0),
+        delta_y=delta_y.reshape(-1),
+        p_forward=p_forward,
+        p_backward=p_backward,
     )
 
 

@@ -17,12 +17,12 @@ from typing import Callable
 import numpy as np
 
 from .linalg import (
+    EIGENVALUE_FLOOR,
     KRAUS_MATRIX_TOL,
     LinalgError,
     SuperOperator,
     assert_hermitian,
     herm_exp,
-    herm_power,
     hermitian_eig,
     kron_stack,
     spectral_radius,
@@ -219,29 +219,32 @@ def kraus_families(model: RISModel, s_values) -> KrausFamily:
     """The kernel of a set of protocol nodes, built in one pass.
 
     Kraus operators K_ij = (Id x <psi_j|) U (Id x xi^{1/2} |psi_i>), with
-    psi the eigenbasis of Y = beta * h_env and xi the probe Gibbs state; the
-    reduced map is X -> sum_ij K_ij X K_ij*. Y, h_env, xi and the total
-    Hamiltonian are each decomposed in one stacked eigh, and
-    every node's kernel is bitwise equal to the one built for it alone.
-    Each node is certified trace preserving: |sum_n K_n* K_n - Id| is at most
-    KRAUS_MATRIX_TOL, else LinalgError.
+    psi the eigenbasis of Y = beta * h_env and xi = e^{-Y} / Z; the reduced
+    map is X -> sum_ij K_ij X K_ij*. Y and the total Hamiltonian are each
+    decomposed in one stacked eigh, and every node's kernel is bitwise equal
+    to the one built for it alone. A weight of xi below EIGENVALUE_FLOOR, or
+    |sum_n K_n* K_n - Id| above KRAUS_MATRIX_TOL, raises LinalgError naming s.
     """
     dS, dE = model.dim_sys, model.dim_env
     s_values = np.asarray(s_values, dtype=float).reshape(-1)
     n = s_values.size
     if n == 0:
         raise ValueError("a kernel needs at least one protocol node")
-    # Y, the probe state and the joint unitary of every node, from one
-    # reading of beta(s) and h_env(s) per node
+    # Y and the joint unitary of every node, reading beta(s) and h_env(s) once
     beta = _at_nodes(model.beta, s_values).astype(float)
     h_env = assert_hermitian(_at_nodes(model.h_env, s_values))
     y, psi = hermitian_eig(beta[:, None, None] * h_env)
-    xi = gibbs_state(h_env, beta)
-    xi_y_half = np.swapaxes(psi.conj(), -1, -2) @ herm_power(xi, 0.5) @ psi
+    # xi's weights in psi, complex over their real sum, and their roots, a complex
+    # power, round as gibbs_state and herm_power do; real e^{-y/2} / sqrt(Z) moves Lambda
+    g = np.exp(-y).astype(complex)
+    xi = g / g.real.sum(axis=1, keepdims=True)
+    if (xi.real < EIGENVALUE_FLOOR).any():
+        i = int(np.argmin(xi.real.min(axis=1)))
+        raise LinalgError(f"probe weight {xi[i].real.min():.3e} below floor at s={s_values[i]}")
     U4 = joint_unitary(model, s_values, _h_env=h_env).reshape(n, dS, dE, dS, dE)
-    # A[b, a] = (Id x <psi_b|) U (Id x |psi_a>), then K_ab = sum_c (xi^{1/2})_ca A[b, c]
+    # A[b, a] = (Id x <psi_b|) U (Id x |psi_a>), then K_ab = xi_a^{1/2} A[b, a]
     A = np.einsum("seb,smenf,sfa->sbamn", psi.conj(), U4, psi)
-    K = np.einsum("sca,sbcmn->sabmn", xi_y_half, A).reshape(n, dE * dE, dS, dS)
+    K = (np.power(xi, 0.5)[:, :, None, None, None] * A.swapaxes(1, 2)).reshape(n, -1, dS, dS)
     tp = np.abs(np.einsum("snji,snjk->sik", K.conj(), K) - np.eye(dS)).max(axis=(1, 2))
     if np.any(tp > KRAUS_MATRIX_TOL):
         i = int(np.argmax(tp))

@@ -6,8 +6,8 @@ invariant/adjoint-invariant operators, spectral projectors and their sum),
 and the associated conditioned (trace-preserving) map.
 
 ``peripheral_decompositions`` decomposes a whole stack of map matrices in
-stacked passes: one ``eig`` for the right eigenvectors, one of the adjoint
-stack for the left ones, one stacked ``hermitian_eig`` each for rho and
+stacked passes: one ``eig`` for the right eigenvectors, one bordered
+``solve`` for the left ones, one stacked ``hermitian_eig`` each for rho and
 iota, at a period z > 1 the cycle unitaries of all its maps at once, and
 every certificate checked at each matrix's own scale. A node set thus
 costs a few LAPACK calls, not a few per node. The result holds node stacks;
@@ -299,10 +299,10 @@ def peripheral_decompositions(matrices) -> PeripheralDecompositions:
     One decomposition per matrix, each with its own period z, returned as
     node stacks; indexing the result gives one matrix's decomposition. The
     work is done in stacked passes: one ``eig`` of the stack for the right
-    eigenvectors, one of the adjoint stack for the left eigenvectors, one
-    stacked ``hermitian_eig`` each to phase-fix rho and iota, one stacked
-    pass per period z > 1 for the cycle unitaries, and stacked checks at
-    each matrix's own scale.
+    eigenvectors, one bordered ``solve`` (and one refining it) for the left
+    eigenvectors, one stacked ``hermitian_eig`` each to phase-fix rho and
+    iota, one stacked pass per period z > 1 for the cycle unitaries, and
+    stacked checks at each matrix's own scale.
 
     Raises SpectralError, naming the index of the first failing matrix,
     when the peripheral eigenvalues do not form a simple cyclic group
@@ -336,13 +336,19 @@ def peripheral_decompositions(matrices) -> PeripheralDecompositions:
     )
 
     k0 = np.argmax(ms == 0, axis=1)
-    wl, Vl = np.linalg.eig(_adjoint(M))
-    # the left eigenvector at lambda: the adjoint's eigenvector at conj(lambda)
-    j0 = np.argmin(np.abs(wl - w[rows, k0].conj()[:, None]), axis=1)
     rho = _phase_fixed_psd(unvec(Vr[rows, :, k0], d))
     rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
-    iota = _phase_fixed_psd(unvec(Vl[rows, :, j0], d))
-    iota = iota / np.trace(iota @ rho, axis1=1, axis2=2).real[:, None, None]
+    # iota solves [[M* - conj(lambda), vec rho], [vec rho*, 0]] [vec iota; mu] = [0; 1],
+    # non-singular as lambda is simple (a double root fails the cyclic group above),
+    # with Tr(iota rho) = 1 its last row; the residual certifies and refines it once
+    r, shift = vec(rho)[..., None], w[rows, k0, None, None].conj() * np.eye(d2)
+    B = np.block([[_adjoint(M) - shift, r], [_adjoint(r), np.zeros_like(r[:, :1])]])
+    e = np.eye(d2 + 1)[:, -1:]
+    x = np.linalg.solve(B, e)
+    res = e - B @ x
+    ok = _matrix_max(np.abs(res)) <= RESIDUAL_TOL * np.maximum(lam, 1.0)
+    _require(ok, "left eigenvector residual above tolerance")
+    iota = _phase_fixed_psd(unvec((x + np.linalg.solve(B, res))[:, :d2, 0], d))
     # right eigenvectors at lambda*theta, read only where z > 1
     Xr = unvec(Vr[rows, :, np.argmax(ms == 1, axis=1)], d)
 

@@ -2,8 +2,10 @@
 
 The library derives every map of a protocol node from one kernel, built
 for a whole node set at once by ``rislab.model.kraus_families``.
-``kraus_family`` here builds one node's kernel alone, as the library did
-before the stacked build, and must agree with it bitwise.
+``kraus_family`` here builds one node's kernel alone, with the library's
+arithmetic, and must agree with it bitwise; ``kraus_family_gibbs`` builds it
+from the probe's Gibbs state and its square root, each decomposed on its own,
+and agrees with it to round-off.
 ``peripheral_decomposition`` likewise decomposes one map alone, as the
 library did before the stacked ``rislab.spectral.peripheral_decompositions``.
 The other routes build the same maps from their defining expressions
@@ -13,8 +15,10 @@ oracles by the tests. ``forward_prob``, ``backward_prob`` and ``balance_rhs`` ev
 record at a time what the library computes for a whole enumerated measure,
 reading the chain of each (model, setup, T) from a cache filled on its
 first record; ``records`` lists the measure's records in their tuple form.
-``sample_trajectories_reference`` is the sampler's one-stream-per-trajectory,
-all-maps-per-step route in complex vec coordinates; ``write_rows_reference``
+``enumerate_measure_by_index_table`` labels the enumerated records from one
+index table of their grid. ``sample_trajectories_reference`` is the
+sampler's one-stream-per-trajectory, all-maps-per-step route in complex vec
+coordinates; ``write_rows_reference``
 writes the sampler's and the measure's CSV files one ``csv.writer`` row at
 a time. ``intertwiner``, ``theta_integral``,
 ``product_decomposition_residual`` and ``gap_bound`` read an
@@ -51,6 +55,7 @@ from rislab.fullstats import (
     SampledTrajectories,
     SpectralObservable,
     TrajectoryMeasure,
+    _traces,
     balance_applicable,
     resolve_final_observable,
     von_neumann_entropy,
@@ -114,19 +119,36 @@ def _counting(model: RISModel, s: float) -> np.ndarray:
 
 
 def kraus_family(model: RISModel, s: float) -> KrausFamily:
-    """Kraus operators K_ij = (Id x <psi_j|) U (Id x xi^{1/2} |psi_i>).
+    """Kraus operators K_ab = xi_a^{1/2} (Id x <psi_b|) U (Id x |psi_a>).
 
-    psi is the eigenbasis of Y and xi the probe Gibbs state; the reduced
-    map is X -> sum_ij K_ij X K_ij*.
+    psi is the eigenbasis of Y and xi_a = e^{-y_a} / Z the probe Gibbs
+    state's weight on psi_a, read off Y's eigenvalues with the library's
+    arithmetic; the reduced map is X -> sum_ab K_ab X K_ab*.
     """
     dS, dE = model.dim_sys, model.dim_env
-    Y = _counting(model, s)
-    y, psi = hermitian_eig(Y)
-    xi = probe_state(model, s)
-    xi_y_half = psi.conj().T @ herm_power(xi, 0.5) @ psi
+    y, psi = hermitian_eig(_counting(model, s))
+    g = np.exp(-y).astype(complex)
+    half = np.power(g / g.real.sum(), 0.5)
+    U4 = joint_unitary(model, s).reshape(dS, dE, dS, dE)
+    A = np.einsum("eb,menf,fa->bamn", psi.conj(), U4, psi)
+    K = (half[None, :, None, None] * A).swapaxes(0, 1).reshape(dE * dE, dS, dS)
+    return _family(K, y)
+
+
+def kraus_family_gibbs(model: RISModel, s: float) -> KrausFamily:
+    """The same kernel with xi^{1/2} = herm_power(gibbs_state(h_env, beta), 1/2)
+    taken in h_env's own eigenbasis and rotated into psi's, as the library
+    built it before reading xi's weights off Y's eigenvalues."""
+    dS, dE = model.dim_sys, model.dim_env
+    y, psi = hermitian_eig(_counting(model, s))
+    xi_y_half = psi.conj().T @ herm_power(probe_state(model, s), 0.5) @ psi
     U4 = joint_unitary(model, s).reshape(dS, dE, dS, dE)
     A = np.einsum("eb,menf,fa->bamn", psi.conj(), U4, psi)
     K = np.einsum("ca,bcmn->abmn", xi_y_half, A).reshape(dE * dE, dS, dS)
+    return _family(K, y)
+
+
+def _family(K: np.ndarray, y: np.ndarray) -> KrausFamily:
     return KrausFamily(
         kraus=K,
         dy=(y[None, :] - y[:, None]).reshape(-1),
@@ -246,6 +268,52 @@ def step_operators(model: RISModel, s: float) -> SimpleNamespace:
                 )
                 bwd[i, j, :, col] = vec(out_b)
     return SimpleNamespace(y_values=obs.values, forward=fwd, backward=bwd)
+
+
+def enumerate_measure_by_index_table(
+    model: RISModel, setup: MeasurementSetup, T: int
+) -> TrajectoryMeasure:
+    """The enumeration with the records' labels read from one int64
+    ``np.indices`` table of the (a_i, pair_1, ..., pair_T, a_f) grid, and
+    both state stacks alive until the end, as the library built it before it
+    broadcast each step along its axis of the grid."""
+    nodes = ProtocolNodes(model, [T])
+    obs_f, rho_f = resolve_final_observable(model, setup, T, nodes=nodes)
+    steps, idx = nodes.steps, nodes.chain(T)
+    n_out = steps.y_values.shape[-1]
+    n_i, n_f = setup.obs_i.n_outcomes, obs_f.n_outcomes
+    d2 = model.dim_sys**2
+    pi_i, pi_f = np.stack(setup.obs_i.projectors), np.stack(obs_f.projectors)
+    fwd = np.stack([vec(P @ setup.rho_i @ P) for P in pi_i])
+    for k in idx:
+        maps = steps.forward[k].reshape(-1, d2, d2)
+        fwd = (maps @ fwd[:, None, :, None]).reshape(-1, d2)
+    bwd = np.stack([vec(P @ rho_f @ P) for P in pi_f])[None]
+    for k in idx[::-1]:
+        maps = steps.backward[k].reshape(-1, 1, 1, d2, d2)
+        bwd = (maps @ bwd[None, ..., None]).reshape(-1, n_f, d2)
+    p_forward = _traces(pi_f, fwd[:, None]).reshape(-1)
+    p_backward = _traces(pi_i[:, None, None], bwd).reshape(-1)
+    index = np.indices((n_i,) + (n_out * n_out,) * T + (n_f,)).reshape(T + 2, -1)
+    i_index, f_index = index[0], index[-1]
+    probe_records = index[1:-1].T.astype(np.min_scalar_type(n_out * n_out - 1))
+    delta_y = np.zeros(i_index.size)
+    for y, pairs in zip(steps.y_values[idx], index[1:-1]):
+        i, j = np.divmod(pairs, n_out)
+        delta_y += y[j] - y[i]
+    a_i = setup.obs_i.values[i_index]
+    a_f = obs_f.values[f_index]
+    return TrajectoryMeasure(
+        i_index=i_index,
+        probe_records=probe_records,
+        f_index=f_index,
+        a_i=a_i,
+        a_f=a_f,
+        delta_a=a_i - a_f,
+        delta_y=delta_y,
+        p_forward=np.maximum(p_forward, 0.0),
+        p_backward=np.maximum(p_backward, 0.0),
+    )
 
 
 def records(measure: TrajectoryMeasure, n_out: int) -> list[tuple]:

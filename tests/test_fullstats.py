@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -231,6 +235,86 @@ def test_enumeration_guard_is_a_byte_budget_checked_before_allocating():
     assert peak < 2**20
     assert f"{records[10] * fs.ENUMERATION_BYTES_PER_RECORD} bytes" in str(err.value)
     assert f"budget of {fs.ENUMERATION_BUDGET} bytes" in str(err.value)
+
+
+def _enumeration_cases():
+    fd, rwa = mod.fd_model(), mod.rwa_model()
+    # one initial outcome and three final ones, on a model with a degenerate Y
+    degenerate = dict(KERNEL_CASES)["degenerate-env3"]
+    uneven = fs.MeasurementSetup(
+        rho_i=np.diag([0.3, 0.7]).astype(complex),
+        obs_i=fs.SpectralObservable.from_matrix(np.eye(2)),
+        obs_f=fs.SpectralObservable.from_matrix(np.diag([0.0, 1.0])),
+    )
+    return [
+        ("fd", fd, fs.entropic_setup(mod.gibbs_state(fd.h_sys, fd.beta(0.0)))),
+        ("rwa", rwa, fs.entropic_setup(mod.gibbs_state(rwa.h_sys, rwa.beta(0.0)))),
+        ("degenerate-uneven", degenerate, uneven),
+    ]
+
+
+ENUMERATION_CASES = _enumeration_cases()
+
+
+@pytest.mark.parametrize("name,m,setup", ENUMERATION_CASES, ids=[c[0] for c in ENUMERATION_CASES])
+def test_enumeration_equals_the_index_table_route(name, m, setup):
+    """Broadcasting each step along its axis of the record grid gives the
+    records of one np.indices table bit for bit at T <= 6, dtypes apart:
+    i_index and f_index are stored in the narrowest unsigned dtype."""
+    for T in range(1, 7):
+        got = fs.enumerate_measure(m, setup, T)
+        want = oracles.enumerate_measure_by_index_table(m, setup, T)
+        for f in fields(want):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert a.shape == b.shape, (T, f.name)
+            if b.dtype.kind == "f":
+                assert np.array_equal(a.view(np.int64), b.view(np.int64)), (T, f.name)
+            else:
+                assert np.array_equal(a, b), (T, f.name)
+        assert got.i_index.dtype == got.f_index.dtype == got.probe_records.dtype == np.uint8
+        assert got.probe_records.flags.c_contiguous
+
+
+def test_balance_files_are_those_of_the_index_table_route(tmp_path, fd3):
+    """measure.csv and the balance right-hand side do not see the change of
+    route: byte-identical files and bit-equal values."""
+    m, setup, meas = fd3
+    want = oracles.enumerate_measure_by_index_table(m, setup, 3)
+    fs.write_measure_csv(tmp_path / "got.csv", meas)
+    fs.write_measure_csv(tmp_path / "want.csv", want)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    got_rhs, want_rhs = fs.balance_rhs(m, setup, meas, 3), fs.balance_rhs(m, setup, want, 3)
+    assert np.array_equal(got_rhs.view(np.int64), want_rhs.view(np.int64))
+
+
+ENUMERATION_PEAK = """
+import resource, sys
+from rislab import fullstats as fs, model as mod
+m = mod.fd_model()
+setup = fs.entropic_setup(mod.gibbs_state(m.h_sys, m.beta(0.0)))
+nodes = fs.ProtocolNodes(m, [8])
+fs.enumerate_measure(m, setup, 2)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+meas = fs.enumerate_measure(m, setup, 8, nodes=nodes)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print((after - before) * 1024 / meas.delta_y.size)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
+def test_enumeration_peak_bytes_per_record():
+    """At fd T = 8 (262 144 records) the enumeration's peak, read by
+    ru_maxrss in a fresh interpreter, stays at or under 160 bytes per record
+    (274 while both state stacks and an int64 index table were alive), and
+    ENUMERATION_BYTES_PER_RECORD is not below it."""
+    out = subprocess.run(
+        [sys.executable, "-c", ENUMERATION_PEAK],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    peak = float(out.stdout)
+    assert peak <= 160, peak
+    assert peak <= fs.ENUMERATION_BYTES_PER_RECORD, peak
 
 
 def test_csv_roundtrip(tmp_path, fd3):

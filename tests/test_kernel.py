@@ -68,6 +68,20 @@ def test_kraus_stack_matches_oracle(name, m):
 
 
 @pytest.mark.parametrize("name,m", CASES, ids=_ids(CASES))
+def test_kernel_equals_the_gibbs_state_route(name, m):
+    """The kernel with xi's weights read off Y's eigenvalues against the one
+    with xi^{1/2} = herm_power(gibbs_state(h_env, beta), 1/2): bitwise on the
+    presets, to 1e-14 of each field's largest entry on every case."""
+    got, want = mod.kraus_family(m, S), oracles.kraus_family_gibbs(m, S)
+    assert np.array_equal(got.dy, want.dy)
+    for f in ("kraus", "kron"):
+        a, b = getattr(got, f), getattr(want, f)
+        if name in ("fd", "rwa"):
+            assert np.array_equal(a, b), f
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max(), f
+
+
+@pytest.mark.parametrize("name,m", CASES, ids=_ids(CASES))
 def test_step_maps_match_oracle(name, m):
     got = fs.step_operators(m, S)
     want = oracles.step_operators(m, S)

@@ -25,7 +25,7 @@ from rislab import config as cfg
 from rislab import mgfldp as mg
 from rislab import model as mod
 from rislab import spectral as sp
-from rislab.linalg import SuperOperator
+from rislab.linalg import SuperOperator, unvec, vec
 
 import oracles
 from conftest import random_small_model
@@ -265,6 +265,72 @@ def test_derivatives_at_zero_decompose_in_one_pass(eigen_calls):
     assert len(eigen_calls) <= 10, len(eigen_calls)
 
 
+@pytest.mark.parametrize("period", [1, 2])
+def test_one_eig_per_stack_and_none_of_its_adjoint(eigen_calls, period):
+    """The right eigenvectors come from one eig of the stack; iota from a
+    bordered solve, not from an eig of the adjoint stack; the other entries
+    are eigh to phase-fix rho and iota and, at z = 2, eigvalsh to check rho
+    faithful and eigh for rho^(-1) in u = rho^(-1) X."""
+    if period == 1:
+        stack = _deformed_stack(mod.fd_model(), 0.5)
+    else:
+        stack = np.stack([_flip_map(1.0 + x, 1.5 - x) for x in np.linspace(0, 1, 9)])
+    eigen_calls.clear()
+    decs = sp.peripheral_decompositions(stack)
+    assert set(decs.period) == {period}
+    assert eigen_calls == ["eig", "eigh", "eigh"] + ["eigvalsh", "eigh"] * (period > 1)
+
+
+def test_perturbed_left_eigenvector_is_refused_naming_its_node(monkeypatch):
+    """A bordered solution off [[M* - conj(lambda), vec rho], [vec rho*, 0]]
+    [vec iota; mu] = [0; 1] is refused at its node by its residual."""
+    stack = _deformed_stack(mod.fd_model(), 0.5, np.linspace(0, 1, 6))
+    d2 = stack.shape[-1]
+    solve = np.linalg.solve
+
+    def off_at_node_3(a, b):
+        x = solve(a, b)
+        if np.shape(b) == (d2 + 1, 1):  # the bordered system's right-hand side
+            x[3, 0] += 1e-6
+        return x
+
+    sp.peripheral_decompositions(stack)
+    monkeypatch.setattr(np.linalg, "solve", off_at_node_3)
+    with pytest.raises(sp.SpectralError, match="matrix 3 of the stack: left eigenvector residual"):
+        sp.peripheral_decompositions(stack)
+
+
+def test_iota_solves_the_bordered_system():
+    """iota is the left Perron vector with Tr(iota rho) = 1 to round-off,
+    on the presets at every alpha and on a period-3 stack."""
+    stacks = [_deformed_stack(make(), a) for make in (mod.fd_model, mod.rwa_model) for a in ALPHAS]
+    stacks.append(np.stack([_shift_map((1.5, 0.8, 1.1)), _shift_map((0.3, 2.0, 0.9))]))
+    for stack in stacks:
+        decs = sp.peripheral_decompositions(stack)
+        left = np.einsum("nba,nb->na", stack.conj(), vec(decs.iota))
+        lam = decs.spectral_radius[:, None]
+        assert np.abs(left - lam * vec(decs.iota)).max() <= 1e-13 * lam.max()
+        assert np.abs(np.trace(decs.iota @ decs.rho, axis1=1, axis2=2) - 1).max() <= 1e-14
+
+
+def _adjoint_eig_iota(M, rho):
+    """iota as the adjoint's eigenvector at conj(lambda), phase-fixed and
+    normalised to Tr(iota rho) = 1, as the stack read it before the
+    bordered solve."""
+    w, V = np.linalg.eig(M.conj().T)
+    X = oracles._phase_fixed_psd(unvec(V[:, np.argmax(np.abs(w))], math.isqrt(len(M))))
+    return X / np.trace(X @ rho).real
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("make", [mod.fd_model, mod.rwa_model], ids=["fd", "rwa"])
+def test_iota_equals_the_adjoint_eigenvector(make, alpha):
+    stack = _deformed_stack(make(), alpha)
+    decs = sp.peripheral_decompositions(stack)
+    for M, rho, iota in zip(stack, decs.rho, decs.iota):
+        assert _close(iota, _adjoint_eig_iota(M, rho))
+
+
 def test_period_two_stack_decomposes_in_one_pass(eigen_calls):
     s = np.linspace(0.0, 1.0, 256)
     stack = np.stack([_flip_map(1.0 + 0.5 * x, 1.5 - x * x) for x in s])
@@ -484,3 +550,110 @@ def test_period_two_cycle_projectors_by_their_identities(name):
     assert _cycle_identities(dec) <= 1e-13
     assert _cycle_identities(want) <= 1e-13
     _assert_matches(dec, want)
+
+
+def _cyclic_map(blocks) -> np.ndarray:
+    """The map of Kraus operators that each carry 2x2 block j of C^(2z) to
+    block j + 1 (mod z) by blocks[operator][j], as ``cyclic_stacks`` builds it."""
+    blocks = np.array(blocks, dtype=complex)
+    n, z = blocks.shape[:2]
+    K = np.zeros((n, z, 2, z, 2), dtype=complex)
+    for j in range(z):
+        K[:, (j + 1) % z, :, j, :] = blocks[:, j]
+    return SuperOperator.from_kraus(list(K.reshape(n, 2 * z, 2 * z)), trace_preserving=False).matrix
+
+
+# Structured cyclic maps of a seeded numpy search (2 900 irreducible maps of
+# entries 0, +-1, +-i, some perturbed by 1e-300, 5e-324, 5.7e-24, 3e-17, 1e-8
+# or a uniform float) that the oracle decomposes. With iota read off an eig
+# of the adjoint stack the stack refused the first eight ("eigenvector has
+# (near-)zero trace", "cycle operator does not commute with iota": that eig
+# returned no eigenvector at lambda), and on the last three its iota was
+# 3.6e-9 to 5.5e-9 off the oracle's.
+STRUCTURED_BORDERED = {
+    "was-zero-trace-a": [
+        ([[0, 0], [1, -1j]], [[-1, 0], [-1j, -0.9055916912220738 - 1j]]),
+        ([[1j, -0.5742449198068826], [1e-300, 0]], [[-1j, -1j], [-1, 0]]),
+        ([[0, 0], [-1j, 1]], [[1, 1j], [0, 0]]),
+    ],
+    "was-zero-trace-b": [
+        (
+            [[0, 0], [-1j, 1j]],
+            [[1, -1], [3e-17 - 1j, -1j]],
+            [[1j, 0.28281837770558726], [0, -1]],
+        ),
+        (
+            [[1, 1], [1j, -0.8946531833222289]],
+            [[-1, -1], [-5e-324, 0]],
+            [[1, -1j], [0.945244754766345 - 1j, -1j]],
+        ),
+    ],
+    "was-zero-trace-c": [
+        ([[-1, -1], [0, 5e-324 - 1j]], [[0, 1], [1, 1]], [[-1, -0.99999999], [1, 0]]),
+        ([[-1, -1], [0, 1j]], [[-1j, -1j], [-1j, 0]], [[-1j, -1j], [-1, 1j]]),
+    ],
+    "was-zero-trace-d": [
+        (
+            [[-1j, 1e-300], [1, -0.9561375432585923 + 1j]],
+            [[-1j, -1], [1, 1j]],
+            [[-1j, -1j], [0, 0.5]],
+        ),
+        (
+            [[1j, 0], [-1.661361312209434, 0]],
+            [[1j, -1], [0, 0]],
+            [[-1j, -1j], [-1j, 1j]],
+        ),
+    ],
+    "was-zero-trace-e": [
+        (
+            [[-1, -1e-08 + 1j], [0, -1j]],
+            [[-1.0163645856229142, 5.7e-24 - 1j], [-1, 0]],
+            [[1, 1j], [1e-300 + 1j, 1j]],
+        ),
+        ([[1, 1], [0, -1j]], [[0, 1j], [-1, -1j]], [[-1, -1e-300 - 1j], [1j, -1j]]),
+    ],
+    "was-zero-trace-f": [
+        (
+            [[1j, -1], [-1e-300, -2]],
+            [[-1j, -1j], [-1j, 1j]],
+            [[-1, 1j], [5e-324, 5e-324 + 1j]],
+        ),
+        (
+            [[-1, -1j], [-0.3873021928841922, -1j]],
+            [[-0.1516610808090244 - 1j, 0.9999999999999998], [-1, 1j]],
+            [[-1j, 1j], [0, 1]],
+        ),
+    ],
+    "was-not-commuting-a": [
+        ([[1j, 0], [0, 0]], [[0.9740852551892101, -1j], [0, -1j]]),
+        ([[0, -0.5 + 1j], [1, -1]], [[0, 5.7e-24], [-1j, 1]]),
+    ],
+    "was-not-commuting-b": [
+        ([[1j, 0], [0, -1]], [[1j, 1], [1j, 1]], [[1, -1j], [-1j, 0]]),
+        (
+            [[-1j, 0], [-1j, 1]],
+            [[0, 1j], [1, -5e-324 + 1j]],
+            [[1, 5.7e-24 - 1j], [0.7289921728956616 - 1j, -1j]],
+        ),
+    ],
+    "iota-was-off-a": [
+        ([[-3e-17, 0], [1, -1j]], [[0, 1], [1j, 1]]),
+        ([[-1e-08, 0], [-0.7671795456889186 - 1j, -1]], [[0, 0], [-1j, 0]]),
+        ([[-1, -1j], [-1, -1j]], [[0, 0], [-1j, 1]]),
+    ],
+    "iota-was-off-b": [
+        ([[-2.2e-16 - 1j, 1], [0, 1j]], [[0, -1], [1, -1]]),
+        ([[1j, -1], [1j, -1j]], [[0, -1], [-1, -1j]]),
+    ],
+    "iota-was-off-c": [
+        ([[3e-17 + 1j, -1j], [0, 0]], [[1, 1], [0.07464593516591922 - 1j, -1j]]),
+        ([[-1, -1e-300 + 1j], [-1j, 0]], [[2.2e-16, 0], [0, 1]]),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(STRUCTURED_BORDERED))
+def test_structured_maps_decompose_with_the_bordered_iota(name):
+    M = _cyclic_map(STRUCTURED_BORDERED[name])
+    dec = sp.peripheral_decompositions(M[None])[0]
+    _assert_matches(dec, _oracle(M))

@@ -1,9 +1,12 @@
 """The stacked kernel build, bit for bit against one node built alone.
 
-``oracles.kraus_family`` is the one-node build the library used before
-``kraus_families`` decomposed a whole node set in stacked calls. Every field
-of every kernel must be equal to it, not merely close, so that every map,
-chain and CLI output built on the kernels stays byte-identical.
+``oracles.kraus_family`` builds one node alone with the library's
+arithmetic. Every field of every kernel must be equal to it, not merely
+close, so that every map, chain and CLI output built on the kernels stays
+byte-identical. ``oracles.kraus_family_gibbs`` takes xi^{1/2} from the
+probe's Gibbs state instead, as the library did before it read xi off Y's
+eigenvalues: bitwise on the presets and every schedule, and to round-off
+elsewhere.
 """
 
 from dataclasses import fields, replace
@@ -20,7 +23,7 @@ from rislab import model as mod
 from rislab.adiabatic import DERIV_STEP
 
 import oracles
-from conftest import random_hermitian
+from conftest import random_hermitian, wrap_everywhere
 
 S_GRID = np.linspace(0.0, 1.0, 41)
 
@@ -151,6 +154,77 @@ def test_schedules_read_over_a_node_array_are_per_node(s):
     fams = mod.kraus_families(m, nodes)
     for i, x in enumerate(nodes):
         assert_same_kernel(fams[i], mod.kraus_family(m, x), x)
+
+
+# the cases whose kernel the Gibbs-state route gives bit for bit
+GIBBS_BITWISE = ("fd", "rwa", "fd-schedule2", "fd-tabulated", "degenerate-Y")
+
+
+def _largest_gap(got, want) -> float:
+    """The largest difference of kraus and kron, relative to each field's
+    largest entry; dy and the y eigenvalues must be equal."""
+    assert np.array_equal(got.dy, want.dy) and np.array_equal(got.y_eigenvalues, want.y_eigenvalues)
+    return max(
+        np.abs(getattr(got, f) - getattr(want, f)).max() / np.abs(getattr(want, f)).max()
+        for f in ("kraus", "kron")
+    )
+
+
+@pytest.mark.parametrize("name,m", CASES, ids=[c[0] for c in CASES])
+def test_kernel_equals_the_gibbs_state_route(name, m):
+    """xi's weights read off Y's eigenvalues give the kernel of xi^{1/2} =
+    herm_power(gibbs_state(h_env, beta), 1/2): bitwise on the presets, every
+    schedule and a degenerate Y, to 1e-13 of the largest entry elsewhere."""
+    for s in S_GRID:
+        got, want = oracles.kraus_family(m, float(s)), oracles.kraus_family_gibbs(m, float(s))
+        if name in GIBBS_BITWISE:
+            assert_same_kernel(got, want, s)
+        else:
+            assert _largest_gap(got, want) <= 1e-13, s
+
+
+@pytest.mark.parametrize("make", [mod.fd_model, mod.rwa_model], ids=["fd", "rwa"])
+def test_preset_kernels_equal_the_gibbs_state_route_under_every_schedule(make):
+    for schedule in SCHEDULES:
+        m = make(schedule)
+        fams = mod.kraus_families(m, S_GRID)
+        for i, s in enumerate(S_GRID):
+            assert_same_kernel(fams[i], oracles.kraus_family_gibbs(m, float(s)), (schedule, s))
+
+
+def test_kernel_build_decomposes_only_y_and_the_hamiltonian(monkeypatch):
+    """Two stacked eigh per node set, of Y and of the total Hamiltonian: the
+    probe state and its root are read off Y's, with no gibbs_state or
+    herm_power call."""
+    shapes, routes = [], []
+    eigh = np.linalg.eigh
+
+    def counted(H, *args, **kwargs):
+        shapes.append(np.shape(H))
+        return eigh(H, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for original in (mod.gibbs_state, la.herm_power):
+        wrap_everywhere(monkeypatch, original, routes.append)
+    for m, n in ((mod.fd_model(), 10), (dict(CASES)["explicit-3x3"], 7)):
+        shapes.clear()
+        mod.kraus_families(m, np.linspace(0.0, 1.0, n))
+        dE = m.dim_env
+        assert shapes == [(n, dE, dE), (n, m.dim_sys * dE, m.dim_sys * dE)]
+    assert routes == []
+
+
+def test_probe_weight_below_the_floor_is_refused_naming_s():
+    """A weight of xi under EIGENVALUE_FLOOR (e^{-40} / Z at beta = 50) is a
+    LinalgError at its node, as herm_power refused the root of such a state."""
+    with pytest.raises(la.LinalgError, match=r"probe weight 4\.248e-18 below floor at s=0\.5$"):
+        mod.kraus_families(mod.fd_model(mod.ConstantSchedule(50.0)), [0.5])
+    m = replace(mod.fd_model(), beta=lambda s: 1.0 if s < 0.7 else 50.0)
+    mod.kraus_families(m, [0.0, 0.5])
+    with pytest.raises(la.LinalgError, match=r"below floor at s=0\.75$"):
+        mod.kraus_families(m, [0.0, 0.5, 0.75, 1.0])
+    with pytest.raises(la.LinalgError, match="below floor"):
+        oracles.kraus_family_gibbs(m, 1.0)
 
 
 def test_cases_cover_their_claims():
