@@ -11,7 +11,7 @@ geometric phase-type integral theta^(alpha).
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from dataclasses import fields
 
 import numpy as np
 
@@ -26,32 +26,12 @@ DERIV_STEP = 1e-5
 PREPARE_BLOCK = 256
 
 
-class NodeStack(NamedTuple):
-    """Peripheral data of N nodes, stacked along a leading node axis.
-
-    F: the normalized maps L^(alpha)(s) / lambda^(alpha)(s), (N, d^2, d^2).
-    P: the spectral projectors P^m(s), (N, z, d^2, d^2), ordered by m.
-    rho, iota: the right and left Perron eigenvectors, (N, d, d).
-    """
-
-    F: np.ndarray
-    P: np.ndarray
-    rho: np.ndarray
-    iota: np.ndarray
-
-    @property
-    def Q(self) -> np.ndarray:
-        """Q(s) = Id - sum_m P^m(s), the projector onto the rest of the spectrum."""
-        return np.eye(self.F.shape[-1], dtype=complex) - self.P.sum(axis=1)
-
-
-def _appended(cache: np.ndarray | None, n: int, rows: np.ndarray) -> np.ndarray:
+def _appended(cache: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
     """``cache`` with ``rows`` written from row n on; a full cache is copied
     into one of twice the size first, so appending costs O(1) per row."""
-    if cache is None or n + len(rows) > len(cache):
+    if n + len(rows) > len(cache):
         grown = np.empty((max(2 * n, n + len(rows)), *rows.shape[1:]), rows.dtype)
-        if cache is not None:
-            grown[:n] = cache[:n]
+        grown[:n] = cache[:n]
         cache = grown
     cache[n : n + len(rows)] = rows
     return cache
@@ -61,8 +41,9 @@ class AdiabaticFamily:
     """A protocol of deformed maps with cached peripheral data.
 
     Each map's matrix is built and decomposed together with the other nodes
-    of its block. The cache is node stacks, one row per node and a map from
-    s to its row: the normalized maps F and the peripheral decompositions.
+    of its block. The cache is one table of named fields, one row per node
+    and a map from s to its row: the normalized maps "F" beside every
+    ``PeripheralDecompositions`` field. ``read`` gathers one field's rows.
     The period z must be constant along the protocol (checked per block).
     """
 
@@ -70,10 +51,8 @@ class AdiabaticFamily:
         self.model = model
         self.alpha = float(alpha)
         self._rows: dict[float, int] = {}
-        # F and each PeripheralDecompositions field by name: len(self._rows)
-        # filled rows, then unfilled capacity
-        self._F: np.ndarray | None = None
-        self._decs: dict[str, np.ndarray] = {}
+        # each field by name: len(self._rows) filled rows, then unfilled capacity
+        self._fields: dict[str, np.ndarray] = {}
         self._thetas: dict[int, complex] = {}  # theta_integral by odd grid size
         self._period: int | None = None
 
@@ -100,36 +79,35 @@ class AdiabaticFamily:
                 s = block[changed[0]]
                 raise ValueError(f"peripheral period changed along the protocol at s={s}")
             n = len(self._rows)
-            self._F = _appended(self._F, n, matrices / decs.spectral_radius[:, None, None])
-            self._decs = {
-                k: _appended(self._decs.get(k), n, v) for k, v in vars(decs).items()
-            }
+            F = matrices / decs.spectral_radius[:, None, None]
+            # one field at a time: a grown array replaces its old one before
+            # the next field grows, so no two generations of the table coexist
+            for name, rows in {"F": F, **vars(decs)}.items():
+                self._fields[name] = _appended(self._fields.get(name, rows[:0]), n, rows)
             self._rows.update(zip(block, range(n, n + len(block))))
+
+    def read(self, field: str, s_values) -> np.ndarray:
+        """Field ``field`` ("F" or a ``PeripheralDecompositions`` field) at the
+        nodes s_values, one row per node in their order; prepares any missing."""
+        s_values = np.asarray(s_values, dtype=float).tolist()
+        self.prepare(s_values)
+        return self._fields[field][[self._rows[s] for s in s_values]]
 
     def decomposition(self, s: float) -> PeripheralDecomposition:
         """The peripheral decomposition at s, a row of the cache."""
-        s = float(s)
-        self.prepare([s])
-        row = self._rows[s]
-        one = {k: v[row : row + 1] for k, v in self._decs.items()}
+        one = {f.name: self.read(f.name, [s]) for f in fields(PeripheralDecompositions)}
         return PeripheralDecompositions(**one)[0]
-
-    def stack(self, s_values) -> NodeStack:
-        """The peripheral data of the nodes s_values, in their order."""
-        s_values = np.asarray(s_values, dtype=float).tolist()
-        self.prepare(s_values)
-        rows = np.array([self._rows[s] for s in s_values])
-        return NodeStack(
-            F=self._F[rows],
-            P=self._decs["spectral_projectors"][rows],
-            rho=self._decs["rho"][rows],
-            iota=self._decs["iota"][rows],
-        )
 
     def gap_bound(self, s_grid) -> float:
         """ell = sup over the grid of spr(F(s) Q(s)); must be < 1."""
-        nodes = self.stack(np.atleast_1d(s_grid))
-        return float(np.abs(np.linalg.eigvals(nodes.F @ nodes.Q)).max())
+        s_grid = np.atleast_1d(s_grid)
+        FQ = self.read("F", s_grid) @ _complement(self.read("spectral_projectors", s_grid))
+        return float(np.abs(np.linalg.eigvals(FQ)).max())
+
+
+def _complement(P: np.ndarray) -> np.ndarray:
+    """Q = Id - sum_m P^m, the projector onto the rest of the spectrum, per node."""
+    return np.eye(P.shape[-1], dtype=complex) - P.sum(axis=1)
 
 
 def _neighbours(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,9 +116,9 @@ def _neighbours(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _derivative(family: AdiabaticFamily, s: np.ndarray, field: str) -> np.ndarray:
-    """Centred difference d/ds of one NodeStack field at each node of s."""
+    """Centred difference d/ds of one cached field at each node of s."""
     lo, hi = _neighbours(s)
-    diff = getattr(family.stack(hi), field) - getattr(family.stack(lo), field)
+    diff = family.read(field, hi) - family.read(field, lo)
     return diff / (hi - lo).reshape(-1, *(1,) * (diff.ndim - 1))
 
 
@@ -159,7 +137,9 @@ def intertwiner(family: AdiabaticFamily, s_nodes) -> np.ndarray:
     s = np.empty(2 * s_nodes.size - 1)
     s[0::2] = s_nodes
     s[1::2] = s_nodes[:-1] + h / 2
-    A = (_derivative(family, s, "P") @ family.stack(s).P).sum(axis=1)
+    # dP/ds is a temporary of the product, not kept through the RK4 steps
+    A = (_derivative(family, s, "spectral_projectors")
+         @ family.read("spectral_projectors", s)).sum(axis=1)
     A1, A2, A4 = A[0:-1:2], A[1::2], A[2::2]
     h = h[:, None, None]
     Id = np.eye(family.dim**2, dtype=complex)
@@ -178,12 +158,12 @@ def product_decomposition_residual(family: AdiabaticFamily, T: int) -> float:
     """
     s = np.array([j / T for j in range(T + 1)])
     W = intertwiner(family, s)  # prepares every node read below
-    nodes = family.stack(s)
-    Q = nodes.Q
-    chain, qchain = ordered_product(np.stack((nodes.F[1:], nodes.F[1:] @ Q[1:])))
-    z = nodes.P.shape[1]
+    F, P = family.read("F", s[1:]), family.read("spectral_projectors", s)
+    Q = _complement(P)
+    chain, qchain = ordered_product(np.stack((F, F @ Q[1:])))
+    z = P.shape[1]
     phases = np.exp(2j * np.pi / z) ** (np.arange(z) * T)  # theta^{m T}
-    approx = W @ np.einsum("m,mab->ab", phases, nodes.P[0]) + qchain @ Q[0]
+    approx = W @ np.einsum("m,mab->ab", phases, P[0]) + qchain @ Q[0]
     return float(np.linalg.norm(chain - approx, 2))
 
 
@@ -202,12 +182,12 @@ def theta_integral(family: AdiabaticFamily, *, n_nodes: int = 201) -> complex:
     s_grid = _theta_grid(n_nodes)
     if s_grid.size not in family._thetas:
         drho = _derivative(family, s_grid, "rho")
-        vals = np.trace(family.stack(s_grid).iota @ drho, axis1=1, axis2=2)
+        vals = np.trace(family.read("iota", s_grid) @ drho, axis1=1, axis2=2)
         family._thetas[s_grid.size] = complex(simpson(vals, x=s_grid))
     return family._thetas[s_grid.size]
 
 
-def _label_shift(family: AdiabaticFamily, s_grid: np.ndarray) -> int:
+def _label_shift(family: AdiabaticFamily, s_grid: np.ndarray, z: int) -> int:
     """J mod z: the cycle projector labelled m at s_grid[0] is labelled
     m + J at s_grid[-1].
 
@@ -216,8 +196,7 @@ def _label_shift(family: AdiabaticFamily, s_grid: np.ndarray) -> int:
     the root j_k by which the labels turn; J = sum_k j_k. Reads the nodes
     that ``theta_integral`` prepared on the same grid.
     """
-    z = family._period
-    u = family._decs["cycle_unitary"][[family._rows[s] for s in s_grid.tolist()]]
+    u = family.read("cycle_unitary", s_grid)
     w = np.einsum("kab,kab->k", u[1:], u[:-1].conj()) / family.dim
     j = np.round(np.angle(w) * z / (2 * np.pi)).astype(int)
     # each step must stay within a quarter of the distance between two roots
@@ -235,7 +214,7 @@ def exact_deformed_chain(
     family: AdiabaticFamily, rho_i: np.ndarray, T: int
 ) -> np.ndarray:
     """Apply the normalized deformed chain F(T/T)...F(1/T) to a state."""
-    F = family.stack([j / T for j in range(1, T + 1)]).F
+    F = family.read("F", [j / T for j in range(1, T + 1)])
     return unvec(ordered_product(F) @ vec(rho_i), family.dim)
 
 
@@ -254,7 +233,7 @@ def deformed_adiabatic_state(
     z = dec0.period
     n_nodes = max(201, T + 1)
     phase = np.exp(-theta_integral(family, n_nodes=n_nodes))
-    J = _label_shift(family, _theta_grid(n_nodes)) if z > 1 else 0
+    J = _label_shift(family, _theta_grid(n_nodes), z) if z > 1 else 0
     out = np.zeros((family.dim,) * 2, dtype=complex)
     for m in range(z):
         weight = np.trace(dec0.iota @ dec0.cycle_projectors[m] @ rho_i)

@@ -26,8 +26,8 @@ import os
 import numpy as np
 
 from . import adiabatic, fullstats, mgfldp, model, spectral
-from .config import RunConfig, load_config, parse_seed, write_manifest
-from .linalg import trace_norm
+from .config import ConfigError, RunConfig, load_config, parse_seed, write_manifest
+from .linalg import LinalgError, trace_norm
 
 TASKS = ("spectrum", "lambda", "ldp", "simulate", "adiabatic", "balance", "x0")
 # At or below this Lambda''(0) is round-off (the exactly stationary case):
@@ -49,6 +49,16 @@ def _initial_state(cfg: RunConfig) -> np.ndarray:
     if cfg.rho_i is not None:
         return cfg.rho_i
     return model.gibbs_state(cfg.model.h_sys, cfg.model.beta(0.0))
+
+
+def _entropic_setup(cfg: RunConfig, rho_i: np.ndarray) -> fullstats.MeasurementSetup:
+    """A_i = -log rho_i; a configured rho_i that is not faithful is refused at its path."""
+    try:
+        return fullstats.entropic_setup(rho_i)
+    except LinalgError as exc:
+        if cfg.rho_i is None:  # the default Gibbs state is no config field
+            raise
+        raise ConfigError(f"numeric.rho_i: not faithful, {exc}") from None
 
 
 def task_spectrum(cfg: RunConfig, out: str) -> None:
@@ -99,7 +109,7 @@ def task_simulate(cfg: RunConfig, out: str) -> None:
     """Per T of ``T_list``: sampled trajectories, their CLT histogram and,
     in ``landauer.csv``, the exact mean of the sampled varsigma,
     sigma_tot = Delta S + E(Delta_y) (Landauer's balance, from the table)."""
-    setup = fullstats.entropic_setup(_initial_state(cfg))
+    setup = _entropic_setup(cfg, _initial_state(cfg))
     d1, d2 = mgfldp.lambda_derivatives_at_zero(cfg.model, cfg.s_nodes)
     nodes = fullstats.ProtocolNodes(cfg.model, cfg.T_list)
     if d2 > CLT_DEGENERATE_D2:
@@ -152,7 +162,7 @@ def task_adiabatic(cfg: RunConfig, out: str) -> None:
 
 
 def task_balance(cfg: RunConfig, out: str) -> None:
-    setup = fullstats.entropic_setup(_initial_state(cfg))
+    setup = _entropic_setup(cfg, _initial_state(cfg))
     nodes = fullstats.ProtocolNodes(cfg.model, [cfg.T])
     meas = fullstats.enumerate_measure(cfg.model, setup, cfg.T, nodes=nodes)
     if cfg.write_csv:
@@ -175,7 +185,7 @@ def task_balance(cfg: RunConfig, out: str) -> None:
 def task_x0(cfg: RunConfig, out: str) -> None:
     m = cfg.model
     rho_i = _initial_state(cfg)
-    setup = fullstats.entropic_setup(rho_i)
+    setup = _entropic_setup(cfg, rho_i)
     nodes = fullstats.ProtocolNodes(m, cfg.T_list)
     # s = 1 is the last node of every chain
     ends = np.stack([model.kraus_family(m, 0.0).deformed_matrix(0.0), nodes.reduced[-1]])

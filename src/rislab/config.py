@@ -7,7 +7,8 @@ A run is described by a single JSON document with four sections:
 * ``numeric``: grids, protocol lengths, sample counts, and the seed;
 * ``output``: target directory and CSV toggles.
 
-Validation reports the precise JSON path of the first offending field.
+Validation reports the precise JSON path of the first offending field,
+and a key that its object does not read is refused as an unknown key.
 """
 
 from __future__ import annotations
@@ -43,10 +44,32 @@ DEFAULTS = {
 }
 # How far numeric.rho_i may be from PSD and from unit trace.
 STATE_TOL = 1e-10
+# The keys each object reads, by its path ("" at the top level), a schedule's by
+# its kind: any other key is refused, so a misspelt one cannot fall back to a default.
+KNOWN_KEYS = {
+    "": ("model", "numeric", "output"),
+    "model": ("preset", "schedule", "tau", "counting", "h_sys", "h_env", "coupling",
+              "dim_sys", "dim_env"),
+    "numeric": ("s_nodes", "alpha_grid", "T_list", "seed", "n", "T", "alpha", "rho_i"),
+    "output": ("directory", "write_csv"),
+    "schedule.constant": ("kind", "value"),
+    "schedule.tanh_poly": ("kind", "tanh_terms", "poly"),
+    "schedule.tabulated": ("kind", "nodes", "values"),
+}
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _object(value, path: str, entry: str) -> dict:
+    """value, the object at path, checked to hold only keys KNOWN_KEYS[entry] lists."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path or 'top level'}: expected a JSON object")
+    for key in value:
+        if key not in KNOWN_KEYS[entry]:
+            raise ConfigError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
+    return value
 
 
 def _complex_entry(value, path: str) -> complex:
@@ -134,6 +157,9 @@ def parse_schedule(value, path: str):
     if not isinstance(value, dict) or "kind" not in value:
         raise ConfigError(f"{path}: expected a schedule name or object with 'kind'")
     kind = value["kind"]
+    if f"schedule.{kind}" not in KNOWN_KEYS:
+        raise ConfigError(f"{path}.kind: unknown schedule kind {kind!r}")
+    _object(value, path, f"schedule.{kind}")
     if kind == "constant":
         if "value" not in value:
             raise ConfigError(f"{path}.value: required for constant schedules")
@@ -151,18 +177,16 @@ def parse_schedule(value, path: str):
             pairs.append(_finite_reals(term, f"{path}.tanh_terms[{i}]"))
         poly = _finite_reals(value.get("poly", []), f"{path}.poly")
         return TanhPolySchedule(tanh_terms=tuple(pairs), poly=poly)
-    if kind == "tabulated":
-        nodes = _finite_reals(value.get("nodes"), f"{path}.nodes")
-        vals = _finite_reals(value.get("values"), f"{path}.values")
-        if len(nodes) < 2 or len(nodes) != len(vals):
-            raise ConfigError(
-                f"{path}: tabulated schedules need equal-length 'nodes' and "
-                "'values' with at least 2 entries"
-            )
-        if any(b <= a for a, b in zip(nodes, nodes[1:])):
-            raise ConfigError(f"{path}.nodes: must be strictly increasing")
-        return TabulatedSchedule(nodes, vals)
-    raise ConfigError(f"{path}.kind: unknown schedule kind {kind!r}")
+    nodes = _finite_reals(value.get("nodes"), f"{path}.nodes")
+    vals = _finite_reals(value.get("values"), f"{path}.values")
+    if len(nodes) < 2 or len(nodes) != len(vals):
+        raise ConfigError(
+            f"{path}: tabulated schedules need equal-length 'nodes' and "
+            "'values' with at least 2 entries"
+        )
+    if any(b <= a for a, b in zip(nodes, nodes[1:])):
+        raise ConfigError(f"{path}.nodes: must be strictly increasing")
+    return TabulatedSchedule(nodes, vals)
 
 
 @dataclass
@@ -198,11 +222,8 @@ def load_config(path_or_dict) -> RunConfig:
     else:
         with open(path_or_dict) as fh:
             raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ConfigError("top level: expected a JSON object")
-    msec = raw.get("model")
-    if not isinstance(msec, dict):
-        raise ConfigError("model: required section missing or not an object")
+    _object(raw, "", "")
+    msec = _object(raw.get("model"), "model", "model")
     schedule = parse_schedule(msec.get("schedule", "beta1"), "model.schedule")
     preset = msec.get("preset")
     if preset is None:
@@ -244,12 +265,8 @@ def load_config(path_or_dict) -> RunConfig:
         raise ConfigError("model.counting: only 'beta_hE' is supported here")
 
     defaults_used: list[str] = []
-    nsec = raw.get("numeric", {})
-    if not isinstance(nsec, dict):
-        raise ConfigError("numeric: expected an object")
-    osec = raw.get("output", {})
-    if not isinstance(osec, dict):
-        raise ConfigError("output: expected an object")
+    nsec = _object(raw.get("numeric", {}), "numeric", "numeric")
+    osec = _object(raw.get("output", {}), "output", "output")
 
     ag = _get(nsec, "alpha_grid", "numeric", defaults_used)
     if not (isinstance(ag, list) and len(ag) == 3):

@@ -33,10 +33,10 @@ from .linalg import (
 )
 from .model import KrausFamily, RISModel, kraus_families, kraus_family
 
-# enumerate_measure's peak memory per record (131-135 B measured by ru_maxrss
-# on fd at T = 7 and 8, of which the result holds about 66), and the most its
-# estimate may reach: fd T = 9 (about 140 MiB) is admitted, T = 10 refused.
-ENUMERATION_BYTES_PER_RECORD = 140
+# enumerate_measure's peak memory per record (107-112 B measured by ru_maxrss
+# on fd at T = 7, 8 and 9, of which the result holds about 66), and the most
+# its estimate may reach: fd T = 10 (about 460 MiB) is admitted, T = 11 refused.
+ENUMERATION_BYTES_PER_RECORD = 115
 ENUMERATION_BUDGET = 512 * 2**20
 
 
@@ -292,10 +292,10 @@ class TrajectoryMeasure:
 
 
 def _traces(P: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Re Tr(P @ unvec(x)) for stacks P (..., d, d) and x (..., d^2) that broadcast."""
+    """Re Tr(P @ unvec(x)) for stacks P (..., d, d) and x (..., d^2) that broadcast:
+    sum_ij P_ij x.reshape(d, d)_ij, with no P @ X temporary per pair."""
     d = P.shape[-1]
-    X = x.reshape(x.shape[:-1] + (d, d)).swapaxes(-1, -2)
-    return np.real(np.trace(P @ X, axis1=-2, axis2=-1))
+    return np.real(np.einsum("...ij,...ij->...", P, x.reshape(x.shape[:-1] + (d, d))))
 
 
 def enumerate_measure(

@@ -4,11 +4,11 @@ Finite-T generating functions of the counted increment Delta_y (and of the
 pair (Delta_y, Delta_a)) are products of deformed maps. As T grows,
 (1/T) log E e^{alpha Delta_y} converges to
 Lambda(alpha) = int_0^1 log lambda^(alpha)(s) ds with lambda^(alpha)(s) the
-spectral radius of L^(alpha)(s); this module evaluates Lambda on cached
-grids, its first two derivatives at zero in closed form, its Legendre
-transform with the finite support window [nu_minus, nu_plus], the
-fluctuation-symmetry defects, and the closed-form limits available in the
-exactly stationary (obstruction-free) case.
+spectral radius of L^(alpha)(s); this module evaluates Lambda from the
+cached kernels of one grid, its first two derivatives at zero in closed
+form, its Legendre transform with the finite support window
+[nu_minus, nu_plus], the fluctuation-symmetry defects, and the closed-form
+limits available in the exactly stationary (obstruction-free) case.
 """
 
 from __future__ import annotations
@@ -77,20 +77,18 @@ def mgf_pair(
 
 
 class LambdaEvaluator:
-    """Cached evaluator of Lambda(alpha) = int_0^1 log lambda^(alpha)(s) ds.
+    """Evaluator of Lambda(alpha) = int_0^1 log lambda^(alpha)(s) ds.
 
-    The node kernels are built once; each alpha then costs one batched
-    eigenvalue sweep over their kron-stacks. Quadrature is composite Simpson
-    on an odd uniform grid.
+    The node kernels are built once; each call then costs one batched
+    eigenvalue sweep over their kron-stacks (no alpha is cached: the CLI
+    tasks never ask for one twice). Quadrature is composite Simpson on an
+    odd uniform grid.
     """
 
     def __init__(self, model: RISModel, n_nodes: int = DEFAULT_S_NODES):
-        if n_nodes % 2 == 0:
-            n_nodes += 1
         self.model = model
-        self.s_grid = np.linspace(0.0, 1.0, n_nodes)
+        self.s_grid = np.linspace(0.0, 1.0, n_nodes | 1)  # odd, for Simpson
         self._fams = kraus_families(model, self.s_grid)
-        self._cache: dict[float, float] = {}
 
     def lambda_nodes(self, alpha: float) -> np.ndarray:
         """lambda^(alpha)(s) on the protocol grid."""
@@ -98,12 +96,7 @@ class LambdaEvaluator:
         return np.abs(ev).max(axis=1)
 
     def __call__(self, alpha: float) -> float:
-        alpha = float(alpha)
-        if alpha not in self._cache:
-            self._cache[alpha] = float(
-                simpson(np.log(self.lambda_nodes(alpha)), x=self.s_grid)
-            )
-        return self._cache[alpha]
+        return float(simpson(np.log(self.lambda_nodes(alpha)), x=self.s_grid))
 
     def derivative(self, alpha: float) -> float:
         h = 1e-5

@@ -55,7 +55,6 @@ from rislab.fullstats import (
     SampledTrajectories,
     SpectralObservable,
     TrajectoryMeasure,
-    _traces,
     balance_applicable,
     resolve_final_observable,
     von_neumann_entropy,
@@ -268,6 +267,13 @@ def step_operators(model: RISModel, s: float) -> SimpleNamespace:
                 )
                 bwd[i, j, :, col] = vec(out_b)
     return SimpleNamespace(y_values=obs.values, forward=fwd, backward=bwd)
+
+
+def _traces(P: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Re Tr(P @ unvec(x)): the product of every pair, then its trace."""
+    d = P.shape[-1]
+    X = x.reshape(x.shape[:-1] + (d, d)).swapaxes(-1, -2)
+    return np.real(np.trace(P @ X, axis1=-2, axis2=-1))
 
 
 def enumerate_measure_by_index_table(

@@ -45,21 +45,56 @@ def test_intertwiner_transports_ranges(fd_family):
 def test_intertwiner_evaluates_each_generator_node_once(monkeypatch, fd_family):
     """RK4 over T steps reads one generator stack of 2T + 1 distinct nodes:
     each step's end node is the next step's start. The stacks read are the
-    nodes and their two centred-difference neighbours."""
-    stacks = []
-    original = ad.AdiabaticFamily.stack
-
-    def recorded(family, s_values):
-        stacks.append(np.asarray(s_values))
-        return original(family, s_values)
-
-    monkeypatch.setattr(ad.AdiabaticFamily, "stack", recorded)
+    spectral projectors at the nodes and their two centred-difference
+    neighbours, and no other field."""
+    reads = _record_reads(monkeypatch)
     nodes = np.linspace(0.0, 1.0, 101)
     ad.intertwiner(fd_family, nodes)
-    assert [s.size for s in stacks] == [201] * 3
-    centres = stacks[-1]
+    assert [field for field, _ in reads] == ["spectral_projectors"] * 3
+    assert [s.size for _, s in reads] == [201] * 3
+    centres = reads[-1][1]
     assert np.unique(centres).size == 201
     assert np.array_equal(centres[0::2], nodes)
+
+
+def _record_reads(monkeypatch) -> list:
+    """Record every (field, s_values) that ``AdiabaticFamily.read`` serves."""
+    reads = []
+    original = ad.AdiabaticFamily.read
+
+    def recorded(family, field, s_values):
+        reads.append((field, np.asarray(s_values, dtype=float)))
+        return original(family, field, s_values)
+
+    monkeypatch.setattr(ad.AdiabaticFamily, "read", recorded)
+    return reads
+
+
+def test_each_reader_gathers_only_its_fields(monkeypatch):
+    """The exact chain reads F; theta reads rho at the centred-difference
+    neighbours and iota at the grid; the residual and the gap bound read F
+    and the spectral projectors; the label shift reads the cycle unitaries."""
+    _use_flip_kernels(monkeypatch)
+    fam = ad.AdiabaticFamily(mod.fd_model(), 0.5)
+    reads = _record_reads(monkeypatch)
+
+    def fields_read(run):
+        reads.clear()
+        run()
+        return [field for field, _ in reads]
+
+    T = 20
+    assert fields_read(lambda: ad.exact_deformed_chain(fam, np.diag([0.3, 0.7]), T)) == ["F"]
+    assert np.array_equal(reads[0][1], np.arange(1, T + 1) / T)
+    assert fields_read(lambda: ad.theta_integral(fam)) == ["rho", "rho", "iota"]
+    grid = ad._theta_grid(201)
+    lo, hi = ad._neighbours(grid)
+    assert [s.tolist() for _, s in reads] == [hi.tolist(), lo.tolist(), grid.tolist()]
+    assert fields_read(lambda: ad._label_shift(fam, grid, 2)) == ["cycle_unitary"]
+    assert fields_read(lambda: ad.product_decomposition_residual(fam, T)) == (
+        ["spectral_projectors"] * 3 + ["F", "spectral_projectors"]
+    )
+    assert fields_read(lambda: fam.gap_bound(grid)) == ["F", "spectral_projectors"]
 
 
 def _use_flip_kernels(monkeypatch):
@@ -137,8 +172,7 @@ def test_a_cycle_unitary_that_jumps_is_refused(monkeypatch):
     _use_flip_kernels(monkeypatch)
     fam = ad.AdiabaticFamily(mod.fd_model(), 0.5)
     fam.prepare(np.linspace(0.0, 1.0, 201))
-    row = fam._rows[0.5]
-    fam._decs["cycle_unitary"][row] = np.eye(2) * 1j
+    fam._fields["cycle_unitary"][fam._rows[0.5]] = np.eye(2) * 1j
     with pytest.raises(ValueError, match=r"from s=0\.495 to s=0\.5"):
         ad.deformed_adiabatic_state(fam, np.diag([0.3, 0.7]), 20)
 

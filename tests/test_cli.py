@@ -441,3 +441,57 @@ def test_numeric_accepted():
     run = cfg.load_config(doc)
     assert run.T == 3 and isinstance(run.T, int)
     assert np.array_equal(run.rho_i, [[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
+
+
+def _with(section, **keys):
+    """BASE with keys added to one of its sections."""
+    doc = json.loads(json.dumps(BASE))
+    doc[section].update(keys)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc,path",
+    [
+        ({**BASE, "modle": {"preset": "fd"}}, "modle"),
+        (_with("model", shedule="beta2"), r"model\.shedule"),
+        (_with("numeric", T_lsit=[5]), r"numeric\.T_lsit"),
+        (_with("output", write_cvs=False), r"output\.write_cvs"),
+        (_with("model", schedule={"kind": "constant", "value": 1.0, "valeu": 2.0}),
+         r"model\.schedule\.valeu"),
+        (_with("model", schedule={"kind": "tanh_poly", "tanh_term": [[1.0, 2.0]]}),
+         r"model\.schedule\.tanh_term"),
+        (_with("model", schedule={"kind": "tabulated", "nodes": [0, 1], "values": [1, 2],
+                                  "value": 1.0}),
+         r"model\.schedule\.value"),
+        ({"model": {"preset": "fd", "shedule": "beta2"},
+          "numeric": {"T_lsit": [5], "s_node": 3}, "output": {"write_cvs": False}},
+         r"model\.shedule"),
+    ],
+    ids=["top-level", "model", "numeric", "output", "constant", "tanh_poly",
+         "tabulated", "first-of-many"],
+)
+def test_unknown_key_refused(doc, path):
+    """A misspelt key is refused at its path, not read as its default."""
+    with pytest.raises(cfg.ConfigError, match=rf"^{path}: unknown key$"):
+        cfg.load_config(doc)
+
+
+PURE_STATE = [[1, 0], [0, 0]]
+
+
+@pytest.mark.parametrize("task", ["simulate", "balance", "x0"])
+def test_entropic_tasks_refuse_a_pure_initial_state(tmp_path, task):
+    """A_i = -log rho_i needs a faithful rho_i: a pure one is refused at its
+    path, naming its smallest eigenvalue, before any output is written."""
+    doc = _with("numeric", rho_i=PURE_STATE)
+    out = tmp_path / "out"
+    with pytest.raises(cfg.ConfigError, match=r"^numeric\.rho_i: .*eigenvalue -?0\.000e\+00"):
+        main([task, "--config", _write(tmp_path, doc), "--out", str(out)])
+    assert list(out.iterdir()) == []
+
+
+def test_adiabatic_task_runs_a_pure_initial_state(tmp_path):
+    out = _run("adiabatic", tmp_path, _with("numeric", rho_i=PURE_STATE))
+    rows = (out / "adiabatic.csv").read_text().strip().split("\n")
+    assert len(rows) == 1 + len(BASE["numeric"]["T_list"])

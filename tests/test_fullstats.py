@@ -217,23 +217,23 @@ def test_enumeration_guard():
 
 
 def test_enumeration_guard_is_a_byte_budget_checked_before_allocating():
-    """fd has 2 x 2 outcomes of A_i, A_f and 4 probe pairs per step: T = 9
-    (1 048 576 records) fits the budget, T = 10 is refused, naming the
+    """fd has 2 x 2 outcomes of A_i, A_f and 4 probe pairs per step: T = 10
+    (4 194 304 records) fits the budget, T = 11 is refused, naming the
     estimate and the budget, before any record array exists."""
-    records = {T: 2 * 2 * 4**T for T in (9, 10)}
-    assert records[9] * fs.ENUMERATION_BYTES_PER_RECORD <= fs.ENUMERATION_BUDGET
-    assert records[10] * fs.ENUMERATION_BYTES_PER_RECORD > fs.ENUMERATION_BUDGET
+    records = {T: 2 * 2 * 4**T for T in (10, 11)}
+    assert records[10] * fs.ENUMERATION_BYTES_PER_RECORD <= fs.ENUMERATION_BUDGET
+    assert records[11] * fs.ENUMERATION_BYTES_PER_RECORD > fs.ENUMERATION_BUDGET
     m = mod.fd_model()
     setup = fs.entropic_setup(mod.gibbs_state(m.h_sys, m.beta(0.0)))
     tracemalloc.start()
     try:
         with pytest.raises(fs.FullStatsError) as err:
-            fs.enumerate_measure(m, setup, 10)
+            fs.enumerate_measure(m, setup, 11)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert f"{records[10] * fs.ENUMERATION_BYTES_PER_RECORD} bytes" in str(err.value)
+    assert f"{records[11] * fs.ENUMERATION_BYTES_PER_RECORD} bytes" in str(err.value)
     assert f"budget of {fs.ENUMERATION_BUDGET} bytes" in str(err.value)
 
 
@@ -304,16 +304,17 @@ print((after - before) * 1024 / meas.delta_y.size)
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
 def test_enumeration_peak_bytes_per_record():
     """At fd T = 8 (262 144 records) the enumeration's peak, read by
-    ru_maxrss in a fresh interpreter, stays at or under 160 bytes per record
-    (274 while both state stacks and an int64 index table were alive), and
-    ENUMERATION_BYTES_PER_RECORD is not below it."""
+    ru_maxrss in a fresh interpreter, stays at or under 115 bytes per record
+    (274 while both state stacks and an int64 index table were alive, 131
+    while each trace formed P @ X per pair), and ENUMERATION_BYTES_PER_RECORD
+    is not below it."""
     out = subprocess.run(
         [sys.executable, "-c", ENUMERATION_PEAK],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     peak = float(out.stdout)
-    assert peak <= 160, peak
+    assert peak <= 115, peak
     assert peak <= fs.ENUMERATION_BYTES_PER_RECORD, peak
 
 

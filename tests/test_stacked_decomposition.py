@@ -390,17 +390,18 @@ def test_adiabatic_layer_indexes_no_per_node_decomposition(monkeypatch, tmp_path
 
 
 def test_lookup_shares_the_stack_cache(kraus_builds):
-    """decomposition(s) and stack read one cache: no node is built twice,
-    and a lookup's fields are the stack's rows."""
+    """decomposition(s) and read share one cache: no node is built twice,
+    and a lookup's fields are the rows that read gathers."""
     fam = ad.AdiabaticFamily(mod.fd_model(), 0.5)
     dec = fam.decomposition(0.25)
-    nodes = fam.stack([0.0, 0.25, 0.5])
-    fam.decomposition(0.5)  # stacked above: read from the cache, not built
+    s = [0.0, 0.25, 0.5]
+    rho, P, F = (fam.read(field, s) for field in ("rho", "spectral_projectors", "F"))
+    fam.decomposition(0.5)  # read above: from the cache, not built
     assert kraus_builds == [0.25, 0.0, 0.5]
-    assert np.array_equal(nodes.rho[1], dec.rho)
-    assert np.array_equal(nodes.P[1], np.stack(dec.spectral_projectors))
+    assert np.array_equal(rho[1], dec.rho)
+    assert np.array_equal(P[1], np.stack(dec.spectral_projectors))
     M = _deformed_stack(mod.fd_model(), 0.5, [0.25])[0]
-    assert np.array_equal(nodes.F[1], M / dec.spectral_radius)
+    assert np.array_equal(F[1], M / dec.spectral_radius)
 
 
 @st.composite
