@@ -12,9 +12,9 @@ Tasks:
 * ``x0``        finite-T versus closed-form limits for the exactly
                 stationary exchange preset.
 
-Every run writes a ``manifest.json`` with the config hash, the seed, and
-the defaults that were filled in; reruns with the same inputs are
-byte-identical.
+Every run writes a ``manifest.json`` with the config hash, the seed, the
+defaults that were filled in and the versions of rislab, numpy and Python;
+reruns with the same inputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -108,7 +108,13 @@ def task_ldp(cfg: RunConfig, out: str) -> None:
 def task_simulate(cfg: RunConfig, out: str) -> None:
     """Per T of ``T_list``: sampled trajectories, their CLT histogram and,
     in ``landauer.csv``, the exact mean of the sampled varsigma,
-    sigma_tot = Delta S + E(Delta_y) (Landauer's balance, from the table)."""
+    sigma_tot = Delta S + E(Delta_y) (Landauer's balance, from the table).
+
+    The distinct T are sampled in ascending order from one ``UniformBlocks``,
+    so the uniforms past the second-largest T's rows are drawn only after
+    the rows every shorter chain reads are dropped; the files are those of
+    one full ``trajectory_uniforms`` draw.
+    """
     setup = _entropic_setup(cfg, _initial_state(cfg))
     d1, d2 = mgfldp.lambda_derivatives_at_zero(cfg.model, cfg.s_nodes)
     nodes = fullstats.ProtocolNodes(cfg.model, cfg.T_list)
@@ -116,9 +122,8 @@ def task_simulate(cfg: RunConfig, out: str) -> None:
         bins = np.linspace(-4 * np.sqrt(d2), 4 * np.sqrt(d2), 42)
     else:
         bins = 41
-    # every T reads a prefix of the same per-trajectory streams
-    uniforms = fullstats.trajectory_uniforms(cfg.seed, cfg.n, max(cfg.T_list) + 2)
-    for T in cfg.T_list:
+    uniforms = fullstats.UniformBlocks(cfg.seed, cfg.n, cfg.T_list)
+    for T in sorted(set(cfg.T_list)):
         samp = fullstats.sample_trajectories(
             cfg.model, setup, T, cfg.n, seed=cfg.seed, nodes=nodes, uniforms=uniforms
         )

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .linalg import LinalgError, assert_hermitian
 from .model import (
     ConstantSchedule,
@@ -316,12 +318,19 @@ def config_hash(raw: dict) -> str:
 
 
 def write_manifest(path, cfg: RunConfig, task: str):
+    """The run's task, config hash, seed and filled-in defaults, and the
+    versions of rislab, numpy and Python that produced its outputs."""
     manifest = {
         "task": task,
         "config_hash": config_hash(cfg.raw),
         "seed": cfg.seed,
         "defaults_used": sorted(cfg.defaults_used),
         "defaults": {k: DEFAULTS[k] for k in sorted(DEFAULTS)},
+        "versions": {
+            "numpy": np.__version__,
+            "python": "{}.{}.{}".format(*sys.version_info[:3]),
+            "rislab": __version__,
+        },
     }
     with open(path, "w", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -21,6 +21,7 @@ import numpy as np
 from .linalg import (
     HERM_TOL,
     assert_hermitian,
+    distinct_sorted,
     herm_log,
     herm_power,
     hermitian_basis,
@@ -33,10 +34,12 @@ from .linalg import (
 )
 from .model import KrausFamily, RISModel, kraus_families, kraus_family
 
-# enumerate_measure's peak memory per record (107-112 B measured by ru_maxrss
-# on fd at T = 7, 8 and 9, of which the result holds about 66), and the most
-# its estimate may reach: fd T = 10 (about 460 MiB) is admitted, T = 11 refused.
-ENUMERATION_BYTES_PER_RECORD = 115
+# enumerate_measure's peak memory per record is estimated as this base plus
+# the T bytes of the record's probe_records row: ru_maxrss on fd read 109.1,
+# 108.7, 112.4 and 108.7 B per record at T = 7, 8, 9 and 10, at most 103.4 + T.
+# The budget is the most the estimate may reach: fd T = 10 (434.9 MiB
+# measured, 456 MiB estimated) is admitted, T = 11 refused.
+ENUMERATION_BASE_BYTES = 104
 ENUMERATION_BUDGET = 512 * 2**20
 
 
@@ -211,7 +214,7 @@ class ProtocolNodes:
 
     def __init__(self, model: RISModel, T_list):
         self.model = model
-        self.s = np.unique(np.concatenate([np.arange(1, T + 1) / T for T in T_list]))
+        self.s = distinct_sorted(np.concatenate([np.arange(1, T + 1) / T for T in T_list]))
         self.kernel = kraus_families(model, self.s)
         self.reduced = self.kernel.deformed_matrix(0.0)
 
@@ -311,8 +314,9 @@ def enumerate_measure(
     (the new outcome pair is the minor index) and one carries the states of
     all suffixes backward (the new pair is the major index), so the cost is
     linear in the number of records. Guarded in bytes: the n_i * n_f *
-    n_outcomes^(2T) records times ENUMERATION_BYTES_PER_RECORD must not
-    exceed ENUMERATION_BUDGET, checked before any record is allocated.
+    n_outcomes^(2T) records times ENUMERATION_BASE_BYTES + T bytes each
+    must not exceed ENUMERATION_BUDGET, checked before any record is
+    allocated.
     """
     nodes = node_table(model, T, nodes)
     obs_f, rho_f = resolve_final_observable(model, setup, T, nodes=nodes)
@@ -320,12 +324,12 @@ def enumerate_measure(
     n_out = steps.y_values.shape[-1]
     n_i, n_f = setup.obs_i.n_outcomes, obs_f.n_outcomes
     count = n_i * n_f * n_out ** (2 * T)
-    if count * ENUMERATION_BYTES_PER_RECORD > ENUMERATION_BUDGET:
+    per_record = ENUMERATION_BASE_BYTES + T
+    if count * per_record > ENUMERATION_BUDGET:
         raise FullStatsError(
             f"enumeration of {count} records would need about "
-            f"{count * ENUMERATION_BYTES_PER_RECORD} bytes "
-            f"({ENUMERATION_BYTES_PER_RECORD} per record), over the budget of "
-            f"{ENUMERATION_BUDGET} bytes"
+            f"{count * per_record} bytes ({per_record} per record), over the "
+            f"budget of {ENUMERATION_BUDGET} bytes"
         )
     d2 = model.dim_sys**2
     pi_i, pi_f = np.stack(setup.obs_i.projectors), np.stack(obs_f.projectors)
@@ -511,24 +515,78 @@ class SampledTrajectories:
     probe_records: np.ndarray  # (n, T) flat outcome-pair indices, as in TrajectoryMeasure
 
 
-def trajectory_uniforms(seed: int, n: int, length: int) -> np.ndarray:
-    """(length, n) uniforms: column t opens the Philox4x64-10 stream keyed by (seed, t).
+# streams filled row-major per chunk before one transposed copy into the block
+_CHUNK_STREAMS = 128
 
-    One bit generator serves every column. Resetting it to key words
-    (t, seed), counter 0 and an empty buffer gives the state of a fresh
-    ``Philox(key=(seed << 64) + t)``, without building one per trajectory.
-    Each column is a prefix of the stream, so the first rows of a longer
-    draw equal a shorter one bit for bit.
+
+def _stream_rows(bits, n: int, start: int, length: int) -> np.ndarray:
+    """Rows [start, start + length) of the n streams (seed, t) of ``bits``'s seed.
+
+    A Philox4x64 counter yields four words, one uniform each, so key words
+    (t, seed), counter word 0 = start / 4 and an empty buffer continue the
+    stream of a fresh ``Philox(key=(seed << 64) + t)`` at row ``start``.
     """
-    bits = np.random.Philox(key=seed << 64)
+    if start % 4:
+        raise ValueError(f"a block of rows starts at a multiple of 4, not {start}")
     gen = np.random.Generator(bits)
     state = bits.state
+    state["state"]["counter"][:] = (start // 4, 0, 0, 0)
+    state["buffer_pos"] = 4
     out = np.empty((length, n))
-    for t in range(n):
-        state["state"]["key"][0] = t
-        bits.state = state
-        out[:, t] = gen.random(length)
+    chunk = np.empty((min(n, _CHUNK_STREAMS), length))
+    for t0 in range(0, n, _CHUNK_STREAMS):
+        rows = chunk[: min(_CHUNK_STREAMS, n - t0)]
+        for t, row in enumerate(rows, start=t0):
+            state["state"]["key"][0] = t
+            bits.state = state
+            gen.random(out=row)
+        out[:, t0 : t0 + len(rows)] = rows.T
     return out
+
+
+def trajectory_uniforms(seed: int, n: int, length: int, start: int = 0) -> np.ndarray:
+    """(length, n) uniforms: column t holds rows [start, start + length) of the
+    Philox4x64-10 stream keyed by (seed, t).
+
+    One bit generator serves every column, reset to each stream's key
+    rather than built per trajectory. ``start`` is a multiple of 4 (else
+    ValueError), so a draw from ``start`` equals those rows of a draw from
+    0 bit for bit, as do the first rows of a longer draw a shorter one.
+    """
+    return _stream_rows(np.random.Philox(key=seed << 64), n, start, length)
+
+
+class UniformBlocks:
+    """The rows [0, max(T_list) + 2) of every stream, held one block at a time.
+
+    ``blocks[r]`` is row r of ``trajectory_uniforms(seed, n, max(T_list) +
+    2)``, and ``shape`` is that draw's, so the sampler reads either one
+    alike. The head block holds the rows that every T but the largest
+    reads: the second-largest distinct T + 2, rounded up to the 4-word
+    counter. The tail holds the largest T's remaining rows. A row outside
+    the held block drops that block before the block holding the row is
+    drawn, so a caller that samples the largest T last draws each block
+    once and never holds both. With one distinct T, or when the head
+    reaches the end, there is one block. One bit generator serves every
+    block.
+    """
+
+    def __init__(self, seed: int, n: int, T_list):
+        longest, *rest = sorted(set(T_list), reverse=True)
+        self.shape = (longest + 2, n)
+        self._head = min(-(-(rest[0] + 2) // 4) * 4, self.shape[0]) if rest else self.shape[0]
+        self._bits = np.random.Philox(key=seed << 64)
+        self._start, self._block = 0, np.empty((0, n))
+
+    def __getitem__(self, r: int) -> np.ndarray:
+        if not 0 <= r < self.shape[0]:
+            raise IndexError(f"row {r} is outside the {self.shape[0]} rows")
+        if not self._start <= r < self._start + len(self._block):
+            start, stop = (0, self._head) if r < self._head else (self._head, self.shape[0])
+            self._block = None  # drop the held block before drawing the next
+            self._block = _stream_rows(self._bits, self.shape[1], start, stop - start)
+            self._start = start
+        return self._block[r - self._start]
 
 
 def sample_trajectories(
@@ -539,7 +597,7 @@ def sample_trajectories(
     seed: int,
     *,
     nodes: ProtocolNodes | None = None,
-    uniforms: np.ndarray | None = None,
+    uniforms: np.ndarray | UniformBlocks | None = None,
 ) -> SampledTrajectories:
     """Draw n independent trajectories from the exact forward measure.
 
@@ -547,8 +605,9 @@ def sample_trajectories(
     the Philox4x64-10 stream keyed by (seed, t), so results depend only on
     (seed, n, T) and not on batching. One bit generator serves the call,
     reset to each trajectory's key (``trajectory_uniforms``). A caller
-    sampling several T passes ``uniforms``, one ``trajectory_uniforms(seed,
-    n, L)`` draw with L >= T + 2, and each call reads its first T + 2 rows.
+    sampling several T passes ``uniforms``: a ``trajectory_uniforms(seed,
+    n, L)`` draw with L >= T + 2, or the ``UniformBlocks`` of its T_list.
+    The call reads rows 0..T + 1 one at a time, in order, as ``uniforms[r]``.
 
     The sampler works in real coordinates: the n states are the columns of
     a real (d^2, n) stack X of their coordinates in ``hermitian_basis(d)``

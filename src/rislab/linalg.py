@@ -108,6 +108,19 @@ def hermitian_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, V
 
 
+def distinct_sorted(x) -> np.ndarray:
+    """The distinct values of a 1-d array in ascending order, compared exactly.
+
+    It returns what ``np.unique(x)`` does for NaN-free input. numpy 2.4's
+    plain ``unique`` asks ``np.ma.is_masked``, which imports ``numpy.ma``
+    (12-15 ms and about 1 MB per process) for a module rislab never uses.
+    """
+    x = np.sort(np.asarray(x).reshape(-1))
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
 def outcome_gaps(w: np.ndarray) -> np.ndarray:
     """Where an ascending spectrum, or each row of a stack (..., n), opens an outcome.
 

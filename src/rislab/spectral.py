@@ -30,6 +30,7 @@ from .linalg import (
     _matrix_max,
     as_complex,
     assert_hermitian,
+    distinct_sorted,
     general_eig,
     herm_power,
     hermitian_eig,
@@ -40,6 +41,7 @@ from .linalg import (
 PERIPHERAL_REL_TOL = 1e-8
 RESIDUAL_TOL = 1e-8
 FAITHFUL_TOL = 1e-10
+EIG_RESIDUAL_TOL = 1e-12
 
 
 class SpectralError(ValueError):
@@ -183,6 +185,28 @@ def _require(ok: np.ndarray, message: str, index=None) -> None:
         raise _fail(bad[0] if index is None else index[bad[0]], message)
 
 
+def _eigenvectors(M: np.ndarray, w: np.ndarray, Vr: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Column k[i] of the eigenvectors Vr of each matrix M[i], at eigenvalue w[i, k[i]].
+
+    ``eig`` can leave a column's residual |M v - w v| far above round-off
+    (1.2e-9 on a cyclic map with one entry of 3.8e-23). Where it
+    exceeds EIG_RESIDUAL_TOL at the matrix's scale, the bordered solve
+    [[M - w, v], [v^*, 0]] [x; mu] = [0; 1] replaces v by x; elsewhere the
+    column is ``eig``'s, bit for bit.
+    """
+    rows = np.arange(len(M))
+    v, wk = Vr[rows, :, k], w[rows, k]
+    res = np.abs((M @ v[..., None])[..., 0] - wk[:, None] * v).max(axis=1)
+    bad = np.flatnonzero(res > EIG_RESIDUAL_TOL * _matrix_max(np.abs(M)))
+    if bad.size:
+        vb, n1 = v[bad][..., None], M.shape[-1]
+        shifted = M[bad] - wk[bad, None, None] * np.eye(n1)
+        B = np.block([[shifted, vb], [_adjoint(vb), np.zeros_like(vb[:, :1])]])
+        v = v.copy()
+        v[bad] = np.linalg.solve(B, np.eye(n1 + 1)[:, -1:])[:, :n1, 0]
+    return v
+
+
 def _phase_fixed_psd(X: np.ndarray) -> np.ndarray:
     """Rotate each near-PSD eigenvector of a stack (N, d, d) to Hermitian PSD."""
     tr = np.trace(X, axis1=-2, axis2=-1)
@@ -299,7 +323,8 @@ def peripheral_decompositions(matrices) -> PeripheralDecompositions:
     One decomposition per matrix, each with its own period z, returned as
     node stacks; indexing the result gives one matrix's decomposition. The
     work is done in stacked passes: one ``eig`` of the stack for the right
-    eigenvectors, one bordered ``solve`` (and one refining it) for the left
+    eigenvectors (a bordered ``solve`` mends a column read with a residual
+    above round-off), one bordered ``solve`` (and one refining it) for the left
     eigenvectors, one stacked ``hermitian_eig`` each to phase-fix rho and
     iota, one stacked pass per period z > 1 for the cycle unitaries, and
     stacked checks at each matrix's own scale.
@@ -336,7 +361,7 @@ def peripheral_decompositions(matrices) -> PeripheralDecompositions:
     )
 
     k0 = np.argmax(ms == 0, axis=1)
-    rho = _phase_fixed_psd(unvec(Vr[rows, :, k0], d))
+    rho = _phase_fixed_psd(unvec(_eigenvectors(M, w, Vr, k0), d))
     rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
     # iota solves [[M* - conj(lambda), vec rho], [vec rho*, 0]] [vec iota; mu] = [0; 1],
     # non-singular as lambda is simple (a double root fails the cyclic group above),
@@ -350,9 +375,9 @@ def peripheral_decompositions(matrices) -> PeripheralDecompositions:
     _require(ok, "left eigenvector residual above tolerance")
     iota = _phase_fixed_psd(unvec((x + np.linalg.solve(B, res))[:, :d2, 0], d))
     # right eigenvectors at lambda*theta, read only where z > 1
-    Xr = unvec(Vr[rows, :, np.argmax(ms == 1, axis=1)], d)
+    Xr = unvec(_eigenvectors(M, w, Vr, np.argmax(ms == 1, axis=1)), d)
 
-    periods = np.unique(z)
+    periods = distinct_sorted(z)
     # rows past a matrix's own period stay zero
     zmax = int(periods[-1])
     cycle = (

@@ -519,6 +519,18 @@ def _phase_fixed_psd(X: np.ndarray) -> np.ndarray:
     return (V * np.clip(w, 0.0, None)) @ V.conj().T
 
 
+def _eigenvector(M, w, Vr, k):
+    """Column k of Vr or, where its residual is above 1e-12 of M's scale, the
+    right singular vector of M - w_k at its smallest singular value, in the
+    column's phase."""
+    v = Vr[:, k]
+    if np.abs(M @ v - w[k] * v).max() <= 1e-12 * np.abs(M).max():
+        return v
+    x = np.linalg.svd(M - w[k] * np.eye(len(M)))[2][-1].conj()
+    p = x.conj() @ v
+    return x * (p / abs(p))
+
+
 def peripheral_decomposition(L: SuperOperator) -> PeripheralDecomposition:
     """Full peripheral decomposition of one irreducible CP map, on its own.
 
@@ -547,7 +559,7 @@ def peripheral_decomposition(L: SuperOperator) -> PeripheralDecomposition:
             raise SpectralError("peripheral eigenvalue off its root of unity")
 
     k0 = idx[list(ms).index(0)]
-    rho = _phase_fixed_psd(unvec(Vr[:, k0], d))
+    rho = _phase_fixed_psd(unvec(_eigenvector(L.matrix, w, Vr, k0), d))
     rho = rho / np.trace(rho).real
     iota = _phase_fixed_psd(unvec(Vl[:, k0], d))
     iota = iota / np.trace(iota @ rho).real
@@ -556,7 +568,7 @@ def peripheral_decomposition(L: SuperOperator) -> PeripheralDecomposition:
         if np.linalg.eigvalsh(rho).min() < FAITHFUL_TOL:
             raise SpectralError("invariant state not faithful; map not irreducible")
         k1 = idx[list(ms).index(1)]
-        X = unvec(Vr[:, k1], d)
+        X = unvec(_eigenvector(L.matrix, w, Vr, k1), d)
         u = herm_power(rho, -1.0) @ X
         u *= np.sqrt(d) / np.linalg.norm(u)
         uz = np.linalg.matrix_power(u, z)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,18 @@ def test_spectrum_task(tmp_path):
     assert manifest["task"] == "spectrum"
     assert manifest["seed"] == 1
     assert "config_hash" in manifest
+
+
+def test_manifest_records_the_versions(tmp_path):
+    import rislab
+
+    out = _run("lambda", tmp_path)
+    versions = json.loads((out / "manifest.json").read_text())["versions"]
+    assert versions == {
+        "numpy": np.__version__,
+        "python": "{}.{}.{}".format(*sys.version_info[:3]),
+        "rislab": rislab.__version__,
+    }
 
 
 def test_spectrum_writes_every_population(tmp_path):
@@ -139,6 +152,53 @@ def test_simulate_draws_once_for_every_T(tmp_path, monkeypatch):
     monkeypatch.setattr(np.random, "Philox", counted)
     _run("simulate", tmp_path)
     assert len(built) == 1
+
+
+def _one_full_draw(seed, n, T_list):
+    """The uniforms of every T as one (max(T_list) + 2, n) draw."""
+    return fs.trajectory_uniforms(seed, n, max(T_list) + 2)
+
+
+def test_simulate_files_are_those_of_one_full_draw(tmp_path, monkeypatch):
+    """T_list out of order and with a repeat, n over two fill chunks: the
+    head and tail blocks give every file of one full draw, byte for byte."""
+    doc = dict(BASE, numeric=dict(BASE["numeric"], T_list=[20, 3, 10, 20], n=300))
+    blocks = _run("simulate", tmp_path, doc, sub="blocks")
+    monkeypatch.setattr(fs, "UniformBlocks", _one_full_draw)
+    full = _run("simulate", tmp_path, doc, sub="full")
+    names = sorted(p.name for p in full.iterdir())
+    assert names == sorted(p.name for p in blocks.iterdir())
+    assert "trajectories_T20.csv" in names
+    for name in names:
+        assert (blocks / name).read_bytes() == (full / name).read_bytes(), name
+
+
+def _simulate_peak(tmp_path, doc, sub):
+    tracemalloc.start()
+    try:
+        _run("simulate", tmp_path, doc, sub=sub)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("T_list,head", [([10, 100], 12), ([60, 100], 64)])
+def test_simulate_never_holds_every_row(tmp_path, monkeypatch, T_list, head):
+    """At n 2 000 simulate peaks below its peak with one full (102, 2 000)
+    draw by at least half the smaller block's bytes: it never holds the
+    head and the tail block at once, not even while it draws the tail."""
+    n = 2000
+    doc = dict(
+        BASE,
+        numeric=dict(BASE["numeric"], T_list=T_list, n=n),
+        output={"write_csv": False},
+    )
+    _run("simulate", tmp_path, doc, sub="warm")
+    blocks = _simulate_peak(tmp_path, doc, "blocks")
+    monkeypatch.setattr(fs, "UniformBlocks", _one_full_draw)
+    full = _simulate_peak(tmp_path, doc, "full")
+    smaller = min(head, 102 - head) * n * 8
+    assert blocks < full - smaller // 2, (blocks, full)
 
 
 def test_simulate_task_stationary_preset(tmp_path):

@@ -70,6 +70,15 @@ def test_import_and_tasks_load_no_scipy(tmp_path):
     assert _run(_every_task(_config(tmp_path, "beta1")), tmp_path) == []
 
 
+def test_tasks_do_not_import_numpy_ma(tmp_path):
+    """numpy 2.4's plain ``np.unique`` imports ``numpy.ma`` (12-15 ms and
+    about 1 MB) for its masked-array check; no task takes that route."""
+    code = _every_task(_config(tmp_path, "beta1")) + """
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+    assert _run(code, tmp_path) == []
+
+
 def test_tabulated_schedule_runs_every_task_without_scipy(tmp_path):
     config = _config(tmp_path, TABULATED)
     code = _every_task(config) + f"""

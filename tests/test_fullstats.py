@@ -218,11 +218,12 @@ def test_enumeration_guard():
 
 def test_enumeration_guard_is_a_byte_budget_checked_before_allocating():
     """fd has 2 x 2 outcomes of A_i, A_f and 4 probe pairs per step: T = 10
-    (4 194 304 records) fits the budget, T = 11 is refused, naming the
-    estimate and the budget, before any record array exists."""
-    records = {T: 2 * 2 * 4**T for T in (10, 11)}
-    assert records[10] * fs.ENUMERATION_BYTES_PER_RECORD <= fs.ENUMERATION_BUDGET
-    assert records[11] * fs.ENUMERATION_BYTES_PER_RECORD > fs.ENUMERATION_BUDGET
+    (4 194 304 records at 114 bytes) fits the budget, T = 11 (at 115) is
+    refused, naming the estimate and the budget, before any record array
+    exists."""
+    estimate = {T: 2 * 2 * 4**T * (fs.ENUMERATION_BASE_BYTES + T) for T in (10, 11)}
+    assert estimate[10] <= fs.ENUMERATION_BUDGET
+    assert estimate[11] > fs.ENUMERATION_BUDGET
     m = mod.fd_model()
     setup = fs.entropic_setup(mod.gibbs_state(m.h_sys, m.beta(0.0)))
     tracemalloc.start()
@@ -233,7 +234,7 @@ def test_enumeration_guard_is_a_byte_budget_checked_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert f"{records[11] * fs.ENUMERATION_BYTES_PER_RECORD} bytes" in str(err.value)
+    assert f"{estimate[11]} bytes ({fs.ENUMERATION_BASE_BYTES + 11} per record)" in str(err.value)
     assert f"budget of {fs.ENUMERATION_BUDGET} bytes" in str(err.value)
 
 
@@ -306,8 +307,8 @@ def test_enumeration_peak_bytes_per_record():
     """At fd T = 8 (262 144 records) the enumeration's peak, read by
     ru_maxrss in a fresh interpreter, stays at or under 115 bytes per record
     (274 while both state stacks and an int64 index table were alive, 131
-    while each trace formed P @ X per pair), and ENUMERATION_BYTES_PER_RECORD
-    is not below it."""
+    while each trace formed P @ X per pair), and the estimate
+    ENUMERATION_BASE_BYTES + T is not below it."""
     out = subprocess.run(
         [sys.executable, "-c", ENUMERATION_PEAK],
         capture_output=True, text=True, check=True,
@@ -315,7 +316,7 @@ def test_enumeration_peak_bytes_per_record():
     )
     peak = float(out.stdout)
     assert peak <= 115, peak
-    assert peak <= fs.ENUMERATION_BYTES_PER_RECORD, peak
+    assert peak <= fs.ENUMERATION_BASE_BYTES + 8, peak
 
 
 def test_csv_roundtrip(tmp_path, fd3):

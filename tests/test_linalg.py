@@ -195,6 +195,22 @@ def test_stacked_outcome_gaps_equal_each_spectrum_alone(W):
         assert np.array_equal(la.outcome_groups(w), labels == np.arange(labels[-1] + 1)[:, None])
 
 
+@given(
+    hnp.arrays(
+        np.float64,
+        st.integers(0, 40),
+        elements=st.sampled_from([-2.0, 1.0 / 3.0, 1.0 / 3.0 + 2**-54, 0.5, 1.0, 7.0]),
+    )
+)
+def test_distinct_sorted_is_unique(x):
+    """np.unique's values and dtype on doubles, compared exactly (1/3 and its
+    next double stay apart), and on their integer parts, from empty on."""
+    for a in (x, x.astype(np.int64)):
+        got, want = la.distinct_sorted(a), np.unique(a)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("N", [*range(3, 42, 2), 201, 801])
 def test_simpson_is_bitwise_scipy(N):
     """The port equals scipy's simpson bit for bit and in dtype on odd grids."""

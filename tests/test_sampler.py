@@ -53,13 +53,16 @@ def test_sampler_matches_all_maps_route_non_entropic():
 
 @pytest.mark.parametrize("seed", [0, 3, 2**64 - 1])
 def test_reset_stream_is_a_fresh_philox(seed):
-    """Lengths 1..9 cross the generator's 4-word buffer."""
-    for length in range(1, 10):
-        u = fs.trajectory_uniforms(seed, 4, length)
-        assert u.shape == (length, 4)
-        for t in range(4):
-            fresh = np.random.Generator(np.random.Philox(key=(seed << 64) + t))
-            assert np.array_equal(u[:, t], fresh.random(length)), (length, t)
+    """Rows [start, start + length) of a fresh stream, at starts 0, 4, 8 and
+    404; lengths 1..9 cross the generator's 4-word buffer."""
+    for start in (0, 4, 8, 404):
+        for length in range(1, 10):
+            u = fs.trajectory_uniforms(seed, 4, length, start)
+            assert u.shape == (length, 4)
+            for t in range(4):
+                fresh = np.random.Generator(np.random.Philox(key=(seed << 64) + t))
+                want = fresh.random(start + length)[start:]
+                assert np.array_equal(u[:, t], want), (start, length, t)
 
 
 def test_a_longer_draw_starts_with_a_shorter_one():
@@ -69,18 +72,66 @@ def test_a_longer_draw_starts_with_a_shorter_one():
         assert np.array_equal(long[:length], fs.trajectory_uniforms(5, 30, length)), length
 
 
+@pytest.mark.parametrize("start", [1, 2, 3, 6, 405])
+def test_a_start_row_off_the_counter_is_refused(start):
+    with pytest.raises(ValueError, match=f"multiple of 4, not {start}"):
+        fs.trajectory_uniforms(0, 3, 4, start)
+
+
+def test_streams_past_a_fill_chunk_are_those_of_fresh_philox():
+    """300 streams span three row-major fill chunks."""
+    u = fs.trajectory_uniforms(7, 300, 5, 4)
+    for t in (0, 127, 128, 255, 256, 299):
+        fresh = np.random.Generator(np.random.Philox(key=(7 << 64) + t))
+        assert np.array_equal(u[:, t], fresh.random(9)[4:]), t
+
+
+@pytest.mark.parametrize(
+    "T_list,head",
+    [
+        ([50, 100, 200, 400, 800], 404),
+        ([800, 400, 50, 800], 404),
+        ([1, 3, 10, 40], 12),
+        ([3, 4], 6),
+        ([10, 10], 12),
+        ([7], 9),
+    ],
+)
+def test_uniform_blocks_hold_the_rows_of_one_full_draw(T_list, head):
+    """The head holds the second-largest distinct T + 2 rows rounded up to 4,
+    and covers every row when no row lies past it; each row read, in
+    either direction, is that of one full draw."""
+    blocks = fs.UniformBlocks(5, 130, T_list)
+    full = fs.trajectory_uniforms(5, 130, max(T_list) + 2)
+    assert blocks.shape == full.shape
+    order = [*range(full.shape[0]), *range(full.shape[0] - 1, -1, -1)]
+    for r in order:
+        assert np.array_equal(blocks[r], full[r]), r
+        held = blocks._block.shape[0]
+        assert held == (head if r < head else full.shape[0] - head), r
+    for r in (-1, full.shape[0]):
+        with pytest.raises(IndexError):
+            blocks[r]
+
+
 def test_shared_draw_gives_the_self_drawn_records():
+    """One full draw and the UniformBlocks of T_list, sampled in either order."""
     m = mod.fd_model()
     setup = _entropic(m)
-    T_list, n = [1, 3, 10, 40], 200
-    nodes = fs.ProtocolNodes(m, T_list)
-    shared = fs.trajectory_uniforms(9, n, max(T_list) + 2)
-    for T in T_list:
-        got = fs.sample_trajectories(m, setup, T, n, 9, nodes=nodes, uniforms=shared)
-        want = fs.sample_trajectories(m, setup, T, n, 9)
-        for f in RECORD_FIELDS + ("delta_a", "varsigma"):
-            assert np.array_equal(getattr(got, f), getattr(want, f)), (T, f)
-    for bad in (shared[:41], shared[:, :199]):
+    n = 200
+    for T_list in ([1, 3, 10, 40], [40, 3, 10, 1]):
+        nodes = fs.ProtocolNodes(m, T_list)
+        shared = fs.trajectory_uniforms(9, n, max(T_list) + 2)
+        blocks = fs.UniformBlocks(9, n, T_list)
+        for T in T_list:
+            want = fs.sample_trajectories(m, setup, T, n, 9)
+            for uniforms in (shared, blocks):
+                got = fs.sample_trajectories(
+                    m, setup, T, n, 9, nodes=nodes, uniforms=uniforms
+                )
+                for f in RECORD_FIELDS + ("delta_a", "varsigma"):
+                    assert np.array_equal(getattr(got, f), getattr(want, f)), (T, f)
+    for bad in (shared[:41], shared[:, :199], fs.UniformBlocks(9, n, [39])):
         with pytest.raises(ValueError, match="cannot serve T=40, n=200"):
             fs.sample_trajectories(m, setup, 40, n, 9, nodes=nodes, uniforms=bad)
 
