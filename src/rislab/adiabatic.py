@@ -6,7 +6,9 @@ products F(k/T)...F(1/T) converge, as T grows, to the peripheral data
 transported by an intertwiner W(s); this module builds the intertwiner,
 evaluates the product decomposition and its residual, and assembles the
 adiabatic approximation of the deformed state evolution, including the
-geometric phase-type integral theta^(alpha).
+geometric phase-type integral theta^(alpha). Both the intertwiner and
+theta^(alpha) read derivatives in s, centred differences that the family
+keeps in place of the neighbouring nodes they come from.
 """
 
 from __future__ import annotations
@@ -21,9 +23,13 @@ from .spectral import PeripheralDecomposition, PeripheralDecompositions
 from .spectral import peripheral_decompositions
 
 DERIV_STEP = 1e-5
-# Kernels built per kraus_families call in prepare: bounds the memory of the
-# kernels alive at once (about 17 kB per node for 2x2 system and probe).
+# Nodes built per kraus_families call: bounds the memory of the kernels,
+# deformed matrices and decompositions alive at once (about 4 kB per node
+# for 2x2 system and probe).
 PREPARE_BLOCK = 256
+# The fields the module differentiates in s: rho for theta_integral and the
+# spectral projectors for the intertwiner's generator
+SLOPE_FIELDS = ("rho", "spectral_projectors")
 
 
 def _appended(cache: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
@@ -37,22 +43,40 @@ def _appended(cache: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
     return cache
 
 
+def _append(table: dict[str, np.ndarray], index: dict[float, int], keys, rows: dict) -> None:
+    """Append one row per key of ``keys`` to every named field of ``table``
+    and map each key to its row in ``index``. One field at a time: a grown
+    array replaces its old one before the next field grows, so no two
+    generations of the table coexist."""
+    n = len(index)
+    for name, new in rows.items():
+        table[name] = _appended(table.get(name, new[:0]), n, new)
+    index.update(zip(keys, range(n, n + len(keys))))
+
+
 class AdiabaticFamily:
     """A protocol of deformed maps with cached peripheral data.
 
     Each map's matrix is built and decomposed together with the other nodes
-    of its block. The cache is one table of named fields, one row per node
-    and a map from s to its row: the normalized maps "F" beside every
-    ``PeripheralDecompositions`` field. ``read`` gathers one field's rows.
-    The period z must be constant along the protocol (checked per block).
+    of its block. The cache is two tables of named fields, each with one row
+    per node and a map from s to its row. The node table holds the
+    normalized maps "F" beside every ``PeripheralDecompositions`` field, at
+    the nodes that a reader asks for; ``read`` gathers one field's rows.
+    The slope table holds, per node, the centred differences in s of the
+    ``SLOPE_FIELDS``; ``slope`` gathers one of them. The neighbours
+    s -+ DERIV_STEP of a difference are decomposed for it and dropped, not
+    kept as rows. The period z must be constant along the protocol
+    (checked per block).
     """
 
     def __init__(self, model: RISModel, alpha: float):
         self.model = model
         self.alpha = float(alpha)
+        # each table: len(index) filled rows of each field, then unfilled capacity
         self._rows: dict[float, int] = {}
-        # each field by name: len(self._rows) filled rows, then unfilled capacity
         self._fields: dict[str, np.ndarray] = {}
+        self._slope_rows: dict[float, int] = {}
+        self._slopes: dict[str, np.ndarray] = {}
         self._thetas: dict[int, complex] = {}  # theta_integral by odd grid size
         self._period: int | None = None
 
@@ -60,31 +84,30 @@ class AdiabaticFamily:
     def dim(self) -> int:
         return self.model.dim_sys
 
-    def prepare(self, s_values) -> None:
-        """Build and decompose the map of every uncached s in s_values.
+    def _decompose(self, block: list[float]) -> tuple[np.ndarray, PeripheralDecompositions]:
+        """The deformed matrices of the nodes in block, from one stacked
+        kernel, and their decompositions from one stacked pass; the kernel
+        is dropped once they are built. Checks the period against the
+        family's."""
+        matrices = kraus_families(self.model, block).deformed_matrix(self.alpha)
+        decs = peripheral_decompositions(matrices)
+        if self._period is None:
+            self._period = int(decs.period[0])
+        changed = np.flatnonzero(decs.period != self._period)
+        if changed.size:
+            s = block[changed[0]]
+            raise ValueError(f"peripheral period changed along the protocol at s={s}")
+        return matrices, decs
 
-        Each block of at most PREPARE_BLOCK nodes is built from one stacked
-        kernel and decomposed in one stacked pass. Only F and the
-        decompositions are kept; the kernel is dropped once they are built.
-        """
+    def prepare(self, s_values) -> None:
+        """Build and decompose the map of every uncached s in s_values, at
+        most PREPARE_BLOCK nodes at a time, keeping F and the decompositions."""
         todo = [s for s in dict.fromkeys(map(float, s_values)) if s not in self._rows]
         for start in range(0, len(todo), PREPARE_BLOCK):
             block = todo[start : start + PREPARE_BLOCK]
-            matrices = kraus_families(self.model, block).deformed_matrix(self.alpha)
-            decs = peripheral_decompositions(matrices)
-            if self._period is None:
-                self._period = int(decs.period[0])
-            changed = np.flatnonzero(decs.period != self._period)
-            if changed.size:
-                s = block[changed[0]]
-                raise ValueError(f"peripheral period changed along the protocol at s={s}")
-            n = len(self._rows)
+            matrices, decs = self._decompose(block)
             F = matrices / decs.spectral_radius[:, None, None]
-            # one field at a time: a grown array replaces its old one before
-            # the next field grows, so no two generations of the table coexist
-            for name, rows in {"F": F, **vars(decs)}.items():
-                self._fields[name] = _appended(self._fields.get(name, rows[:0]), n, rows)
-            self._rows.update(zip(block, range(n, n + len(block))))
+            _append(self._fields, self._rows, block, {"F": F, **vars(decs)})
 
     def read(self, field: str, s_values) -> np.ndarray:
         """Field ``field`` ("F" or a ``PeripheralDecompositions`` field) at the
@@ -92,6 +115,47 @@ class AdiabaticFamily:
         s_values = np.asarray(s_values, dtype=float).tolist()
         self.prepare(s_values)
         return self._fields[field][[self._rows[s] for s in s_values]]
+
+    def slope(self, field: str, s_values) -> np.ndarray:
+        """d/ds of ``field`` (one of ``SLOPE_FIELDS``) at the nodes s_values,
+        one row per node in their order: (f(hi) - f(lo)) / (hi - lo) with
+        lo, hi = s -+ DERIV_STEP clamped to [0, 1].
+
+        The neighbours of PREPARE_BLOCK // 2 nodes at a time are decomposed
+        as one block, every field's difference is taken, and the block is
+        dropped. A node of s_values that is another's neighbour (the clamped
+        s = 0 and 1) is made a row first, so that no s is built twice.
+        """
+        s_values = np.asarray(s_values, dtype=float).tolist()
+        todo = [s for s in dict.fromkeys(s_values) if s not in self._slope_rows]
+        lo, hi = _neighbours(np.array(todo))
+        ends = set(lo.tolist() + hi.tolist())
+        self.prepare([s for s in todo if s in ends])
+        half = PREPARE_BLOCK // 2
+        for start in range(0, len(todo), half):
+            b_lo, b_hi = lo[start : start + half], hi[start : start + half]
+            rows = {}
+            for name, f in self._at_neighbours(b_hi.tolist() + b_lo.tolist()).items():
+                diff = f[: len(b_lo)] - f[len(b_lo) :]
+                rows[name] = diff / (b_hi - b_lo).reshape(-1, *(1,) * (diff.ndim - 1))
+            _append(self._slopes, self._slope_rows, todo[start : start + half], rows)
+        return self._slopes[field][[self._slope_rows[s] for s in s_values]]
+
+    def _at_neighbours(self, ends: list[float]) -> dict[str, np.ndarray]:
+        """The ``SLOPE_FIELDS`` at the nodes ends, in their order: read where
+        a node is a row, else decomposed here and not kept."""
+        known = [t for t in dict.fromkeys(ends) if t in self._rows]
+        new = [t for t in dict.fromkeys(ends) if t not in self._rows]
+        parts = []
+        if new:
+            decs = self._decompose(new)[1]
+            parts.append([getattr(decs, name) for name in SLOPE_FIELDS])
+        if known:
+            rows = [self._rows[t] for t in known]
+            parts.append([self._fields[name][rows] for name in SLOPE_FIELDS])
+        at = {t: i for i, t in enumerate(new + known)}
+        order = [at[t] for t in ends]
+        return {name: np.concatenate(f)[order] for name, f in zip(SLOPE_FIELDS, zip(*parts))}
 
     def decomposition(self, s: float) -> PeripheralDecomposition:
         """The peripheral decomposition at s, a row of the cache."""
@@ -115,22 +179,16 @@ def _neighbours(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(s - DERIV_STEP, 0.0), np.minimum(s + DERIV_STEP, 1.0)
 
 
-def _derivative(family: AdiabaticFamily, s: np.ndarray, field: str) -> np.ndarray:
-    """Centred difference d/ds of one cached field at each node of s."""
-    lo, hi = _neighbours(s)
-    diff = family.read(field, hi) - family.read(field, lo)
-    return diff / (hi - lo).reshape(-1, *(1,) * (diff.ndim - 1))
-
-
 def intertwiner(family: AdiabaticFamily, s_nodes) -> np.ndarray:
     """W(1) of W' = A(s) W, W(0) = Id, by classical RK4 on the (>= 2) given nodes.
 
     W transports the spectral projectors: W(s) P^m(0) W(s)^{-1} = P^m(s).
-    The generator A(s) = sum_m dP^m/ds @ P^m (dP^m/ds a centred difference)
-    is one stack over the 2T + 1 distinct nodes of T steps. The ODE is linear,
-    so step j is the matrix R_j = Id + h/6 (K1 + 2 K2 + 2 K3 + K4), K1 = A1,
-    K2 = A2 (Id + h/2 K1), K3 = A2 (Id + h/2 K2), K4 = A4 (Id + h K3), and
-    W(1) is the ordered product of the R_j.
+    The generator A(s) = sum_m dP^m/ds @ P^m (dP^m/ds the family's slope,
+    a centred difference) is one stack over the 2T + 1 distinct nodes of
+    T steps. The ODE is linear, so step j is the matrix
+    R_j = Id + h/6 (K1 + 2 K2 + 2 K3 + K4), K1 = A1, K2 = A2 (Id + h/2 K1),
+    K3 = A2 (Id + h/2 K2), K4 = A4 (Id + h K3), and W(1) is the ordered
+    product of the R_j.
     """
     s_nodes = np.asarray(s_nodes, dtype=float)
     h = np.diff(s_nodes)
@@ -138,7 +196,7 @@ def intertwiner(family: AdiabaticFamily, s_nodes) -> np.ndarray:
     s[0::2] = s_nodes
     s[1::2] = s_nodes[:-1] + h / 2
     # dP/ds is a temporary of the product, not kept through the RK4 steps
-    A = (_derivative(family, s, "spectral_projectors")
+    A = (family.slope("spectral_projectors", s)
          @ family.read("spectral_projectors", s)).sum(axis=1)
     A1, A2, A4 = A[0:-1:2], A[1::2], A[2::2]
     h = h[:, None, None]
@@ -176,12 +234,12 @@ def theta_integral(family: AdiabaticFamily, *, n_nodes: int = 201) -> complex:
     """theta^(alpha)(1) = int_0^1 Tr(iota(s) d rho(s)/ds) ds.
 
     Composite Simpson quadrature (``linalg.simpson``) on an odd uniform grid
-    of at least n_nodes nodes, with d rho/ds a centred difference. Each grid
+    of at least n_nodes nodes, with d rho/ds the family's slope. Each grid
     is integrated once per family and the value cached on it.
     """
     s_grid = _theta_grid(n_nodes)
     if s_grid.size not in family._thetas:
-        drho = _derivative(family, s_grid, "rho")
+        drho = family.slope("rho", s_grid)
         vals = np.trace(family.read("iota", s_grid) @ drho, axis1=1, axis2=2)
         family._thetas[s_grid.size] = complex(simpson(vals, x=s_grid))
     return family._thetas[s_grid.size]

@@ -174,8 +174,18 @@ def total_hamiltonian(model: RISModel, s, *, _h_env=None) -> np.ndarray:
 
 
 def joint_unitary(model: RISModel, s, *, _h_env=None) -> np.ndarray:
-    """exp(-i*tau*(h_sys + h_env(s) + v(s))) on the system-probe pair."""
-    return herm_exp(total_hamiltonian(model, s, _h_env=_h_env), -1j * model.tau)
+    """exp(-i*tau*(h_sys + h_env(s) + v(s))) on the system-probe pair.
+
+    One exponential per run of consecutive nodes with equal Hamiltonians,
+    gathered back to every node of the run: a model whose H moves with s
+    has runs of one node, one whose only beta moves has a single run.
+    """
+    H = total_hamiltonian(model, s, _h_env=_h_env)
+    stack = H.reshape(-1, *H.shape[-2:])
+    head = np.ones(len(stack), dtype=bool)
+    head[1:] = (stack[1:] != stack[:-1]).any(axis=(1, 2))
+    U = herm_exp(stack[head], -1j * model.tau)[np.cumsum(head) - 1]
+    return U.reshape(H.shape)
 
 
 # ---------------------------------------------------------------------------

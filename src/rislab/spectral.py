@@ -324,10 +324,10 @@ def peripheral_decompositions(matrices) -> PeripheralDecompositions:
     node stacks; indexing the result gives one matrix's decomposition. The
     work is done in stacked passes: one ``eig`` of the stack for the right
     eigenvectors (a bordered ``solve`` mends a column read with a residual
-    above round-off), one bordered ``solve`` (and one refining it) for the left
-    eigenvectors, one stacked ``hermitian_eig`` each to phase-fix rho and
-    iota, one stacked pass per period z > 1 for the cycle unitaries, and
-    stacked checks at each matrix's own scale.
+    above round-off), one bordered ``solve`` for the left eigenvectors, one
+    stacked ``hermitian_eig`` each to phase-fix rho and iota, one stacked
+    pass per period z > 1 for the cycle unitaries, and stacked checks at
+    each matrix's own scale.
 
     Raises SpectralError, naming the index of the first failing matrix,
     when the peripheral eigenvalues do not form a simple cyclic group
@@ -365,15 +365,14 @@ def peripheral_decompositions(matrices) -> PeripheralDecompositions:
     rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
     # iota solves [[M* - conj(lambda), vec rho], [vec rho*, 0]] [vec iota; mu] = [0; 1],
     # non-singular as lambda is simple (a double root fails the cyclic group above),
-    # with Tr(iota rho) = 1 its last row; the residual certifies and refines it once
+    # with Tr(iota rho) = 1 its last row; the residual certifies it
     r, shift = vec(rho)[..., None], w[rows, k0, None, None].conj() * np.eye(d2)
     B = np.block([[_adjoint(M) - shift, r], [_adjoint(r), np.zeros_like(r[:, :1])]])
     e = np.eye(d2 + 1)[:, -1:]
     x = np.linalg.solve(B, e)
-    res = e - B @ x
-    ok = _matrix_max(np.abs(res)) <= RESIDUAL_TOL * np.maximum(lam, 1.0)
+    ok = _matrix_max(np.abs(e - B @ x)) <= RESIDUAL_TOL * np.maximum(lam, 1.0)
     _require(ok, "left eigenvector residual above tolerance")
-    iota = _phase_fixed_psd(unvec((x + np.linalg.solve(B, res))[:, :d2, 0], d))
+    iota = _phase_fixed_psd(unvec(x[:, :d2, 0], d))
     # right eigenvectors at lambda*theta, read only where z > 1
     Xr = unvec(_eigenvectors(M, w, Vr, np.argmax(ms == 1, axis=1)), d)
 

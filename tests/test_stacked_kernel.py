@@ -193,9 +193,9 @@ def test_preset_kernels_equal_the_gibbs_state_route_under_every_schedule(make):
 
 
 def test_kernel_build_decomposes_only_y_and_the_hamiltonian(monkeypatch):
-    """Two stacked eigh per node set, of Y and of the total Hamiltonian: the
-    probe state and its root are read off Y's, with no gibbs_state or
-    herm_power call."""
+    """Two stacked eigh per node set, of Y and of the total Hamiltonian, the
+    latter one row per run of equal Hamiltonians: the probe state and its
+    root are read off Y's, with no gibbs_state or herm_power call."""
     shapes, routes = [], []
     eigh = np.linalg.eigh
 
@@ -206,12 +206,35 @@ def test_kernel_build_decomposes_only_y_and_the_hamiltonian(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     for original in (mod.gibbs_state, la.herm_power):
         wrap_everywhere(monkeypatch, original, routes.append)
-    for m, n in ((mod.fd_model(), 10), (dict(CASES)["explicit-3x3"], 7)):
+    cases = dict(CASES)
+    # fd and explicit-3x3 keep H fixed (only beta moves); moving-probe moves it
+    for m, n, runs in ((mod.fd_model(), 10, 1), (cases["explicit-3x3"], 7, 1),
+                       (cases["moving-probe"], 7, 7)):
         shapes.clear()
         mod.kraus_families(m, np.linspace(0.0, 1.0, n))
         dE = m.dim_env
-        assert shapes == [(n, dE, dE), (n, m.dim_sys * dE, m.dim_sys * dE)]
+        assert shapes == [(n, dE, dE), (runs, m.dim_sys * dE, m.dim_sys * dE)]
     assert routes == []
+
+
+def test_joint_unitary_per_run_is_the_one_of_each_node(monkeypatch):
+    """A coupling constant on stretches of s gives runs of several nodes
+    (three here: v0, v1, then v0 again), one that moves with s runs of one;
+    either way each node's unitary is bitwise its own exponential."""
+    rng = np.random.default_rng(7)
+    v0, v1, v2 = (random_hermitian(rng, 4) for _ in range(3))
+    fd = mod.fd_model()
+    stretches = replace(fd, coupling=lambda s: v1 if 0.3 <= s < 0.6 else v0)
+    moving = replace(fd, coupling=lambda s: v0 + np.sin(3 * s) * v2)
+    s = np.linspace(0.0, 1.0, 41)
+    rows, exp = [], mod.herm_exp
+    monkeypatch.setattr(mod, "herm_exp", lambda H, c: rows.append(len(H)) or exp(H, c))
+    for m, runs in ((stretches, 3), (moving, s.size)):
+        rows.clear()
+        U = mod.joint_unitary(m, s)
+        assert rows == [runs]
+        for u, x in zip(U, s):
+            assert np.array_equal(u, exp(mod.total_hamiltonian(m, float(x)), -1j * m.tau))
 
 
 def test_probe_weight_below_the_floor_is_refused_naming_s():
