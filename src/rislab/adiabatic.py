@@ -6,9 +6,9 @@ products F(k/T)...F(1/T) converge, as T grows, to the peripheral data
 transported by an intertwiner W(s); this module builds the intertwiner,
 evaluates the product decomposition and its residual, and assembles the
 adiabatic approximation of the deformed state evolution, including the
-geometric phase-type integral theta^(alpha). Both the intertwiner and
-theta^(alpha) read derivatives in s, centred differences that the family
-keeps in place of the neighbouring nodes they come from.
+geometric phase-type integral theta^(alpha). Chains, theta's grids and RK4
+stages are ``protocol_nodes``, so each s is one double and one row; the
+derivatives in s are centred differences kept in place of the neighbours.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import fields
 import numpy as np
 
 from .linalg import ordered_product, simpson, unvec, vec
-from .model import RISModel, kraus_families
+from .model import RISModel, kraus_families, protocol_nodes
 from .spectral import PeripheralDecomposition, PeripheralDecompositions
 from .spectral import peripheral_decompositions
 
@@ -179,27 +179,22 @@ def _neighbours(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(s - DERIV_STEP, 0.0), np.minimum(s + DERIV_STEP, 1.0)
 
 
-def intertwiner(family: AdiabaticFamily, s_nodes) -> np.ndarray:
-    """W(1) of W' = A(s) W, W(0) = Id, by classical RK4 on the (>= 2) given nodes.
+def intertwiner(family: AdiabaticFamily, stages) -> np.ndarray:
+    """W(1) of W' = A(s) W, W(0) = Id, by classical RK4 over the odd stage grid
+    s_0, s_1/2, s_1, ..., s_T, such as ``protocol_nodes(2T)`` for T steps.
 
     W transports the spectral projectors: W(s) P^m(0) W(s)^{-1} = P^m(s).
     The generator A(s) = sum_m dP^m/ds @ P^m (dP^m/ds the family's slope,
-    a centred difference) is one stack over the 2T + 1 distinct nodes of
-    T steps. The ODE is linear, so step j is the matrix
-    R_j = Id + h/6 (K1 + 2 K2 + 2 K3 + K4), K1 = A1, K2 = A2 (Id + h/2 K1),
-    K3 = A2 (Id + h/2 K2), K4 = A4 (Id + h K3), and W(1) is the ordered
-    product of the R_j.
+    a centred difference) is one stack over the stages. The ODE is linear,
+    so step j is the matrix R_j = Id + h/6 (K1 + 2 K2 + 2 K3 + K4), K1 = A1,
+    K2 = A2 (Id + h/2 K1), K3 = A2 (Id + h/2 K2), K4 = A4 (Id + h K3), and
+    W(1) is the ordered product of the R_j.
     """
-    s_nodes = np.asarray(s_nodes, dtype=float)
-    h = np.diff(s_nodes)
-    s = np.empty(2 * s_nodes.size - 1)
-    s[0::2] = s_nodes
-    s[1::2] = s_nodes[:-1] + h / 2
     # dP/ds is a temporary of the product, not kept through the RK4 steps
-    A = (family.slope("spectral_projectors", s)
-         @ family.read("spectral_projectors", s)).sum(axis=1)
+    A = (family.slope("spectral_projectors", stages)
+         @ family.read("spectral_projectors", stages)).sum(axis=1)
     A1, A2, A4 = A[0:-1:2], A[1::2], A[2::2]
-    h = h[:, None, None]
+    h = np.diff(stages[0::2])[:, None, None]
     Id = np.eye(family.dim**2, dtype=complex)
     k2 = A2 @ (Id + h / 2 * A1)
     k3 = A2 @ (Id + h / 2 * k2)
@@ -214,8 +209,8 @@ def product_decomposition_residual(family: AdiabaticFamily, T: int) -> float:
     sum_m theta^{m T} W(1) P^m(0) plus the peripheral-complement chain
     (F Q)(T/T)...(F Q)(1/T) Q(0); the residual decays like 1/T.
     """
-    s = np.array([j / T for j in range(T + 1)])
-    W = intertwiner(family, s)  # prepares every node read below
+    s = protocol_nodes(T)
+    W = intertwiner(family, protocol_nodes(2 * T))  # prepares every node read below
     F, P = family.read("F", s[1:]), family.read("spectral_projectors", s)
     Q = _complement(P)
     chain, qchain = ordered_product(np.stack((F, F @ Q[1:])))
@@ -226,8 +221,8 @@ def product_decomposition_residual(family: AdiabaticFamily, T: int) -> float:
 
 
 def _theta_grid(n_nodes: int) -> np.ndarray:
-    """The odd uniform grid of at least n_nodes nodes that theta is integrated on."""
-    return np.linspace(0.0, 1.0, n_nodes | 1)
+    """The odd protocol grid of at least n_nodes nodes that theta is integrated on."""
+    return protocol_nodes(n_nodes - n_nodes % 2)
 
 
 def theta_integral(family: AdiabaticFamily, *, n_nodes: int = 201) -> complex:
@@ -272,7 +267,7 @@ def exact_deformed_chain(
     family: AdiabaticFamily, rho_i: np.ndarray, T: int
 ) -> np.ndarray:
     """Apply the normalized deformed chain F(T/T)...F(1/T) to a state."""
-    F = family.read("F", [j / T for j in range(1, T + 1)])
+    F = family.read("F", protocol_nodes(T)[1:])
     return unvec(ordered_product(F) @ vec(rho_i), family.dim)
 
 

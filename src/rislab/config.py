@@ -75,15 +75,12 @@ def _object(value, path: str, entry: str) -> dict:
 
 
 def _complex_entry(value, path: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
-    ):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{path}: expected a number or [re, im] pair, got {value!r}")
+    parts = value if isinstance(value, list) and len(value) == 2 else [value]
+    if not all(isinstance(v, (int, float)) for v in parts):
+        raise ConfigError(f"{path}: expected a number or [re, im] pair, got {value!r}")
+    if not np.isfinite(parts).all():
+        raise ConfigError(f"{path}: expected finite parts, got {value!r}")
+    return complex(*parts)
 
 
 def parse_matrix(value, path: str) -> np.ndarray:
@@ -251,6 +248,10 @@ def load_config(path_or_dict) -> RunConfig:
                 raise ConfigError(
                     f"model.{key}: expected shape {(dim, dim)}, got {mat.shape}"
                 )
+            try:
+                assert_hermitian(mat)
+            except LinalgError as exc:
+                raise ConfigError(f"model.{key}: {exc}") from None
         model = RISModel(
             dim_sys=dS,
             dim_env=dE,

@@ -32,7 +32,7 @@ from .linalg import (
     unvec,
     vec,
 )
-from .model import KrausFamily, RISModel, kraus_families, kraus_family
+from .model import KrausFamily, RISModel, kraus_families, kraus_family, protocol_nodes
 
 # enumerate_measure's peak memory per record is estimated as this base plus
 # the T bytes of the record's probe_records row: ru_maxrss on fd read 109.1,
@@ -203,18 +203,17 @@ def step_operators(model: RISModel, s, fam: KrausFamily | None = None) -> StepOp
 class ProtocolNodes:
     """The nodes of one task's finite-T chains, as one stacked table.
 
-    ``s`` (N,) is the sorted union of the nodes k/T (k = 1..T) of every T in
-    ``T_list``, as exact doubles: k/T and (m*k)/(m*T) round to the same
-    double, so nested chains share their nodes. ``kernel`` is their stacked
-    KrausFamily; ``reduced`` (N, d^2, d^2) holds the matrices of L(s), the
-    kernel's ``deformed_matrix(0)``; ``steps`` is their StepOperators stack,
-    built from the kernel on first use. ``chain(T)`` indexes all of them. A
-    table lives as long as the task that made it.
+    ``s`` (N,) is the sorted union of the nodes ``protocol_nodes(T)[1:]`` of
+    every T in ``T_list``, so nested chains share their nodes. ``kernel`` is
+    their stacked KrausFamily; ``reduced`` (N, d^2, d^2) holds the matrices
+    of L(s), the kernel's ``deformed_matrix(0)``; ``steps`` is their
+    StepOperators stack, built from the kernel on first use. ``chain(T)``
+    indexes all of them. A table lives as long as the task that made it.
     """
 
     def __init__(self, model: RISModel, T_list):
         self.model = model
-        self.s = distinct_sorted(np.concatenate([np.arange(1, T + 1) / T for T in T_list]))
+        self.s = distinct_sorted(np.concatenate([protocol_nodes(T)[1:] for T in T_list]))
         self.kernel = kraus_families(model, self.s)
         self.reduced = self.kernel.deformed_matrix(0.0)
 
@@ -227,7 +226,7 @@ class ProtocolNodes:
 
         A T whose nodes the table does not hold raises ValueError.
         """
-        want = np.arange(1, T + 1) / T
+        want = protocol_nodes(T)[1:]
         idx = np.searchsorted(self.s, want)
         if not np.array_equal(self.s[np.minimum(idx, self.s.size - 1)], want):
             raise ValueError(f"the node table does not hold the chain of T={T}")

@@ -138,6 +138,11 @@ class RISModel:
             raise LinalgError("h_sys has wrong shape")
 
 
+def protocol_nodes(N: int) -> np.ndarray:
+    """The N + 1 nodes k/N of [0, 1]; node k of N is node m*k of m*N, bitwise."""
+    return np.arange(N + 1) / N
+
+
 def gibbs_state(h: np.ndarray, beta: float) -> np.ndarray:
     """exp(-beta*h) / Tr exp(-beta*h); h and beta may carry a node axis."""
     g = herm_exp(h, -np.asarray(beta, dtype=float))

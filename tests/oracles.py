@@ -79,6 +79,7 @@ from rislab.model import (
     RISModel,
     gibbs_state,
     joint_unitary,
+    protocol_nodes,
     reduced_map,
 )
 from rislab.spectral import (
@@ -675,20 +676,19 @@ def generator(family: AdiabaticFamily, s: float) -> np.ndarray:
     return A
 
 
-def intertwiner(family: AdiabaticFamily, s_nodes) -> np.ndarray:
-    """RK4 for W' = A(s) W, W(0) = Id, one generator node at a time."""
-    s_nodes = np.asarray(s_nodes, dtype=float)
-    steps = list(zip(s_nodes[:-1], s_nodes[1:]))
-    family.prepare(
-        _with_neighbours([t for a, b in steps for t in (a, a + (b - a) / 2, b)])
-    )
+def intertwiner(family: AdiabaticFamily, stages) -> np.ndarray:
+    """RK4 for W' = A(s) W, W(0) = Id, one generator node at a time, over the
+    stage grid s_0, s_1/2, s_1, ... that ``adiabatic.intertwiner`` takes;
+    W at every step node."""
+    stages = np.asarray(stages, dtype=float)
+    family.prepare(_with_neighbours(stages))
     W = np.eye(family.dim**2, dtype=complex)
     out = [W.copy()]
-    A4 = generator(family, s_nodes[0])
-    for a, b in steps:
+    A4 = generator(family, stages[0])
+    for a, mid, b in zip(stages[0:-1:2], stages[1::2], stages[2::2]):
         h = b - a
         A1 = A4
-        A2 = generator(family, a + h / 2)
+        A2 = generator(family, mid)
         A4 = generator(family, b)
         k1 = A1 @ W
         k2 = A2 @ (W + h / 2 * k1)
@@ -700,12 +700,11 @@ def intertwiner(family: AdiabaticFamily, s_nodes) -> np.ndarray:
 
 
 def theta_integral(family: AdiabaticFamily, *, n_nodes: int = 201) -> complex:
-    """Simpson's rule over Tr(iota d rho/ds), one node at a time."""
-    if n_nodes % 2 == 0:
-        n_nodes += 1
-    s_grid = np.linspace(0.0, 1.0, n_nodes)
+    """Simpson's rule over Tr(iota d rho/ds), one node at a time, on the odd
+    protocol grid of at least n_nodes nodes."""
+    s_grid = protocol_nodes(n_nodes - n_nodes % 2)
     family.prepare(_with_neighbours(s_grid))
-    vals = np.empty(n_nodes, dtype=complex)
+    vals = np.empty(s_grid.size, dtype=complex)
     for i, s in enumerate(s_grid):
         lo, hi = _neighbours(s)
         drho = (family.decomposition(hi).rho - family.decomposition(lo).rho) / (
@@ -717,7 +716,7 @@ def theta_integral(family: AdiabaticFamily, *, n_nodes: int = 201) -> complex:
 
 def product_decomposition_residual(family: AdiabaticFamily, T: int) -> float:
     """The product-decomposition residual, walking the chain node by node."""
-    W = intertwiner(family, np.array([j / T for j in range(T + 1)]))[-1]
+    W = intertwiner(family, protocol_nodes(2 * T))[-1]
     dec0 = family.decomposition(0.0)
     theta = np.exp(2j * np.pi / dec0.period)
     chain = np.eye(family.dim**2, dtype=complex)

@@ -35,30 +35,30 @@ def test_intertwiner_transports_ranges(fd_family):
     as a full similarity, since the peripheral projectors do not resolve
     the identity.
     """
-    nodes = np.linspace(0.0, 1.0, 101)
+    stages = mod.protocol_nodes(200)  # 100 RK4 steps
     d2 = fd_family.dim**2
     P0 = fd_family.decomposition(0.0).peripheral_projector
     for idx in (25, 50, 100):
-        W = ad.intertwiner(fd_family, nodes[: idx + 1])
-        Ps = fd_family.decomposition(nodes[idx]).peripheral_projector
+        W = ad.intertwiner(fd_family, stages[: 2 * idx + 1])
+        Ps = fd_family.decomposition(stages[2 * idx]).peripheral_projector
         assert np.abs((np.eye(d2) - Ps) @ W @ P0).max() < 1e-8
 
 
 def test_intertwiner_evaluates_each_generator_node_once(monkeypatch):
-    """RK4 over T steps reads one generator stack of 2T + 1 distinct nodes:
-    each step's end node is the next step's start. It reads the slope of the
-    spectral projectors and the projectors at those nodes, no other field,
-    and the family keeps rows at those nodes only."""
+    """RK4 over T steps reads one generator stack at its 2T + 1 distinct
+    stages: each step's end node is the next step's start. It reads the slope
+    of the spectral projectors and the projectors at those nodes, no other
+    field, and the family keeps rows at those nodes only."""
     fam = ad.AdiabaticFamily(mod.fd_model(), 0.5)
     reads = _record_reads(monkeypatch)
-    nodes = np.linspace(0.0, 1.0, 101)
-    ad.intertwiner(fam, nodes)
+    stages = mod.protocol_nodes(200)
+    ad.intertwiner(fam, stages)
     assert [(how, field) for how, field, _ in reads] == [
         ("slope", "spectral_projectors"), ("read", "spectral_projectors")
     ]
     centres = reads[0][2]
     assert centres.size == np.unique(centres).size == 201
-    assert np.array_equal(centres[0::2], nodes)
+    assert np.array_equal(centres, stages)
     assert np.array_equal(reads[1][2], centres)
     assert sorted(fam._rows) == sorted(fam._slope_rows) == sorted(centres.tolist())
 
@@ -120,10 +120,7 @@ def test_slopes_equal_the_difference_of_read_neighbours(monkeypatch, kernels):
         _use_flip_kernels(monkeypatch)
     elif kernels == "shift":
         model = _use_shift_kernels(monkeypatch)
-    builds, build = [], ad.kraus_families
-    monkeypatch.setattr(
-        ad, "kraus_families", lambda m, s: builds.extend(s) or build(m, s)
-    )
+    builds = _record_builds(monkeypatch)
     inner = 0.5 + ad.DERIV_STEP  # a node that is the upper neighbour of 0.5
     s = np.append(np.linspace(0.0, 1.0, 301), inner)
     fam = ad.AdiabaticFamily(model, 0.5)
@@ -158,10 +155,11 @@ def test_residual_peak_memory_holds_no_neighbour_rows():
 
 
 def test_adiabatic_task_keeps_no_neighbour_rows(monkeypatch, tmp_path):
-    """On the README numeric block the family's rows are the exact chains'
-    nodes and theta's grids, and its slopes are theta's grids: no row is a
-    centred-difference neighbour."""
-    families = []
+    """On the README numeric block the family's rows are theta's grids, which
+    hold every exact chain's nodes k/T, and its slopes are theta's grids: no
+    row is a centred-difference neighbour. The 801 nodes k/800 and their
+    1 600 inner neighbours are each built once."""
+    families, builds = [], _record_builds(monkeypatch)
 
     class Recorded(ad.AdiabaticFamily):
         def __init__(self, *args):
@@ -176,10 +174,32 @@ def test_adiabatic_task_keeps_no_neighbour_rows(monkeypatch, tmp_path):
     cli.task_adiabatic(cfg.load_config(doc), str(tmp_path))
     (fam,) = families
     grids = {s for T in T_list for s in ad._theta_grid(max(201, T + 1)).tolist()}
-    chains = {j / T for T in T_list for j in range(1, T + 1)}
-    assert set(fam._rows) == grids | chains
-    assert set(fam._slope_rows) == grids
-    assert len(fam._rows) == 908
+    chains = {s for T in T_list for s in mod.protocol_nodes(T)[1:].tolist()}
+    assert chains <= grids
+    assert set(fam._rows) == set(fam._slope_rows) == grids
+    assert len(fam._rows) == 801
+    assert len(builds) == len(set(builds)) == 2401
+
+
+def test_residuals_on_one_family_build_each_s_once(monkeypatch):
+    """The residuals at T = 100, 200 and 400 on one family read the stage
+    grids k/200, k/400 and k/800, which nest: 801 rows, and 2 401 kernels
+    (the rows and their 1 600 inner neighbours), each s built once."""
+    builds = _record_builds(monkeypatch)
+    fam = ad.AdiabaticFamily(mod.fd_model(), 0.5)
+    for T in (100, 200, 400):
+        ad.product_decomposition_residual(fam, T)
+    assert sorted(fam._rows) == sorted(fam._slope_rows) == mod.protocol_nodes(800).tolist()
+    assert len(builds) == len(set(builds)) == 2401
+
+
+def _record_builds(monkeypatch) -> list:
+    """Record every node the adiabatic layer builds a kernel at."""
+    builds, build = [], ad.kraus_families
+    monkeypatch.setattr(
+        ad, "kraus_families", lambda m, s: builds.extend(s) or build(m, s)
+    )
+    return builds
 
 
 def _use_flip_kernels(monkeypatch):
@@ -256,7 +276,7 @@ def test_a_cycle_unitary_that_jumps_is_refused(monkeypatch):
     nodes of theta's grid, the labels cannot be carried."""
     _use_flip_kernels(monkeypatch)
     fam = ad.AdiabaticFamily(mod.fd_model(), 0.5)
-    fam.prepare(np.linspace(0.0, 1.0, 201))
+    fam.prepare(ad._theta_grid(201))
     fam._fields["cycle_unitary"][fam._rows[0.5]] = np.eye(2) * 1j
     with pytest.raises(ValueError, match=r"from s=0\.495 to s=0\.5"):
         ad.deformed_adiabatic_state(fam, np.diag([0.3, 0.7]), 20)
@@ -280,10 +300,10 @@ def test_stacked_route_matches_per_node_oracle(monkeypatch, preset, alpha):
 
     if preset == "flip":
         assert family().decomposition(0.5).period == 2
-    nodes = np.linspace(0.0, 1.0, 41)
-    Ws = oracles.intertwiner(family(), nodes)
-    for k in (1, 2, 17, 40):  # W at node k is the intertwiner of the nodes up to it
-        assert close(ad.intertwiner(family(), nodes[: k + 1]), Ws[k])
+    stages = mod.protocol_nodes(80)  # 40 RK4 steps
+    Ws = oracles.intertwiner(family(), stages)
+    for k in (1, 2, 17, 40):  # W at step k is the intertwiner of the stages up to it
+        assert close(ad.intertwiner(family(), stages[: 2 * k + 1]), Ws[k])
     if preset == "flip":
         assert np.abs(Ws[-1] - np.eye(4)).max() > 1e-3  # dP != 0
     for n in (51, 80):

@@ -485,9 +485,16 @@ def test_numeric_rejected(section, key, value, path):
         ("dim_sys", 0, r"model\.dim_sys"),
         ("dim_sys", 1, r"model\.h_sys"),
         ("h_env", [[0, 0, 0], [0, 0.8, 0], [0, 0, 1.6]], r"model\.coupling"),
+        ("h_sys", [[0, 1], [0, 0.9]], r"model\.h_sys: .*not Hermitian"),
+        ("h_env", [[0, [0, 0.2]], [[0, 0.2], 0.8]], r"model\.h_env: .*not Hermitian"),
+        ("coupling", [[0, 0, 0, 0], [0, 0, 0.5, 0], [0, 0.4, 0, 0], [0, 0, 0, 0]],
+         r"model\.coupling: .*not Hermitian"),
+        ("h_env", [[0, 0], [0, float("nan")]], r"model\.h_env\[1\]\[1\]: .*finite"),
+        ("h_sys", [[0, 0], [0, [0.9, float("inf")]]], r"model\.h_sys\[1\]\[1\]: .*finite"),
     ],
     ids=["dim_sys-str", "dim_env-fractional", "dim_sys-zero", "dim_sys-mismatch",
-         "h_env-mismatch"],
+         "h_env-mismatch", "h_sys-not-hermitian", "h_env-not-hermitian",
+         "coupling-not-hermitian", "h_env-nan", "h_sys-infinity"],
 )
 def test_explicit_model_rejected(key, value, path):
     doc = {"model": dict(EXPLICIT_MODEL, **{key: value})}

@@ -94,6 +94,16 @@ def test_cli_resolves_each_final_state_once(tmp_path, evolved_states):
         assert 0 < len(evolved_states) <= bound, (task, len(evolved_states), bound)
 
 
+def test_protocol_nodes_nest():
+    """Node m*k of m*N is node k of N, bitwise, so grids whose sizes divide
+    each other share their nodes; the ends are exactly 0 and 1."""
+    for N in range(1, 61):
+        nodes = mod.protocol_nodes(N)
+        assert nodes.size == N + 1 and nodes[0] == 0.0 and nodes[-1] == 1.0
+        for m in range(2, 9):
+            assert np.array_equal(mod.protocol_nodes(m * N)[::m], nodes), (N, m)
+
+
 def test_protocol_tasks_build_each_s_once(tmp_path, kraus_builds):
     num = BASE["numeric"]
     s_nodes = num["s_nodes"] | 1
