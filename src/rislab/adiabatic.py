@@ -32,26 +32,15 @@ PREPARE_BLOCK = 256
 SLOPE_FIELDS = ("rho", "spectral_projectors")
 
 
-def _appended(cache: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
-    """``cache`` with ``rows`` written from row n on; a full cache is copied
-    into one of twice the size first, so appending costs O(1) per row."""
-    if n + len(rows) > len(cache):
-        grown = np.empty((max(2 * n, n + len(rows)), *rows.shape[1:]), rows.dtype)
-        grown[:n] = cache[:n]
-        cache = grown
-    cache[n : n + len(rows)] = rows
-    return cache
-
-
 def _append(table: dict[str, np.ndarray], index: dict[float, int], keys, rows: dict) -> None:
     """Append one row per key of ``keys`` to every named field of ``table``
-    and map each key to its row in ``index``. One field at a time: a grown
-    array replaces its old one before the next field grows, so no two
-    generations of the table coexist."""
-    n = len(index)
+    and map each key to its row in ``index``. One field at a time: each
+    concatenation replaces its old array before the next field's is made, so
+    no two generations of the table coexist; a first block is copied too,
+    never kept as a view of the arrays it came from."""
     for name, new in rows.items():
-        table[name] = _appended(table.get(name, new[:0]), n, new)
-    index.update(zip(keys, range(n, n + len(keys))))
+        table[name] = np.concatenate([table.get(name, new[:0]), new])
+    index.update(zip(keys, range(len(index), len(index) + len(keys))))
 
 
 class AdiabaticFamily:
@@ -72,7 +61,6 @@ class AdiabaticFamily:
     def __init__(self, model: RISModel, alpha: float):
         self.model = model
         self.alpha = float(alpha)
-        # each table: len(index) filled rows of each field, then unfilled capacity
         self._rows: dict[float, int] = {}
         self._fields: dict[str, np.ndarray] = {}
         self._slope_rows: dict[float, int] = {}

@@ -36,9 +36,12 @@ TASKS = ("spectrum", "lambda", "ldp", "simulate", "adiabatic", "balance", "x0")
 CLT_DEGENERATE_D2 = 1e-12
 
 
-def _writer(path):
-    fh = open(path, "w", newline="\n")
-    return fh, csv.writer(fh, lineterminator="\n")
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """The CSV file at path: its header, then every row of the iterable rows."""
+    with open(path, "w", newline="\n") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _f(x: float) -> str:
@@ -65,44 +68,29 @@ def task_spectrum(cfg: RunConfig, out: str) -> None:
     s_grid = np.linspace(0.0, 1.0, cfg.s_nodes)
     fams = model.kraus_families(cfg.model, s_grid)
     decs = spectral.peripheral_decompositions(fams.deformed_matrix(0.0))
-    fh, w = _writer(os.path.join(out, "spectrum.csv"))
-    with fh:
-        populations = [f"rho_{i}{i}" for i in range(cfg.model.dim_sys)]
-        w.writerow(["s", "beta", "spectral_radius", "period", *populations])
-        for s, lam, z, rho in zip(s_grid, decs.spectral_radius, decs.period, decs.rho):
-            w.writerow(
-                [_f(s), _f(cfg.model.beta(float(s))), _f(lam), int(z)]
-                + [_f(p) for p in np.diagonal(rho).real]
-            )
-    fh2, w2 = _writer(os.path.join(out, "beta_curves.csv"))
-    with fh2:
-        w2.writerow(["s", "beta"])
-        for s in s_grid:
-            w2.writerow([_f(s), _f(cfg.model.beta(float(s)))])
+    rows = [
+        [_f(s), _f(cfg.model.beta(float(s))), _f(lam), int(z), *map(_f, np.diagonal(rho).real)]
+        for s, lam, z, rho in zip(s_grid, decs.spectral_radius, decs.period, decs.rho)
+    ]
+    populations = [f"rho_{i}{i}" for i in range(cfg.model.dim_sys)]
+    _write_csv(os.path.join(out, "spectrum.csv"),
+               ["s", "beta", "spectral_radius", "period", *populations], rows)
+    _write_csv(os.path.join(out, "beta_curves.csv"), ["s", "beta"], [r[:2] for r in rows])
 
 
 def task_lambda(cfg: RunConfig, out: str) -> None:
     ev = mgfldp.LambdaEvaluator(cfg.model, cfg.s_nodes)
-    lo, hi, n = cfg.alpha_grid
-    fh, w = _writer(os.path.join(out, "lambda.csv"))
-    with fh:
-        w.writerow(["alpha", "Lambda"])
-        for a in np.linspace(lo, hi, n):
-            w.writerow([_f(a), _f(ev(float(a)))])
-    d1, d2 = ev.derivatives_at_zero()
-    fh2, w2 = _writer(os.path.join(out, "lambda_derivatives.csv"))
-    with fh2:
-        w2.writerow(["d1_at_0", "d2_at_0"])
-        w2.writerow([_f(d1), _f(d2)])
+    _write_csv(os.path.join(out, "lambda.csv"), ["alpha", "Lambda"],
+               ([_f(a), _f(ev(float(a)))] for a in np.linspace(*cfg.alpha_grid)))
+    _write_csv(os.path.join(out, "lambda_derivatives.csv"), ["d1_at_0", "d2_at_0"],
+               [list(map(_f, ev.derivatives_at_zero()))])
 
 
 def task_ldp(cfg: RunConfig, out: str) -> None:
     ev = mgfldp.LambdaEvaluator(cfg.model, cfg.s_nodes)
-    fh, w = _writer(os.path.join(out, "lambda_star.csv"))
-    with fh:
-        w.writerow(["x", "Lambda_star"])
-        for a in np.linspace(-2.0, 1.0, 31):
-            w.writerow([_f(v) for v in mgfldp.legendre_point(ev, float(a))])
+    points = (mgfldp.legendre_point(ev, float(a)) for a in np.linspace(-2.0, 1.0, 31))
+    _write_csv(os.path.join(out, "lambda_star.csv"), ["x", "Lambda_star"],
+               (list(map(_f, p)) for p in points))
 
 
 def task_simulate(cfg: RunConfig, out: str) -> None:
@@ -133,37 +121,25 @@ def task_simulate(cfg: RunConfig, out: str) -> None:
             )
         standardized = (samp.delta_y - T * d1) / np.sqrt(T)
         counts, edges = np.histogram(standardized, bins=bins)
-        fh, w = _writer(os.path.join(out, f"clt_hist_T{T}.csv"))
-        with fh:
-            w.writerow(["bin_left", "bin_right", "count", "density"])
-            widths = np.diff(edges)
-            for i, c in enumerate(counts):
-                w.writerow(
-                    [
-                        _f(edges[i]),
-                        _f(edges[i + 1]),
-                        int(c),
-                        _f(c / (cfg.n * widths[i])),
-                    ]
-                )
-    fh, w = _writer(os.path.join(out, "landauer.csv"))
-    with fh:
-        w.writerow(["T", "delta_S", "beta_heat", "sigma_tot"])
-        for T in cfg.T_list:
-            delta_s, heat = fullstats._landauer_terms(nodes, setup.rho_i, T)
-            w.writerow([T, _f(delta_s), _f(heat), _f(delta_s + heat)])
+        density = counts / (cfg.n * np.diff(edges))
+        _write_csv(os.path.join(out, f"clt_hist_T{T}.csv"),
+                   ["bin_left", "bin_right", "count", "density"],
+                   ([_f(a), _f(b), int(c), _f(d)]
+                    for a, b, c, d in zip(edges, edges[1:], counts, density)))
+    terms = [fullstats._landauer_terms(nodes, setup.rho_i, T) for T in cfg.T_list]
+    _write_csv(os.path.join(out, "landauer.csv"), ["T", "delta_S", "beta_heat", "sigma_tot"],
+               ([T, _f(ds), _f(q), _f(ds + q)] for T, (ds, q) in zip(cfg.T_list, terms)))
 
 
 def task_adiabatic(cfg: RunConfig, out: str) -> None:
     fam = adiabatic.AdiabaticFamily(cfg.model, cfg.alpha)
     rho_i = _initial_state(cfg)
-    fh, w = _writer(os.path.join(out, "adiabatic.csv"))
-    with fh:
-        w.writerow(["T", "alpha", "residual"])
-        for T in cfg.T_list:
-            exact = adiabatic.exact_deformed_chain(fam, rho_i, T)
-            approx = adiabatic.deformed_adiabatic_state(fam, rho_i, T)
-            w.writerow([T, _f(cfg.alpha), _f(trace_norm(exact - approx))])
+    rows = []
+    for T in cfg.T_list:
+        exact = adiabatic.exact_deformed_chain(fam, rho_i, T)
+        approx = adiabatic.deformed_adiabatic_state(fam, rho_i, T)
+        rows.append([T, _f(cfg.alpha), _f(trace_norm(exact - approx))])
+    _write_csv(os.path.join(out, "adiabatic.csv"), ["T", "alpha", "residual"], rows)
 
 
 def task_balance(cfg: RunConfig, out: str) -> None:
@@ -173,18 +149,14 @@ def task_balance(cfg: RunConfig, out: str) -> None:
     if cfg.write_csv:
         fullstats.write_measure_csv(os.path.join(out, "measure.csv"), meas)
     rhs = fullstats.balance_rhs(cfg.model, setup, meas, cfg.T, nodes=nodes)
-    applicable = rhs is not None
-    fh, w = _writer(os.path.join(out, "balance.csv"))
-    with fh:
-        w.writerow(["applicable", "sigma_tot", "max_balance_defect"])
-        worst = float("nan")
-        if applicable:
-            seen = meas.p_forward > 0
-            log_ratio = np.log(meas.p_forward[seen] / meas.p_backward[seen])
-            worst = float(np.max(np.abs(log_ratio - rhs[seen]), initial=0.0))
-        w.writerow(
-            [str(applicable), _f(meas.entropy_production()), _f(worst)]
-        )
+    worst = float("nan")
+    if rhs is not None:
+        seen = meas.p_forward > 0
+        log_ratio = np.log(meas.p_forward[seen] / meas.p_backward[seen])
+        worst = float(np.max(np.abs(log_ratio - rhs[seen]), initial=0.0))
+    _write_csv(os.path.join(out, "balance.csv"),
+               ["applicable", "sigma_tot", "max_balance_defect"],
+               [[str(rhs is not None), _f(meas.entropy_production()), _f(worst)]])
 
 
 def task_x0(cfg: RunConfig, out: str) -> None:
@@ -196,14 +168,14 @@ def task_x0(cfg: RunConfig, out: str) -> None:
     ends = np.stack([model.kraus_family(m, 0.0).deformed_matrix(0.0), nodes.reduced[-1]])
     rho0, rho1 = spectral.peripheral_decompositions(ends).rho
     grid = [(-0.5, -0.5), (-0.5, 0.5), (0.0, 0.3), (0.5, -0.5), (0.5, 0.5)]
-    fh, w = _writer(os.path.join(out, "x0.csv"))
-    with fh:
-        w.writerow(["T", "alpha1", "alpha2", "finite_T", "limit", "abs_error"])
-        for T in cfg.T_list:
-            finite = mgfldp.mgf_pair(m, setup, T, *np.array(grid).T, nodes=nodes).real
-            for (a1, a2), fin in zip(grid, finite):
-                lim = mgfldp.stationary_pair_mgf_limit(rho0, rho1, rho_i, a1, a2).real
-                w.writerow([T, _f(a1), _f(a2), _f(fin), _f(lim), _f(abs(fin - lim))])
+    limits = [mgfldp.stationary_pair_mgf_limit(rho0, rho1, rho_i, *a).real for a in grid]
+    rows = []
+    for T in cfg.T_list:
+        finite = mgfldp.mgf_pair(m, setup, T, *np.array(grid).T, nodes=nodes).real
+        for (a1, a2), fin, lim in zip(grid, finite, limits):
+            rows.append([T, _f(a1), _f(a2), _f(fin), _f(lim), _f(abs(fin - lim))])
+    _write_csv(os.path.join(out, "x0.csv"),
+               ["T", "alpha1", "alpha2", "finite_T", "limit", "abs_error"], rows)
 
 
 def main(argv=None) -> int:
@@ -224,16 +196,8 @@ def main(argv=None) -> int:
         cfg.out_dir = args.out
     os.makedirs(cfg.out_dir, exist_ok=True)
 
-    dispatch = {
-        "spectrum": task_spectrum,
-        "lambda": task_lambda,
-        "ldp": task_ldp,
-        "simulate": task_simulate,
-        "adiabatic": task_adiabatic,
-        "balance": task_balance,
-        "x0": task_x0,
-    }
-    dispatch[args.task](cfg, cfg.out_dir)
+    # looked up when called, so a rebound module attribute (a tracer's wrapper) runs
+    globals()["task_" + args.task](cfg, cfg.out_dir)
     write_manifest(os.path.join(cfg.out_dir, "manifest.json"), cfg, args.task)
     return 0
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -75,12 +76,14 @@ def _object(value, path: str, entry: str) -> dict:
 
 
 def _complex_entry(value, path: str) -> complex:
+    """A number or an [re, im] pair, each part read by ``_finite_real``."""
     parts = value if isinstance(value, list) and len(value) == 2 else [value]
-    if not all(isinstance(v, (int, float)) for v in parts):
-        raise ConfigError(f"{path}: expected a number or [re, im] pair, got {value!r}")
-    if not np.isfinite(parts).all():
-        raise ConfigError(f"{path}: expected finite parts, got {value!r}")
-    return complex(*parts)
+    try:
+        return complex(*(_finite_real(v, path) for v in parts))
+    except ConfigError:
+        raise ConfigError(
+            f"{path}: expected a finite number or [re, im] pair of them, got {value!r}"
+        ) from None
 
 
 def parse_matrix(value, path: str) -> np.ndarray:
@@ -103,13 +106,15 @@ def _finite_reals(values, path: str) -> tuple[float, ...]:
 
 
 def _finite_real(value, path: str) -> float:
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not np.isfinite(value)
-    ):
-        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-    return float(value)
+    """The double a JSON number rounds to. A boolean, and a number that is
+    no finite double (an integer beyond the doubles, NaN, infinity), are refused."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(x := float(value)):
+                return x
+        except OverflowError:  # an integer beyond the doubles
+            pass
+    raise ConfigError(f"{path}: expected a finite number, got {value!r}")
 
 
 def _integer(value, path: str, minimum: int) -> int:

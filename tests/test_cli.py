@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +14,7 @@ from rislab import config as cfg
 from rislab import fullstats as fs
 from rislab import mgfldp as mg
 from rislab import model as mod
-from rislab.cli import main
+from rislab.cli import TASKS, main
 
 
 def _write(tmp_path, doc, name="run.json"):
@@ -443,10 +444,13 @@ NOT_A_STATE = [[0.5, 0.6], [0.6, 0.5]]  # eigenvalues 1.1 and -0.1
         ("model", "tau", "x", r"model\.tau"),
         ("model", "tau", 0, r"model\.tau"),
         ("model", "tau", float("inf"), r"model\.tau"),
+        ("model", "tau", 10**400, r"model\.tau"),
+        ("numeric", "alpha", 10**400, r"numeric\.alpha:"),
         ("numeric", "rho_i", [[1.0]], r"numeric\.rho_i"),
         ("numeric", "rho_i", [[0.5, 0.1], [0.0, 0.5]], r"numeric\.rho_i"),
         ("numeric", "rho_i", NOT_A_STATE, r"numeric\.rho_i"),
         ("numeric", "rho_i", [[0.5, 0.0], [0.0, 0.6]], r"numeric\.rho_i"),
+        ("numeric", "rho_i", [[True, 0], [0, 0]], r"numeric\.rho_i\[0\]\[0\]"),
         ("model", "schedule", {"kind": "constant", "value": "x"},
          r"model\.schedule\.value"),
         ("model", "schedule", {"kind": "constant", "value": float("nan")},
@@ -457,6 +461,8 @@ NOT_A_STATE = [[0.5, 0.6], [0.6, 0.5]]  # eigenvalues 1.1 and -0.1
          r"model\.schedule\.tanh_terms\[0\]\[1\]"),
         ("model", "schedule", {"kind": "tanh_poly", "poly": [0.5, "x"]},
          r"model\.schedule\.poly\[1\]"),
+        ("model", "schedule", {"kind": "tanh_poly", "poly": [0.5, 10**400]},
+         r"model\.schedule\.poly\[1\]"),
         ("output", "write_csv", "false", r"output\.write_csv"),
         ("output", "directory", None, r"output\.directory"),
         ("output", "directory", "", r"output\.directory"),
@@ -465,9 +471,10 @@ NOT_A_STATE = [[0.5, 0.6], [0.6, 0.5]]  # eigenvalues 1.1 and -0.1
         "T-zero", "T-fractional", "T_list-zero", "T_list-negative", "T_list-scalar",
         "T_list-empty", "n-zero", "n-bool", "s_nodes-one", "alpha-inf", "alpha-str",
         "alpha_grid-nan", "alpha_grid-count-zero", "tau-str", "tau-zero", "tau-inf",
-        "rho_i-shape", "rho_i-not-hermitian", "rho_i-not-psd", "rho_i-trace",
+        "tau-beyond-doubles", "alpha-beyond-doubles",
+        "rho_i-shape", "rho_i-not-hermitian", "rho_i-not-psd", "rho_i-trace", "rho_i-bool",
         "constant-str", "constant-nan", "tanh_terms-short", "tanh_terms-inf",
-        "poly-str", "write_csv-str", "directory-null", "directory-empty",
+        "poly-str", "poly-beyond-doubles", "write_csv-str", "directory-null", "directory-empty",
     ],
 )
 def test_numeric_rejected(section, key, value, path):
@@ -491,10 +498,14 @@ def test_numeric_rejected(section, key, value, path):
          r"model\.coupling: .*not Hermitian"),
         ("h_env", [[0, 0], [0, float("nan")]], r"model\.h_env\[1\]\[1\]: .*finite"),
         ("h_sys", [[0, 0], [0, [0.9, float("inf")]]], r"model\.h_sys\[1\]\[1\]: .*finite"),
+        ("h_env", [[0, 10**400], [0, 0.8]], r"model\.h_env\[0\]\[1\]: .*finite"),
+        ("h_sys", [[True, 0], [0, [0.9, 0]]], r"model\.h_sys\[0\]\[0\]: .*finite"),
+        ("h_sys", [[0, 0], [0, [True, 0]]], r"model\.h_sys\[1\]\[1\]: .*finite"),
     ],
     ids=["dim_sys-str", "dim_env-fractional", "dim_sys-zero", "dim_sys-mismatch",
          "h_env-mismatch", "h_sys-not-hermitian", "h_env-not-hermitian",
-         "coupling-not-hermitian", "h_env-nan", "h_sys-infinity"],
+         "coupling-not-hermitian", "h_env-nan", "h_sys-infinity", "h_env-beyond-doubles",
+         "h_sys-bool", "h_sys-bool-part"],
 )
 def test_explicit_model_rejected(key, value, path):
     doc = {"model": dict(EXPLICIT_MODEL, **{key: value})}
@@ -508,6 +519,12 @@ def test_numeric_accepted():
     run = cfg.load_config(doc)
     assert run.T == 3 and isinstance(run.T, int)
     assert np.array_equal(run.rho_i, [[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
+
+
+def test_integer_beyond_int64_reads_as_its_double():
+    """A JSON integer is read as the double it rounds to, also past 2**64."""
+    run = cfg.load_config({"model": {"preset": "fd", "tau": 10**20}})
+    assert run.model.tau == 1e20 and isinstance(run.model.tau, float)
 
 
 def _with(section, **keys):
@@ -562,3 +579,13 @@ def test_adiabatic_task_runs_a_pure_initial_state(tmp_path):
     out = _run("adiabatic", tmp_path, _with("numeric", rho_i=PURE_STATE))
     rows = (out / "adiabatic.csv").read_text().strip().split("\n")
     assert len(rows) == 1 + len(BASE["numeric"]["T_list"])
+
+
+def test_readme_config_and_task_list_match_the_cli():
+    """The README's example config loads, and its "Tasks:" sentence names
+    the CLI's tasks in their order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    cfg.load_config(json.loads(block))
+    sentence = re.search(r"^Tasks: (.*?)\.\s", readme, re.S | re.M).group(1)
+    assert tuple(re.findall(r"`(\w+)`", sentence)) == TASKS

@@ -15,9 +15,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_cli import BASE
+
+from rislab import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-LAYERS = runpy.run_path(str(PERFBENCH / "tracing.py"))["LAYERS"]
+TRACING = runpy.run_path(str(PERFBENCH / "tracing.py"))
+LAYERS = TRACING["LAYERS"]
 
 
 @pytest.mark.parametrize("module,attribute,span", LAYERS, ids=[layer[1] for layer in LAYERS])
@@ -26,6 +30,22 @@ def test_layer_resolves(module, attribute, span):
     for part in attribute.split("."):
         owner = getattr(owner, part)
     assert callable(owner), span
+
+
+def test_each_task_runs_through_its_traced_layer(tmp_path):
+    """``tracing.installed`` rebinds ``cli.task_*``; ``cli.main`` must call
+    the rebound name, or the benchmark's ``cli.task`` metrics read 0."""
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(BASE))
+    tracer = TRACING["Tracer"]()
+    with TRACING["installed"](tracer):
+        for task in cli.TASKS:
+            tracer.begin_op(task)
+            assert cli.main([task, "--config", str(config), "--out", str(tmp_path / task)]) == 0
+    calls = TRACING["Summary"](tracer).calls_by_op()
+    assert {task: calls.get(f"{task}/cli.task") for task in cli.TASKS} == dict.fromkeys(
+        cli.TASKS, 1
+    )
 
 
 @pytest.fixture(scope="module")
