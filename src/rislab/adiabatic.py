@@ -7,8 +7,8 @@ transported by an intertwiner W(s); this module builds the intertwiner,
 evaluates the product decomposition and its residual, and assembles the
 adiabatic approximation of the deformed state evolution, including the
 geometric phase-type integral theta^(alpha). Chains, theta's grids and RK4
-stages are ``protocol_nodes``, so each s is one double and one row; the
-derivatives in s are centred differences kept in place of the neighbours.
+stages are ``protocol_nodes``, so each s is one double and one row; a row
+keeps the centred differences in s of its neighbours in place of them.
 """
 
 from __future__ import annotations
@@ -23,39 +23,27 @@ from .spectral import PeripheralDecomposition, PeripheralDecompositions
 from .spectral import peripheral_decompositions
 
 DERIV_STEP = 1e-5
-# Nodes built per kraus_families call: bounds the memory of the kernels,
-# deformed matrices and decompositions alive at once (about 4 kB per node
-# for 2x2 system and probe).
+# Kernels built per kraus_families call: a block of PREPARE_BLOCK // 3 nodes
+# and their two neighbours each. Bounds the memory of the kernels, deformed
+# matrices and decompositions alive at once (about 4 kB per kernel for 2x2
+# system and probe).
 PREPARE_BLOCK = 256
 # The fields the module differentiates in s: rho for theta_integral and the
 # spectral projectors for the intertwiner's generator
 SLOPE_FIELDS = ("rho", "spectral_projectors")
-
-
-def _append(table: dict[str, np.ndarray], index: dict[float, int], keys, rows: dict) -> None:
-    """Append one row per key of ``keys`` to every named field of ``table``
-    and map each key to its row in ``index``. One field at a time: each
-    concatenation replaces its old array before the next field's is made, so
-    no two generations of the table coexist; a first block is copied too,
-    never kept as a view of the arrays it came from."""
-    for name, new in rows.items():
-        table[name] = np.concatenate([table.get(name, new[:0]), new])
-    index.update(zip(keys, range(len(index), len(index) + len(keys))))
+# The fewest nodes of theta's Simpson grid
+THETA_MIN_NODES = 201
 
 
 class AdiabaticFamily:
     """A protocol of deformed maps with cached peripheral data.
 
-    Each map's matrix is built and decomposed together with the other nodes
-    of its block. The cache is two tables of named fields, each with one row
-    per node and a map from s to its row. The node table holds the
-    normalized maps "F" beside every ``PeripheralDecompositions`` field, at
-    the nodes that a reader asks for; ``read`` gathers one field's rows.
-    The slope table holds, per node, the centred differences in s of the
-    ``SLOPE_FIELDS``; ``slope`` gathers one of them. The neighbours
-    s -+ DERIV_STEP of a difference are decomposed for it and dropped, not
-    kept as rows. The period z must be constant along the protocol
-    (checked per block).
+    The cache is one table of named fields, with one row per node and a map
+    from s to its row: the normalized maps "F", every
+    ``PeripheralDecompositions`` field and, as "d" + name, the centred
+    difference in s of each ``SLOPE_FIELDS`` name. ``prepare`` fills it and
+    ``read`` gathers one field's rows. The period z must be constant along
+    the protocol (checked per block).
     """
 
     def __init__(self, model: RISModel, alpha: float):
@@ -63,87 +51,50 @@ class AdiabaticFamily:
         self.alpha = float(alpha)
         self._rows: dict[float, int] = {}
         self._fields: dict[str, np.ndarray] = {}
-        self._slope_rows: dict[float, int] = {}
-        self._slopes: dict[str, np.ndarray] = {}
         self._thetas: dict[int, complex] = {}  # theta_integral by odd grid size
-        self._period: int | None = None
 
     @property
     def dim(self) -> int:
         return self.model.dim_sys
 
-    def _decompose(self, block: list[float]) -> tuple[np.ndarray, PeripheralDecompositions]:
-        """The deformed matrices of the nodes in block, from one stacked
-        kernel, and their decompositions from one stacked pass; the kernel
-        is dropped once they are built. Checks the period against the
-        family's."""
-        matrices = kraus_families(self.model, block).deformed_matrix(self.alpha)
-        decs = peripheral_decompositions(matrices)
-        if self._period is None:
-            self._period = int(decs.period[0])
-        changed = np.flatnonzero(decs.period != self._period)
-        if changed.size:
-            s = block[changed[0]]
-            raise ValueError(f"peripheral period changed along the protocol at s={s}")
-        return matrices, decs
-
     def prepare(self, s_values) -> None:
-        """Build and decompose the map of every uncached s in s_values, at
-        most PREPARE_BLOCK nodes at a time, keeping F and the decompositions."""
+        """Build every uncached s of s_values with its neighbours
+        lo, hi = s -+ DERIV_STEP clamped to [0, 1], PREPARE_BLOCK // 3 nodes
+        at a time: one stacked kernel, one ``peripheral_decompositions`` call
+        and a period check per block. Each node's row keeps F, its
+        decomposition and (f(hi) - f(lo)) / (hi - lo) of every SLOPE_FIELDS f.
+        """
         todo = [s for s in dict.fromkeys(map(float, s_values)) if s not in self._rows]
-        for start in range(0, len(todo), PREPARE_BLOCK):
-            block = todo[start : start + PREPARE_BLOCK]
-            matrices, decs = self._decompose(block)
-            F = matrices / decs.spectral_radius[:, None, None]
-            _append(self._fields, self._rows, block, {"F": F, **vars(decs)})
+        for start in range(0, len(todo), PREPARE_BLOCK // 3):
+            block = todo[start : start + PREPARE_BLOCK // 3]
+            lo, hi = _neighbours(np.array(block))
+            # a clamped end, or a node that is another's neighbour, is built once
+            nodes, at = np.unique(np.concatenate([block, lo, hi]), return_inverse=True)
+            matrices = kraus_families(self.model, nodes).deformed_matrix(self.alpha)
+            decs = peripheral_decompositions(matrices)
+            period = self._fields["period"][0] if self._rows else decs.period[0]
+            changed = np.flatnonzero(decs.period != period)
+            if changed.size:
+                s = nodes[changed[0]]
+                raise ValueError(f"peripheral period changed along the protocol at s={s}")
+            row, i_lo, i_hi = at.reshape(3, -1)
+            rows = {"F": matrices[row] / decs.spectral_radius[row, None, None]}
+            rows.update((name, f[row]) for name, f in vars(decs).items())
+            for name in SLOPE_FIELDS:
+                diff = getattr(decs, name)[i_hi] - getattr(decs, name)[i_lo]
+                rows["d" + name] = diff / (hi - lo).reshape(-1, *(1,) * (diff.ndim - 1))
+            # one field at a time, so no two generations of the table coexist
+            for name, new in rows.items():
+                self._fields[name] = np.concatenate([self._fields.get(name, new[:0]), new])
+            self._rows.update(zip(block, range(len(self._rows), len(self._rows) + len(block))))
 
     def read(self, field: str, s_values) -> np.ndarray:
-        """Field ``field`` ("F" or a ``PeripheralDecompositions`` field) at the
-        nodes s_values, one row per node in their order; prepares any missing."""
+        """Field ``field`` ("F", a ``PeripheralDecompositions`` field or "d"
+        + one of ``SLOPE_FIELDS``) at the nodes s_values, one row per node in
+        their order; prepares any missing."""
         s_values = np.asarray(s_values, dtype=float).tolist()
         self.prepare(s_values)
         return self._fields[field][[self._rows[s] for s in s_values]]
-
-    def slope(self, field: str, s_values) -> np.ndarray:
-        """d/ds of ``field`` (one of ``SLOPE_FIELDS``) at the nodes s_values,
-        one row per node in their order: (f(hi) - f(lo)) / (hi - lo) with
-        lo, hi = s -+ DERIV_STEP clamped to [0, 1].
-
-        The neighbours of PREPARE_BLOCK // 2 nodes at a time are decomposed
-        as one block, every field's difference is taken, and the block is
-        dropped. A node of s_values that is another's neighbour (the clamped
-        s = 0 and 1) is made a row first, so that no s is built twice.
-        """
-        s_values = np.asarray(s_values, dtype=float).tolist()
-        todo = [s for s in dict.fromkeys(s_values) if s not in self._slope_rows]
-        lo, hi = _neighbours(np.array(todo))
-        ends = set(lo.tolist() + hi.tolist())
-        self.prepare([s for s in todo if s in ends])
-        half = PREPARE_BLOCK // 2
-        for start in range(0, len(todo), half):
-            b_lo, b_hi = lo[start : start + half], hi[start : start + half]
-            rows = {}
-            for name, f in self._at_neighbours(b_hi.tolist() + b_lo.tolist()).items():
-                diff = f[: len(b_lo)] - f[len(b_lo) :]
-                rows[name] = diff / (b_hi - b_lo).reshape(-1, *(1,) * (diff.ndim - 1))
-            _append(self._slopes, self._slope_rows, todo[start : start + half], rows)
-        return self._slopes[field][[self._slope_rows[s] for s in s_values]]
-
-    def _at_neighbours(self, ends: list[float]) -> dict[str, np.ndarray]:
-        """The ``SLOPE_FIELDS`` at the nodes ends, in their order: read where
-        a node is a row, else decomposed here and not kept."""
-        known = [t for t in dict.fromkeys(ends) if t in self._rows]
-        new = [t for t in dict.fromkeys(ends) if t not in self._rows]
-        parts = []
-        if new:
-            decs = self._decompose(new)[1]
-            parts.append([getattr(decs, name) for name in SLOPE_FIELDS])
-        if known:
-            rows = [self._rows[t] for t in known]
-            parts.append([self._fields[name][rows] for name in SLOPE_FIELDS])
-        at = {t: i for i, t in enumerate(new + known)}
-        order = [at[t] for t in ends]
-        return {name: np.concatenate(f)[order] for name, f in zip(SLOPE_FIELDS, zip(*parts))}
 
     def decomposition(self, s: float) -> PeripheralDecomposition:
         """The peripheral decomposition at s, a row of the cache."""
@@ -172,14 +123,14 @@ def intertwiner(family: AdiabaticFamily, stages) -> np.ndarray:
     s_0, s_1/2, s_1, ..., s_T, such as ``protocol_nodes(2T)`` for T steps.
 
     W transports the spectral projectors: W(s) P^m(0) W(s)^{-1} = P^m(s).
-    The generator A(s) = sum_m dP^m/ds @ P^m (dP^m/ds the family's slope,
-    a centred difference) is one stack over the stages. The ODE is linear,
+    The generator A(s) = sum_m dP^m/ds @ P^m (dP^m/ds the family's
+    "dspectral_projectors") is one stack over the stages. The ODE is linear,
     so step j is the matrix R_j = Id + h/6 (K1 + 2 K2 + 2 K3 + K4), K1 = A1,
     K2 = A2 (Id + h/2 K1), K3 = A2 (Id + h/2 K2), K4 = A4 (Id + h K3), and
     W(1) is the ordered product of the R_j.
     """
     # dP/ds is a temporary of the product, not kept through the RK4 steps
-    A = (family.slope("spectral_projectors", stages)
+    A = (family.read("dspectral_projectors", stages)
          @ family.read("spectral_projectors", stages)).sum(axis=1)
     A1, A2, A4 = A[0:-1:2], A[1::2], A[2::2]
     h = np.diff(stages[0::2])[:, None, None]
@@ -213,16 +164,16 @@ def _theta_grid(n_nodes: int) -> np.ndarray:
     return protocol_nodes(n_nodes - n_nodes % 2)
 
 
-def theta_integral(family: AdiabaticFamily, *, n_nodes: int = 201) -> complex:
+def theta_integral(family: AdiabaticFamily, *, n_nodes: int = THETA_MIN_NODES) -> complex:
     """theta^(alpha)(1) = int_0^1 Tr(iota(s) d rho(s)/ds) ds.
 
     Composite Simpson quadrature (``linalg.simpson``) on an odd uniform grid
-    of at least n_nodes nodes, with d rho/ds the family's slope. Each grid
+    of at least n_nodes nodes, with d rho/ds the family's "drho". Each grid
     is integrated once per family and the value cached on it.
     """
     s_grid = _theta_grid(n_nodes)
     if s_grid.size not in family._thetas:
-        drho = family.slope("rho", s_grid)
+        drho = family.read("drho", s_grid)
         vals = np.trace(family.read("iota", s_grid) @ drho, axis1=1, axis2=2)
         family._thetas[s_grid.size] = complex(simpson(vals, x=s_grid))
     return family._thetas[s_grid.size]
@@ -272,7 +223,7 @@ def deformed_adiabatic_state(
     dec0 = family.decomposition(0.0)
     decs = family.decomposition(1.0)
     z = dec0.period
-    n_nodes = max(201, T + 1)
+    n_nodes = max(THETA_MIN_NODES, T + 1)
     phase = np.exp(-theta_integral(family, n_nodes=n_nodes))
     J = _label_shift(family, _theta_grid(n_nodes), z) if z > 1 else 0
     out = np.zeros((family.dim,) * 2, dtype=complex)

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .linalg import LinalgError, assert_hermitian
+from .mgfldp import DEFAULT_ALPHA_GRID, DEFAULT_S_NODES
 from .model import (
     ConstantSchedule,
     RISModel,
@@ -35,8 +36,8 @@ from .model import (
 )
 
 DEFAULTS = {
-    "numeric.s_nodes": 201,
-    "numeric.alpha_grid": [-3.0, 2.0, 101],
+    "numeric.s_nodes": DEFAULT_S_NODES,
+    "numeric.alpha_grid": list(DEFAULT_ALPHA_GRID),
     "numeric.T_list": [50, 100, 200, 400, 800],
     "numeric.seed": 0,
     "numeric.n": 2000,
@@ -138,8 +139,10 @@ def parse_state(value, path: str, dim: int) -> np.ndarray:
         raise ConfigError(f"{path}: {exc}") from None
     if w.min() < -STATE_TOL:
         raise ConfigError(f"{path}: not positive semidefinite (eigenvalue {w.min():.3e})")
-    if abs(np.trace(rho) - 1.0) > STATE_TOL:
-        raise ConfigError(f"{path}: trace {np.trace(rho).real!r} is not 1")
+    with np.errstate(over="ignore"):
+        trace = np.trace(rho)
+    if abs(trace - 1.0) > STATE_TOL:
+        raise ConfigError(f"{path}: trace {float(trace.real)!r} is not 1")
     return rho
 
 

@@ -46,13 +46,18 @@ def assert_hermitian(M: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
     """The Hermitian part of M, checked against each matrix's own scale.
 
     M may carry leading stack axes; each matrix is checked on its own, so a
-    large matrix in the stack does not loosen the check of a small one.
+    large matrix in the stack does not loosen the check of a small one. A
+    Hermitian part beyond the doubles (entries above about 8.99e307) raises.
     """
     M = as_complex(M)
-    scale = np.maximum(_matrix_max(np.abs(M)), 1.0)
-    if np.any(_matrix_max(np.abs(M - _adjoint(M))) > tol * scale):
-        raise LinalgError("matrix is not Hermitian within tolerance")
-    return 0.5 * (M + _adjoint(M))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.maximum(_matrix_max(np.abs(M)), 1.0)
+        if np.any(_matrix_max(np.abs(M - _adjoint(M))) > tol * scale):
+            raise LinalgError("matrix is not Hermitian within tolerance")
+        H = 0.5 * (M + _adjoint(M))
+    if not np.isfinite(H).all():
+        raise LinalgError("Hermitian part is not finite")
+    return H
 
 
 def tensor_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:

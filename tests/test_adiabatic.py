@@ -44,37 +44,35 @@ def test_intertwiner_transports_ranges(fd_family):
         assert np.abs((np.eye(d2) - Ps) @ W @ P0).max() < 1e-8
 
 
-def test_intertwiner_evaluates_each_generator_node_once(monkeypatch):
+def test_intertwiner_evaluates_each_generator_node_once(monkeypatch, kraus_builds):
     """RK4 over T steps reads one generator stack at its 2T + 1 distinct
     stages: each step's end node is the next step's start. It reads the slope
     of the spectral projectors and the projectors at those nodes, no other
-    field, and the family keeps rows at those nodes only."""
+    field; the family keeps rows at those nodes only and builds each of them
+    and each of their neighbours once."""
     fam = ad.AdiabaticFamily(mod.fd_model(), 0.5)
     reads = _record_reads(monkeypatch)
     stages = mod.protocol_nodes(200)
     ad.intertwiner(fam, stages)
-    assert [(how, field) for how, field, _ in reads] == [
-        ("slope", "spectral_projectors"), ("read", "spectral_projectors")
-    ]
-    centres = reads[0][2]
+    assert [field for field, _ in reads] == ["dspectral_projectors", "spectral_projectors"]
+    centres = reads[0][1]
     assert centres.size == np.unique(centres).size == 201
     assert np.array_equal(centres, stages)
-    assert np.array_equal(reads[1][2], centres)
-    assert sorted(fam._rows) == sorted(fam._slope_rows) == sorted(centres.tolist())
+    assert np.array_equal(reads[1][1], centres)
+    assert sorted(fam._rows) == sorted(centres.tolist())
+    # s = 0 and 1 are their own clamped neighbours
+    assert len(kraus_builds) == len(set(kraus_builds)) == 3 * 201 - 2
 
 
 def _record_reads(monkeypatch) -> list:
-    """Record every (accessor, field, s_values) that ``AdiabaticFamily.read``
-    and ``AdiabaticFamily.slope`` serve."""
-    reads = []
-    for how in ("read", "slope"):
-        original = getattr(ad.AdiabaticFamily, how)
+    """Record every (field, s_values) that ``AdiabaticFamily.read`` serves."""
+    reads, original = [], ad.AdiabaticFamily.read
 
-        def recorded(family, field, s_values, how=how, original=original):
-            reads.append((how, field, np.asarray(s_values, dtype=float)))
-            return original(family, field, s_values)
+    def recorded(family, field, s_values):
+        reads.append((field, np.asarray(s_values, dtype=float)))
+        return original(family, field, s_values)
 
-        monkeypatch.setattr(ad.AdiabaticFamily, how, recorded)
+    monkeypatch.setattr(ad.AdiabaticFamily, "read", recorded)
     return reads
 
 
@@ -90,58 +88,55 @@ def test_each_reader_gathers_only_its_fields(monkeypatch):
     def fields_read(run):
         reads.clear()
         run()
-        return [(how, field) for how, field, _ in reads]
+        return [field for field, _ in reads]
 
     T = 20
-    chain = fields_read(lambda: ad.exact_deformed_chain(fam, np.diag([0.3, 0.7]), T))
-    assert chain == [("read", "F")]
-    assert np.array_equal(reads[0][2], np.arange(1, T + 1) / T)
-    assert fields_read(lambda: ad.theta_integral(fam)) == [("slope", "rho"), ("read", "iota")]
-    grid = ad._theta_grid(201)
-    assert [s.tolist() for *_, s in reads] == [grid.tolist()] * 2
-    assert fields_read(lambda: ad._label_shift(fam, grid, 2)) == [("read", "cycle_unitary")]
+    assert fields_read(lambda: ad.exact_deformed_chain(fam, np.diag([0.3, 0.7]), T)) == ["F"]
+    assert np.array_equal(reads[0][1], np.arange(1, T + 1) / T)
+    assert fields_read(lambda: ad.theta_integral(fam)) == ["drho", "iota"]
+    grid = ad._theta_grid(ad.THETA_MIN_NODES)
+    assert [s.tolist() for _, s in reads] == [grid.tolist()] * 2
+    assert fields_read(lambda: ad._label_shift(fam, grid, 2)) == ["cycle_unitary"]
     assert fields_read(lambda: ad.product_decomposition_residual(fam, T)) == [
-        ("slope", "spectral_projectors"),
-        ("read", "spectral_projectors"),
-        ("read", "F"),
-        ("read", "spectral_projectors"),
+        "dspectral_projectors", "spectral_projectors", "F", "spectral_projectors"
     ]
-    assert fields_read(lambda: fam.gap_bound(grid)) == [("read", "F"), ("read", "spectral_projectors")]
+    assert fields_read(lambda: fam.gap_bound(grid)) == ["F", "spectral_projectors"]
 
 
 @pytest.mark.parametrize("kernels", ["fd", "rwa", "flip", "shift"])
-def test_slopes_equal_the_difference_of_read_neighbours(monkeypatch, kernels):
-    """Each slope is bitwise (f(hi) - f(lo)) / (hi - lo) of the neighbours'
-    rows as ``read`` gives them, at periods 1, 2 and 3, across blocks of
-    neighbours and at the clamped ends. The slope's family builds each s
-    once and keeps rows only at the nodes that are another's neighbour."""
+def test_slopes_equal_the_difference_of_read_neighbours(monkeypatch, kraus_builds, kernels):
+    """Each slope "d" + f is bitwise (f(hi) - f(lo)) / (hi - lo) of the
+    neighbours' rows as ``read`` gives them, at periods 1, 2 and 3, across
+    blocks and at the clamped ends. The family builds each s once: a node
+    that is another's neighbour in its block (the clamped s = 0 and 1, and
+    the inner node) is built once."""
     model = PRESETS.get(kernels, mod.fd_model)()
     if kernels == "flip":
         _use_flip_kernels(monkeypatch)
     elif kernels == "shift":
         model = _use_shift_kernels(monkeypatch)
-    builds = _record_builds(monkeypatch)
     inner = 0.5 + ad.DERIV_STEP  # a node that is the upper neighbour of 0.5
-    s = np.append(np.linspace(0.0, 1.0, 301), inner)
+    s = np.sort(np.append(np.linspace(0.0, 1.0, 301), inner))
+    lo, hi = ad._neighbours(s)
     fam = ad.AdiabaticFamily(model, 0.5)
-    slopes = {field: fam.slope(field, s) for field in ad.SLOPE_FIELDS}
-    # 2 x 302 neighbours, of which 0, 1 and the inner node are rows
-    assert len(builds) == len(set(builds)) == 2 * s.size
-    assert sorted(fam._rows) == [0.0, inner, 1.0]
+    fam.prepare(s)
+    assert len(s) > ad.PREPARE_BLOCK // 3
+    assert len(kraus_builds) == len(set(kraus_builds)) == len({*s, *lo, *hi})
+    assert sorted(fam._rows) == s.tolist()
     assert fam.decomposition(0.5).period == {"flip": 2, "shift": 3}.get(kernels, 1)
     ref = ad.AdiabaticFamily(model, 0.5)
-    lo, hi = ad._neighbours(s)
-    for field, slope in slopes.items():
+    for field in ad.SLOPE_FIELDS:
+        slope = fam.read("d" + field, s)
         diff = ref.read(field, hi) - ref.read(field, lo)
         assert np.array_equal(slope, diff / (hi - lo).reshape(-1, *(1,) * (diff.ndim - 1)))
-        assert np.array_equal(fam.slope(field, s[::-1]), slope[::-1])
+        assert np.array_equal(fam.read("d" + field, s[::-1]), slope[::-1])
 
 
 def test_residual_peak_memory_holds_no_neighbour_rows():
     """At T = 400 the residual reads 801 generator nodes. Keeping both
     centred-difference neighbours of each as rows of the node table peaked
-    at 4.3 MB of traced allocations (2 x 2 system, fd); the slope table
-    keeps one row of differences per node, and the peak is about 2.5 MB."""
+    at 4.3 MB of traced allocations (2 x 2 system, fd); the table keeps one
+    row of differences per node, and the peak is about 2.1 MB."""
     ad.product_decomposition_residual(ad.AdiabaticFamily(mod.fd_model(), 0.5), 10)
     fam = ad.AdiabaticFamily(mod.fd_model(), 0.5)
     tracemalloc.start()
@@ -154,12 +149,12 @@ def test_residual_peak_memory_holds_no_neighbour_rows():
     assert len(fam._rows) == 801
 
 
-def test_adiabatic_task_keeps_no_neighbour_rows(monkeypatch, tmp_path):
+def test_adiabatic_task_keeps_no_neighbour_rows(monkeypatch, kraus_builds, tmp_path):
     """On the README numeric block the family's rows are theta's grids, which
-    hold every exact chain's nodes k/T, and its slopes are theta's grids: no
-    row is a centred-difference neighbour. The 801 nodes k/800 and their
-    1 600 inner neighbours are each built once."""
-    families, builds = [], _record_builds(monkeypatch)
+    hold every exact chain's nodes k/T: no row is a centred-difference
+    neighbour. The 801 nodes k/800 and their 1 600 inner neighbours are each
+    built once."""
+    families = []
 
     class Recorded(ad.AdiabaticFamily):
         def __init__(self, *args):
@@ -173,33 +168,44 @@ def test_adiabatic_task_keeps_no_neighbour_rows(monkeypatch, tmp_path):
     doc = {"model": {"preset": "fd", "schedule": "beta1", "tau": 0.5}, "numeric": numeric}
     cli.task_adiabatic(cfg.load_config(doc), str(tmp_path))
     (fam,) = families
-    grids = {s for T in T_list for s in ad._theta_grid(max(201, T + 1)).tolist()}
+    grids = {s for T in T_list for s in ad._theta_grid(max(ad.THETA_MIN_NODES, T + 1)).tolist()}
     chains = {s for T in T_list for s in mod.protocol_nodes(T)[1:].tolist()}
     assert chains <= grids
-    assert set(fam._rows) == set(fam._slope_rows) == grids
+    assert set(fam._rows) == grids
     assert len(fam._rows) == 801
-    assert len(builds) == len(set(builds)) == 2401
+    assert len(kraus_builds) == len(set(kraus_builds)) == 2401
 
 
-def test_residuals_on_one_family_build_each_s_once(monkeypatch):
+def test_residuals_on_one_family_build_each_s_once(kraus_builds):
     """The residuals at T = 100, 200 and 400 on one family read the stage
     grids k/200, k/400 and k/800, which nest: 801 rows, and 2 401 kernels
     (the rows and their 1 600 inner neighbours), each s built once."""
-    builds = _record_builds(monkeypatch)
     fam = ad.AdiabaticFamily(mod.fd_model(), 0.5)
     for T in (100, 200, 400):
         ad.product_decomposition_residual(fam, T)
-    assert sorted(fam._rows) == sorted(fam._slope_rows) == mod.protocol_nodes(800).tolist()
-    assert len(builds) == len(set(builds)) == 2401
+    assert sorted(fam._rows) == mod.protocol_nodes(800).tolist()
+    assert len(kraus_builds) == len(set(kraus_builds)) == 2401
 
 
-def _record_builds(monkeypatch) -> list:
-    """Record every node the adiabatic layer builds a kernel at."""
-    builds, build = [], ad.kraus_families
-    monkeypatch.setattr(
-        ad, "kraus_families", lambda m, s: builds.extend(s) or build(m, s)
-    )
-    return builds
+@pytest.mark.parametrize("kernels", ["fd", "flip"])
+def test_block_size_changes_no_output(monkeypatch, tmp_path, kernels):
+    """A node's row does not depend on the other nodes of its block: with
+    one node and its neighbours per block, the adiabatic task writes the
+    same bytes and the residuals are the same doubles as with the default
+    blocks, at periods 1 and 2."""
+    if kernels == "flip":
+        _use_flip_kernels(monkeypatch)
+
+    def outputs(sub):
+        (tmp_path / sub).mkdir()
+        cli.task_adiabatic(cfg.load_config(BASE), str(tmp_path / sub))
+        fam = ad.AdiabaticFamily(mod.fd_model(), 0.5)
+        residuals = [ad.product_decomposition_residual(fam, T) for T in (10, 20)]
+        return (tmp_path / sub / "adiabatic.csv").read_bytes(), residuals
+
+    default = outputs("default")
+    monkeypatch.setattr(ad, "PREPARE_BLOCK", 3)
+    assert outputs("one-node") == default
 
 
 def _use_flip_kernels(monkeypatch):

@@ -423,6 +423,8 @@ def test_seed_override_rejected(tmp_path):
 
 
 NOT_A_STATE = [[0.5, 0.6], [0.6, 0.5]]  # eigenvalues 1.1 and -0.1
+# The largest double: finite, but 0.5 (M + M*) overflows on it.
+DOUBLE_MAX = 1.7976931348623157e308
 
 
 @pytest.mark.parametrize(
@@ -449,7 +451,8 @@ NOT_A_STATE = [[0.5, 0.6], [0.6, 0.5]]  # eigenvalues 1.1 and -0.1
         ("numeric", "rho_i", [[1.0]], r"numeric\.rho_i"),
         ("numeric", "rho_i", [[0.5, 0.1], [0.0, 0.5]], r"numeric\.rho_i"),
         ("numeric", "rho_i", NOT_A_STATE, r"numeric\.rho_i"),
-        ("numeric", "rho_i", [[0.5, 0.0], [0.0, 0.6]], r"numeric\.rho_i"),
+        ("numeric", "rho_i", [[0.5, 0.0], [0.0, 0.6]], r"numeric\.rho_i: trace 1\.1 is not 1$"),
+        ("numeric", "rho_i", [[DOUBLE_MAX, 0], [0, 0]], r"numeric\.rho_i: .*not finite"),
         ("numeric", "rho_i", [[True, 0], [0, 0]], r"numeric\.rho_i\[0\]\[0\]"),
         ("model", "schedule", {"kind": "constant", "value": "x"},
          r"model\.schedule\.value"),
@@ -472,7 +475,8 @@ NOT_A_STATE = [[0.5, 0.6], [0.6, 0.5]]  # eigenvalues 1.1 and -0.1
         "T_list-empty", "n-zero", "n-bool", "s_nodes-one", "alpha-inf", "alpha-str",
         "alpha_grid-nan", "alpha_grid-count-zero", "tau-str", "tau-zero", "tau-inf",
         "tau-beyond-doubles", "alpha-beyond-doubles",
-        "rho_i-shape", "rho_i-not-hermitian", "rho_i-not-psd", "rho_i-trace", "rho_i-bool",
+        "rho_i-shape", "rho_i-not-hermitian", "rho_i-not-psd", "rho_i-trace",
+        "rho_i-beyond-hermitian-part", "rho_i-bool",
         "constant-str", "constant-nan", "tanh_terms-short", "tanh_terms-inf",
         "poly-str", "poly-beyond-doubles", "write_csv-str", "directory-null", "directory-empty",
     ],
@@ -501,15 +505,29 @@ def test_numeric_rejected(section, key, value, path):
         ("h_env", [[0, 10**400], [0, 0.8]], r"model\.h_env\[0\]\[1\]: .*finite"),
         ("h_sys", [[True, 0], [0, [0.9, 0]]], r"model\.h_sys\[0\]\[0\]: .*finite"),
         ("h_sys", [[0, 0], [0, [True, 0]]], r"model\.h_sys\[1\]\[1\]: .*finite"),
+        ("h_sys", [[0, 0], [0, DOUBLE_MAX]], r"model\.h_sys: .*not finite"),
+        ("h_env", [[DOUBLE_MAX, 0], [0, 0.8]], r"model\.h_env: .*not finite"),
+        ("coupling", [[0, 0, 0, 0], [0, 0, [DOUBLE_MAX, 0], 0], [0, [DOUBLE_MAX, 0], 0, 0],
+                      [0, 0, 0, DOUBLE_MAX]], r"model\.coupling: .*not finite"),
     ],
     ids=["dim_sys-str", "dim_env-fractional", "dim_sys-zero", "dim_sys-mismatch",
          "h_env-mismatch", "h_sys-not-hermitian", "h_env-not-hermitian",
          "coupling-not-hermitian", "h_env-nan", "h_sys-infinity", "h_env-beyond-doubles",
-         "h_sys-bool", "h_sys-bool-part"],
+         "h_sys-bool", "h_sys-bool-part", "h_sys-beyond-hermitian-part",
+         "h_env-beyond-hermitian-part", "coupling-beyond-hermitian-part"],
 )
 def test_explicit_model_rejected(key, value, path):
     doc = {"model": dict(EXPLICIT_MODEL, **{key: value})}
     with pytest.raises(cfg.ConfigError, match=path):
+        cfg.load_config(doc)
+
+
+def test_qutrit_state_whose_trace_overflows_rejected():
+    """Three diagonal entries of 8e307 have a finite Hermitian part but a
+    trace beyond the doubles."""
+    doc = json.loads(json.dumps(dict(BASE, model=QUTRIT_MODEL)))
+    doc["numeric"]["rho_i"] = np.diag([8e307] * 3).tolist()
+    with pytest.raises(cfg.ConfigError, match=r"numeric\.rho_i: trace inf is not 1"):
         cfg.load_config(doc)
 
 

@@ -341,11 +341,13 @@ def test_period_two_stack_decomposes_in_one_pass(eigen_calls):
 
 
 def test_prepare_decomposes_in_blocks(eigen_calls, kraus_builds):
+    """n nodes and their neighbours are built once each (s = 0 and 1 are
+    their own clamped neighbours), PREPARE_BLOCK // 3 nodes per block."""
     n = 600
-    blocks = -(-n // ad.PREPARE_BLOCK)
+    blocks = -(-n // (ad.PREPARE_BLOCK // 3))
     fam = ad.AdiabaticFamily(mod.fd_model(), 0.5)
     fam.prepare(np.linspace(0.0, 1.0, n))
-    assert len(kraus_builds) == n
+    assert len(kraus_builds) == len(set(kraus_builds)) == 3 * n - 2
     # a few stacked calls per block (kernel build and decomposition), not
     # one or more per node
     assert len(eigen_calls) <= 10 * blocks, len(eigen_calls)
@@ -394,10 +396,12 @@ def test_lookup_shares_the_stack_cache(kraus_builds):
     and a lookup's fields are the rows that read gathers."""
     fam = ad.AdiabaticFamily(mod.fd_model(), 0.5)
     dec = fam.decomposition(0.25)
+    assert kraus_builds == [0.25 - ad.DERIV_STEP, 0.25, 0.25 + ad.DERIV_STEP]
     s = [0.0, 0.25, 0.5]
     rho, P, F = (fam.read(field, s) for field in ("rho", "spectral_projectors", "F"))
     fam.decomposition(0.5)  # read above: from the cache, not built
-    assert kraus_builds == [0.25, 0.0, 0.5]
+    lo, hi = ad._neighbours(np.array(s))
+    assert len(kraus_builds) == len(set(kraus_builds)) == len({*s, *lo, *hi}) == 8
     assert np.array_equal(rho[1], dec.rho)
     assert np.array_equal(P[1], np.stack(dec.spectral_projectors))
     M = _deformed_stack(mod.fd_model(), 0.5, [0.25])[0]
