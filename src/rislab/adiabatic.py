@@ -58,31 +58,36 @@ class AdiabaticFamily:
         return self.model.dim_sys
 
     def prepare(self, s_values) -> None:
-        """Build every uncached s of s_values with its neighbours
-        lo, hi = s -+ DERIV_STEP clamped to [0, 1], PREPARE_BLOCK // 3 nodes
-        at a time: one stacked kernel, one ``peripheral_decompositions`` call
-        and a period check per block. Each node's row keeps F, its
-        decomposition and (f(hi) - f(lo)) / (hi - lo) of every SLOPE_FIELDS f.
-        """
-        todo = [s for s in dict.fromkeys(map(float, s_values)) if s not in self._rows]
-        for start in range(0, len(todo), PREPARE_BLOCK // 3):
-            block = todo[start : start + PREPARE_BLOCK // 3]
-            lo, hi = _neighbours(np.array(block))
-            # a clamped end, or a node that is another's neighbour, is built once
-            nodes, at = np.unique(np.concatenate([block, lo, hi]), return_inverse=True)
+        """Build every uncached s of s_values with its neighbours lo, hi =
+        s -+ DERIV_STEP clamped to [0, 1]: ascending blocks of at most
+        PREPARE_BLOCK // 3 nodes, each one stacked kernel, one
+        ``peripheral_decompositions`` call and a period check. A row keeps F,
+        the decomposition and (f(hi) - f(lo)) / (hi - lo) of each SLOPE_FIELDS
+        f. A block ends at a gap that parts no node from its neighbour, so a
+        call builds each s once, unless a window has no such gap (nodes
+        DERIV_STEP apart): it is cut at its end, and a node across the cut is
+        built twice. Calls share rows, not neighbours."""
+        todo = np.array(sorted(set(map(float, s_values)).difference(self._rows)))
+        grid = np.stack([todo, *_neighbours(todo)])  # the nodes, their lo and hi
+        # gap[i]: todo[i] and todo[i + 1] lie beyond each other's neighbours
+        gap = np.append((grid[2, :-1] < todo[1:]) & (grid[1, 1:] > todo[:-1]), True)
+        stop = 0
+        while stop < todo.size:
+            start, window = stop, gap[stop : stop + PREPARE_BLOCK // 3]
+            stop += np.flatnonzero(window)[-1] + 1 if window.any() else window.size
+            nodes, at = np.unique(grid[:, start:stop], return_inverse=True)
             matrices = kraus_families(self.model, nodes).deformed_matrix(self.alpha)
             decs = peripheral_decompositions(matrices)
             period = self._fields["period"][0] if self._rows else decs.period[0]
-            changed = np.flatnonzero(decs.period != period)
-            if changed.size:
-                s = nodes[changed[0]]
-                raise ValueError(f"peripheral period changed along the protocol at s={s}")
+            if (changed := nodes[decs.period != period]).size:
+                raise ValueError(f"peripheral period changed along the protocol at s={changed[0]}")
             row, i_lo, i_hi = at.reshape(3, -1)
+            block, ds = nodes[row].tolist(), nodes[i_hi] - nodes[i_lo]
             rows = {"F": matrices[row] / decs.spectral_radius[row, None, None]}
             rows.update((name, f[row]) for name, f in vars(decs).items())
             for name in SLOPE_FIELDS:
                 diff = getattr(decs, name)[i_hi] - getattr(decs, name)[i_lo]
-                rows["d" + name] = diff / (hi - lo).reshape(-1, *(1,) * (diff.ndim - 1))
+                rows["d" + name] = diff / ds.reshape(-1, *(1,) * (diff.ndim - 1))
             # one field at a time, so no two generations of the table coexist
             for name, new in rows.items():
                 self._fields[name] = np.concatenate([self._fields.get(name, new[:0]), new])

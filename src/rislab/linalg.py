@@ -42,21 +42,21 @@ def _matrix_max(M: np.ndarray) -> np.ndarray:
     return M.max(axis=(-2, -1))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
 def assert_hermitian(M: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
     """The Hermitian part of M, checked against each matrix's own scale.
 
     M may carry leading stack axes; each matrix is checked on its own, so a
-    large matrix in the stack does not loosen the check of a small one. A
-    Hermitian part beyond the doubles (entries above about 8.99e307) raises.
+    large matrix in the stack does not loosen the check of a small one. An
+    overflowing |M| or M + M* (entries above about 8.99e307) raises.
     """
     M = as_complex(M)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.maximum(_matrix_max(np.abs(M)), 1.0)
-        if np.any(_matrix_max(np.abs(M - _adjoint(M))) > tol * scale):
-            raise LinalgError("matrix is not Hermitian within tolerance")
-        H = 0.5 * (M + _adjoint(M))
-    if not np.isfinite(H).all():
-        raise LinalgError("Hermitian part is not finite")
+    scale = np.maximum(_matrix_max(np.abs(M)), 1.0)
+    H = 0.5 * (M + _adjoint(M))
+    if not (np.isfinite(scale).all() and np.isfinite(H).all()):
+        raise LinalgError("modulus or Hermitian part is not finite")
+    if np.any(_matrix_max(np.abs(M - _adjoint(M))) > tol * scale):
+        raise LinalgError("matrix is not Hermitian within tolerance")
     return H
 
 

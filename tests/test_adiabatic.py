@@ -107,22 +107,22 @@ def test_each_reader_gathers_only_its_fields(monkeypatch):
 def test_slopes_equal_the_difference_of_read_neighbours(monkeypatch, kraus_builds, kernels):
     """Each slope "d" + f is bitwise (f(hi) - f(lo)) / (hi - lo) of the
     neighbours' rows as ``read`` gives them, at periods 1, 2 and 3, across
-    blocks and at the clamped ends. The family builds each s once: a node
-    that is another's neighbour in its block (the clamped s = 0 and 1, and
-    the inner node) is built once."""
+    blocks and at the clamped ends. The family builds each s once: the
+    clamped s = 0 and 1 are their own neighbours, and the inner node, which
+    comes last in s, is built in the block of 0.5, whose neighbour it is."""
     model = PRESETS.get(kernels, mod.fd_model)()
     if kernels == "flip":
         _use_flip_kernels(monkeypatch)
     elif kernels == "shift":
         model = _use_shift_kernels(monkeypatch)
     inner = 0.5 + ad.DERIV_STEP  # a node that is the upper neighbour of 0.5
-    s = np.sort(np.append(np.linspace(0.0, 1.0, 301), inner))
+    s = np.append(np.linspace(0.0, 1.0, 301), inner)
     lo, hi = ad._neighbours(s)
     fam = ad.AdiabaticFamily(model, 0.5)
     fam.prepare(s)
     assert len(s) > ad.PREPARE_BLOCK // 3
     assert len(kraus_builds) == len(set(kraus_builds)) == len({*s, *lo, *hi})
-    assert sorted(fam._rows) == s.tolist()
+    assert sorted(fam._rows) == sorted(s.tolist())
     assert fam.decomposition(0.5).period == {"flip": 2, "shift": 3}.get(kernels, 1)
     ref = ad.AdiabaticFamily(model, 0.5)
     for field in ad.SLOPE_FIELDS:
@@ -130,6 +130,24 @@ def test_slopes_equal_the_difference_of_read_neighbours(monkeypatch, kraus_build
         diff = ref.read(field, hi) - ref.read(field, lo)
         assert np.array_equal(slope, diff / (hi - lo).reshape(-1, *(1,) * (diff.ndim - 1)))
         assert np.array_equal(fam.read("d" + field, s[::-1]), slope[::-1])
+
+
+def test_a_block_ends_where_it_parts_no_node_from_its_neighbour(monkeypatch, kraus_builds):
+    """``prepare`` takes the nodes in ascending order and ends a block one
+    node early rather than part a node from its neighbour, so each s is
+    built once. Only a window of nodes each the next one's neighbour is cut
+    at its end, and the nodes across the cuts are built twice."""
+    s = np.append(np.linspace(0.0, 1.0, 301), 0.5 + ad.DERIV_STEP)
+    monkeypatch.setattr(ad, "PREPARE_BLOCK", 3 * 151)  # a window of nodes 0 to 0.5
+    ad.AdiabaticFamily(mod.fd_model(), 0.5).prepare(s)
+    lo, hi = ad._neighbours(s)
+    assert len(kraus_builds) == len(set(kraus_builds)) == len({*s, *lo, *hi})
+    kraus_builds.clear()
+    chain = [0.3, 0.3 + ad.DERIV_STEP, 0.3 + ad.DERIV_STEP + ad.DERIV_STEP]
+    assert ad._neighbours(np.array(chain[1:]))[0].tolist() == chain[:2]
+    monkeypatch.setattr(ad, "PREPARE_BLOCK", 3)  # one node per window
+    ad.AdiabaticFamily(mod.fd_model(), 0.5).prepare(chain)
+    assert len(kraus_builds) == 3 * len(chain) and len(set(kraus_builds)) == len(chain) + 2
 
 
 def test_residual_peak_memory_holds_no_neighbour_rows():

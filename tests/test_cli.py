@@ -509,12 +509,16 @@ def test_numeric_rejected(section, key, value, path):
         ("h_env", [[DOUBLE_MAX, 0], [0, 0.8]], r"model\.h_env: .*not finite"),
         ("coupling", [[0, 0, 0, 0], [0, 0, [DOUBLE_MAX, 0], 0], [0, [DOUBLE_MAX, 0], 0, 0],
                       [0, 0, 0, DOUBLE_MAX]], r"model\.coupling: .*not finite"),
+        # anti-Hermitian, with a Hermitian part of 0 but moduli beyond the doubles
+        ("h_sys", [[0, [1.3e308, 1.3e308]], [[-1.3e308, 1.3e308], 0]],
+         r"model\.h_sys: .*not finite"),
     ],
     ids=["dim_sys-str", "dim_env-fractional", "dim_sys-zero", "dim_sys-mismatch",
          "h_env-mismatch", "h_sys-not-hermitian", "h_env-not-hermitian",
          "coupling-not-hermitian", "h_env-nan", "h_sys-infinity", "h_env-beyond-doubles",
          "h_sys-bool", "h_sys-bool-part", "h_sys-beyond-hermitian-part",
-         "h_env-beyond-hermitian-part", "coupling-beyond-hermitian-part"],
+         "h_env-beyond-hermitian-part", "coupling-beyond-hermitian-part",
+         "h_sys-beyond-modulus"],
 )
 def test_explicit_model_rejected(key, value, path):
     doc = {"model": dict(EXPLICIT_MODEL, **{key: value})}
